@@ -6,8 +6,6 @@ from .torus_grid import (
     TimeMesh,
     SpaceTimeField,
     FourVectorField,
-    d1_plus,
-    d2_plus,
     one_sided_diffs,
     laplace5,
     cell_average,
@@ -16,8 +14,6 @@ from .torus_grid import (
     norm_sup,
     norm_lp,
     seminorm_w1,
-    bilinear_interp,
-    trilinear_interp,
     restrict,
 )
 from .hamiltonian import PowerHamiltonian, upwind_part, weighted_bregman_gap, inequality_suite

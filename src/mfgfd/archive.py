@@ -26,7 +26,6 @@ def write_evolutive_archive(
     sol: EvolutiveSolution,
     config_echo: dict,
     config_text: str,
-    partial: bool = False,
 ) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -36,7 +35,7 @@ def write_evolutive_archive(
         save_grid_field(s, outdir / f"m_slice_{n:04d}.csv")
     meta = {
         "kind": "evolutive",
-        "partial": partial,
+        "partial": False,
         "config": config_echo,
         "config_text": config_text,
         "grid": {"n_side": sol.u.grid.n_side, "h": sol.u.grid.h},
@@ -60,7 +59,6 @@ def write_ergodic_archive(
     sol: ErgodicSolution,
     config_echo: dict,
     config_text: str,
-    partial: bool = False,
 ) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -68,7 +66,7 @@ def write_ergodic_archive(
     save_grid_field(sol.m.field, outdir / "m.csv")
     meta = {
         "kind": "ergodic",
-        "partial": partial,
+        "partial": False,
         "config": config_echo,
         "config_text": config_text,
         "grid": {"n_side": sol.u.grid.n_side, "h": sol.u.grid.h},

@@ -38,7 +38,7 @@ simplex without hiding real defects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +50,6 @@ from .torus_grid import (
     TorusGrid,
     inner2,
     laplace_array,
-    norm_sup,
     one_sided_diffs,
 )
 
@@ -60,6 +59,7 @@ __all__ = [
     "NonConvergence",
     "LinearSolveError",
     "PositivityError",
+    "newton_armijo",
     "hjb_residual",
     "hjb_step_solve",
     "hjb_step_picard",
@@ -79,7 +79,7 @@ CLAMP_LIMIT = 1e-12
 
 @dataclass
 class HjbStepConfig:
-    """Newton controls for the semi-implicit value step."""
+    """Controls of ``newton_armijo``; the stationary solve sets its own tolerance and cap."""
 
     newton_tol: float = 1e-11
     max_newton: int = 50
@@ -97,7 +97,6 @@ class HjbStepConfig:
 class LinearSolveContract:
     """Residual guarantee for every linear solve: |Ax - b|_inf <= tol * |b|_inf."""
 
-    method: str = "splu"
     residual_tol: float = 1e-12
 
 
@@ -214,8 +213,45 @@ def _solve_checked(a: sp.spmatrix, b: np.ndarray, contract: LinearSolveContract)
 
 
 # ---------------------------------------------------------------------------
-# value-function step
+# damped Newton and the value-function step
 # ---------------------------------------------------------------------------
+
+def newton_armijo(
+    residual: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], sp.spmatrix],
+    x: np.ndarray,
+    cfg: HjbStepConfig,
+    contract: LinearSolveContract,
+) -> np.ndarray:
+    """Damped Newton on flat vectors with Armijo backtracking.
+
+    Iterates x <- x + t * delta with jacobian(x) delta = -residual(x),
+    halving t from 1 until the residual sup norm r drops to at most
+    (1 - armijo_c t) r, and returns x once r <= ``newton_tol``.  Raises
+    NonConvergence when t falls below ``min_step`` or ``max_newton``
+    iterations cannot reach the tolerance.
+    """
+    res = residual(x)
+    r = float(np.max(np.abs(res)))
+    for it in range(cfg.max_newton):
+        if r <= cfg.newton_tol:
+            return x
+        delta = _solve_checked(jacobian(x), -res, contract)
+        t = 1.0
+        while t >= cfg.min_step:
+            trial = x + t * delta
+            res_try = residual(trial)
+            r_try = float(np.max(np.abs(res_try)))
+            if r_try <= (1.0 - cfg.armijo_c * t) * r:
+                x, res, r = trial, res_try, r_try
+                break
+            t *= 0.5
+        else:
+            raise NonConvergence(it + 1, r)
+    if r <= cfg.newton_tol:
+        return x
+    raise NonConvergence(cfg.max_newton, r)
+
 
 def hjb_residual(
     ham: PowerHamiltonian,
@@ -242,42 +278,26 @@ def hjb_step_solve(
     contract: Optional[LinearSolveContract] = None,
     initial_guess: Optional[GridField] = None,
 ) -> GridField:
-    """Advance the value function one step by damped Newton.
+    """Advance the value function one step by ``newton_armijo``.
 
-    Starts from ``initial_guess`` (default: the current slice), iterates
-    u <- u + t * delta with J(u) delta = -residual(u) and Armijo
-    backtracking on the residual sup norm, and returns once that norm is
-    below ``newton_tol``.  Raises NonConvergence when ``max_newton``
-    iterations cannot reach the tolerance.
+    Starts from ``initial_guess`` (default: the current slice) and returns
+    once the residual sup norm is below ``newton_tol``; raises
+    NonConvergence otherwise.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     cfg = cfg or HjbStepConfig()
     contract = contract or LinearSolveContract()
-    u = (initial_guess or u_cur).copy()
-    res = hjb_residual(ham, nu, dt, u, u_cur, phi_field)
-    r = norm_sup(res)
-    for it in range(cfg.max_newton):
-        if r <= cfg.newton_tol:
-            return u
-        jac = hjb_jacobian(ham, nu, dt, u)
-        delta = _solve_checked(jac, -res.flat(), contract).reshape(u.values.shape)
-        t = 1.0
-        accepted = False
-        while t >= cfg.min_step:
-            trial = GridField(u.grid, u.values + t * delta)
-            res_try = hjb_residual(ham, nu, dt, trial, u_cur, phi_field)
-            r_try = norm_sup(res_try)
-            if r_try <= (1.0 - cfg.armijo_c * t) * r:
-                u, res, r = trial, res_try, r_try
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            raise NonConvergence(it + 1, r)
-    if r <= cfg.newton_tol:
-        return u
-    raise NonConvergence(cfg.max_newton, r)
+    grid = u_cur.grid
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        return hjb_residual(ham, nu, dt, GridField(grid, x), u_cur, phi_field).flat()
+
+    def jacobian(x: np.ndarray) -> sp.spmatrix:
+        return hjb_jacobian(ham, nu, dt, GridField(grid, x))
+
+    start = (initial_guess or u_cur).values.flatten()
+    return GridField(grid, newton_armijo(residual, jacobian, start, cfg, contract))
 
 
 def hjb_step_picard(

@@ -33,7 +33,6 @@ and smoothness bounds this structure satisfies, with explicit constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .torus_grid import (
     SpaceTimeField,
     TorusGrid,
     stencil_array,
+    time_sum,
 )
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "STENCIL_FLOOR",
     "hamiltonian_stencil",
     "upwind_part",
+    "bregman_gap_array",
     "weighted_bregman_gap",
     "inequality_suite",
 ]
@@ -71,11 +72,16 @@ def hamiltonian_stencil(u: GridField) -> FourVectorField:
     transport and the Jacobians evaluate a value slice; directions, error
     norms and monitors use the plain ``one_sided_diffs``.
     """
-    h = u.grid.h
-    q = stencil_array(u.values, h)
-    floor = STENCIL_FLOOR * _EPS * float(np.max(np.abs(u.values))) / h
-    q[np.abs(q) <= floor] = 0.0
-    return FourVectorField(u.grid, q)
+    return FourVectorField(u.grid, _floored_stencil(u.values, u.grid.h))
+
+
+def _floored_stencil(values: np.ndarray, h: float) -> np.ndarray:
+    """``hamiltonian_stencil`` of every (N, N) slice of a (..., N, N) array,
+    each slice floored against its own max|u|."""
+    q = stencil_array(values, h)
+    scale = np.max(np.abs(values), axis=(-2, -1))[..., None, None, None]
+    q[np.abs(q) <= STENCIL_FLOOR * _EPS * scale / h] = 0.0
+    return q
 
 
 def upwind_part(q: np.ndarray) -> np.ndarray:
@@ -110,19 +116,30 @@ def _grad_from_q(q: np.ndarray, beta: float) -> np.ndarray:
     return coef[..., None] * p * _UPWIND_SIGNS
 
 
+def bregman_gap_array(q: np.ndarray, q_tilde: np.ndarray, beta: float) -> np.ndarray:
+    """value(x, q~) - value(x, q) - grad(q) . (q~ - q) on (..., 4) arrays.
+
+    The potential cancels, so the gap depends on the stencils only; it is
+    nonnegative by convexity of the upwind composition.  The gradient is
+    the module's ``_grad_from_q``, never an instance method.
+    """
+    return (
+        _gauge(upwind_part(q_tilde), beta)
+        - _gauge(upwind_part(q), beta)
+        - np.sum(_grad_from_q(q, beta) * (q_tilde - q), axis=-1)
+    )
+
+
 @dataclass
 class PowerHamiltonian:
     """Power-type numerical Hamiltonian with nodal samples of the potential.
 
     beta must exceed 1 so the gauge |p|^beta is C^1 through the kink at
-    p = 0.  ``grad_bound`` optionally records a sup bound on the
-    potential's spatial gradient for diagnostics; it is never used in the
-    numerics.
+    p = 0.
     """
 
     beta: float
     potential: GridField
-    grad_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.beta > 1.0:
@@ -144,18 +161,10 @@ class PowerHamiltonian:
         return _grad_from_q(np.asarray(q, dtype=np.float64), self.beta)
 
     def bregman_gap(self, q: np.ndarray, q_tilde: np.ndarray) -> float:
-        """value(x, q~) - value(x, q) - grad(q) . (q~ - q); the potential cancels.
-
-        Nonnegative by convexity of the upwind composition.
-        """
+        """value(x, q~) - value(x, q) - grad(q) . (q~ - q); see ``bregman_gap_array``."""
         q = np.asarray(q, dtype=np.float64)
         qt = np.asarray(q_tilde, dtype=np.float64)
-        gap = (
-            _gauge(upwind_part(qt), self.beta)
-            - _gauge(upwind_part(q), self.beta)
-            - np.sum(self.grad(q) * (qt - q), axis=-1)
-        )
-        return float(gap)
+        return float(bregman_gap_array(q, qt, self.beta))
 
     def gauge_hessian(self, p: np.ndarray) -> np.ndarray:
         """Hessian of |p|^beta at p != 0: beta|p|^(b-2) I + beta(b-2)|p|^(b-4) p p^T."""
@@ -183,16 +192,6 @@ class PowerHamiltonian:
         """(N, N, 4) array of gradients at every node's stencil."""
         return _grad_from_q(stencil.values, self.beta)
 
-    def bregman_gap_grid(self, stencil: FourVectorField, stencil_tilde: FourVectorField) -> np.ndarray:
-        """(N, N) array of per-node Bregman gaps between two stencils."""
-        q = stencil.values
-        qt = stencil_tilde.values
-        return (
-            _gauge(upwind_part(qt), self.beta)
-            - _gauge(upwind_part(q), self.beta)
-            - np.sum(_grad_from_q(q, self.beta) * (qt - q), axis=-1)
-        )
-
 
 def weighted_bregman_gap(
     ham: PowerHamiltonian,
@@ -211,17 +210,11 @@ def weighted_bregman_gap(
         raise ValueError("space-time fields must share one time mesh")
     if not (m.grid.compatible(u.grid) and m.grid.compatible(u_tilde.grid)):
         raise ValueError("space-time fields must share one grid")
-    total = 0.0
-    for n in range(1, u.mesh.n_steps + 1):
-        q = hamiltonian_stencil(u.slices[n]).values
-        qt = hamiltonian_stencil(u_tilde.slices[n]).values
-        gap = (
-            _gauge(upwind_part(qt), ham.beta)
-            - _gauge(upwind_part(q), ham.beta)
-            - np.sum(_grad_from_q(q, ham.beta) * (qt - q), axis=-1)
-        )
-        total += float(np.sum(m.slices[n - 1].values * gap))
-    return total
+    h = u.grid.h
+    gap = bregman_gap_array(
+        _floored_stencil(u.values[1:], h), _floored_stencil(u_tilde.values[1:], h), ham.beta
+    )
+    return time_sum(m.values[:-1] * gap)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +306,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     ap = np.sqrt(np.sum(p * p, axis=-1))
     apt = np.sqrt(np.sum(pt * pt, axis=-1))
 
-    gap = (
-        _gauge(pt, beta)
-        - _gauge(p, beta)
-        - np.sum(_grad_from_q(q, beta) * (qt - q), axis=-1)
-    )
+    gap = bregman_gap_array(q, qt, beta)
     gauge_gap = _gauge(pt, beta) - _gauge(p, beta) - np.sum(
         _grad_coef(p, beta)[..., None] * p * (pt - p), axis=-1
     )
@@ -433,11 +422,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
         ptf = upwind_part(qtf)
 
         if beta >= 2.0:
-            gapf = (
-                _gauge(ptf, beta)
-                - _gauge(pf, beta)
-                - np.sum(_grad_from_q(qf, beta) * (qtf - qf), axis=-1)
-            )
+            gapf = bregman_gap_array(qf, qtf, beta)
             big_g = np.sum(m_arr * gapf, axis=(1, 2, 3))
             apf = np.sqrt(np.sum(pf * pf, axis=-1))
             aptf = np.sqrt(np.sum(ptf * ptf, axis=-1))

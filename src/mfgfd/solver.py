@@ -9,6 +9,8 @@ trajectory into the old one.  The iteration stops once the trajectory
 change is below tolerance *and* the defect of both discrete equations at
 the candidate pair is at or below the inner target, so the returned
 solution genuinely satisfies the scheme, not just a stagnation criterion.
+Both solvers run the same damped outer iteration, ``_damped_fixed_point``,
+and supply only their sweep and their termination gate.
 
 The stationary system adds the unknown effective constant: the value block
 is solved by Newton on (u, lambda) with the zero-mean row closing the rank
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,10 +43,11 @@ from .dynamics import (
     HjbStepConfig,
     LinearSolveContract,
     _fp_step_with_stats,
-    _solve_checked,
+    adjoint_apply,
     hjb_residual,
     hjb_step_solve,
     linearized_hjb_matrix,
+    newton_armijo,
     transport_apply,
 )
 from .hamiltonian import PowerHamiltonian, hamiltonian_stencil, weighted_bregman_gap
@@ -53,11 +56,10 @@ from .torus_grid import (
     SpaceTimeField,
     TimeMesh,
     TorusGrid,
-    inner2,
     laplace_array,
     mass,
-    norm_sup,
     stencil_array,
+    time_sum,
 )
 
 __all__ = [
@@ -186,78 +188,109 @@ class PerturbationPair:
 
 
 # ---------------------------------------------------------------------------
+# the damped outer iteration
+# ---------------------------------------------------------------------------
+
+def _damped_fixed_point(
+    grid: TorusGrid,
+    cfg: FixedPointConfig,
+    m: np.ndarray,
+    state,
+    sweep: Callable,
+    gate: Callable,
+):
+    """Damped Picard iteration on a density array, shared by both solvers.
+
+    ``sweep(m, state)`` returns the new densities and the solver state that
+    the gate and the next sweep need; ``state`` seeds the first sweep.  The
+    change is the largest h^2-weighted l1 distance over slices.  Once it is
+    below ``outer_tol``, ``gate(m_new, state, history, theta)`` returns the
+    solution, or None to go on.  Otherwise the densities are blended,
+    m <- (1 - theta) m + theta m_new, and theta is halved (at most six times
+    in total) whenever the change grows from one sweep to the next.
+    """
+    theta = cfg.damping
+    halvings = 0
+    prev_change = math.inf
+    history: list[float] = []
+    for _ in range(cfg.max_outer):
+        m_new, state = sweep(m, state)
+        change = grid.h ** 2 * float(np.max(np.sum(np.abs(m_new - m), axis=(-2, -1))))
+        history.append(change)
+        if change < cfg.outer_tol:
+            sol = gate(m_new, state, history, theta)
+            if sol is not None:
+                return sol
+        if change > prev_change and halvings < 6:
+            theta = theta / 2.0
+            halvings += 1
+        prev_change = change
+        m = (1.0 - theta) * m + theta * m_new
+    raise OuterNonConvergence(cfg.max_outer, history[-1] if history else math.inf)
+
+
+# ---------------------------------------------------------------------------
 # evolutive solver
 # ---------------------------------------------------------------------------
 
-def _cost_fields(p: EvolutiveProblem, m_slices: list[GridField]) -> list[GridField]:
-    return [p.cost.apply(m_slices[n]) for n in range(p.mesh.n_steps)]
+def _cost_fields(p: EvolutiveProblem, m: np.ndarray) -> np.ndarray:
+    """Costs of density slices 0..N_T-1, one cost application per slice."""
+    return np.stack(
+        [p.cost.apply(GridField(p.grid, m[n])).values for n in range(p.mesh.n_steps)]
+    )
 
 
 def _bellman_sweep(
     p: EvolutiveProblem,
-    cost_fields: list[GridField],
+    cost: np.ndarray,
     hjb_cfg: HjbStepConfig,
     contract: LinearSolveContract,
-    warm: Optional[list[GridField]],
-) -> list[GridField]:
-    u = [p.u0.copy()]
+    warm: Optional[np.ndarray],
+) -> np.ndarray:
+    u = np.empty((p.mesh.n_steps + 1,) + p.u0.values.shape)
+    u[0] = p.u0.values
     for n in range(p.mesh.n_steps):
-        guess = warm[n + 1] if warm is not None else None
-        u.append(
-            hjb_step_solve(
-                p.hamiltonian,
-                p.nu,
-                p.mesh.dt,
-                u[n],
-                cost_fields[n],
-                cfg=hjb_cfg,
-                contract=contract,
-                initial_guess=guess,
-            )
-        )
+        guess = GridField(p.grid, warm[n + 1]) if warm is not None else None
+        u[n + 1] = hjb_step_solve(
+            p.hamiltonian,
+            p.nu,
+            p.mesh.dt,
+            GridField(p.grid, u[n]),
+            GridField(p.grid, cost[n]),
+            cfg=hjb_cfg,
+            contract=contract,
+            initial_guess=guess,
+        ).values
     return u
 
 
 def _fp_sweep(
-    p: EvolutiveProblem, u: list[GridField], contract: LinearSolveContract
-) -> tuple[list[GridField], float]:
+    p: EvolutiveProblem, u: np.ndarray, contract: LinearSolveContract
+) -> tuple[np.ndarray, float]:
     nt = p.mesh.n_steps
-    m: list[Optional[GridField]] = [None] * (nt + 1)
-    m[nt] = p.mT.field.copy()
+    m = np.empty_like(u)
+    m[nt] = p.mT.field.values
     clamp_max = 0.0
     for n in range(nt - 1, -1, -1):
-        m[n], clamp = _fp_step_with_stats(
-            p.hamiltonian, p.nu, p.mesh.dt, u[n + 1], m[n + 1], contract
+        m_n, clamp = _fp_step_with_stats(
+            p.hamiltonian,
+            p.nu,
+            p.mesh.dt,
+            GridField(p.grid, u[n + 1]),
+            GridField(p.grid, m[n + 1]),
+            contract,
         )
+        m[n] = m_n.values
         clamp_max = max(clamp_max, clamp)
-    return m, clamp_max  # type: ignore[return-value]
-
-
-def _trajectory_change(grid: TorusGrid, a: list[GridField], b: list[GridField]) -> float:
-    """Sup over slices of the h^2-weighted l1 distance."""
-    h2 = grid.h ** 2
-    return max(h2 * float(np.sum(np.abs(x.values - y.values))) for x, y in zip(a, b))
+    return m, clamp_max
 
 
 def evolutive_residuals(
     p: EvolutiveProblem, u: SpaceTimeField, m: SpaceTimeField
 ) -> tuple[float, float]:
-    """Sup-norm defects of the two discrete equations along a trajectory pair."""
-    dt = p.mesh.dt
-    hjb_max = 0.0
-    fp_max = 0.0
-    for n in range(p.mesh.n_steps):
-        phi = p.cost.apply(m.slices[n])
-        res_u = hjb_residual(p.hamiltonian, p.nu, dt, u.slices[n + 1], u.slices[n], phi)
-        hjb_max = max(hjb_max, norm_sup(res_u))
-        lap = laplace_array(m.slices[n].values, p.grid.h)
-        res_m = (
-            (m.slices[n + 1].values - m.slices[n].values) / dt
-            + p.nu * lap
-            + transport_apply(p.hamiltonian, u.slices[n + 1], m.slices[n]).values
-        )
-        fp_max = max(fp_max, float(np.max(np.abs(res_m))))
-    return hjb_max, fp_max
+    """Sup norms of the two defects of ``system_residuals`` along a trajectory pair."""
+    pert = system_residuals(p.hamiltonian, p.nu, p.cost, u, m)
+    return float(np.max(np.abs(pert.a.values))), float(np.max(np.abs(pert.b.values)))
 
 
 def solve_evolutive(
@@ -271,13 +304,12 @@ def solve_evolutive(
 
     Each sweep advances the value function forward with the cost frozen at
     the current densities (the cost entering step n -> n+1 is evaluated at
-    slice n), then pulls the density backward from the terminal datum, then
-    blends: m <- (1 - theta) m + theta m_new.  The damping factor is halved
-    (at most six times in total) whenever the trajectory change grows from
-    one sweep to the next.  Termination requires the change below
-    ``outer_tol`` and the defects of both equations at the candidate pair
-    at or below 1e-9 in sup norm; the returned first u-slice is the initial
-    datum and the returned last m-slice the terminal density, both exactly.
+    slice n), then pulls the density backward from the terminal datum;
+    ``_damped_fixed_point`` blends and damps.  Termination requires the
+    change below ``outer_tol`` and the defects of both equations at the
+    candidate pair at or below 1e-9 in sup norm; the returned first u-slice
+    is the initial datum and the returned last m-slice the terminal
+    density, both exactly.
     """
     cfg = cfg or FixedPointConfig()
     hjb_cfg = hjb_cfg or HjbStepConfig()
@@ -287,74 +319,63 @@ def solve_evolutive(
     if initial_m is not None:
         if initial_m.mesh.n_steps != nt or not initial_m.grid.compatible(p.grid):
             raise ValueError("initial_m does not match the problem discretization")
-        m_cur = [s.copy() for s in initial_m.slices]
+        m_start = initial_m.stack()
     else:
-        m_cur = [p.mT.field.copy() for _ in range(nt + 1)]
+        m_start = np.stack([p.mT.field.values] * (nt + 1))
 
-    theta = cfg.damping
-    halvings = 0
-    prev_change = math.inf
-    history: list[float] = []
-    warm: Optional[list[GridField]] = None
-
-    for k in range(cfg.max_outer):
-        cost_cur = _cost_fields(p, m_cur)
-        u = _bellman_sweep(p, cost_cur, hjb_cfg, contract, warm)
+    def sweep(m: np.ndarray, last: Optional[tuple]) -> tuple[np.ndarray, tuple]:
+        cost = _cost_fields(p, m)
+        u = _bellman_sweep(p, cost, hjb_cfg, contract, None if last is None else last[0])
         m_new, clamp_max = _fp_sweep(p, u, contract)
-        change = _trajectory_change(p.grid, m_new, m_cur)
-        history.append(change)
+        return m_new, (u, cost, clamp_max)
 
-        if change < cfg.outer_tol:
-            # candidate return pair is (u, m_new): the density sweep is exact
-            # for u, and the value sweep is exact for the *old* densities, so
-            # the value defect is the cost mismatch between the trajectories.
-            cost_new = _cost_fields(p, m_new)
-            mismatch = max(
-                float(np.max(np.abs(cn.values - cc.values)))
-                for cn, cc in zip(cost_new, cost_cur)
-            )
-            if mismatch + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET:
-                m_field = SpaceTimeField(p.mesh, m_new)
-                u_field = SpaceTimeField(p.mesh, u)
-                hjb_res, fp_res = evolutive_residuals(p, u_field, m_field)
-                monitors = (
-                    _trajectory_monitors(u_field, m_field, p.cost, p.hamiltonian.beta)
-                    if isinstance(p.cost, LocalCost)
-                    else None
-                )
-                diagnostics = {
-                    "hjb_residual": hjb_res,
-                    "fp_residual": fp_res,
-                    "max_clamp": clamp_max,
-                    "final_change": change,
-                    "theta_final": theta,
-                }
-                return EvolutiveSolution(
-                    u=u_field,
-                    m=m_field,
-                    outer_iters=k + 1,
-                    residual_history=history,
-                    monitors=monitors,
-                    diagnostics=diagnostics,
-                )
+    def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float):
+        # candidate return pair is (u, m_new): the density sweep is exact
+        # for u, and the value sweep is exact for the *old* densities, so
+        # the value defect is the cost mismatch between the trajectories.
+        u, cost, clamp_max = state
+        mismatch = float(np.max(np.abs(_cost_fields(p, m_new) - cost)))
+        if not mismatch + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET:
+            return None
+        u_field = SpaceTimeField.from_array(p.mesh, p.grid, u)
+        m_field = SpaceTimeField.from_array(p.mesh, p.grid, m_new)
+        hjb_res, fp_res = evolutive_residuals(p, u_field, m_field)
+        monitors = (
+            _trajectory_monitors(u_field, m_field, p.cost, p.hamiltonian.beta)
+            if isinstance(p.cost, LocalCost)
+            else None
+        )
+        diagnostics = {
+            "hjb_residual": hjb_res,
+            "fp_residual": fp_res,
+            "max_clamp": clamp_max,
+            "final_change": history[-1],
+            "theta_final": theta,
+        }
+        return EvolutiveSolution(
+            u=u_field,
+            m=m_field,
+            outer_iters=len(history),
+            residual_history=history,
+            monitors=monitors,
+            diagnostics=diagnostics,
+        )
 
-        if change > prev_change and halvings < 6:
-            theta = theta / 2.0
-            halvings += 1
-        prev_change = change
-
-        m_cur = [
-            GridField(p.grid, (1.0 - theta) * mc.values + theta * mn.values)
-            for mc, mn in zip(m_cur, m_new)
-        ]
-        warm = u
-
-    raise OuterNonConvergence(cfg.max_outer, history[-1] if history else math.inf)
+    return _damped_fixed_point(p.grid, cfg, m_start, None, sweep, gate)
 
 
 # ---------------------------------------------------------------------------
 # ergodic solver
 # ---------------------------------------------------------------------------
+
+def _ergodic_value_residual(
+    p: ErgodicProblem, u: GridField, lam: float, cost_field: GridField
+) -> np.ndarray:
+    """Defect of the stationary value equation -nu Lap u + H + lambda = cost."""
+    lap = laplace_array(u.values, p.grid.h)
+    gval = p.hamiltonian.value_grid(hamiltonian_stencil(u)).values
+    return -p.nu * lap + gval + lam - cost_field.values
+
 
 def _ergodic_hjb_newton(
     p: ErgodicProblem,
@@ -365,43 +386,25 @@ def _ergodic_hjb_newton(
     contract: LinearSolveContract,
     max_iter: int = 60,
 ) -> tuple[GridField, float]:
-    """Newton on (u, lambda) for the stationary value equation with zero mean."""
+    """``newton_armijo`` on (u, lambda), the zero-mean row closing the system."""
     n2 = p.grid.n_side ** 2
     h2 = p.grid.h ** 2
-    u = u_init.copy()
-    lam = lam_init
+    ones_col = sp.csr_matrix(np.ones((n2, 1)))
+    mean_row = sp.csr_matrix(h2 * np.ones((1, n2)))
 
-    def residual(uf: GridField, lam_val: float) -> np.ndarray:
-        lap = laplace_array(uf.values, p.grid.h)
-        gval = p.hamiltonian.value_grid(hamiltonian_stencil(uf)).values
-        top = -p.nu * lap + gval + lam_val - cost_field.values
-        return np.concatenate([top.ravel(), [h2 * float(np.sum(uf.values))]])
+    def residual(x: np.ndarray) -> np.ndarray:
+        u = GridField(p.grid, x[:n2])
+        top = _ergodic_value_residual(p, u, x[n2], cost_field)
+        return np.concatenate([top.ravel(), [h2 * float(np.sum(u.values))]])
 
-    res = residual(u, lam)
-    r = float(np.max(np.abs(res)))
-    for it in range(max_iter):
-        if r <= tol:
-            return u, lam
-        a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
-        ones_col = sp.csr_matrix(np.ones((n2, 1)))
-        mean_row = sp.csr_matrix(h2 * np.ones((1, n2)))
-        bordered = sp.bmat([[a, ones_col], [mean_row, None]], format="csc")
-        delta = _solve_checked(bordered, -res, contract)
-        t = 1.0
-        accepted = False
-        while t >= 2.0 ** -20:
-            u_try = GridField(p.grid, u.values + t * delta[:n2].reshape(u.values.shape))
-            lam_try = lam + t * delta[n2]
-            res_try = residual(u_try, lam_try)
-            r_try = float(np.max(np.abs(res_try)))
-            if r_try <= (1.0 - 1e-4 * t) * r:
-                u, lam, res, r = u_try, lam_try, res_try, r_try
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            raise OuterNonConvergence(it + 1, r)
-    raise OuterNonConvergence(max_iter, r)
+    def jacobian(x: np.ndarray) -> sp.spmatrix:
+        a = linearized_hjb_matrix(p.hamiltonian, p.nu, GridField(p.grid, x[:n2]))
+        return sp.bmat([[a, ones_col], [mean_row, None]], format="csc")
+
+    start = np.concatenate([u_init.values.ravel(), [lam_init]])
+    cfg = HjbStepConfig(newton_tol=tol, max_newton=max_iter)
+    x = newton_armijo(residual, jacobian, start, cfg, contract)
+    return GridField(p.grid, x[:n2]), float(x[n2])
 
 
 def _stationary_density(
@@ -456,70 +459,61 @@ def solve_ergodic(
 ) -> ErgodicSolution:
     """Damped fixed point on the invariant density.
 
-    Alternates the bordered Newton solve for (u, lambda) with the inverse
-    power solve for the invariant density, blending densities with the
-    damping factor.  Returns once the density change is below tolerance and
-    the three residuals (value equation, stationary density equation, and
-    the two normalizations) are at or below 1e-8.
+    Each sweep solves the bordered Newton system for (u, lambda), warm
+    started from the last sweep, then the inverse power problem for the
+    invariant density; ``_damped_fixed_point`` blends and damps.  Returns
+    once the density change is below tolerance and the three residuals
+    (value equation, stationary density equation, and the two
+    normalizations) are at or below 1e-8.
     """
     cfg = cfg or FixedPointConfig()
     contract = contract or LinearSolveContract()
-    n = p.grid.n_side
     h2 = p.grid.h ** 2
     residual_target = min(1e-8, 10.0 * cfg.outer_tol)
 
-    m = GridField.constant(p.grid, 1.0)
-    u = GridField.zeros(p.grid)
-    lam = float(h2 * np.sum(p.cost.apply(m).values - p.hamiltonian.potential.values))
-    theta = cfg.damping
-    halvings = 0
-    prev_change = math.inf
-    history: list[float] = []
+    m_start = GridField.constant(p.grid, 1.0)
+    lam_start = float(
+        h2 * np.sum(p.cost.apply(m_start).values - p.hamiltonian.potential.values)
+    )
 
-    for k in range(cfg.max_outer):
-        cost_field = p.cost.apply(m)
+    def sweep(m: np.ndarray, state: tuple) -> tuple[np.ndarray, tuple]:
+        u, lam, _ = state
+        m_field = GridField(p.grid, m)
+        cost_field = p.cost.apply(m_field)
         u, lam = _ergodic_hjb_newton(
             p, cost_field, u, lam, tol=min(1e-11, residual_target / 10.0), contract=contract
         )
         m_new = _stationary_density(
-            p, u, tol=residual_target / 10.0, contract=contract, m_init=m
+            p, u, tol=residual_target / 10.0, contract=contract, m_init=m_field
         )
-        change = h2 * float(np.sum(np.abs(m_new.values - m.values)))
-        history.append(change)
+        return m_new.values, (u, lam, cost_field)
 
-        if change < cfg.outer_tol:
-            cost_new = p.cost.apply(m_new)
-            res_hjb = float(np.max(np.abs(cost_new.values - cost_field.values)))
-            if res_hjb <= residual_target / 2.0:
-                u_centered = GridField(u.grid, u.values - h2 * float(np.sum(u.values)))
-                dens = DiscreteDensity.normalized(m_new)
-                diag = _ergodic_diagnostics(p, u_centered, dens.field, lam)
-                return ErgodicSolution(
-                    u=u_centered,
-                    m=dens,
-                    lam=lam,
-                    outer_iters=k + 1,
-                    residual_history=history,
-                    diagnostics=diag,
-                )
+    def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float):
+        u, lam, cost_field = state
+        m_field = GridField(p.grid, m_new)
+        res_hjb = float(np.max(np.abs(p.cost.apply(m_field).values - cost_field.values)))
+        if not res_hjb <= residual_target / 2.0:
+            return None
+        u_centered = GridField(u.grid, u.values - h2 * float(np.sum(u.values)))
+        dens = DiscreteDensity.normalized(m_field)
+        return ErgodicSolution(
+            u=u_centered,
+            m=dens,
+            lam=lam,
+            outer_iters=len(history),
+            residual_history=history,
+            diagnostics=_ergodic_diagnostics(p, u_centered, dens.field, lam),
+        )
 
-        if change > prev_change and halvings < 6:
-            theta = theta / 2.0
-            halvings += 1
-        prev_change = change
-        m = GridField(p.grid, (1.0 - theta) * m.values + theta * m_new.values)
-
-    raise OuterNonConvergence(cfg.max_outer, history[-1] if history else math.inf)
+    state = (GridField.zeros(p.grid), lam_start, None)
+    return _damped_fixed_point(p.grid, cfg, m_start.values, state, sweep, gate)
 
 
 def _ergodic_diagnostics(
     p: ErgodicProblem, u: GridField, m: GridField, lam: float
 ) -> dict:
-    lap_u = laplace_array(u.values, p.grid.h)
-    gval = p.hamiltonian.value_grid(hamiltonian_stencil(u)).values
-    res_hjb = -p.nu * lap_u + gval + lam - p.cost.apply(m).values
-    lap_m = laplace_array(m.values, p.grid.h)
-    res_fp = -p.nu * lap_m - transport_apply(p.hamiltonian, u, m).values
+    res_hjb = _ergodic_value_residual(p, u, lam, p.cost.apply(m))
+    res_fp = adjoint_apply(p.hamiltonian, p.nu, u, m).values
     return {
         "hjb_residual": float(np.max(np.abs(res_hjb))),
         "fp_residual": float(np.max(np.abs(res_fp))),
@@ -548,22 +542,17 @@ def system_residuals(
     perturbation that makes them solve the perturbed system by construction.
     """
     dt = u.mesh.dt
-    grid = u.grid
-    nt = u.mesh.n_steps
-    a = [GridField.zeros(grid) for _ in range(nt + 1)]
-    b = [GridField.zeros(grid) for _ in range(nt + 1)]
-    for n in range(nt):
-        phi = cost.apply(m.slices[n])
-        a[n] = hjb_residual(ham, nu, dt, u.slices[n + 1], u.slices[n], phi)
-        lap = laplace_array(m.slices[n].values, grid.h)
-        b[n] = GridField(
-            grid,
-            (m.slices[n + 1].values - m.slices[n].values) / dt
-            + nu * lap
-            + transport_apply(ham, u.slices[n + 1], m.slices[n]).values,
-        )
+    a = np.zeros_like(u.values)
+    transport = np.zeros_like(u.values)
+    for n in range(u.mesh.n_steps):
+        a[n] = hjb_residual(ham, nu, dt, u[n + 1], u[n], cost.apply(m[n])).values
+        transport[n] = transport_apply(ham, u[n + 1], m[n]).values
+    mv = m.values
+    b = np.zeros_like(mv)
+    b[:-1] = (mv[1:] - mv[:-1]) / dt + nu * laplace_array(mv[:-1], u.grid.h) + transport[:-1]
     return PerturbationPair(
-        a=SpaceTimeField(u.mesh, a), b=SpaceTimeField(u.mesh, b)
+        a=SpaceTimeField.from_array(u.mesh, u.grid, a),
+        b=SpaceTimeField.from_array(u.mesh, u.grid, b),
     )
 
 
@@ -593,43 +582,28 @@ def identity_terms(
     ut, mt = sol_tilde
     nt = u.mesh.n_steps
     base_pert = system_residuals(ham, nu, cost, u, m)
-
-    endpoint_final = -(1.0 / dt) * inner2(
-        GridField(u.grid, m.slices[nt].values - mt.slices[nt].values),
-        GridField(u.grid, u.slices[nt].values - ut.slices[nt].values),
+    du = u.values - ut.values
+    dm = m.values - mt.values
+    dcost = np.stack(
+        [cost.apply(m[n]).values - cost.apply(mt[n]).values for n in range(nt)]
     )
-    endpoint_initial = (1.0 / dt) * inner2(
-        GridField(u.grid, m.slices[0].values - mt.slices[0].values),
-        GridField(u.grid, u.slices[0].values - ut.slices[0].values),
-    )
-    bregman_base = weighted_bregman_gap(ham, m, u, ut)
-    bregman_tilde = weighted_bregman_gap(ham, mt, ut, u)
-
-    cost_pairing = 0.0
-    pert_a = 0.0
-    pert_b = 0.0
-    for n in range(nt):
-        dm = m.slices[n].values - mt.slices[n].values
-        cost_pairing += float(
-            np.sum((cost.apply(m.slices[n]).values - cost.apply(mt.slices[n]).values) * dm)
-        )
-        a_eff = pert.a.slices[n].values - base_pert.a.slices[n].values
-        pert_a += float(np.sum(a_eff * dm))
-        du_next = u.slices[n + 1].values - ut.slices[n + 1].values
-        b_eff = pert.b.slices[n].values - base_pert.b.slices[n].values
-        pert_b += float(np.sum(b_eff * du_next))
-
-    lhs = endpoint_final + endpoint_initial + bregman_base + bregman_tilde + cost_pairing
-    rhs = pert_a + pert_b
     terms = {
-        "endpoint_final": endpoint_final,
-        "endpoint_initial": endpoint_initial,
-        "bregman_base": bregman_base,
-        "bregman_tilde": bregman_tilde,
-        "cost_pairing": cost_pairing,
-        "pert_a": pert_a,
-        "pert_b": pert_b,
+        "endpoint_final": -(1.0 / dt) * float(np.sum(dm[nt] * du[nt])),
+        "endpoint_initial": (1.0 / dt) * float(np.sum(dm[0] * du[0])),
+        "bregman_base": weighted_bregman_gap(ham, m, u, ut),
+        "bregman_tilde": weighted_bregman_gap(ham, mt, ut, u),
+        "cost_pairing": time_sum(dcost * dm[:-1]),
+        "pert_a": time_sum((pert.a.values[:-1] - base_pert.a.values[:-1]) * dm[:-1]),
+        "pert_b": time_sum((pert.b.values[:-1] - base_pert.b.values[:-1]) * du[1:]),
     }
+    lhs = (
+        terms["endpoint_final"]
+        + terms["endpoint_initial"]
+        + terms["bregman_base"]
+        + terms["bregman_tilde"]
+        + terms["cost_pairing"]
+    )
+    rhs = terms["pert_a"] + terms["pert_b"]
     scale = sum(abs(v) for v in terms.values()) + 1e-300
     return {"terms": terms, "gap": abs(lhs - rhs), "scale": scale}
 
@@ -669,27 +643,16 @@ def _trajectory_monitors(
 ) -> dict:
     h2 = u.grid.h ** 2
     dt = u.mesh.dt
-    grad_term = 0.0
-    for n in range(1, u.mesh.n_steps + 1):
-        d = stencil_array(u.slices[n].values, u.grid.h)
-        grad_term += float(np.sum(np.sum(d * d, axis=-1) ** (beta / 2.0)))
-    grad_term *= h2 * dt
-
-    cost_term = 0.0
-    for n in range(u.mesh.n_steps):
-        fvals = cost.f(np.maximum(m.slices[n].values, 0.0))
-        cost_term += float(np.sum(np.abs(fvals) ** cost.gamma))
-    cost_term *= h2 * dt
-
-    u_min = min(float(np.min(s.values)) for s in u.slices)
-    u_l1_max = max(h2 * float(np.sum(np.abs(s.values))) for s in u.slices)
-    means = [h2 * float(np.sum(s.values)) for s in u.slices]
-    tv = float(np.sum(np.abs(np.diff(means))))
+    d = stencil_array(u.values[1:], u.grid.h)
+    grad_term = time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0)) * (h2 * dt)
+    fvals = cost.f(np.maximum(m.values[:-1], 0.0))
+    cost_term = time_sum(np.abs(fvals) ** cost.gamma) * (h2 * dt)
+    means = h2 * np.sum(u.values, axis=(-2, -1))
     return {
-        "u_min": u_min,
+        "u_min": float(np.min(u.values)),
         "grad_power_total": grad_term,
         "cost_power_total": cost_term,
-        "u_l1_max": u_l1_max,
-        "u_mean_path": means,
-        "u_mean_total_variation": tv,
+        "u_l1_max": h2 * float(np.max(np.sum(np.abs(u.values), axis=(-2, -1)))),
+        "u_mean_path": means.tolist(),
+        "u_mean_total_variation": float(np.sum(np.abs(np.diff(means)))),
     }

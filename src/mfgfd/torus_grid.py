@@ -26,8 +26,6 @@ __all__ = [
     "TimeMesh",
     "SpaceTimeField",
     "FourVectorField",
-    "d1_plus",
-    "d2_plus",
     "one_sided_diffs",
     "stencil_array",
     "laplace5",
@@ -37,17 +35,11 @@ __all__ = [
     "norm_sup",
     "norm_lp",
     "seminorm_w1",
-    "st_norm_sup",
-    "st_norm_lp",
-    "st_seminorm_w1",
-    "bilinear_interp",
-    "trilinear_interp",
+    "time_sum",
     "restrict",
     "restrict_space_time",
     "save_grid_field",
     "load_grid_field",
-    "save_space_time_field",
-    "load_space_time_field",
 ]
 
 
@@ -163,29 +155,43 @@ class TimeMesh:
 
 
 class SpaceTimeField:
-    """Sequence of N_T + 1 grid fields, slice n holding values at t_n."""
+    """N_T + 1 grid fields held in one (N_T + 1, N, N) array ``values``.
+
+    Slice n holds the values at t_n; ``slices[n]`` is a GridField view of
+    ``values[n]``, so writes through either are seen by both.
+    """
 
     def __init__(self, mesh: TimeMesh, slices: Sequence[GridField]):
+        """Copy a sequence of N_T + 1 grid fields into one array."""
         if len(slices) != mesh.n_steps + 1:
             raise ValueError(
                 f"expected {mesh.n_steps + 1} slices, got {len(slices)}"
             )
-        _check_same_grid(*slices)
-        self.mesh = mesh
-        self.slices = list(slices)
+        grid = _check_same_grid(*slices)
+        self._wrap(mesh, grid, np.stack([s.values for s in slices]))
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.slices[0].grid
+    def _wrap(self, mesh: TimeMesh, grid: TorusGrid, values: np.ndarray) -> None:
+        n = grid.n_side
+        if values.shape != (mesh.n_steps + 1, n, n):
+            raise ValueError(
+                f"expected shape {(mesh.n_steps + 1, n, n)}, got {values.shape}"
+            )
+        self.mesh = mesh
+        self.grid = grid
+        self.values = values
+        self.slices = [GridField(grid, v) for v in values]
 
     @classmethod
     def from_array(cls, mesh: TimeMesh, grid: TorusGrid, arr: np.ndarray) -> "SpaceTimeField":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(mesh, [GridField(grid, arr[n]) for n in range(arr.shape[0])])
+        """Wrap a (N_T + 1, N, N) array; a C-contiguous float64 one is not copied."""
+        f = cls.__new__(cls)
+        f._wrap(mesh, grid, np.ascontiguousarray(arr, dtype=np.float64))
+        return f
 
     @classmethod
     def constant(cls, mesh: TimeMesh, grid: TorusGrid, c: float) -> "SpaceTimeField":
-        return cls(mesh, [GridField.constant(grid, c) for _ in range(mesh.n_steps + 1)])
+        shape = (mesh.n_steps + 1, grid.n_side, grid.n_side)
+        return cls.from_array(mesh, grid, np.full(shape, float(c)))
 
     def __len__(self) -> int:
         return len(self.slices)
@@ -194,11 +200,11 @@ class SpaceTimeField:
         return self.slices[n]
 
     def stack(self) -> np.ndarray:
-        """(N_T + 1, N, N) array of all slices."""
-        return np.stack([s.values for s in self.slices])
+        """Copy of the (N_T + 1, N, N) array of all slices."""
+        return self.values.copy()
 
     def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.mesh, [s.copy() for s in self.slices])
+        return SpaceTimeField.from_array(self.mesh, self.grid, self.values.copy())
 
 
 @dataclass
@@ -222,18 +228,6 @@ class FourVectorField:
 # ---------------------------------------------------------------------------
 # elementary difference operators
 # ---------------------------------------------------------------------------
-
-def d1_plus(u: GridField) -> GridField:
-    """Forward difference in the first index: (u[i+1,j] - u[i,j]) / h."""
-    v = u.values
-    return GridField(u.grid, (np.roll(v, -1, axis=0) - v) / u.grid.h)
-
-
-def d2_plus(u: GridField) -> GridField:
-    """Forward difference in the second index: (u[i,j+1] - u[i,j]) / h."""
-    v = u.values
-    return GridField(u.grid, (np.roll(v, -1, axis=1) - v) / u.grid.h)
-
 
 def stencil_array(values: np.ndarray, h: float) -> np.ndarray:
     """One-sided difference stencil of (..., N, N) arrays, shape (..., N, N, 4).
@@ -329,73 +323,29 @@ def seminorm_w1(u: GridField, p: float) -> float:
     return float((u.grid.h ** 2 * np.sum(mag ** p)) ** (1.0 / p))
 
 
-def st_norm_sup(f: SpaceTimeField) -> float:
-    return float(max(norm_sup(s) for s in f.slices))
+def time_sum(values: np.ndarray) -> float:
+    """Total of a (K, N, N) array: node sums per slice, added in time order.
 
-
-def st_norm_lp(f: SpaceTimeField, p: float) -> float:
-    """(h^2 dt)-weighted L^p norm over all slices."""
-    h2 = f.grid.h ** 2
-    total = sum(np.sum(np.abs(s.values) ** p) for s in f.slices)
-    return float((h2 * f.mesh.dt * total) ** (1.0 / p))
-
-
-def st_seminorm_w1(f: SpaceTimeField, p: float) -> float:
-    """(h^2 dt)-weighted L^p norm of stencil lengths over slices 1..N_T."""
-    h2 = f.grid.h ** 2
-    total = 0.0
-    for s in f.slices[1:]:
-        d = one_sided_diffs(s).values
-        total += np.sum(np.sum(d * d, axis=-1) ** (p / 2.0))
-    return float((h2 * f.mesh.dt * total) ** (1.0 / p))
+    Slice totals are accumulated left to right, as a loop over the slices
+    adds them, so whole-array callers reproduce per-slice sums bit for bit.
+    """
+    return float(np.cumsum(np.sum(values, axis=(-2, -1)))[-1])
 
 
 # ---------------------------------------------------------------------------
-# interpolation and restriction
+# restriction
 # ---------------------------------------------------------------------------
 
-def _locate(coord: float, n: int) -> tuple[int, float]:
-    pos = (coord % 1.0) * n
-    i0 = int(math.floor(pos))
-    if i0 >= n:
-        i0 -= n
-        pos -= n
-    return i0, pos - i0
-
-
-def bilinear_interp(u: GridField, x: Sequence[float]) -> float:
-    """Tensor-product linear interpolation with periodic wrap; exact at nodes."""
-    n = u.grid.n_side
-    i0, t1 = _locate(float(x[0]), n)
-    j0, t2 = _locate(float(x[1]), n)
-    i1 = (i0 + 1) % n
-    j1 = (j0 + 1) % n
-    v = u.values
-    return float(
-        (1.0 - t1) * (1.0 - t2) * v[i0, j0]
-        + t1 * (1.0 - t2) * v[i1, j0]
-        + (1.0 - t1) * t2 * v[i0, j1]
-        + t1 * t2 * v[i1, j1]
-    )
-
-
-def trilinear_interp(f: SpaceTimeField, t: float, x: Sequence[float]) -> float:
-    """Space-time variant: bilinear in space, linear in t (clamped to [0, T])."""
-    nt = f.mesh.n_steps
-    tau = min(max(t, 0.0), f.mesh.horizon) / f.mesh.dt
-    n0 = min(int(math.floor(tau)), nt - 1)
-    theta = tau - n0
-    a = bilinear_interp(f.slices[n0], x)
-    b = bilinear_interp(f.slices[n0 + 1], x)
-    return (1.0 - theta) * a + theta * b
+def _nested_ratio(grid_fine: TorusGrid, grid_coarse: TorusGrid) -> int:
+    nf, nc = grid_fine.n_side, grid_coarse.n_side
+    if nf % nc != 0:
+        raise ValueError(f"grids not nested: fine {nf} is not a multiple of coarse {nc}")
+    return nf // nc
 
 
 def restrict(u_fine: GridField, grid_coarse: TorusGrid) -> GridField:
     """Injection onto a nested coarse grid (coarse node reads coinciding fine node)."""
-    nf, nc = u_fine.grid.n_side, grid_coarse.n_side
-    if nf % nc != 0:
-        raise ValueError(f"grids not nested: fine {nf} is not a multiple of coarse {nc}")
-    r = nf // nc
+    r = _nested_ratio(u_fine.grid, grid_coarse)
     return GridField(grid_coarse, u_fine.values[::r, ::r].copy())
 
 
@@ -407,8 +357,10 @@ def restrict_space_time(
     if nt_f % nt_c != 0:
         raise ValueError(f"time meshes not nested: {nt_f} vs {nt_c}")
     stride = nt_f // nt_c
-    slices = [restrict(f_fine.slices[n * stride], grid_coarse) for n in range(nt_c + 1)]
-    return SpaceTimeField(mesh_coarse, slices)
+    r = _nested_ratio(f_fine.grid, grid_coarse)
+    return SpaceTimeField.from_array(
+        mesh_coarse, grid_coarse, f_fine.values[::stride, ::r, ::r].copy()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -443,29 +395,3 @@ def load_grid_field(path: str | Path) -> GridField:
             si, sj, sv = line.split(",")
             values[int(si), int(sj)] = float(sv)
     return GridField(grid, values)
-
-
-def save_space_time_field(f: SpaceTimeField, directory: str | Path, prefix: str = "slice") -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for n, s in enumerate(f.slices):
-        save_grid_field(s, directory / f"{prefix}_{n:04d}.csv")
-    meta = {
-        "n_side": f.grid.n_side,
-        "h": f.grid.h,
-        "horizon": f.mesh.horizon,
-        "n_steps": f.mesh.n_steps,
-        "dt": f.mesh.dt,
-    }
-    (directory / f"{prefix}_meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-
-
-def load_space_time_field(directory: str | Path, prefix: str = "slice") -> SpaceTimeField:
-    directory = Path(directory)
-    meta = json.loads((directory / f"{prefix}_meta.json").read_text())
-    mesh = TimeMesh(float(meta["horizon"]), int(meta["n_steps"]))
-    slices = [
-        load_grid_field(directory / f"{prefix}_{n:04d}.csv")
-        for n in range(mesh.n_steps + 1)
-    ]
-    return SpaceTimeField(mesh, slices)

@@ -35,7 +35,6 @@ __all__ = [
     "run_lemma_suites",
     "run_identity_suite",
     "run_adjoint_suite",
-    "run_all",
     "write_report",
 ]
 
@@ -182,16 +181,6 @@ def run_adjoint_suite(
         "seed": seed,
         "reports": reports,
         "pass": all(r["pass"] for r in reports),
-    }
-
-
-def run_all(seed: int = 0, samples: int = 1000) -> dict:
-    lemmas = run_lemma_suites(samples=samples, seed=seed)
-    identity = run_identity_suite(seed=seed, pairs=min(samples, 100))
-    adjoint = run_adjoint_suite(seed=seed, probes=min(samples, 100))
-    return {
-        "suites": {"lemmas": lemmas, "identity": identity, "adjoint": adjoint},
-        "pass": lemmas["pass"] and identity["pass"] and adjoint["pass"],
     }
 
 

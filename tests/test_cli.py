@@ -150,6 +150,24 @@ class TestSolveCommand:
         assert meta["partial"] is True
         assert "error" in meta
 
+    def test_ergodic_newton_failure_exit_two_with_partial_archive(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import functools
+
+        import mfgfd.solver
+
+        newton = functools.partial(mfgfd.solver._ergodic_hjb_newton, max_iter=1)
+        monkeypatch.setattr(mfgfd.solver, "_ergodic_hjb_newton", newton)
+        path = write_config(
+            tmp_path, ERGODIC_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines")
+        )
+        assert main(["solve", "--config", str(path)]) == 2
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["partial"] is True
+        assert meta["error"].startswith("Newton did not converge after 1 iterations")
+        assert "Newton did not converge" in capsys.readouterr().err
+
     def test_archives_bitwise_identical(self, tmp_path):
         path_a = write_config(tmp_path, UNIFORM_CONFIG)
         out_a = tmp_path / "a"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
-from mfgfd.dynamics import fp_step_solve
+from mfgfd.dynamics import LinearSolveContract, NonConvergence, fp_step_solve
 from mfgfd.hamiltonian import PowerHamiltonian
 from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
 from mfgfd.solver import (
@@ -12,6 +12,7 @@ from mfgfd.solver import (
     EvolutiveProblem,
     FixedPointConfig,
     OuterNonConvergence,
+    _ergodic_hjb_newton,
     apriori_monitors,
     evolutive_residuals,
     forward_backward_identity_gap,
@@ -216,6 +217,28 @@ class TestErgodicSolver:
         assert abs(sol.diagnostics["u_mean"]) <= 1e-12
         assert abs(mass(sol.m.field) - 1.0) <= 1e-12
 
+    def test_newton_failure_is_a_newton_error(self):
+        # one Newton step from u = 0 cannot reach the tolerance on the sines
+        # potential; the stationary solve must report the failed Newton
+        # iteration, not an outer sweep
+        g = TorusGrid(8)
+        p = ErgodicProblem(
+            nu=1.0,
+            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            cost=LocalCost.power(2.0),
+            grid=g,
+        )
+        cost_field = p.cost.apply(GridField.constant(g, 1.0))
+        with pytest.raises(NonConvergence) as err:
+            _ergodic_hjb_newton(
+                p, cost_field, GridField.zeros(g), 1.0, tol=1e-11,
+                contract=LinearSolveContract(), max_iter=1,
+            )
+        assert not isinstance(err.value, OuterNonConvergence)
+        assert str(err.value).startswith("Newton did not converge after 1 iterations")
+        assert err.value.iterations == 1
+        assert err.value.final_residual > 1e-11
+
     def test_density_matches_dense_kernel(self):
         # oracle: the invariant density spans the null space of the dense
         # transpose advection-diffusion matrix
@@ -344,6 +367,38 @@ class TestMonitors:
         p = smooth_problem(n=8, nt=8)
         sol = solve_evolutive(p, cfg=FixedPointConfig(damping=1.0))
         assert sol.monitors is None
+
+    def test_matches_slice_loop(self):
+        # reference: the monitors summed slice by slice, as a loop adds them;
+        # the whole-array version must agree bit for bit, which keeps the
+        # monitors in meta.json byte-identical
+        from types import SimpleNamespace
+
+        from mfgfd.torus_grid import stencil_array
+
+        g, mesh, beta = TorusGrid(8), TimeMesh(0.5, 6), 1.5
+        cost = LocalCost.power(2.0)
+        rng = np.random.default_rng(21)
+        u = SpaceTimeField.from_array(mesh, g, rng.normal(size=(7, 8, 8)))
+        m = SpaceTimeField.from_array(mesh, g, np.abs(rng.normal(size=(7, 8, 8))))
+        h2, dt = g.h**2, mesh.dt
+        grad_term = 0.0
+        for n in range(1, 7):
+            d = stencil_array(u.slices[n].values, g.h)
+            grad_term += float(np.sum(np.sum(d * d, axis=-1) ** (beta / 2.0)))
+        cost_term = 0.0
+        for n in range(6):
+            cost_term += float(np.sum(np.abs(cost.f(m.slices[n].values)) ** cost.gamma))
+        means = [h2 * float(np.sum(s.values)) for s in u.slices]
+        expect = {
+            "u_min": min(float(np.min(s.values)) for s in u.slices),
+            "grad_power_total": grad_term * (h2 * dt),
+            "cost_power_total": cost_term * (h2 * dt),
+            "u_l1_max": max(h2 * float(np.sum(np.abs(s.values))) for s in u.slices),
+            "u_mean_path": means,
+            "u_mean_total_variation": float(np.sum(np.abs(np.diff(means)))),
+        }
+        assert apriori_monitors(SimpleNamespace(u=u, m=m), cost, beta=beta) == expect
 
     def test_standalone_call(self):
         p = uniform_problem(n=8, nt=4)

@@ -1,4 +1,4 @@
-"""Grid calculus: stencils, norms, interpolation, restriction, serialization."""
+"""Grid calculus: stencils, norms, restriction, serialization, the space-time array."""
 
 import numpy as np
 import pytest
@@ -9,23 +9,19 @@ from mfgfd.torus_grid import (
     SpaceTimeField,
     TimeMesh,
     TorusGrid,
-    bilinear_interp,
     cell_average,
-    d1_plus,
-    d2_plus,
     inner2,
     laplace5,
     load_grid_field,
-    load_space_time_field,
     mass,
     norm_lp,
     norm_sup,
     one_sided_diffs,
     restrict,
+    restrict_space_time,
     save_grid_field,
-    save_space_time_field,
     seminorm_w1,
-    trilinear_interp,
+    time_sum,
 )
 
 
@@ -36,13 +32,33 @@ def spike(grid: TorusGrid, i=0, j=0, value=1.0) -> GridField:
 
 
 def naive_d1(u: GridField) -> np.ndarray:
-    # independent loop oracle for the forward difference
+    # independent loop oracle for the forward difference in the first index
     n, h = u.grid.n_side, u.grid.h
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             out[i, j] = (u.values[(i + 1) % n, j] - u.values[i, j]) / h
     return out
+
+
+def naive_d2(u: GridField) -> np.ndarray:
+    # independent loop oracle for the forward difference in the second index
+    n, h = u.grid.n_side, u.grid.h
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = (u.values[i, (j + 1) % n] - u.values[i, j]) / h
+    return out
+
+
+def d1(u: GridField) -> np.ndarray:
+    """Forward difference in the first index: component 0 of the stencil."""
+    return one_sided_diffs(u).values[..., 0]
+
+
+def d2(u: GridField) -> np.ndarray:
+    """Forward difference in the second index: component 2 of the stencil."""
+    return one_sided_diffs(u).values[..., 2]
 
 
 def naive_laplace(u: GridField) -> np.ndarray:
@@ -64,30 +80,31 @@ class TestElementaryDifferences:
     def test_constant_field_gives_zero(self):
         g = TorusGrid(8)
         u = GridField.constant(g, 5.0)
-        assert np.all(d1_plus(u).values == 0.0)
-        assert np.all(d2_plus(u).values == 0.0)
+        assert np.all(d1(u) == 0.0)
+        assert np.all(d2(u) == 0.0)
 
     def test_spike_forward_difference(self):
         g = TorusGrid(4)
         u = spike(g)
-        d = d1_plus(u)
-        assert d.at(3, 0) == 4.0
-        assert d.at(0, 0) == -4.0
-        row0 = d.values[:, 0]
+        d = d1(u)
+        assert d[3, 0] == 4.0
+        assert d[0, 0] == -4.0
+        row0 = d[:, 0]
         assert np.count_nonzero(row0) == 2
 
     def test_sawtooth_wrap(self):
         g = TorusGrid(8)
         u = GridField.from_function(g, lambda x1, x2: x1)
-        d = d1_plus(u)
-        assert np.allclose(d.values[:-1, :], 1.0)
-        assert np.allclose(d.values[-1, :], 1.0 - 8)
+        d = d1(u)
+        assert np.allclose(d[:-1, :], 1.0)
+        assert np.allclose(d[-1, :], 1.0 - 8)
 
     def test_matches_naive_loops(self):
         g = TorusGrid(8)
         rng = np.random.default_rng(0)
         u = GridField(g, rng.normal(size=(8, 8)))
-        assert np.array_equal(d1_plus(u).values, naive_d1(u))
+        assert np.array_equal(d1(u), naive_d1(u))
+        assert np.array_equal(d2(u), naive_d2(u))
 
     def test_periodic_access(self):
         g = TorusGrid(4)
@@ -121,11 +138,11 @@ class TestStencil:
         rng = np.random.default_rng(1)
         u = GridField(g, rng.normal(size=(8, 8)))
         st = one_sided_diffs(u)
-        d1 = d1_plus(u)
-        d2 = d2_plus(u)
+        f1 = GridField(g, naive_d1(u))
+        f2 = GridField(g, naive_d2(u))
         for i in range(8):
             for j in range(8):
-                expect = [d1.at(i, j), d1.at(i - 1, j), d2.at(i, j), d2.at(i, j - 1)]
+                expect = [f1.at(i, j), f1.at(i - 1, j), f2.at(i, j), f2.at(i, j - 1)]
                 assert np.array_equal(st.at(i, j), expect)
 
 
@@ -191,7 +208,7 @@ class TestSummationByParts:
         g = TorusGrid(16)
         rng = np.random.default_rng(7)
         u = GridField(g, rng.normal(size=(16, 16)))
-        total = np.sum(d1_plus(u).values)
+        total = np.sum(d1(u))
         assert abs(total) < 1e-11  # exact in exact arithmetic
 
 
@@ -253,41 +270,6 @@ class TestInnerAndNorms:
         assert seminorm_w1(u, 3.0) == pytest.approx(expect, rel=1e-13)
 
 
-class TestInterpolation:
-    def test_exact_at_nodes(self):
-        g = TorusGrid(4)
-        rng = np.random.default_rng(10)
-        u = GridField(g, rng.normal(size=(4, 4)))
-        for i in range(4):
-            for j in range(4):
-                assert bilinear_interp(u, (i / 4, j / 4)) == u.at(i, j)
-
-    def test_constant_everywhere(self):
-        g = TorusGrid(4)
-        u = GridField.constant(g, 2.5)
-        assert bilinear_interp(u, (0.37, 0.91)) == pytest.approx(2.5, rel=1e-15)
-
-    def test_spike_cell_center(self):
-        g = TorusGrid(4)
-        u = spike(g)
-        assert bilinear_interp(u, (g.h / 2, g.h / 2)) == pytest.approx(0.25)
-
-    def test_periodic_wrap(self):
-        g = TorusGrid(4)
-        u = spike(g)
-        # the cell just below the origin also sees the spike through the wrap
-        assert bilinear_interp(u, (1.0 - g.h / 2, 0.0)) == pytest.approx(0.5)
-
-    def test_trilinear_slice_exact_and_linear_in_time(self):
-        g = TorusGrid(4)
-        mesh = TimeMesh(1.0, 2)
-        slices = [GridField.constant(g, float(n)) for n in range(3)]
-        f = SpaceTimeField(mesh, slices)
-        assert trilinear_interp(f, 0.5, (0.1, 0.2)) == pytest.approx(1.0)
-        assert trilinear_interp(f, 0.25, (0.1, 0.2)) == pytest.approx(0.5)
-        assert trilinear_interp(f, 1.0, (0.0, 0.0)) == pytest.approx(2.0)
-
-
 class TestRestriction:
     def test_constant(self):
         fine = GridField.constant(TorusGrid(8), 3.0)
@@ -322,18 +304,6 @@ class TestSerialization:
         assert back.grid.n_side == 4
         assert np.array_equal(back.values, u.values)
 
-    def test_space_time_roundtrip(self, tmp_path):
-        g = TorusGrid(4)
-        mesh = TimeMesh(0.5, 3)
-        rng = np.random.default_rng(13)
-        f = SpaceTimeField(mesh, [GridField(g, rng.normal(size=(4, 4))) for _ in range(4)])
-        save_space_time_field(f, tmp_path)
-        assert (tmp_path / "slice_0000.csv").exists()
-        back = load_space_time_field(tmp_path)
-        assert back.mesh.n_steps == 3
-        for a, b in zip(back.slices, f.slices):
-            assert np.array_equal(a.values, b.values)
-
 
 class TestInvariantsOfTypes:
     def test_time_mesh(self):
@@ -355,3 +325,70 @@ class TestInvariantsOfTypes:
     def test_four_vector_field_shape(self):
         with pytest.raises(ValueError):
             FourVectorField(TorusGrid(4), np.zeros((4, 4, 3)))
+
+
+class TestSpaceTimeArray:
+    mesh = TimeMesh(0.5, 3)
+    grid = TorusGrid(4)
+
+    def random_slices(self, seed):
+        rng = np.random.default_rng(seed)
+        return [GridField(self.grid, rng.normal(size=(4, 4))) for _ in range(4)]
+
+    def test_values_shape(self):
+        f = SpaceTimeField(self.mesh, self.random_slices(14))
+        assert f.values.shape == (4, 4, 4)
+        assert SpaceTimeField.constant(self.mesh, self.grid, 1.0).values.shape == (4, 4, 4)
+
+    def test_slices_are_views(self):
+        f = SpaceTimeField(self.mesh, self.random_slices(15))
+        for n in range(4):
+            assert np.shares_memory(f.slices[n].values, f.values[n])
+            assert f[n] is f.slices[n]
+        f.values[2, 1, 3] = 7.0
+        assert f.slices[2].at(1, 3) == 7.0
+
+    def test_constructor_copies_inputs(self):
+        slices = self.random_slices(16)
+        f = SpaceTimeField(self.mesh, slices)
+        before = f.stack()
+        slices[1].values[0, 0] += 1.0
+        assert np.array_equal(f.values, before)
+        assert not any(np.shares_memory(s.values, f.values) for s in slices)
+
+    def test_from_array_does_not_copy(self):
+        arr = np.random.default_rng(17).normal(size=(4, 4, 4))
+        f = SpaceTimeField.from_array(self.mesh, self.grid, arr)
+        assert f.values is arr
+        assert np.shares_memory(f.slices[3].values, arr[3])
+
+    def test_stack_equals_values(self):
+        f = SpaceTimeField(self.mesh, self.random_slices(18))
+        st = f.stack()
+        assert np.array_equal(st, f.values)
+        assert np.array_equal(st, np.stack([s.values for s in f.slices]))
+
+    def test_copy_is_independent(self):
+        f = SpaceTimeField(self.mesh, self.random_slices(19))
+        c = f.copy()
+        assert np.array_equal(c.values, f.values)
+        assert not np.shares_memory(c.values, f.values)
+
+    def test_time_sum_matches_slice_loop(self):
+        arr = np.random.default_rng(20).normal(size=(9, 16, 16)) ** 3
+        total = 0.0
+        for n in range(9):
+            total += float(np.sum(arr[n]))
+        assert time_sum(arr) == total
+
+    def test_restriction_matches_slice_loop(self):
+        rng = np.random.default_rng(22)
+        fine = SpaceTimeField.from_array(TimeMesh(0.5, 6), TorusGrid(8), rng.normal(size=(7, 8, 8)))
+        coarse = restrict_space_time(fine, self.mesh, self.grid)
+        for n in range(4):
+            assert np.array_equal(coarse[n].values, restrict(fine[2 * n], self.grid).values)
+        assert not np.shares_memory(coarse.values, fine.values)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            SpaceTimeField.from_array(self.mesh, self.grid, np.zeros((3, 4, 4)))
