@@ -5,15 +5,12 @@ from .torus_grid import (
     GridField,
     TimeMesh,
     SpaceTimeField,
-    FourVectorField,
-    one_sided_diffs,
+    stencil_array,
     laplace5,
     cell_average,
     inner2,
     mass,
     norm_sup,
-    norm_lp,
-    seminorm_w1,
     restrict,
 )
 from .hamiltonian import PowerHamiltonian, upwind_part, weighted_bregman_gap, inequality_suite
@@ -52,7 +49,6 @@ from .solver import (
     solve_evolutive,
     solve_ergodic,
     system_residuals,
-    forward_backward_identity_gap,
     identity_terms,
     apriori_monitors,
 )

@@ -14,10 +14,21 @@ from pathlib import Path
 from .solver import ErgodicSolution, EvolutiveSolution
 from .torus_grid import save_grid_field
 
-__all__ = ["write_evolutive_archive", "write_ergodic_archive"]
+__all__ = ["write_evolutive_archive", "write_ergodic_archive", "write_partial_archive"]
 
 
-def _write_meta(outdir: Path, meta: dict) -> None:
+def _write_meta(
+    outdir: Path, kind: str, config_echo: dict, config_text: str, partial: bool = False, **fields
+) -> None:
+    """meta.json: the kind, the config that produced the run, and ``fields``."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    meta = {
+        "kind": kind,
+        "partial": partial,
+        "config": config_echo,
+        "config_text": config_text,
+        **fields,
+    }
     (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -33,25 +44,24 @@ def write_evolutive_archive(
         save_grid_field(s, outdir / f"u_slice_{n:04d}.csv")
     for n, s in enumerate(sol.m.slices):
         save_grid_field(s, outdir / f"m_slice_{n:04d}.csv")
-    meta = {
-        "kind": "evolutive",
-        "partial": False,
-        "config": config_echo,
-        "config_text": config_text,
-        "grid": {"n_side": sol.u.grid.n_side, "h": sol.u.grid.h},
-        "mesh": {
+    _write_meta(
+        outdir,
+        "evolutive",
+        config_echo,
+        config_text,
+        grid={"n_side": sol.u.grid.n_side, "h": sol.u.grid.h},
+        mesh={
             "horizon": sol.u.mesh.horizon,
             "n_steps": sol.u.mesh.n_steps,
             "dt": sol.u.mesh.dt,
         },
-        "results": {
+        results={
             "outer_iters": sol.outer_iters,
             "residual_history": sol.residual_history,
             "diagnostics": sol.diagnostics,
             "monitors": sol.monitors,
         },
-    }
-    _write_meta(outdir, meta)
+    )
 
 
 def write_ergodic_archive(
@@ -64,17 +74,23 @@ def write_ergodic_archive(
     outdir.mkdir(parents=True, exist_ok=True)
     save_grid_field(sol.u, outdir / "u.csv")
     save_grid_field(sol.m.field, outdir / "m.csv")
-    meta = {
-        "kind": "ergodic",
-        "partial": False,
-        "config": config_echo,
-        "config_text": config_text,
-        "grid": {"n_side": sol.u.grid.n_side, "h": sol.u.grid.h},
-        "results": {
+    _write_meta(
+        outdir,
+        "ergodic",
+        config_echo,
+        config_text,
+        grid={"n_side": sol.u.grid.n_side, "h": sol.u.grid.h},
+        results={
             "lambda": sol.lam,
             "outer_iters": sol.outer_iters,
             "residual_history": sol.residual_history,
             "diagnostics": sol.diagnostics,
         },
-    }
-    _write_meta(outdir, meta)
+    )
+
+
+def write_partial_archive(
+    outdir: str | Path, kind: str, config_echo: dict, config_text: str, error: str
+) -> None:
+    """meta.json of a solve that failed: the config and the error, no fields."""
+    _write_meta(Path(outdir), kind, config_echo, config_text, partial=True, error=error)

@@ -1,7 +1,7 @@
 """Batch front end: solve, study, verify.
 
-Exit codes: 0 success, 1 config error, 2 solver non-convergence (a partial
-archive is still written), 3 failed verification, 4 non-decreasing study
+Exit codes: 0 success, 1 config error, 2 solver failure (``solve`` still
+writes a partial archive), 3 failed verification, 4 non-decreasing study
 errors.
 """
 
@@ -9,23 +9,34 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
 import sys
 from pathlib import Path
 
-from .archive import write_ergodic_archive, write_evolutive_archive
+from .archive import write_ergodic_archive, write_evolutive_archive, write_partial_archive
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import NonConvergence, PositivityError
-from .presets import build_ergodic_problem, build_evolutive_problem, solver_settings
+from .cost_ops import CostSolveError
+from .dynamics import LinearSolveError, NonConvergence, PositivityError
+from .presets import build_ergodic_problem, build_evolutive_problem, cost_preset, solver_settings
 from .solver import InversePowerStall, OuterNonConvergence, solve_ergodic, solve_evolutive
 from .study import convergence_study, errors_decreasing, write_study
+from .torus_grid import TorusGrid
 from .verify import (
     failure_summary,
     run_adjoint_suite,
     run_identity_suite,
     run_lemma_suites,
     write_report,
+)
+
+
+# every way a solve can fail on valid input; each ends with exit code 2
+SOLVER_FAILURES = (
+    NonConvergence,
+    OuterNonConvergence,
+    InversePowerStall,
+    PositivityError,
+    LinearSolveError,
+    CostSolveError,
 )
 
 
@@ -66,20 +77,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e}"
             )
         return 0
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NonConvergence, OuterNonConvergence, InversePowerStall, PositivityError) as exc:
-        outdir.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "kind": cfg.kind,
-            "partial": True,
-            "config": _config_echo(cfg),
-            "config_text": cfg.text,
-            "error": str(exc),
-        }
-        (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        print(f"solver did not converge: {exc}", file=sys.stderr)
+    except SOLVER_FAILURES as exc:
+        write_partial_archive(outdir, cfg.kind, _config_echo(cfg), cfg.text, str(exc))
+        print(f"solver failed: {exc}", file=sys.stderr)
         return 2
 
 
@@ -93,7 +96,6 @@ def cmd_study(args: argparse.Namespace) -> int:
         return 1
     outdir = Path(args.out or cfg.out_dir)
     fixed, _, _ = solver_settings(cfg)
-    threads = int(os.environ.get("MFG_FD_THREADS", args.threads))
 
     if cfg.kind == "ergodic":
         def make_problem(n_side, n_steps):
@@ -105,18 +107,20 @@ def cmd_study(args: argparse.Namespace) -> int:
     levels = [(n, n * cfg.steps_per_side) for n in cfg.levels]
     m_exponent = 2.0
     if cfg.cost_kind == "local":
-        from .presets import cost_preset
-        from .torus_grid import TorusGrid
-
         cost = cost_preset("local", TorusGrid(cfg.levels[0]), cfg.cost_local_preset, cfg.cost_local_alpha)
         m_exponent = 2.0 - cost.eta2
 
     try:
         report = convergence_study(
-            make_problem, levels, cfg=fixed, m_exponent=m_exponent, kind=cfg.kind, threads=threads
+            make_problem,
+            levels,
+            cfg=fixed,
+            m_exponent=m_exponent,
+            kind=cfg.kind,
+            threads=args.threads,
         )
-    except (NonConvergence, OuterNonConvergence, InversePowerStall, PositivityError) as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
+    except SOLVER_FAILURES as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ minimal evolutive config:
     kind = local
     local.preset = linear
 
-Validation failures raise ConfigError carrying the offending section.key.
+Validation failures, and keys or sections the reference does not list,
+raise ConfigError carrying the offending section.key.
 """
 
 from __future__ import annotations
@@ -72,23 +73,46 @@ class RunConfig:
     text: str = ""
 
 
-def _get(parser, section, key, cast, default, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"{section}.{key}", "required key is missing")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from None
-
-
 def _parse_levels(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
+# (section, key) -> (RunConfig field, cast): every key a config file may set
+_KEYS = {
+    ("problem", "kind"): ("kind", str),
+    ("problem", "nu"): ("nu", float),
+    ("problem", "beta"): ("beta", float),
+    ("problem", "T"): ("horizon", float),
+    ("problem", "N_h"): ("n_side", int),
+    ("problem", "N_T"): ("n_steps", int),
+    ("problem", "hamiltonian"): ("hamiltonian", str),
+    ("problem", "hamiltonian.amplitude"): ("hamiltonian_amplitude", float),
+    ("problem", "hamiltonian.file"): ("hamiltonian_file", str),
+    ("problem", "u0"): ("u0", str),
+    ("problem", "u0.amplitude"): ("u0_amplitude", float),
+    ("problem", "u0.file"): ("u0_file", str),
+    ("problem", "mT"): ("mT", str),
+    ("problem", "mT.kappa"): ("mT_kappa", float),
+    ("problem", "mT.file"): ("mT_file", str),
+    ("cost", "kind"): ("cost_kind", str),
+    ("cost", "local.preset"): ("cost_local_preset", str),
+    ("cost", "local.alpha"): ("cost_local_alpha", float),
+    ("solver", "damping"): ("damping", float),
+    ("solver", "outer_tol"): ("outer_tol", float),
+    ("solver", "max_outer"): ("max_outer", int),
+    ("solver", "newton_tol"): ("newton_tol", float),
+    ("solver", "max_newton"): ("max_newton", int),
+    ("solver", "armijo_c"): ("armijo_c", float),
+    ("solver", "min_step"): ("min_step", float),
+    ("solver", "residual_tol"): ("residual_tol", float),
+    ("study", "levels"): ("levels", _parse_levels),
+    ("study", "steps_per_side"): ("steps_per_side", int),
+    ("output", "dir"): ("out_dir", str),
+}
+
+
 def parse_config_text(text: str) -> RunConfig:
+    """Parse config text; a key or section not in ``_KEYS`` is a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keep key case (N_h, N_T, T)
     try:
@@ -97,42 +121,15 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError("file", str(exc)) from None
 
     cfg = RunConfig(text=text)
-    if parser.has_section("problem"):
-        cfg.kind = _get(parser, "problem", "kind", str, cfg.kind)
-        cfg.nu = _get(parser, "problem", "nu", float, cfg.nu)
-        cfg.beta = _get(parser, "problem", "beta", float, cfg.beta)
-        cfg.horizon = _get(parser, "problem", "T", float, cfg.horizon)
-        cfg.n_side = _get(parser, "problem", "N_h", int, cfg.n_side)
-        cfg.n_steps = _get(parser, "problem", "N_T", int, cfg.n_steps)
-        cfg.hamiltonian = _get(parser, "problem", "hamiltonian", str, cfg.hamiltonian)
-        cfg.hamiltonian_amplitude = _get(
-            parser, "problem", "hamiltonian.amplitude", float, cfg.hamiltonian_amplitude
-        )
-        cfg.hamiltonian_file = _get(parser, "problem", "hamiltonian.file", str, None)
-        cfg.u0 = _get(parser, "problem", "u0", str, cfg.u0)
-        cfg.u0_amplitude = _get(parser, "problem", "u0.amplitude", float, cfg.u0_amplitude)
-        cfg.u0_file = _get(parser, "problem", "u0.file", str, None)
-        cfg.mT = _get(parser, "problem", "mT", str, cfg.mT)
-        cfg.mT_kappa = _get(parser, "problem", "mT.kappa", float, cfg.mT_kappa)
-        cfg.mT_file = _get(parser, "problem", "mT.file", str, None)
-    if parser.has_section("cost"):
-        cfg.cost_kind = _get(parser, "cost", "kind", str, cfg.cost_kind)
-        cfg.cost_local_preset = _get(parser, "cost", "local.preset", str, cfg.cost_local_preset)
-        cfg.cost_local_alpha = _get(parser, "cost", "local.alpha", float, cfg.cost_local_alpha)
-    if parser.has_section("solver"):
-        cfg.damping = _get(parser, "solver", "damping", float, cfg.damping)
-        cfg.outer_tol = _get(parser, "solver", "outer_tol", float, cfg.outer_tol)
-        cfg.max_outer = _get(parser, "solver", "max_outer", int, cfg.max_outer)
-        cfg.newton_tol = _get(parser, "solver", "newton_tol", float, cfg.newton_tol)
-        cfg.max_newton = _get(parser, "solver", "max_newton", int, cfg.max_newton)
-        cfg.armijo_c = _get(parser, "solver", "armijo_c", float, cfg.armijo_c)
-        cfg.min_step = _get(parser, "solver", "min_step", float, cfg.min_step)
-        cfg.residual_tol = _get(parser, "solver", "residual_tol", float, cfg.residual_tol)
-    if parser.has_section("study"):
-        cfg.levels = _get(parser, "study", "levels", _parse_levels, [])
-        cfg.steps_per_side = _get(parser, "study", "steps_per_side", int, cfg.steps_per_side)
-    if parser.has_section("output"):
-        cfg.out_dir = _get(parser, "output", "dir", str, cfg.out_dir)
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"{section}.{key}", "unknown key")
+            name, cast = _KEYS[section, key]
+            try:
+                setattr(cfg, name, cast(raw))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from None
 
     _validate(cfg)
     return cfg

@@ -26,9 +26,9 @@ solves
 
     (1/dt) m_cur - nu Lap_h m_cur - transport(u_next, m_cur) = (1/dt) m_next.
 
-Its matrix is assembled as (1/dt) I plus the transpose of the
-advection-diffusion block of the value-step Jacobian, which is exactly the
-adjoint relation the scheme is built on; column sums of that block vanish,
+Its matrix is the transpose of the value-step Jacobian, built by the same
+five-point assembly, which is exactly the adjoint relation the scheme is
+built on; column sums of its advection-diffusion block vanish,
 so the h^2-weighted mass is conserved to the linear-solve tolerance, and
 the M-matrix sign pattern preserves nonnegativity.  Nonnegative clamping of
 roundoff-level undershoot (never below -1e-12) keeps densities in the
@@ -45,13 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hamiltonian import PowerHamiltonian, hamiltonian_stencil
-from .torus_grid import (
-    GridField,
-    TorusGrid,
-    inner2,
-    laplace_array,
-    one_sided_diffs,
-)
+from .torus_grid import GridField, inner2, laplace_array, stencil_array
 
 __all__ = [
     "HjbStepConfig",
@@ -66,7 +60,6 @@ __all__ = [
     "transport_apply",
     "linearized_hjb_apply",
     "adjoint_apply",
-    "advection_matrix",
     "linearized_hjb_matrix",
     "hjb_jacobian",
     "fp_matrix",
@@ -121,80 +114,60 @@ class PositivityError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# sparse building blocks, cached per grid size
+# the five-point operator of both steps
 # ---------------------------------------------------------------------------
 
-_matrix_cache: dict[int, dict[str, sp.spmatrix]] = {}
+def _five_point_matrix(
+    ham: PowerHamiltonian, nu: float, u: GridField, shift: float
+) -> sp.csr_matrix:
+    """shift I - nu L + B(u) as a CSR matrix on the lexicographic vector.
 
-
-def _grid_matrices(n: int) -> dict[str, sp.spmatrix]:
-    cached = _matrix_cache.get(n)
-    if cached is not None:
-        return cached
-    idx = np.arange(n)
-    cyc = sp.csr_matrix((np.ones(n), (idx, (idx + 1) % n)), shape=(n, n))
-    eye_n = sp.identity(n, format="csr")
-    s1p = sp.kron(cyc, eye_n, format="csr")  # picks u[i+1, j]
-    s2p = sp.kron(eye_n, cyc, format="csr")  # picks u[i, j+1]
-    mats = {
-        "I": sp.identity(n * n, format="csr"),
-        "S1p": s1p,
-        "S1m": s1p.T.tocsr(),
-        "S2p": s2p,
-        "S2m": s2p.T.tocsr(),
-    }
-    h2 = (1.0 / n) ** 2
-    mats["L"] = (
-        (mats["S1p"] + mats["S1m"] + mats["S2p"] + mats["S2m"] - 4.0 * mats["I"]) / h2
-    ).tocsr()
-    _matrix_cache[n] = mats
-    return mats
-
-
-def laplacian_matrix(grid: TorusGrid) -> sp.spmatrix:
-    """Five-point Laplacian as a sparse matrix on the lexicographic vector."""
-    return _grid_matrices(grid.n_side)["L"]
-
-
-def advection_matrix(ham: PowerHamiltonian, u: GridField) -> sp.spmatrix:
-    """Derivative of the node-wise Hamiltonian values with respect to u.
-
-    Row (i, j) differentiates value(x_ij, stencil(u)_ij) through the four
-    one-sided differences.  Off-diagonals are nonpositive and each row sums
-    to zero, both consequences of the upwind monotonicity.
+    Row (i, j) holds node (i, j) and its four periodic neighbours.  B(u)
+    differentiates the node values of H through the floored stencil; its
+    off-diagonals are nonpositive and its rows sum to zero (upwind
+    monotonicity).  Entries repeat the float operations of the sparse sums
+    shift I - nu (shifts - 4 I) (1/h^2) + (sum of g_k times shift
+    differences) (1/h), so the factored matrices are bit for bit theirs;
+    coinciding neighbours (N = 2) are summed and exact zeros are dropped.
     """
     n = u.grid.n_side
     h = u.grid.h
-    mats = _grid_matrices(n)
-    g = ham.grad_grid(hamiltonian_stencil(u))
-    d1 = sp.diags(g[..., 0].ravel())
-    d2 = sp.diags(g[..., 1].ravel())
-    d3 = sp.diags(g[..., 2].ravel())
-    d4 = sp.diags(g[..., 3].ravel())
-    b = (
-        d1 @ (mats["S1p"] - mats["I"])
-        + d2 @ (mats["I"] - mats["S1m"])
-        + d3 @ (mats["S2p"] - mats["I"])
-        + d4 @ (mats["I"] - mats["S2m"])
-    ) / h
-    return b.tocsr()
+    inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
+    g = ham.grad_grid(hamiltonian_stencil(u.values, h))
+    g1, g2, g3, g4 = (g[..., k] for k in range(4))
+    off = -nu * inv_h2
+    data = np.stack(
+        [
+            shift + (-nu * (-4.0 * inv_h2) + (((-g1 + g2) - g3) + g4) * inv_h),
+            off + g1 * inv_h,
+            off + (-g2) * inv_h,
+            off + g3 * inv_h,
+            off + (-g4) * inv_h,
+        ],
+        axis=-1,
+    )
+    k = np.arange(n * n).reshape(n, n)
+    neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
+    cols = np.stack([k] + neighbours, axis=-1)
+    rows = np.repeat(k.ravel(), 5)
+    a = sp.csr_matrix((data.ravel(), (rows, cols.ravel())), shape=(n * n, n * n))
+    a.eliminate_zeros()
+    return a
 
 
-def linearized_hjb_matrix(ham: PowerHamiltonian, nu: float, u: GridField) -> sp.spmatrix:
-    """Advection-diffusion block: -nu L + B(u)."""
-    return (-nu * laplacian_matrix(u.grid) + advection_matrix(ham, u)).tocsr()
+def linearized_hjb_matrix(ham: PowerHamiltonian, nu: float, u: GridField) -> sp.csr_matrix:
+    """Advection-diffusion block of the value step: -nu L + B(u)."""
+    return _five_point_matrix(ham, nu, u, 0.0)
 
 
-def hjb_jacobian(ham: PowerHamiltonian, nu: float, dt: float, u: GridField) -> sp.spmatrix:
-    return ((1.0 / dt) * _grid_matrices(u.grid.n_side)["I"] + linearized_hjb_matrix(ham, nu, u)).tocsr()
+def hjb_jacobian(ham: PowerHamiltonian, nu: float, dt: float, u: GridField) -> sp.csr_matrix:
+    """Jacobian of the value step: (1/dt) I - nu L + B(u)."""
+    return _five_point_matrix(ham, nu, u, 1.0 / dt)
 
 
-def fp_matrix(ham: PowerHamiltonian, nu: float, dt: float, u_next: GridField) -> sp.spmatrix:
-    """System matrix of the implicit density step: (1/dt) I + (-nu L + B(u))^T."""
-    return (
-        (1.0 / dt) * _grid_matrices(u_next.grid.n_side)["I"]
-        + linearized_hjb_matrix(ham, nu, u_next).T
-    ).tocsc()
+def fp_matrix(ham: PowerHamiltonian, nu: float, dt: float, u_next: GridField) -> sp.csc_matrix:
+    """System matrix of the implicit density step: the transpose of ``hjb_jacobian``."""
+    return _five_point_matrix(ham, nu, u_next, 1.0 / dt).T
 
 
 def _solve_checked(a: sp.spmatrix, b: np.ndarray, contract: LinearSolveContract) -> np.ndarray:
@@ -263,7 +236,7 @@ def hjb_residual(
 ) -> GridField:
     """Defect of the semi-implicit value equation at (u_next, u_cur, cost)."""
     lap = laplace_array(u_next.values, u_next.grid.h)
-    gval = ham.value_grid(hamiltonian_stencil(u_next)).values
+    gval = ham.value_grid(hamiltonian_stencil(u_next.values, u_next.grid.h)).values
     res = (u_next.values - u_cur.values) / dt - nu * lap + gval - phi_field.values
     return GridField(u_next.grid, res)
 
@@ -317,7 +290,7 @@ def hjb_step_picard(
     u = u_cur.copy()
     for _ in range(max_iter):
         lap = laplace_array(u.values, u.grid.h)
-        gval = ham.value_grid(hamiltonian_stencil(u)).values
+        gval = ham.value_grid(hamiltonian_stencil(u.values, u.grid.h)).values
         new = u_cur.values + dt * (nu * lap - gval + phi_field.values)
         change = float(np.max(np.abs(new - u.values)))
         u = GridField(u.grid, new)
@@ -341,11 +314,8 @@ def transport_apply(ham: PowerHamiltonian, u: GridField, m: GridField) -> GridFi
     if not u.grid.compatible(m.grid):
         raise ValueError("u and m must share one grid")
     h = u.grid.h
-    g = ham.grad_grid(hamiltonian_stencil(u))
-    a1 = m.values * g[..., 0]
-    a2 = m.values * g[..., 1]
-    a3 = m.values * g[..., 2]
-    a4 = m.values * g[..., 3]
+    g = ham.grad_grid(hamiltonian_stencil(u.values, h))
+    a1, a2, a3, a4 = np.moveaxis(m.values[..., None] * g, -1, 0)
     out = (
         (a1 - np.roll(a1, 1, axis=0))
         + (np.roll(a2, -1, axis=0) - a2)
@@ -359,8 +329,8 @@ def linearized_hjb_apply(ham: PowerHamiltonian, nu: float, u: GridField, v: Grid
     """Linearization of the stationary value operator at u, applied to v."""
     if not u.grid.compatible(v.grid):
         raise ValueError("u and v must share one grid")
-    g = ham.grad_grid(hamiltonian_stencil(u))
-    dv = one_sided_diffs(v).values
+    g = ham.grad_grid(hamiltonian_stencil(u.values, u.grid.h))
+    dv = stencil_array(v.values, v.grid.h)
     lap = laplace_array(v.values, v.grid.h)
     return GridField(u.grid, -nu * lap + np.sum(g * dv, axis=-1))
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .torus_grid import (
-    FourVectorField,
     GridField,
     SpaceTimeField,
     TorusGrid,
@@ -64,20 +63,16 @@ STENCIL_FLOOR = 16.0
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def hamiltonian_stencil(u: GridField) -> FourVectorField:
-    """One-sided differences of u with the roundoff floor applied.
+def hamiltonian_stencil(values: np.ndarray, h: float) -> np.ndarray:
+    """One-sided differences of (..., N, N) value slices with the roundoff floor.
 
-    Every difference with |q| <= STENCIL_FLOOR * eps * max|u| / h is set to
-    exactly 0.  This is the stencil at which the value, the gradient, the
-    transport and the Jacobians evaluate a value slice; directions, error
-    norms and monitors use the plain ``one_sided_diffs``.
+    Returns the (..., N, N, 4) ``stencil_array`` with every difference of
+    |q| <= STENCIL_FLOOR * eps * max|u| / h set to exactly 0, each (N, N)
+    slice floored against its own max|u|.  This is the stencil at which the
+    value, the gradient, the transport and the Jacobians evaluate a value
+    slice; directions, error norms and monitors use the plain
+    ``stencil_array``.
     """
-    return FourVectorField(u.grid, _floored_stencil(u.values, u.grid.h))
-
-
-def _floored_stencil(values: np.ndarray, h: float) -> np.ndarray:
-    """``hamiltonian_stencil`` of every (N, N) slice of a (..., N, N) array,
-    each slice floored against its own max|u|."""
     q = stencil_array(values, h)
     scale = np.max(np.abs(values), axis=(-2, -1))[..., None, None, None]
     q[np.abs(q) <= STENCIL_FLOOR * _EPS * scale / h] = 0.0
@@ -86,13 +81,7 @@ def _floored_stencil(values: np.ndarray, h: float) -> np.ndarray:
 
 def upwind_part(q: np.ndarray) -> np.ndarray:
     """Nonnegative 4-vector (q1^-, q2^+, q3^-, q4^+); works on (..., 4) arrays."""
-    q = np.asarray(q, dtype=np.float64)
-    p = np.empty_like(q)
-    p[..., 0] = np.maximum(-q[..., 0], 0.0)
-    p[..., 1] = np.maximum(q[..., 1], 0.0)
-    p[..., 2] = np.maximum(-q[..., 2], 0.0)
-    p[..., 3] = np.maximum(q[..., 3], 0.0)
-    return p
+    return np.maximum(np.asarray(q, dtype=np.float64) * _UPWIND_SIGNS, 0.0)
 
 
 def _gauge(p: np.ndarray, beta: float) -> np.ndarray:
@@ -182,15 +171,14 @@ class PowerHamiltonian:
 
     # -- grid-wide evaluation ---------------------------------------------------
 
-    def value_grid(self, stencil: FourVectorField) -> GridField:
-        if not stencil.grid.compatible(self.grid):
-            raise ValueError("stencil grid does not match the potential grid")
-        vals = self.potential.values + _gauge(upwind_part(stencil.values), self.beta)
+    def value_grid(self, stencil: np.ndarray) -> GridField:
+        """Values at every node of an (N, N, 4) stencil array."""
+        vals = self.potential.values + _gauge(upwind_part(stencil), self.beta)
         return GridField(self.grid, vals)
 
-    def grad_grid(self, stencil: FourVectorField) -> np.ndarray:
-        """(N, N, 4) array of gradients at every node's stencil."""
-        return _grad_from_q(stencil.values, self.beta)
+    def grad_grid(self, stencil: np.ndarray) -> np.ndarray:
+        """(N, N, 4) array of gradients at every node of an (N, N, 4) stencil array."""
+        return _grad_from_q(stencil, self.beta)
 
 
 def weighted_bregman_gap(
@@ -212,7 +200,7 @@ def weighted_bregman_gap(
         raise ValueError("space-time fields must share one grid")
     h = u.grid.h
     gap = bregman_gap_array(
-        _floored_stencil(u.values[1:], h), _floored_stencil(u_tilde.values[1:], h), ham.beta
+        hamiltonian_stencil(u.values[1:], h), hamiltonian_stencil(u_tilde.values[1:], h), ham.beta
     )
     return time_sum(m.values[:-1] * gap)
 

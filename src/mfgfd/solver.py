@@ -75,7 +75,6 @@ __all__ = [
     "solve_ergodic",
     "system_residuals",
     "identity_terms",
-    "forward_backward_identity_gap",
     "apriori_monitors",
     "evolutive_residuals",
 ]
@@ -373,7 +372,7 @@ def _ergodic_value_residual(
 ) -> np.ndarray:
     """Defect of the stationary value equation -nu Lap u + H + lambda = cost."""
     lap = laplace_array(u.values, p.grid.h)
-    gval = p.hamiltonian.value_grid(hamiltonian_stencil(u)).values
+    gval = p.hamiltonian.value_grid(hamiltonian_stencil(u.values, p.grid.h)).values
     return -p.nu * lap + gval + lam - cost_field.values
 
 
@@ -411,7 +410,6 @@ def _stationary_density(
     p: ErgodicProblem,
     u: GridField,
     tol: float,
-    contract: LinearSolveContract,
     m_init: Optional[GridField] = None,
     shift: float = 1e-8,
     max_iter: int = 50,
@@ -483,9 +481,7 @@ def solve_ergodic(
         u, lam = _ergodic_hjb_newton(
             p, cost_field, u, lam, tol=min(1e-11, residual_target / 10.0), contract=contract
         )
-        m_new = _stationary_density(
-            p, u, tol=residual_target / 10.0, contract=contract, m_init=m_field
-        )
+        m_new = _stationary_density(p, u, tol=residual_target / 10.0, m_init=m_field)
         return m_new.values, (u, lam, cost_field)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float):
@@ -606,19 +602,6 @@ def identity_terms(
     rhs = terms["pert_a"] + terms["pert_b"]
     scale = sum(abs(v) for v in terms.values()) + 1e-300
     return {"terms": terms, "gap": abs(lhs - rhs), "scale": scale}
-
-
-def forward_backward_identity_gap(
-    ham: PowerHamiltonian,
-    nu: float,
-    dt: float,
-    sol: tuple[SpaceTimeField, SpaceTimeField],
-    sol_tilde: tuple[SpaceTimeField, SpaceTimeField],
-    pert: PerturbationPair,
-    cost: CostOperator,
-) -> float:
-    """Absolute defect of the perturbed-pair balance; roundoff-level by construction."""
-    return identity_terms(ham, nu, dt, sol, sol_tilde, pert, cost)["gap"]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,21 @@ def check_levels_nested(levels: Sequence[tuple[int, int]]) -> None:
             raise ValueError(f"time levels not nested: {ta} does not divide into {tb}")
 
 
+def _error_norms(
+    du: np.ndarray, dm: np.ndarray, h: float, dt: float, beta: float, m_exponent: float
+) -> dict:
+    """(h^2 dt)-weighted discrete W^{1,beta} seminorm of du and L^m_exponent
+    norm of dm, for (K, N, N) error arrays; slice totals add in time order."""
+    h2 = h ** 2
+    d = stencil_array(du, h)
+    grad_total = time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0))
+    m_total = time_sum(np.abs(dm) ** m_exponent)
+    return {
+        "err_u_w1beta": (h2 * dt * grad_total) ** (1.0 / beta),
+        "err_m": (h2 * dt * m_total) ** (1.0 / m_exponent),
+    }
+
+
 def _space_time_errors(
     coarse_u: SpaceTimeField,
     coarse_m: SpaceTimeField,
@@ -58,21 +73,14 @@ def _space_time_errors(
 ) -> dict:
     grid = coarse_u.grid
     mesh = coarse_u.mesh
-    h2 = grid.h ** 2
-    dt = mesh.dt
-
     ru = restrict_space_time(ref_u, mesh, grid)
     rm = restrict_space_time(ref_m, mesh, grid)
-
     du = coarse_u.values - ru.values
-    err_sup = float(np.max(np.abs(du)))
-    d = stencil_array(du[1:], grid.h)
-    grad_total = time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0))
-    err_w1beta = (h2 * dt * grad_total) ** (1.0 / beta)
-    m_total = time_sum(np.abs(coarse_m.values[:-1] - rm.values[:-1]) ** m_exponent)
-    err_m = (h2 * dt * m_total) ** (1.0 / m_exponent)
-
-    return {"err_u_sup": err_sup, "err_u_w1beta": err_w1beta, "err_m": err_m}
+    dm = coarse_m.values[:-1] - rm.values[:-1]
+    return {
+        "err_u_sup": float(np.max(np.abs(du))),
+        **_error_norms(du[1:], dm, grid.h, mesh.dt, beta, m_exponent),
+    }
 
 
 def convergence_study(
@@ -121,19 +129,10 @@ def convergence_study(
             }
             if sol is not ref:
                 grid = TorusGrid(n_side)
-                ru = restrict(ref.u, grid)
-                rm = restrict(ref.m.field, grid)
-                diff_u = sol.u.values - ru.values
-                h2 = grid.h ** 2
-                d = stencil_array(diff_u, grid.h)
-                row["err_u_sup"] = float(np.max(np.abs(diff_u)))
-                row["err_u_w1beta"] = float(
-                    (h2 * np.sum(np.sum(d * d, axis=-1) ** (beta / 2.0))) ** (1.0 / beta)
-                )
-                row["err_m"] = float(
-                    (h2 * np.sum(np.abs(sol.m.field.values - rm.values) ** m_exponent))
-                    ** (1.0 / m_exponent)
-                )
+                du = sol.u.values - restrict(ref.u, grid).values
+                dm = sol.m.field.values - restrict(ref.m.field, grid).values
+                row["err_u_sup"] = float(np.max(np.abs(du)))
+                row.update(_error_norms(du[None], dm[None], grid.h, 1.0, beta, m_exponent))
             rows.append(row)
         lam_values = [r["lambda"] for r in rows]
         increments = [abs(b - a) for a, b in zip(lam_values, lam_values[1:])]
@@ -174,37 +173,31 @@ def convergence_study(
 
     # observed orders between consecutive error-bearing levels
     orders: dict[str, list[float]] = {}
-    err_rows = [r for r in rows if "err_u_sup" in r or ("err_m" in r)]
+    err_rows = [r for r in rows if "err_m" in r]
     for key in ("err_u_sup", "err_u_w1beta", "err_m"):
-        vals = [r[key] for r in err_rows if key in r]
-        ratios = []
-        for a, b in zip(vals, vals[1:]):
-            ratios.append(float(np.log2(a / b)) if a > 0 and b > 0 else float("nan"))
+        vals = [r[key] for r in err_rows]
+        ratios = [
+            float(np.log2(a / b)) if a > 0 and b > 0 else float("nan")
+            for a, b in zip(vals, vals[1:])
+        ]
         if ratios:
             orders[key] = ratios
     report["orders"] = orders
     return report
 
 
+def _decreasing(vals: Sequence[float], floor: float) -> bool:
+    return all(b < a or (a <= floor and b <= floor) for a, b in zip(vals, vals[1:]))
+
+
 def errors_decreasing(report: dict, floor: float = 1e-8) -> bool:
     """True when every error sequence strictly decreases (roundoff-level
     errors below ``floor`` are exempt, so exact-solution presets pass)."""
     rows = [r for r in report["levels"] if "err_m" in r]
-    for key in ("err_u_sup", "err_u_w1beta", "err_m"):
-        vals = [r[key] for r in rows if key in r]
-        for a, b in zip(vals, vals[1:]):
-            if b <= floor and a <= floor:
-                continue
-            if not b < a:
-                return False
+    seqs = [[r[key] for r in rows] for key in ("err_u_sup", "err_u_w1beta", "err_m")]
     if report.get("kind") == "ergodic":
-        incs = report.get("lambda_increments", [])
-        for a, b in zip(incs, incs[1:]):
-            if b <= floor and a <= floor:
-                continue
-            if not b < a:
-                return False
-    return True
+        seqs.append(report.get("lambda_increments", []))
+    return all(_decreasing(vals, floor) for vals in seqs)
 
 
 def write_study(report: dict, outdir: str | Path) -> None:
@@ -214,11 +207,8 @@ def write_study(report: dict, outdir: str | Path) -> None:
     (outdir / "study.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     rows = report["levels"]
-    err_rows = [r for r in rows if "err_u_sup" in r]
-    order_map: dict[int, float] = {}
-    sup_orders = report.get("orders", {}).get("err_u_sup", [])
-    for idx, order in enumerate(sup_orders):
-        order_map[idx + 1] = order
+    # error row k >= 1 carries the order between error rows k - 1 and k
+    orders = [""] + report.get("orders", {}).get("err_u_sup", [])
 
     with (outdir / "study.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -226,7 +216,7 @@ def write_study(report: dict, outdir: str | Path) -> None:
         err_idx = 0
         for lvl, row in enumerate(rows):
             if "err_u_sup" in row:
-                order = order_map.get(err_idx, "")
+                order = orders[err_idx] if err_idx < len(orders) else ""
                 writer.writerow(
                     [
                         lvl,

@@ -25,16 +25,12 @@ __all__ = [
     "GridField",
     "TimeMesh",
     "SpaceTimeField",
-    "FourVectorField",
-    "one_sided_diffs",
     "stencil_array",
     "laplace5",
     "cell_average",
     "inner2",
     "mass",
     "norm_sup",
-    "norm_lp",
-    "seminorm_w1",
     "time_sum",
     "restrict",
     "restrict_space_time",
@@ -70,9 +66,6 @@ class TorusGrid:
         """Meshgrid (X1, X2) of node coordinates, indexed [i, j]."""
         c = self.coords1d()
         return np.meshgrid(c, c, indexing="ij")
-
-    def wrap(self, i: int, j: int) -> tuple[int, int]:
-        return i % self.n_side, j % self.n_side
 
     def compatible(self, other: "TorusGrid") -> bool:
         return self.n_side == other.n_side
@@ -150,9 +143,6 @@ class TimeMesh:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
 
 class SpaceTimeField:
     """N_T + 1 grid fields held in one (N_T + 1, N, N) array ``values``.
@@ -207,24 +197,6 @@ class SpaceTimeField:
         return SpaceTimeField.from_array(self.mesh, self.grid, self.values.copy())
 
 
-@dataclass
-class FourVectorField:
-    """One 4-vector per node: the one-sided difference stencil of a field."""
-
-    grid: TorusGrid
-    values: np.ndarray  # shape (N, N, 4)
-
-    def __post_init__(self) -> None:
-        n = self.grid.n_side
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (n, n, 4):
-            raise ValueError(f"expected shape {(n, n, 4)}, got {v.shape}")
-        self.values = v
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        return self.values[i % self.grid.n_side, j % self.grid.n_side]
-
-
 # ---------------------------------------------------------------------------
 # elementary difference operators
 # ---------------------------------------------------------------------------
@@ -241,11 +213,6 @@ def stencil_array(values: np.ndarray, h: float) -> np.ndarray:
     return np.stack(
         [dp1, np.roll(dp1, 1, axis=-2), dp2, np.roll(dp2, 1, axis=-1)], axis=-1
     )
-
-
-def one_sided_diffs(u: GridField) -> FourVectorField:
-    """The four one-sided differences of u at every node."""
-    return FourVectorField(u.grid, stencil_array(u.values, u.grid.h))
 
 
 def laplace_array(values: np.ndarray, h: float) -> np.ndarray:
@@ -309,18 +276,6 @@ def mass(u: GridField) -> float:
 
 def norm_sup(u: GridField) -> float:
     return float(np.max(np.abs(u.values)))
-
-
-def norm_lp(u: GridField, p: float) -> float:
-    """h^2-weighted discrete L^p norm."""
-    return float((u.grid.h ** 2 * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
-
-
-def seminorm_w1(u: GridField, p: float) -> float:
-    """h^2-weighted L^p norm of the Euclidean length of the stencil."""
-    d = one_sided_diffs(u).values
-    mag = np.sqrt(np.sum(d * d, axis=-1))
-    return float((u.grid.h ** 2 * np.sum(mag ** p)) ** (1.0 / p))
 
 
 def time_sum(values: np.ndarray) -> float:

@@ -110,6 +110,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mT"):
             parse_config_text(text)
 
+    def test_misspelled_key_named(self):
+        text = UNIFORM_CONFIG.format(out="x") + "\n[solver]\ndampng = 1.0\n"
+        with pytest.raises(ConfigError, match=r"\[solver\.dampng\]: unknown key"):
+            parse_config_text(text)
+
+    def test_misspelled_section_named(self):
+        text = UNIFORM_CONFIG.format(out="x") + "\n[solvr]\ndamping = 1.0\n"
+        with pytest.raises(ConfigError, match=r"\[solvr\.damping\]: unknown key"):
+            parse_config_text(text)
+
 
 class TestSolveCommand:
     def test_uniform_preset_exit_zero(self, tmp_path, capsys):
@@ -128,6 +138,13 @@ class TestSolveCommand:
         path.write_text(UNIFORM_CONFIG.format(out=tmp_path).replace("beta = 2.0", "beta = 0.5"))
         assert main(["solve", "--config", str(path)]) == 1
         assert "beta > 1" in capsys.readouterr().err
+
+    def test_unknown_key_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text(UNIFORM_CONFIG.format(out=tmp_path / "out") + "\n[solver]\ndampng = 1.0\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "solver.dampng" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_ergodic_lambda_in_meta(self, tmp_path, capsys):
         path = write_config(tmp_path, ERGODIC_CONFIG)
@@ -149,6 +166,33 @@ class TestSolveCommand:
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert meta["partial"] is True
         assert "error" in meta
+
+    def test_linear_solve_failure_exit_two_with_partial_archive(self, tmp_path, capsys):
+        # no LU solve reaches a relative residual of 1e-30
+        text = UNIFORM_CONFIG.format(out=tmp_path / "out") + "\n[solver]\nresidual_tol = 1e-30\n"
+        text = text.replace("hamiltonian = zero", "hamiltonian = sines").replace(
+            "mT = uniform", "mT = bump"
+        )
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 2
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["partial"] is True
+        assert meta["error"].startswith("linear solve residual")
+        assert meta["config"]["residual_tol"] == 1e-30
+        assert "linear solve residual" in capsys.readouterr().err
+
+    def test_cost_solve_failure_exit_two_with_partial_archive(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from mfgfd.cost_ops import BilaplacianCost
+
+        monkeypatch.setattr(BilaplacianCost, "RESIDUAL_LIMIT", -1.0)
+        path = write_config(tmp_path, UNIFORM_CONFIG.replace("kind = local", "kind = bilaplacian"))
+        assert main(["solve", "--config", str(path)]) == 2
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["partial"] is True
+        assert meta["error"].startswith("smoothing solve residual")
 
     def test_ergodic_newton_failure_exit_two_with_partial_archive(
         self, tmp_path, capsys, monkeypatch
@@ -221,6 +265,15 @@ class TestStudyCommand:
         path = write_config(tmp_path, UNIFORM_CONFIG)
         assert main(["study", "--config", str(path)]) == 1
         assert "levels" in capsys.readouterr().err
+
+
+    def test_cost_solve_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        from mfgfd.cost_ops import BilaplacianCost
+
+        monkeypatch.setattr(BilaplacianCost, "RESIDUAL_LIMIT", -1.0)
+        path = write_config(tmp_path, STUDY_CONFIG.replace("kind = local", "kind = bilaplacian"))
+        assert main(["study", "--config", str(path)]) == 2
+        assert "smoothing solve residual" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -298,10 +351,9 @@ class TestFilePresets:
 
 
 class TestThreadsAndFailures:
-    def test_thread_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MFG_FD_THREADS", "2")
+    def test_thread_env_override(self, tmp_path):
         path = write_config(tmp_path, STUDY_CONFIG)
-        assert main(["study", "--config", str(path)]) == 0
+        assert main(["study", "--config", str(path), "--threads", "2"]) == 0
 
     def test_verify_failure_exit_three(self, tmp_path, monkeypatch, capsys):
         import mfgfd.cli as cli

@@ -10,19 +10,18 @@ from mfgfd.dynamics import (
     NonConvergence,
     adjoint_apply,
     adjoint_check,
-    advection_matrix,
     fp_matrix,
     fp_step_solve,
     hjb_jacobian,
     hjb_residual,
     hjb_step_picard,
     hjb_step_solve,
-    laplacian_matrix,
     linearized_hjb_apply,
+    linearized_hjb_matrix,
     transport_apply,
 )
 from mfgfd.hamiltonian import PowerHamiltonian
-from mfgfd.torus_grid import GridField, TorusGrid, inner2, laplace5, mass, one_sided_diffs
+from mfgfd.torus_grid import GridField, TorusGrid, inner2, laplace5, mass, stencil_array
 
 NU = 1.0
 
@@ -35,14 +34,14 @@ def naive_hjb_residual(ham, nu, dt, u_next, u_cur, phi):
     # independent per-node loop over the defining formula
     n = u_next.grid.n_side
     out = np.zeros((n, n))
-    st = one_sided_diffs(u_next)
+    st = stencil_array(u_next.values, u_next.grid.h)
     lap = laplace5(u_next)
     for i in range(n):
         for j in range(n):
             out[i, j] = (
                 (u_next.at(i, j) - u_cur.at(i, j)) / dt
                 - nu * lap.at(i, j)
-                + ham.value((i, j), st.at(i, j))
+                + ham.value((i, j), st[i, j])
                 - phi.at(i, j)
             )
     return out
@@ -62,6 +61,16 @@ def dense_fp_from_transport(ham, nu, dt, u):
         cols.append(
             e / dt - nu * laplace5(ek).values.ravel() - transport_apply(ham, u, ek).values.ravel()
         )
+    return np.stack(cols, axis=1)
+
+
+def dense_linearized(ham, nu, u):
+    """-nu L + B(u) assembled densely: column k is linearized_hjb_apply(e_k)."""
+    n = u.grid.n_side
+    cols = [
+        linearized_hjb_apply(ham, nu, u, GridField(u.grid, e.reshape(n, n))).values.ravel()
+        for e in np.eye(n * n)
+    ]
     return np.stack(cols, axis=1)
 
 
@@ -176,8 +185,8 @@ class TestTransport:
             m = GridField(g, rng.normal(size=(8, 8)))
             w = GridField(g, rng.normal(size=(8, 8)))
             lhs = inner2(transport_apply(ham, u, m), w)
-            grads = ham.grad_grid(one_sided_diffs(u))
-            dw = one_sided_diffs(w).values
+            grads = ham.grad_grid(stencil_array(u.values, g.h))
+            dw = stencil_array(w.values, g.h)
             rhs = -float(np.sum(m.values[..., None] * grads * dw))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-11)
 
@@ -208,7 +217,7 @@ class TestTransport:
         ham = PowerHamiltonian(2.0, GridField.zeros(g))
         u = GridField(g, rng.normal(size=(8, 8)))
         m = GridField(g, rng.normal(size=(8, 8)))
-        via_matrix = -(advection_matrix(ham, u).T @ m.flat())
+        via_matrix = -(linearized_hjb_matrix(ham, 0.0, u).T @ m.flat())
         direct = transport_apply(ham, u, m).flat()
         assert np.allclose(via_matrix, direct, atol=1e-12)
 
@@ -224,7 +233,7 @@ class TestStencilFloor:
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_advection_matrix_zero_on_noisy_constant(self, beta):
         u = noisy_constant()
-        assert np.all(advection_matrix(zero_ham(beta), u).toarray() == 0.0)
+        assert np.all(linearized_hjb_matrix(zero_ham(beta), 0.0, u).toarray() == 0.0)
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_transport_and_residual_see_a_constant(self, beta):
@@ -244,6 +253,29 @@ class TestStencilFloor:
             a = fp_matrix(ham, NU, 0.05, u).toarray()
             dense = dense_fp_from_transport(ham, NU, 0.05, u)
             assert np.max(np.abs(a - dense)) <= 1e-12 * np.max(np.abs(a))
+
+
+class TestAssembly:
+    """The five-point matrices against dense ones assembled column by column
+    through the roll-based operators.  At N = 2 the i+1 and i-1 neighbours
+    (and the j+1 and j-1 ones) coincide, so their entries must be summed."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_matrices_match_dense_oracles(self, n, beta):
+        rng = np.random.default_rng(20 + n)
+        g = TorusGrid(n)
+        ham = PowerHamiltonian(beta, GridField(g, rng.normal(size=(n, n))))
+        u = GridField(g, rng.normal(size=(n, n)))
+        nu, dt = 0.7, 0.05
+        lin = dense_linearized(ham, nu, u)
+        for got, expect in (
+            (linearized_hjb_matrix(ham, nu, u), lin),
+            (hjb_jacobian(ham, nu, dt, u), np.eye(n * n) / dt + lin),
+            (fp_matrix(ham, nu, dt, u), dense_fp_from_transport(ham, nu, dt, u)),
+        ):
+            err = np.max(np.abs(got.toarray() - expect))
+            assert err <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestFpStep:
@@ -344,4 +376,5 @@ class TestAdjointStructure:
         rng = np.random.default_rng(15)
         g = TorusGrid(8)
         u = GridField(g, rng.normal(size=(8, 8)))
-        assert np.allclose(laplacian_matrix(g) @ u.flat(), laplace5(u).flat(), atol=1e-11)
+        lap = -linearized_hjb_matrix(zero_ham(n=8), 1.0, GridField.constant(g, 1.0))
+        assert np.allclose(lap @ u.flat(), laplace5(u).flat(), atol=1e-11)

@@ -16,8 +16,16 @@ from mfgfd.torus_grid import (
     SpaceTimeField,
     TimeMesh,
     TorusGrid,
-    one_sided_diffs,
+    stencil_array,
 )
+
+
+def plain(u):
+    return stencil_array(u.values, u.grid.h)
+
+
+def floored(u):
+    return hamiltonian_stencil(u.values, u.grid.h)
 
 
 def zero_ham(beta, n=4):
@@ -137,10 +145,10 @@ class TestStencilFloor:
         ham = PowerHamiltonian(beta, GridField.zeros(u.grid))
         # the plain stencils are roundoff, not zero, and the plain gradient
         # sees them
-        assert np.any(one_sided_diffs(u).values != 0.0)
-        assert np.any(ham.grad_grid(one_sided_diffs(u)) != 0.0)
-        assert np.all(hamiltonian_stencil(u).values == 0.0)
-        assert np.all(ham.grad_grid(hamiltonian_stencil(u)) == 0.0)
+        assert np.any(plain(u) != 0.0)
+        assert np.any(ham.grad_grid(plain(u)) != 0.0)
+        assert np.all(floored(u) == 0.0)
+        assert np.all(ham.grad_grid(floored(u)) == 0.0)
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_value_equals_potential_on_noisy_constant(self, beta):
@@ -149,7 +157,7 @@ class TestStencilFloor:
         rough = np.random.default_rng(2).normal(size=(8, 8))
         for pot in (GridField.zeros(u.grid), GridField(u.grid, rough)):
             ham = PowerHamiltonian(beta, pot)
-            assert np.array_equal(ham.value_grid(hamiltonian_stencil(u)).values, pot.values)
+            assert np.array_equal(ham.value_grid(floored(u)).values, pot.values)
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_stencil_just_above_floor_passes_unchanged(self, beta):
@@ -161,20 +169,19 @@ class TestStencilFloor:
             vals = np.ones((8, 8))
             vals[3, 5] = 1.0 + factor * STENCIL_FLOOR * eps
             u = GridField(g, vals)
-            plain = one_sided_diffs(u).values
+            q = plain(u)
             floor = STENCIL_FLOOR * eps * float(np.max(vals)) / g.h
-            assert np.max(np.abs(plain)) == pytest.approx(factor * floor, rel=1e-12)
-            floored = hamiltonian_stencil(u).values
+            assert np.max(np.abs(q)) == pytest.approx(factor * floor, rel=1e-12)
             if kept:
-                assert np.array_equal(floored, plain)
-                assert np.any(ham.grad_grid(hamiltonian_stencil(u)) != 0.0)
+                assert np.array_equal(floored(u), q)
+                assert np.any(ham.grad_grid(floored(u)) != 0.0)
             else:
-                assert np.all(floored == 0.0)
+                assert np.all(floored(u) == 0.0)
 
     def test_plain_differences_untouched_on_smooth_data(self):
         g = TorusGrid(8)
         u = GridField(g, np.random.default_rng(3).normal(size=(8, 8)))
-        assert np.array_equal(hamiltonian_stencil(u).values, one_sided_diffs(u).values)
+        assert np.array_equal(floored(u), plain(u))
 
 
 class TestBregmanGap:
@@ -252,13 +259,13 @@ class TestWeightedBregmanGap:
         m = SpaceTimeField.constant(self.mesh, self.grid, 1.0)
         got = weighted_bregman_gap(self.ham, m, u, ut)
         # independent per-node loop using only the scalar gap
-        st = one_sided_diffs(u.slices[1])
-        stt = one_sided_diffs(ut.slices[1])
+        st = plain(u.slices[1])
+        stt = plain(ut.slices[1])
         expect = 0.0
         for i in range(4):
             for j in range(4):
                 expect += m.slices[0].at(i, j) * self.ham.bregman_gap(
-                    st.at(i, j), stt.at(i, j)
+                    st[i, j], stt[i, j]
                 )
         assert got == pytest.approx(expect, rel=1e-13)
         assert got > 0.0

@@ -15,7 +15,6 @@ from mfgfd.solver import (
     _ergodic_hjb_newton,
     apriori_monitors,
     evolutive_residuals,
-    forward_backward_identity_gap,
     identity_terms,
     solve_ergodic,
     solve_evolutive,
@@ -293,10 +292,10 @@ class TestIdentity:
     def test_trivial_gap_zero(self):
         p, sol = self.make_base()
         pert = system_residuals(p.hamiltonian, p.nu, p.cost, sol.u, sol.m)
-        gap = forward_backward_identity_gap(
+        out = identity_terms(
             p.hamiltonian, p.nu, p.mesh.dt, (sol.u, sol.m), (sol.u, sol.m), pert, p.cost
         )
-        assert gap == 0.0
+        assert out["gap"] == 0.0
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_random_pairs_gap_at_roundoff(self, beta):
