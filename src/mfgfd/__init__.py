@@ -19,9 +19,6 @@ from .cost_ops import (
     LocalCost,
     BilaplacianCost,
     CostSolveError,
-    eval_cost,
-    monotone_pairing,
-    smoothing_bounds_check,
 )
 from .dynamics import (
     HjbStepConfig,
@@ -50,7 +47,6 @@ from .solver import (
     solve_ergodic,
     system_residuals,
     identity_terms,
-    apriori_monitors,
 )
 from .study import convergence_study, write_study
 from .config import RunConfig, ConfigError, load_config

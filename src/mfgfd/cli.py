@@ -57,7 +57,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         if cfg.kind == "ergodic":
             problem = build_ergodic_problem(cfg)
-            sol = solve_ergodic(problem, cfg=fixed, contract=contract)
+            sol = solve_ergodic(problem, cfg=fixed, contract=contract, hjb_cfg=hjb)
             write_ergodic_archive(outdir, sol, _config_echo(cfg), cfg.text)
             d = sol.diagnostics
             print(
@@ -95,7 +95,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     outdir = Path(args.out or cfg.out_dir)
-    fixed, _, _ = solver_settings(cfg)
+    fixed, hjb, contract = solver_settings(cfg)
 
     if cfg.kind == "ergodic":
         def make_problem(n_side, n_steps):
@@ -117,7 +117,8 @@ def cmd_study(args: argparse.Namespace) -> int:
             cfg=fixed,
             m_exponent=m_exponent,
             kind=cfg.kind,
-            threads=args.threads,
+            hjb_cfg=hjb,
+            contract=contract,
         )
     except SOLVER_FAILURES as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
@@ -181,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study = sub.add_parser("study", help="run a mesh-refinement study")
     p_study.add_argument("--config", required=True)
     p_study.add_argument("--out", default=None)
-    p_study.add_argument("--threads", type=int, default=1)
     p_study.set_defaults(func=cmd_study)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")

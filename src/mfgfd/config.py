@@ -64,8 +64,6 @@ class RunConfig:
     max_outer: int = 500
     newton_tol: float = 1e-11
     max_newton: int = 50
-    armijo_c: float = 1e-4
-    min_step: float = 2.0 ** -20
     residual_tol: float = 1e-12
     levels: list[int] = field(default_factory=list)
     steps_per_side: int = 2
@@ -102,8 +100,6 @@ _KEYS = {
     ("solver", "max_outer"): ("max_outer", int),
     ("solver", "newton_tol"): ("newton_tol", float),
     ("solver", "max_newton"): ("max_newton", int),
-    ("solver", "armijo_c"): ("armijo_c", float),
-    ("solver", "min_step"): ("min_step", float),
     ("solver", "residual_tol"): ("residual_tol", float),
     ("study", "levels"): ("levels", _parse_levels),
     ("study", "steps_per_side"): ("steps_per_side", int),
@@ -175,8 +171,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("solver", "tolerances must be positive")
     if cfg.max_outer < 1 or cfg.max_newton < 1:
         raise ConfigError("solver", "iteration caps must be >= 1")
-    if not 0.0 < cfg.armijo_c < 1.0:
-        raise ConfigError("solver.armijo_c", f"must lie in (0, 1), got {cfg.armijo_c}")
     if cfg.levels:
         if len(cfg.levels) < 2:
             raise ConfigError("study.levels", "need at least two levels")

@@ -11,20 +11,17 @@ application).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .torus_grid import GridField, TorusGrid, inner2, laplace5, mass, norm_sup
+from .torus_grid import GridField, TorusGrid, laplace5, mass, norm_sup
 
 __all__ = [
     "DiscreteDensity",
     "LocalCost",
     "BilaplacianCost",
     "CostSolveError",
-    "eval_cost",
-    "monotone_pairing",
-    "smoothing_bounds_check",
 ]
 
 MASS_TOL = 1e-12
@@ -184,91 +181,3 @@ class BilaplacianCost:
 
 
 CostOperator = LocalCost | BilaplacianCost
-
-
-def _gate(m: GridField) -> GridField:
-    lowest = float(np.min(m.values))
-    if lowest < -1e-10:
-        raise ValueError(f"density node value {lowest:.3e} below the -1e-10 gate")
-    total = mass(m)
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"density mass {total!r} outside the 1e-8 gate")
-    return m
-
-
-def eval_cost(cost: CostOperator, m: "DiscreteDensity | GridField") -> GridField:
-    """Apply the cost to a discrete probability density (loosely gated)."""
-    field = m.field if isinstance(m, DiscreteDensity) else _gate(m)
-    return cost.apply(field)
-
-
-def monotone_pairing(
-    cost: CostOperator, m: "DiscreteDensity | GridField", m_tilde: "DiscreteDensity | GridField"
-) -> float:
-    """Unweighted pairing (cost[m] - cost[m~], m - m~); nonnegative for the built-ins."""
-    fm = m.field if isinstance(m, DiscreteDensity) else _gate(m)
-    fmt = m_tilde.field if isinstance(m_tilde, DiscreteDensity) else _gate(m_tilde)
-    cm = cost.apply(fm)
-    cmt = cost.apply(fmt)
-    diff_cost = GridField(fm.grid, cm.values - cmt.values)
-    diff_m = GridField(fm.grid, fm.values - fmt.values)
-    return inner2(diff_cost, diff_m)
-
-
-def _random_density(grid: TorusGrid, rng: np.random.Generator) -> DiscreteDensity:
-    raw = np.abs(rng.normal(1.0, 0.5, size=(grid.n_side, grid.n_side))) + 1e-3
-    return DiscreteDensity.normalized(GridField(grid, raw))
-
-
-def _spike_density(grid: TorusGrid) -> DiscreteDensity:
-    vals = np.zeros((grid.n_side, grid.n_side))
-    vals[0, 0] = 1.0 / grid.h ** 2
-    return DiscreteDensity(GridField(grid, vals))
-
-
-def _lipschitz_quotient(w: GridField) -> float:
-    """Largest neighbor difference quotient; bounds |w(x)-w(y)| / d(x,y) up to 2x."""
-    v = w.values
-    h = w.grid.h
-    d1 = np.abs(np.roll(v, -1, axis=0) - v) / h
-    d2 = np.abs(np.roll(v, -1, axis=1) - v) / h
-    return float(max(d1.max(), d2.max()))
-
-
-def smoothing_bounds_check(
-    grids: Sequence[TorusGrid], samples: int = 8, seed: int = 0
-) -> dict:
-    """Uniform bounds of the smoothing cost across a grid hierarchy.
-
-    Applies the bilaplacian cost to random simplex densities plus the
-    single-cell spike on every grid and reports the largest sup norm and
-    Lipschitz quotient per level.  Both stay bounded independently of the
-    grid step; a growing sequence fails the check.
-    """
-    rng = np.random.Generator(np.random.Philox(seed))
-    levels = []
-    for grid in grids:
-        cost = BilaplacianCost(grid)
-        sup_max = 0.0
-        lip_max = 0.0
-        densities = [_random_density(grid, rng) for _ in range(samples)]
-        densities.append(_spike_density(grid))
-        for dens in densities:
-            w = cost.apply(dens.field)
-            sup_max = max(sup_max, norm_sup(w))
-            lip_max = max(lip_max, _lipschitz_quotient(w))
-        levels.append(
-            {"n_side": grid.n_side, "sup_norm_max": sup_max, "lipschitz_max": lip_max}
-        )
-    sups = [lv["sup_norm_max"] for lv in levels]
-    lips = [lv["lipschitz_max"] for lv in levels]
-    # bounded means the later levels do not blow past the recorded constant
-    bound_sup = max(sups)
-    bound_lip = max(lips)
-    growth_ok = sups[-1] <= 2.0 * sups[0] + 1.0 and lips[-1] <= 2.0 * lips[0] + 1.0
-    return {
-        "levels": levels,
-        "bound_sup": bound_sup,
-        "bound_lip": bound_lip,
-        "pass": bool(growth_ok),
-    }

@@ -69,21 +69,21 @@ __all__ = [
 
 CLAMP_LIMIT = 1e-12
 
+# Armijo sufficient-decrease constant and smallest step of ``newton_armijo``
+ARMIJO_C = 1e-4
+MIN_STEP = 2.0 ** -20
+
 
 @dataclass
 class HjbStepConfig:
-    """Controls of ``newton_armijo``; the stationary solve sets its own tolerance and cap."""
+    """Tolerance and iteration cap of ``newton_armijo``."""
 
     newton_tol: float = 1e-11
     max_newton: int = 50
-    armijo_c: float = 1e-4
-    min_step: float = 2.0 ** -20
 
     def __post_init__(self) -> None:
-        if self.newton_tol <= 0 or self.min_step <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
 
 
 @dataclass
@@ -200,8 +200,8 @@ def newton_armijo(
 
     Iterates x <- x + t * delta with jacobian(x) delta = -residual(x),
     halving t from 1 until the residual sup norm r drops to at most
-    (1 - armijo_c t) r, and returns x once r <= ``newton_tol``.  Raises
-    NonConvergence when t falls below ``min_step`` or ``max_newton``
+    (1 - ARMIJO_C t) r, and returns x once r <= ``newton_tol``.  Raises
+    NonConvergence when t falls below MIN_STEP or ``max_newton``
     iterations cannot reach the tolerance.
     """
     res = residual(x)
@@ -211,11 +211,11 @@ def newton_armijo(
             return x
         delta = _solve_checked(jacobian(x), -res, contract)
         t = 1.0
-        while t >= cfg.min_step:
+        while t >= MIN_STEP:
             trial = x + t * delta
             res_try = residual(trial)
             r_try = float(np.max(np.abs(res_try)))
-            if r_try <= (1.0 - cfg.armijo_c * t) * r:
+            if r_try <= (1.0 - ARMIJO_C * t) * r:
                 x, res, r = trial, res_try, r_try
                 break
             t *= 0.5

@@ -138,23 +138,6 @@ class PowerHamiltonian:
     def grid(self) -> TorusGrid:
         return self.potential.grid
 
-    # -- pointwise evaluation -------------------------------------------------
-
-    def value(self, node: tuple[int, int], q: np.ndarray) -> float:
-        """potential(x_node) + |upwind_part(q)|^beta."""
-        p = upwind_part(np.asarray(q, dtype=np.float64))
-        return self.potential.at(*node) + float(_gauge(p, self.beta))
-
-    def grad(self, q: np.ndarray) -> np.ndarray:
-        """Gradient in q; independent of the node since the potential is additive."""
-        return _grad_from_q(np.asarray(q, dtype=np.float64), self.beta)
-
-    def bregman_gap(self, q: np.ndarray, q_tilde: np.ndarray) -> float:
-        """value(x, q~) - value(x, q) - grad(q) . (q~ - q); see ``bregman_gap_array``."""
-        q = np.asarray(q, dtype=np.float64)
-        qt = np.asarray(q_tilde, dtype=np.float64)
-        return float(bregman_gap_array(q, qt, self.beta))
-
     def gauge_hessian(self, p: np.ndarray) -> np.ndarray:
         """Hessian of |p|^beta at p != 0: beta|p|^(b-2) I + beta(b-2)|p|^(b-4) p p^T."""
         p = np.asarray(p, dtype=np.float64)
@@ -169,15 +152,13 @@ class PowerHamiltonian:
             + b * (b - 2.0) * s2[..., None, None] ** ((b - 4.0) / 2.0) * outer
         )
 
-    # -- grid-wide evaluation ---------------------------------------------------
-
     def value_grid(self, stencil: np.ndarray) -> GridField:
         """Values at every node of an (N, N, 4) stencil array."""
         vals = self.potential.values + _gauge(upwind_part(stencil), self.beta)
         return GridField(self.grid, vals)
 
     def grad_grid(self, stencil: np.ndarray) -> np.ndarray:
-        """(N, N, 4) array of gradients at every node of an (N, N, 4) stencil array."""
+        """Gradients of a (..., 4) stencil array, one 4-vector per stencil."""
         return _grad_from_q(stencil, self.beta)
 
 
@@ -243,9 +224,15 @@ class _Check:
         }
 
 
-def _rel_margin(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(lhs - rhs) / scale for inequalities lhs >= rhs."""
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+def _rel_margin(
+    lhs: np.ndarray, rhs: np.ndarray, terms: np.ndarray | float = 0.0
+) -> np.ndarray:
+    """(lhs - rhs) / max(|lhs|, |rhs|, terms) for inequalities lhs >= rhs.
+
+    ``terms`` is the size of the summands lhs is computed from: a backward-
+    error floor, so a bound that holds with equality meets their roundoff.
+    """
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(terms, 1e-300))
     return (lhs - rhs) / scale
 
 
@@ -295,6 +282,13 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     apt = np.sqrt(np.sum(pt * pt, axis=-1))
 
     gap = bregman_gap_array(q, qt, beta)
+    # the summands of ``gap``: at beta = 2 the two gap lower bounds hold with
+    # equality, and the gap is a small difference of these
+    gap_terms = (
+        _gauge(pt, beta)
+        + _gauge(p, beta)
+        + np.abs(np.sum(_grad_from_q(q, beta) * (qt - q), axis=-1))
+    )
     gauge_gap = _gauge(pt, beta) - _gauge(p, beta) - np.sum(
         _grad_coef(p, beta)[..., None] * p * (pt - p), axis=-1
     )
@@ -332,14 +326,14 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
         # max(0,0)^(beta-2) = 0 for beta > 2 and 1 for beta = 2; with beta = 2
         # numpy's 0^0 = 1 matches the limiting value used in the bound.
         c = _Check("gap_quadratic_lower", S)
-        c.record(_rel_margin(gap, rhs29))
+        c.record(_rel_margin(gap, rhs29, gap_terms))
         checks.append(c)
 
         rhs30 = np.sum((p - pt) ** 2, axis=-1) ** (beta / 2.0) / (
             2.0 ** (beta - 2.0) * (beta - 1.0)
         )
         c = _Check("gap_power_lower", S)
-        c.record(_rel_margin(gap, rhs30))
+        c.record(_rel_margin(gap, rhs30, gap_terms))
         checks.append(c)
 
         # gradient-difference bound with the Young-split constant

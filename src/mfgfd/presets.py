@@ -155,11 +155,6 @@ def build_ergodic_problem(cfg: RunConfig, n_side: int | None = None) -> ErgodicP
 
 def solver_settings(cfg: RunConfig) -> tuple[FixedPointConfig, HjbStepConfig, LinearSolveContract]:
     fixed = FixedPointConfig(damping=cfg.damping, outer_tol=cfg.outer_tol, max_outer=cfg.max_outer)
-    hjb = HjbStepConfig(
-        newton_tol=cfg.newton_tol,
-        max_newton=cfg.max_newton,
-        armijo_c=cfg.armijo_c,
-        min_step=cfg.min_step,
-    )
+    hjb = HjbStepConfig(newton_tol=cfg.newton_tol, max_newton=cfg.max_newton)
     contract = LinearSolveContract(residual_tol=cfg.residual_tol)
     return fixed, hjb, contract

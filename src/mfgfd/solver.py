@@ -75,7 +75,6 @@ __all__ = [
     "solve_ergodic",
     "system_residuals",
     "identity_terms",
-    "apriori_monitors",
     "evolutive_residuals",
 ]
 
@@ -308,11 +307,17 @@ def solve_evolutive(
     change below ``outer_tol`` and the defects of both equations at the
     candidate pair at or below 1e-9 in sup norm; the returned first u-slice
     is the initial datum and the returned last m-slice the terminal
-    density, both exactly.
+    density, both exactly.  Since the gate adds ``newton_tol`` to the
+    defect, a ``newton_tol`` at or above 1e-9 is a ValueError.
     """
     cfg = cfg or FixedPointConfig()
     hjb_cfg = hjb_cfg or HjbStepConfig()
     contract = contract or LinearSolveContract()
+    if hjb_cfg.newton_tol >= INNER_RESIDUAL_TARGET:
+        raise ValueError(
+            f"newton_tol {hjb_cfg.newton_tol:.3e} is not below the inner residual target "
+            f"{INNER_RESIDUAL_TARGET:.0e}, so the termination gate could never pass"
+        )
     nt = p.mesh.n_steps
 
     if initial_m is not None:
@@ -381,9 +386,8 @@ def _ergodic_hjb_newton(
     cost_field: GridField,
     u_init: GridField,
     lam_init: float,
-    tol: float,
+    cfg: HjbStepConfig,
     contract: LinearSolveContract,
-    max_iter: int = 60,
 ) -> tuple[GridField, float]:
     """``newton_armijo`` on (u, lambda), the zero-mean row closing the system."""
     n2 = p.grid.n_side ** 2
@@ -401,7 +405,6 @@ def _ergodic_hjb_newton(
         return sp.bmat([[a, ones_col], [mean_row, None]], format="csc")
 
     start = np.concatenate([u_init.values.ravel(), [lam_init]])
-    cfg = HjbStepConfig(newton_tol=tol, max_newton=max_iter)
     x = newton_armijo(residual, jacobian, start, cfg, contract)
     return GridField(p.grid, x[:n2]), float(x[n2])
 
@@ -423,7 +426,8 @@ def _stationary_density(
     """
     n = p.grid.n_side
     a = (linearized_hjb_matrix(p.hamiltonian, p.nu, u).T).tocsc()
-    shifted = (a + shift * sp.identity(n * n, format="csc")).tocsc()
+    shifted = a.copy()
+    shifted.setdiag(a.diagonal() + shift)  # the diagonal is stored: nu > 0
     lu = spla.splu(shifted)
     x = (m_init.values if m_init is not None else np.ones((n, n))).ravel().copy()
     x = np.maximum(x, 0.0)
@@ -454,6 +458,7 @@ def solve_ergodic(
     p: ErgodicProblem,
     cfg: Optional[FixedPointConfig] = None,
     contract: Optional[LinearSolveContract] = None,
+    hjb_cfg: Optional[HjbStepConfig] = None,
 ) -> ErgodicSolution:
     """Damped fixed point on the invariant density.
 
@@ -462,12 +467,19 @@ def solve_ergodic(
     invariant density; ``_damped_fixed_point`` blends and damps.  Returns
     once the density change is below tolerance and the three residuals
     (value equation, stationary density equation, and the two
-    normalizations) are at or below 1e-8.
+    normalizations) are at or below 1e-8.  The Newton solve runs to
+    min(``newton_tol``, a tenth of that target) within ``max_newton``
+    iterations.
     """
     cfg = cfg or FixedPointConfig()
     contract = contract or LinearSolveContract()
+    hjb_cfg = hjb_cfg or HjbStepConfig()
     h2 = p.grid.h ** 2
     residual_target = min(1e-8, 10.0 * cfg.outer_tol)
+    newton_cfg = HjbStepConfig(
+        newton_tol=min(hjb_cfg.newton_tol, residual_target / 10.0),
+        max_newton=hjb_cfg.max_newton,
+    )
 
     m_start = GridField.constant(p.grid, 1.0)
     lam_start = float(
@@ -478,9 +490,7 @@ def solve_ergodic(
         u, lam, _ = state
         m_field = GridField(p.grid, m)
         cost_field = p.cost.apply(m_field)
-        u, lam = _ergodic_hjb_newton(
-            p, cost_field, u, lam, tol=min(1e-11, residual_target / 10.0), contract=contract
-        )
+        u, lam = _ergodic_hjb_newton(p, cost_field, u, lam, newton_cfg, contract)
         m_new = _stationary_density(p, u, tol=residual_target / 10.0, m_init=m_field)
         return m_new.values, (u, lam, cost_field)
 
@@ -608,7 +618,9 @@ def identity_terms(
 # a priori monitors
 # ---------------------------------------------------------------------------
 
-def apriori_monitors(sol: "EvolutiveSolution", cost: LocalCost, beta: float = 2.0) -> dict:
+def _trajectory_monitors(
+    u: SpaceTimeField, m: SpaceTimeField, cost: LocalCost, beta: float
+) -> dict:
     """Runtime monitors of the a priori bounded quantities for local costs.
 
     Reports the minimum of u over all slices, the (h^2 dt)-weighted power
@@ -616,14 +628,9 @@ def apriori_monitors(sol: "EvolutiveSolution", cost: LocalCost, beta: float = 2.
     exponent of the run) and of |F(m)|^gamma, the largest h^2-weighted l1
     norm of u, and the path of slice means with its total variation.  Each
     is bounded by a level-independent constant on the smooth presets; the
-    tests pin those constants.
+    tests pin those constants.  ``solve_evolutive`` stores them as
+    ``EvolutiveSolution.monitors``.
     """
-    return _trajectory_monitors(sol.u, sol.m, cost, beta)
-
-
-def _trajectory_monitors(
-    u: SpaceTimeField, m: SpaceTimeField, cost: LocalCost, beta: float
-) -> dict:
     h2 = u.grid.h ** 2
     dt = u.mesh.dt
     d = stencil_array(u.values[1:], u.grid.h)

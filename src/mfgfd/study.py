@@ -11,7 +11,6 @@ smooth presets.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .dynamics import HjbStepConfig, LinearSolveContract
 from .solver import (
     ErgodicSolution,
     EvolutiveSolution,
@@ -89,30 +89,22 @@ def convergence_study(
     cfg: Optional[FixedPointConfig] = None,
     m_exponent: float = 2.0,
     kind: str = "evolutive",
-    threads: int = 1,
+    hjb_cfg: Optional[HjbStepConfig] = None,
+    contract: Optional[LinearSolveContract] = None,
 ) -> dict:
-    """Solve every level and measure errors against the finest one.
+    """Solve every level, in order, and measure errors against the finest one.
 
     ``make_problem(n_side, n_steps)`` must build the problem at one level
-    (the step count is ignored for the stationary family).  Levels may fan
-    out across a thread pool; each level is an independent solve, so the
-    results do not depend on scheduling.
+    (the step count is ignored for the stationary family).  ``cfg``,
+    ``hjb_cfg`` and ``contract`` go to every solve.
     """
     levels = [tuple(lv) for lv in levels]
     check_levels_nested(levels)
-    cfg = cfg or FixedPointConfig()
 
-    def run(level: tuple[int, int]):
-        problem = make_problem(*level)
-        if kind == "ergodic":
-            return solve_ergodic(problem, cfg=cfg)
-        return solve_evolutive(problem, cfg=cfg)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(run, levels))
-    else:
-        solutions = [run(lv) for lv in levels]
+    solve = solve_ergodic if kind == "ergodic" else solve_evolutive
+    solutions = [
+        solve(make_problem(*lv), cfg=cfg, hjb_cfg=hjb_cfg, contract=contract) for lv in levels
+    ]
 
     beta = make_problem(*levels[0]).hamiltonian.beta
     rows: list[dict] = []

@@ -120,6 +120,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[solvr\.damping\]: unknown key"):
             parse_config_text(text)
 
+    def test_readme_reference_lists_exactly_the_parsed_keys(self):
+        import configparser
+        from pathlib import Path
+
+        from mfgfd.config import _KEYS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config reference", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        parse_config_text(block)
+        listed = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        listed.optionxform = str
+        listed.read_string(block)
+        assert {(s, k) for s in listed.sections() for k in listed[s]} == set(_KEYS)
+
 
 class TestSolveCommand:
     def test_uniform_preset_exit_zero(self, tmp_path, capsys):
@@ -167,6 +182,12 @@ class TestSolveCommand:
         assert meta["partial"] is True
         assert "error" in meta
 
+    def test_unattainable_newton_tol_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, UNIFORM_CONFIG + "\n[solver]\nnewton_tol = 2e-9\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "newton_tol 2.000e-09" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_linear_solve_failure_exit_two_with_partial_archive(self, tmp_path, capsys):
         # no LU solve reaches a relative residual of 1e-30
         text = UNIFORM_CONFIG.format(out=tmp_path / "out") + "\n[solver]\nresidual_tol = 1e-30\n"
@@ -194,18 +215,11 @@ class TestSolveCommand:
         assert meta["partial"] is True
         assert meta["error"].startswith("smoothing solve residual")
 
-    def test_ergodic_newton_failure_exit_two_with_partial_archive(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import functools
-
-        import mfgfd.solver
-
-        newton = functools.partial(mfgfd.solver._ergodic_hjb_newton, max_iter=1)
-        monkeypatch.setattr(mfgfd.solver, "_ergodic_hjb_newton", newton)
-        path = write_config(
-            tmp_path, ERGODIC_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines")
-        )
+    def test_ergodic_newton_failure_exit_two_with_partial_archive(self, tmp_path, capsys):
+        # the stationary Newton solve honours max_newton and newton_tol
+        text = ERGODIC_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines")
+        text += "\n[solver]\nmax_newton = 1\nnewton_tol = 1e-15\n"
+        path = write_config(tmp_path, text)
         assert main(["solve", "--config", str(path)]) == 2
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert meta["partial"] is True
@@ -266,6 +280,14 @@ class TestStudyCommand:
         assert main(["study", "--config", str(path)]) == 1
         assert "levels" in capsys.readouterr().err
 
+    def test_linear_solve_failure_exit_two(self, tmp_path, capsys):
+        # the solves of a study honour the [solver] linear-solve contract
+        text = STUDY_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines").replace(
+            "mT = uniform", "mT = bump"
+        )
+        path = write_config(tmp_path, text + "\n[solver]\nresidual_tol = 1e-30\n")
+        assert main(["study", "--config", str(path)]) == 2
+        assert "linear solve residual" in capsys.readouterr().err
 
     def test_cost_solve_failure_exit_two(self, tmp_path, capsys, monkeypatch):
         from mfgfd.cost_ops import BilaplacianCost
@@ -351,10 +373,6 @@ class TestFilePresets:
 
 
 class TestThreadsAndFailures:
-    def test_thread_env_override(self, tmp_path):
-        path = write_config(tmp_path, STUDY_CONFIG)
-        assert main(["study", "--config", str(path), "--threads", "2"]) == 0
-
     def test_verify_failure_exit_three(self, tmp_path, monkeypatch, capsys):
         import mfgfd.cli as cli
 

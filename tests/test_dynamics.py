@@ -31,17 +31,21 @@ def zero_ham(beta=2.0, n=8):
 
 
 def naive_hjb_residual(ham, nu, dt, u_next, u_cur, phi):
-    # independent per-node loop over the defining formula
+    # independent per-node loop over the defining formula, with the value
+    # potential + |p|^beta at the upwind part p = (q1^-, q2^+, q3^-, q4^+)
     n = u_next.grid.n_side
     out = np.zeros((n, n))
     st = stencil_array(u_next.values, u_next.grid.h)
     lap = laplace5(u_next)
     for i in range(n):
         for j in range(n):
+            q1, q2, q3, q4 = st[i, j]
+            p2 = max(-q1, 0.0) ** 2 + max(q2, 0.0) ** 2 + max(-q3, 0.0) ** 2 + max(q4, 0.0) ** 2
             out[i, j] = (
                 (u_next.at(i, j) - u_cur.at(i, j)) / dt
                 - nu * lap.at(i, j)
-                + ham.value((i, j), st[i, j])
+                + ham.potential.at(i, j)
+                + p2 ** (ham.beta / 2)
                 - phi.at(i, j)
             )
     return out

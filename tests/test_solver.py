@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
-from mfgfd.dynamics import LinearSolveContract, NonConvergence, fp_step_solve
+from mfgfd.dynamics import HjbStepConfig, LinearSolveContract, NonConvergence, fp_step_solve
 from mfgfd.hamiltonian import PowerHamiltonian
 from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
 from mfgfd.solver import (
@@ -13,7 +13,7 @@ from mfgfd.solver import (
     FixedPointConfig,
     OuterNonConvergence,
     _ergodic_hjb_newton,
-    apriori_monitors,
+    _trajectory_monitors,
     evolutive_residuals,
     identity_terms,
     solve_ergodic,
@@ -176,6 +176,15 @@ class TestEvolutiveSolver:
         assert err.value.iters == 2
         assert err.value.last_change > 0
 
+    def test_unattainable_newton_tol_rejected(self):
+        # the gate needs mismatch + newton_tol <= 1e-9, so these could never stop
+        p = smooth_problem(n=8, nt=8)
+        for tol in (1e-9, 2e-9):
+            with pytest.raises(ValueError, match=rf"newton_tol {tol:.3e} .* 1e-09"):
+                solve_evolutive(
+                    p, cfg=FixedPointConfig(max_outer=5), hjb_cfg=HjbStepConfig(newton_tol=tol)
+                )
+
 
 class TestErgodicSolver:
     def test_trivial_constants(self):
@@ -230,8 +239,8 @@ class TestErgodicSolver:
         cost_field = p.cost.apply(GridField.constant(g, 1.0))
         with pytest.raises(NonConvergence) as err:
             _ergodic_hjb_newton(
-                p, cost_field, GridField.zeros(g), 1.0, tol=1e-11,
-                contract=LinearSolveContract(), max_iter=1,
+                p, cost_field, GridField.zeros(g), 1.0,
+                HjbStepConfig(newton_tol=1e-11, max_newton=1), LinearSolveContract(),
             )
         assert not isinstance(err.value, OuterNonConvergence)
         assert str(err.value).startswith("Newton did not converge after 1 iterations")
@@ -371,8 +380,6 @@ class TestMonitors:
         # reference: the monitors summed slice by slice, as a loop adds them;
         # the whole-array version must agree bit for bit, which keeps the
         # monitors in meta.json byte-identical
-        from types import SimpleNamespace
-
         from mfgfd.torus_grid import stencil_array
 
         g, mesh, beta = TorusGrid(8), TimeMesh(0.5, 6), 1.5
@@ -397,13 +404,12 @@ class TestMonitors:
             "u_mean_path": means,
             "u_mean_total_variation": float(np.sum(np.abs(np.diff(means)))),
         }
-        assert apriori_monitors(SimpleNamespace(u=u, m=m), cost, beta=beta) == expect
+        assert _trajectory_monitors(u, m, cost, beta) == expect
 
     def test_standalone_call(self):
         p = uniform_problem(n=8, nt=4)
         sol = solve_evolutive(p)
-        mon = apriori_monitors(sol, p.cost, beta=2.0)
-        assert set(mon) == {
+        assert set(sol.monitors) == {
             "u_min",
             "grad_power_total",
             "cost_power_total",

@@ -81,14 +81,6 @@ class TestEvolutiveStudy:
         assert errors_decreasing(report)
         assert "err_u_sup" in report["orders"]
 
-    def test_threaded_matches_sequential(self):
-        cfg = FixedPointConfig(damping=1.0)
-        seq = convergence_study(smooth_factory, [(4, 8), (8, 16)], cfg=cfg, threads=1)
-        par = convergence_study(smooth_factory, [(4, 8), (8, 16)], cfg=cfg, threads=2)
-        a = [r for r in seq["levels"] if "err_u_sup" in r][0]
-        b = [r for r in par["levels"] if "err_u_sup" in r][0]
-        assert a["err_u_sup"] == b["err_u_sup"]
-
 
 class TestErgodicStudy:
     def test_lambda_increments(self):
