@@ -42,7 +42,6 @@ from .solver import (
     ErgodicSolution,
     PerturbationPair,
     OuterNonConvergence,
-    InversePowerStall,
     solve_evolutive,
     solve_ergodic,
     system_residuals,

@@ -17,7 +17,7 @@ from .config import ConfigError, RunConfig, load_config
 from .cost_ops import CostSolveError
 from .dynamics import LinearSolveError, NonConvergence, PositivityError
 from .presets import build_ergodic_problem, build_evolutive_problem, cost_preset, solver_settings
-from .solver import InversePowerStall, OuterNonConvergence, solve_ergodic, solve_evolutive
+from .solver import OuterNonConvergence, solve_ergodic, solve_evolutive
 from .study import convergence_study, errors_decreasing, write_study
 from .torus_grid import TorusGrid
 from .verify import (
@@ -33,7 +33,6 @@ from .verify import (
 SOLVER_FAILURES = (
     NonConvergence,
     OuterNonConvergence,
-    InversePowerStall,
     PositivityError,
     LinearSolveError,
     CostSolveError,

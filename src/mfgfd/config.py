@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .solver import INNER_RESIDUAL_TARGET
+
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text"]
 
 
@@ -169,6 +171,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("solver.damping", f"must lie in (0, 1], got {cfg.damping}")
     if cfg.outer_tol <= 0 or cfg.newton_tol <= 0 or cfg.residual_tol <= 0:
         raise ConfigError("solver", "tolerances must be positive")
+    if cfg.kind == "evolutive" and cfg.newton_tol >= INNER_RESIDUAL_TARGET:
+        raise ConfigError(
+            "solver.newton_tol",
+            f"newton_tol {cfg.newton_tol:.3e} is not below the inner residual target "
+            f"{INNER_RESIDUAL_TARGET:.0e}, so the termination gate could never pass",
+        )
     if cfg.max_outer < 1 or cfg.max_newton < 1:
         raise ConfigError("solver", "iteration caps must be >= 1")
     if cfg.levels:

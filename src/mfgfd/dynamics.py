@@ -341,35 +341,25 @@ def adjoint_apply(ham: PowerHamiltonian, nu: float, u: GridField, m: GridField) 
     return GridField(m.grid, -nu * lap - transport_apply(ham, u, m).values)
 
 
-def _fp_step_with_stats(
-    ham: PowerHamiltonian,
-    nu: float,
-    dt: float,
-    u_next: GridField,
-    m_next: GridField,
-    contract: Optional[LinearSolveContract] = None,
-) -> tuple[GridField, float]:
-    """Solve the implicit density step; returns (m_cur, clamp magnitude)."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    contract = contract or LinearSolveContract()
-    a = fp_matrix(ham, nu, dt, u_next)
-    b = m_next.values.ravel() / dt
-    x = _solve_checked(a, b, contract)
+def _clamp_density(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Zero roundoff-level negative entries of a density, keeping its mass.
+
+    Returns (x, clamp magnitude); raises PositivityError when an entry lies
+    below -CLAMP_LIMIT, which is a real defect, not roundoff.
+    """
     lowest = float(np.min(x))
-    clamp = 0.0
-    if lowest < 0.0:
-        if lowest < -CLAMP_LIMIT:
-            raise PositivityError(
-                f"density undershoot {lowest:.3e} below the {-CLAMP_LIMIT:.0e} clamp limit"
-            )
-        clamp = -lowest
-        pre_mass = float(np.sum(x))
-        x = np.maximum(x, 0.0)
-        post_mass = float(np.sum(x))
-        if post_mass > 0.0:
-            x *= pre_mass / post_mass
-    return GridField(u_next.grid, x.reshape(m_next.values.shape)), clamp
+    if lowest >= 0.0:
+        return x, 0.0
+    if lowest < -CLAMP_LIMIT:
+        raise PositivityError(
+            f"density undershoot {lowest:.3e} below the {-CLAMP_LIMIT:.0e} clamp limit"
+        )
+    pre_mass = float(np.sum(x))
+    x = np.maximum(x, 0.0)
+    post_mass = float(np.sum(x))
+    if post_mass > 0.0:
+        x *= pre_mass / post_mass
+    return x, -lowest
 
 
 def fp_step_solve(
@@ -379,10 +369,14 @@ def fp_step_solve(
     u_next: GridField,
     m_next: GridField,
     contract: Optional[LinearSolveContract] = None,
-) -> GridField:
-    """Step the density backward: the earlier slice given u_next and m_next."""
-    m_cur, _ = _fp_step_with_stats(ham, nu, dt, u_next, m_next, contract)
-    return m_cur
+) -> tuple[GridField, float]:
+    """Step the density backward: (m_cur, clamp magnitude) given u_next and m_next."""
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    contract = contract or LinearSolveContract()
+    a = fp_matrix(ham, nu, dt, u_next)
+    x, clamp = _clamp_density(_solve_checked(a, m_next.values.ravel() / dt, contract))
+    return GridField(u_next.grid, x.reshape(m_next.values.shape)), clamp
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ Both solvers run the same damped outer iteration, ``_damped_fixed_point``,
 and supply only their sweep and their termination gate.
 
 The stationary system adds the unknown effective constant: the value block
-is solved by Newton on (u, lambda) with the zero-mean row closing the rank
-deficiency, and the invariant density is the kernel vector of the
-transpose advection-diffusion operator, found by inverse power iteration
-with a tiny shift (the operator is an M-matrix with zero column sums, so
-the shifted solves preserve positivity and converge in a couple of
-iterations).
+is solved by Newton on (u, lambda) with the bordered Jacobian
+[[A(u), 1], [h^2 1^T, 0]], the zero-mean row closing the rank deficiency.
+The invariant density is the left null vector of that same matrix: one
+factorization and one transposed solve give the kernel vector of A(u)^T
+(A(u) has zero row sums, so the border unknown is 0).
 
 This module also hosts the exact algebraic checker for the perturbed
 two-pair balance: endpoint pairings plus both weighted Bregman terms plus
@@ -42,15 +41,22 @@ from .cost_ops import CostOperator, DiscreteDensity, LocalCost
 from .dynamics import (
     HjbStepConfig,
     LinearSolveContract,
-    _fp_step_with_stats,
+    LinearSolveError,
+    _clamp_density,
     adjoint_apply,
+    fp_step_solve,
     hjb_residual,
     hjb_step_solve,
     linearized_hjb_matrix,
     newton_armijo,
     transport_apply,
 )
-from .hamiltonian import PowerHamiltonian, hamiltonian_stencil, weighted_bregman_gap
+from .hamiltonian import (
+    STENCIL_FLOOR,
+    PowerHamiltonian,
+    hamiltonian_stencil,
+    weighted_bregman_gap,
+)
 from .torus_grid import (
     GridField,
     SpaceTimeField,
@@ -70,7 +76,6 @@ __all__ = [
     "ErgodicSolution",
     "PerturbationPair",
     "OuterNonConvergence",
-    "InversePowerStall",
     "solve_evolutive",
     "solve_ergodic",
     "system_residuals",
@@ -91,16 +96,6 @@ class OuterNonConvergence(RuntimeError):
         )
         self.iters = iters
         self.last_change = last_change
-
-
-class InversePowerStall(RuntimeError):
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(
-            f"inverse power iteration stalled after {iterations} steps "
-            f"(residual {residual:.3e})"
-        )
-        self.iterations = iterations
-        self.residual = residual
 
 
 @dataclass
@@ -270,7 +265,7 @@ def _fp_sweep(
     m[nt] = p.mT.field.values
     clamp_max = 0.0
     for n in range(nt - 1, -1, -1):
-        m_n, clamp = _fp_step_with_stats(
+        m_n, clamp = fp_step_solve(
             p.hamiltonian,
             p.nu,
             p.mesh.dt,
@@ -381,6 +376,15 @@ def _ergodic_value_residual(
     return -p.nu * lap + gval + lam - cost_field.values
 
 
+def _bordered_jacobian(p: ErgodicProblem, u: GridField) -> sp.csc_matrix:
+    """[[A(u), 1], [h^2 1^T, 0]] with A(u) = ``linearized_hjb_matrix`` at u."""
+    n2 = p.grid.n_side ** 2
+    a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
+    ones_col = sp.csr_matrix(np.ones((n2, 1)))
+    mean_row = sp.csr_matrix(p.grid.h ** 2 * np.ones((1, n2)))
+    return sp.bmat([[a, ones_col], [mean_row, None]], format="csc")
+
+
 def _ergodic_hjb_newton(
     p: ErgodicProblem,
     cost_field: GridField,
@@ -392,8 +396,6 @@ def _ergodic_hjb_newton(
     """``newton_armijo`` on (u, lambda), the zero-mean row closing the system."""
     n2 = p.grid.n_side ** 2
     h2 = p.grid.h ** 2
-    ones_col = sp.csr_matrix(np.ones((n2, 1)))
-    mean_row = sp.csr_matrix(h2 * np.ones((1, n2)))
 
     def residual(x: np.ndarray) -> np.ndarray:
         u = GridField(p.grid, x[:n2])
@@ -401,56 +403,37 @@ def _ergodic_hjb_newton(
         return np.concatenate([top.ravel(), [h2 * float(np.sum(u.values))]])
 
     def jacobian(x: np.ndarray) -> sp.spmatrix:
-        a = linearized_hjb_matrix(p.hamiltonian, p.nu, GridField(p.grid, x[:n2]))
-        return sp.bmat([[a, ones_col], [mean_row, None]], format="csc")
+        return _bordered_jacobian(p, GridField(p.grid, x[:n2]))
 
     start = np.concatenate([u_init.values.ravel(), [lam_init]])
     x = newton_armijo(residual, jacobian, start, cfg, contract)
     return GridField(p.grid, x[:n2]), float(x[n2])
 
 
-def _stationary_density(
-    p: ErgodicProblem,
-    u: GridField,
-    tol: float,
-    m_init: Optional[GridField] = None,
-    shift: float = 1e-8,
-    max_iter: int = 50,
-) -> GridField:
-    """Kernel vector of the transpose advection-diffusion operator.
+def _stationary_density(p: ErgodicProblem, u: GridField, tol: float) -> GridField:
+    """Kernel vector of A(u)^T with unit h^2-weighted mass.
 
-    Inverse power iteration on (A + shift I) with A = (-nu L + B(u))^T; A is
-    an M-matrix with zero column sums, so the shifted inverse is nonnegative
-    and the normalized iterates converge to the invariant density at rate
-    roughly shift / spectral-gap (a couple of iterations in practice).
+    Solves J^T [m; c] = [0; 1] for the bordered Jacobian J of
+    ``_ergodic_hjb_newton``: A(u) has zero row sums, so summing the first
+    block gives c = 0 and A(u)^T m = 0.  The density is normalized, then
+    clamped as the evolutive density step is.  Its residual max|A^T m| must
+    be at most ``tol`` or the backward-error floor
+    STENCIL_FLOOR eps |A^T|_inf max|m|, whichever is larger; a miss is a
+    LinearSolveError.
     """
     n = p.grid.n_side
-    a = (linearized_hjb_matrix(p.hamiltonian, p.nu, u).T).tocsc()
-    shifted = a.copy()
-    shifted.setdiag(a.diagonal() + shift)  # the diagonal is stored: nu > 0
-    lu = spla.splu(shifted)
-    x = (m_init.values if m_init is not None else np.ones((n, n))).ravel().copy()
-    x = np.maximum(x, 0.0)
-    x /= p.grid.h ** 2 * float(np.sum(x))
-    residual = float(np.max(np.abs(a @ x)))
-    for it in range(max_iter):
-        if residual <= tol:
-            break
-        y = lu.solve(x)
-        total = p.grid.h ** 2 * float(np.sum(y))
-        if not np.isfinite(total) or total <= 0.0:
-            raise InversePowerStall(it + 1, residual)
-        x_new = y / total
-        new_residual = float(np.max(np.abs(a @ x_new)))
-        if new_residual >= residual and residual > tol * 10.0:
-            raise InversePowerStall(it + 1, new_residual)
-        x = x_new
-        residual = new_residual
-    else:
-        if residual > tol:
-            raise InversePowerStall(max_iter, residual)
-    x = np.maximum(x, 0.0)
-    x /= p.grid.h ** 2 * float(np.sum(x))
+    j = _bordered_jacobian(p, u)
+    rhs = np.zeros(n * n + 1)
+    rhs[-1] = 1.0
+    x = spla.splu(j).solve(rhs, trans="T")[:-1]
+    x, _ = _clamp_density(x / (p.grid.h ** 2 * float(np.sum(x))))
+    at = j[:-1, :-1].T
+    residual = float(np.max(np.abs(at @ x)))
+    floor = STENCIL_FLOOR * np.finfo(float).eps * spla.norm(at, np.inf) * float(np.max(x))
+    if residual > max(tol, floor):
+        raise LinearSolveError(
+            f"stationary density residual {residual:.3e} exceeds max({tol:.3e}, {floor:.3e})"
+        )
     return GridField(p.grid, x.reshape(n, n))
 
 
@@ -463,13 +446,14 @@ def solve_ergodic(
     """Damped fixed point on the invariant density.
 
     Each sweep solves the bordered Newton system for (u, lambda), warm
-    started from the last sweep, then the inverse power problem for the
-    invariant density; ``_damped_fixed_point`` blends and damps.  Returns
-    once the density change is below tolerance and the three residuals
-    (value equation, stationary density equation, and the two
-    normalizations) are at or below 1e-8.  The Newton solve runs to
-    min(``newton_tol``, a tenth of that target) within ``max_newton``
-    iterations.
+    started from the last sweep, then takes the invariant density from the
+    same bordered matrix at the new u; ``_damped_fixed_point`` blends and
+    damps.  Returns once the density change is below tolerance and the
+    three residuals (value equation, stationary density equation, and the
+    two normalizations) are at or below 1e-8; the density residual may
+    instead sit at the roundoff floor of ``_stationary_density``.  The
+    Newton solve runs to min(``newton_tol``, a tenth of that target) within
+    ``max_newton`` iterations.
     """
     cfg = cfg or FixedPointConfig()
     contract = contract or LinearSolveContract()
@@ -488,10 +472,9 @@ def solve_ergodic(
 
     def sweep(m: np.ndarray, state: tuple) -> tuple[np.ndarray, tuple]:
         u, lam, _ = state
-        m_field = GridField(p.grid, m)
-        cost_field = p.cost.apply(m_field)
+        cost_field = p.cost.apply(GridField(p.grid, m))
         u, lam = _ergodic_hjb_newton(p, cost_field, u, lam, newton_cfg, contract)
-        m_new = _stationary_density(p, u, tol=residual_target / 10.0, m_init=m_field)
+        m_new = _stationary_density(p, u, tol=residual_target / 10.0)
         return m_new.values, (u, lam, cost_field)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float):

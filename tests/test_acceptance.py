@@ -216,7 +216,7 @@ def test_criterion_10_brute_force_equivalence():
             - m.transport_apply(ham, u_next, ef).values
         ).ravel()
     expect = np.linalg.solve(dense, m_next.flat() / dt)
-    got = m.fp_step_solve(ham, 1.0, dt, u_next, m_next)
+    got, _ = m.fp_step_solve(ham, 1.0, dt, u_next, m_next)
     assert float(np.max(np.abs(got.flat() - expect))) <= 1e-10
 
     # value step vs the small-step fixed-point oracle

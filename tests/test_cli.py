@@ -185,8 +185,25 @@ class TestSolveCommand:
     def test_unattainable_newton_tol_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path, UNIFORM_CONFIG + "\n[solver]\nnewton_tol = 2e-9\n")
         assert main(["solve", "--config", str(path)]) == 1
-        assert "newton_tol 2.000e-09" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[solver.newton_tol]" in err
+        assert "newton_tol 2.000e-09" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_side, outer_tol", [(64, "1e-11"), (32, "1e-12")])
+    def test_tight_ergodic_outer_tol_exit_zero(self, tmp_path, capsys, n_side, outer_tol):
+        # the density residual cannot reach these tolerances in float64; the
+        # backward-error floor of the stationary density accepts it
+        text = ERGODIC_CONFIG.replace("N_h = 8", f"N_h = {n_side}")
+        text = text.replace("hamiltonian = zero", "hamiltonian = sines")
+        text = text.replace("local.preset = linear", "local.preset = power\nlocal.alpha = 2")
+        text += f"\n[solver]\nouter_tol = {outer_tol}\n"
+        path = write_config(tmp_path, text)
+        assert main(["solve", "--config", str(path)]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["config"]["outer_tol"] == float(outer_tol)
+        assert meta["results"]["diagnostics"]["hjb_residual"] <= 1e-8
+        assert meta["results"]["diagnostics"]["fp_residual"] <= 1e-8
 
     def test_linear_solve_failure_exit_two_with_partial_archive(self, tmp_path, capsys):
         # no LU solve reaches a relative residual of 1e-30

@@ -8,6 +8,8 @@ from mfgfd.dynamics import (
     HjbStepConfig,
     LinearSolveContract,
     NonConvergence,
+    PositivityError,
+    _clamp_density,
     adjoint_apply,
     adjoint_check,
     fp_matrix,
@@ -286,8 +288,10 @@ class TestFpStep:
     def test_heat_step_on_constant(self):
         ham = zero_ham()
         g = ham.grid
-        out = fp_step_solve(ham, NU, 0.1, GridField.constant(g, 3.0), GridField.constant(g, 1.0))
+        m_next = GridField.constant(g, 1.0)
+        out, clamp = fp_step_solve(ham, NU, 0.1, GridField.constant(g, 3.0), m_next)
         assert np.max(np.abs(out.values - 1.0)) < 1e-12
+        assert clamp == 0.0
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(8)
@@ -296,7 +300,7 @@ class TestFpStep:
         u_next = GridField(g, rng.normal(size=(8, 8)))
         m_next = GridField(g, np.abs(rng.normal(1.0, 0.3, (8, 8))))
         contract = LinearSolveContract()
-        out = fp_step_solve(ham, NU, 0.05, u_next, m_next, contract)
+        out, _ = fp_step_solve(ham, NU, 0.05, u_next, m_next, contract)
         assert abs(mass(out) - mass(m_next)) <= 10 * contract.residual_tol
 
     def test_matches_dense_direct_solve(self):
@@ -310,7 +314,7 @@ class TestFpStep:
         m_next = GridField(g, np.abs(rng.normal(1.0, 0.3, (4, 4))))
         dense = dense_fp_from_transport(ham, NU, dt, u_next)
         expect = np.linalg.solve(dense, m_next.flat() / dt)
-        got = fp_step_solve(ham, NU, dt, u_next, m_next)
+        got, _ = fp_step_solve(ham, NU, dt, u_next, m_next)
         assert np.max(np.abs(got.flat() - expect)) < 1e-10
 
     def test_positivity_preserved(self):
@@ -320,7 +324,7 @@ class TestFpStep:
         for _ in range(5):
             u_next = GridField(g, rng.normal(size=(8, 8)))
             m_next = GridField(g, np.abs(rng.normal(1.0, 0.5, (8, 8))))
-            out = fp_step_solve(ham, NU, 0.1, u_next, m_next)
+            out, _ = fp_step_solve(ham, NU, 0.1, u_next, m_next)
             assert np.min(out.values) >= 0.0
 
     def test_matrix_sign_structure(self):
@@ -337,6 +341,16 @@ class TestFpStep:
 
     def test_clamp_limit_exposed(self):
         assert CLAMP_LIMIT == 1e-12
+
+    def test_clamp_keeps_mass_and_rejects_real_undershoot(self):
+        x, clamp = _clamp_density(np.array([2.0, -1e-13, 1.0]))
+        assert clamp == 1e-13
+        assert x[1] == 0.0 and np.min(x) == 0.0
+        assert abs(np.sum(x) - (3.0 - 1e-13)) <= 4e-16
+        x, clamp = _clamp_density(np.array([2.0, 0.0, 1.0]))
+        assert clamp == 0.0 and np.array_equal(x, [2.0, 0.0, 1.0])
+        with pytest.raises(PositivityError, match="clamp limit"):
+            _clamp_density(np.array([1.0, -2e-12]))
 
 
 class TestAdjointStructure:

@@ -125,7 +125,7 @@ class TestEvolutiveSolver:
         m = p.mT.field
         chain = [m]
         for _ in range(8):
-            m = fp_step_solve(ham, 1.0, p.mesh.dt, GridField.zeros(g), m)
+            m, _ = fp_step_solve(ham, 1.0, p.mesh.dt, GridField.zeros(g), m)
             chain.append(m)
         chain = chain[::-1]
         for ours, ref in zip(sol.m.slices, chain):
@@ -247,7 +247,8 @@ class TestErgodicSolver:
         assert err.value.iterations == 1
         assert err.value.final_residual > 1e-11
 
-    def test_density_matches_dense_kernel(self):
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_density_matches_dense_kernel(self, beta):
         # oracle: the invariant density spans the null space of the dense
         # transpose advection-diffusion matrix
         from mfgfd.dynamics import adjoint_apply
@@ -255,7 +256,7 @@ class TestErgodicSolver:
         g = TorusGrid(8)
         p = ErgodicProblem(
             nu=1.0,
-            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            hamiltonian=PowerHamiltonian(beta, hamiltonian_preset("sines", g)),
             cost=LocalCost.power(2.0),
             grid=g,
         )
