@@ -6,11 +6,8 @@ from .torus_grid import (
     TimeMesh,
     SpaceTimeField,
     stencil_array,
-    laplace5,
     cell_average,
-    inner2,
     mass,
-    norm_sup,
     restrict,
 )
 from .hamiltonian import PowerHamiltonian, upwind_part, weighted_bregman_gap, inequality_suite
@@ -40,7 +37,6 @@ from .solver import (
     FixedPointConfig,
     EvolutiveSolution,
     ErgodicSolution,
-    PerturbationPair,
     OuterNonConvergence,
     solve_evolutive,
     solve_ergodic,

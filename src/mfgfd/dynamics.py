@@ -33,6 +33,10 @@ so the h^2-weighted mass is conserved to the linear-solve tolerance, and
 the M-matrix sign pattern preserves nonnegativity.  Nonnegative clamping of
 roundoff-level undershoot (never below -1e-12) keeps densities in the
 simplex without hiding real defects.
+
+Every operator takes and returns plain (N, N) float64 arrays, one time
+slice each, and reads the grid step of the unit torus from the array as
+h = 1/N with N its last axis.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hamiltonian import PowerHamiltonian, hamiltonian_stencil
-from .torus_grid import GridField, inner2, laplace_array, stencil_array
+from .torus_grid import laplace_array, stencil_array
 
 __all__ = [
     "HjbStepConfig",
@@ -118,7 +122,7 @@ class PositivityError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _five_point_matrix(
-    ham: PowerHamiltonian, nu: float, u: GridField, shift: float
+    ham: PowerHamiltonian, nu: float, u: np.ndarray, shift: float
 ) -> sp.csr_matrix:
     """shift I - nu L + B(u) as a CSR matrix on the lexicographic vector.
 
@@ -130,10 +134,10 @@ def _five_point_matrix(
     differences) (1/h), so the factored matrices are bit for bit theirs;
     coinciding neighbours (N = 2) are summed and exact zeros are dropped.
     """
-    n = u.grid.n_side
-    h = u.grid.h
+    n = u.shape[-1]
+    h = 1.0 / n
     inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
-    g = ham.grad_grid(hamiltonian_stencil(u.values, h))
+    g = ham.grad_grid(hamiltonian_stencil(u, h))
     g1, g2, g3, g4 = (g[..., k] for k in range(4))
     off = -nu * inv_h2
     data = np.stack(
@@ -155,17 +159,17 @@ def _five_point_matrix(
     return a
 
 
-def linearized_hjb_matrix(ham: PowerHamiltonian, nu: float, u: GridField) -> sp.csr_matrix:
+def linearized_hjb_matrix(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> sp.csr_matrix:
     """Advection-diffusion block of the value step: -nu L + B(u)."""
     return _five_point_matrix(ham, nu, u, 0.0)
 
 
-def hjb_jacobian(ham: PowerHamiltonian, nu: float, dt: float, u: GridField) -> sp.csr_matrix:
+def hjb_jacobian(ham: PowerHamiltonian, nu: float, dt: float, u: np.ndarray) -> sp.csr_matrix:
     """Jacobian of the value step: (1/dt) I - nu L + B(u)."""
     return _five_point_matrix(ham, nu, u, 1.0 / dt)
 
 
-def fp_matrix(ham: PowerHamiltonian, nu: float, dt: float, u_next: GridField) -> sp.csc_matrix:
+def fp_matrix(ham: PowerHamiltonian, nu: float, dt: float, u_next: np.ndarray) -> sp.csc_matrix:
     """System matrix of the implicit density step: the transpose of ``hjb_jacobian``."""
     return _five_point_matrix(ham, nu, u_next, 1.0 / dt).T
 
@@ -230,70 +234,71 @@ def hjb_residual(
     ham: PowerHamiltonian,
     nu: float,
     dt: float,
-    u_next: GridField,
-    u_cur: GridField,
-    phi_field: GridField,
-) -> GridField:
+    u_next: np.ndarray,
+    u_cur: np.ndarray,
+    cost: np.ndarray,
+) -> np.ndarray:
     """Defect of the semi-implicit value equation at (u_next, u_cur, cost)."""
-    lap = laplace_array(u_next.values, u_next.grid.h)
-    gval = ham.value_grid(hamiltonian_stencil(u_next.values, u_next.grid.h)).values
-    res = (u_next.values - u_cur.values) / dt - nu * lap + gval - phi_field.values
-    return GridField(u_next.grid, res)
+    h = 1.0 / u_next.shape[-1]
+    lap = laplace_array(u_next, h)
+    gval = ham.value_grid(hamiltonian_stencil(u_next, h))
+    return (u_next - u_cur) / dt - nu * lap + gval - cost
 
 
 def hjb_step_solve(
     ham: PowerHamiltonian,
     nu: float,
     dt: float,
-    u_cur: GridField,
-    phi_field: GridField,
+    u_cur: np.ndarray,
+    cost: np.ndarray,
     cfg: Optional[HjbStepConfig] = None,
     contract: Optional[LinearSolveContract] = None,
-    initial_guess: Optional[GridField] = None,
-) -> GridField:
+    initial_guess: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Advance the value function one step by ``newton_armijo``.
 
     Starts from ``initial_guess`` (default: the current slice) and returns
-    once the residual sup norm is below ``newton_tol``; raises
-    NonConvergence otherwise.
+    a new array once the residual sup norm is below ``newton_tol``; raises
+    NonConvergence otherwise.  The inputs are not modified.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     cfg = cfg or HjbStepConfig()
     contract = contract or LinearSolveContract()
-    grid = u_cur.grid
+    shape = u_cur.shape
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return hjb_residual(ham, nu, dt, GridField(grid, x), u_cur, phi_field).flat()
+        return hjb_residual(ham, nu, dt, x.reshape(shape), u_cur, cost).ravel()
 
     def jacobian(x: np.ndarray) -> sp.spmatrix:
-        return hjb_jacobian(ham, nu, dt, GridField(grid, x))
+        return hjb_jacobian(ham, nu, dt, x.reshape(shape))
 
-    start = (initial_guess or u_cur).values.flatten()
-    return GridField(grid, newton_armijo(residual, jacobian, start, cfg, contract))
+    start = (u_cur if initial_guess is None else initial_guess).flatten()
+    return newton_armijo(residual, jacobian, start, cfg, contract).reshape(shape)
 
 
 def hjb_step_picard(
     ham: PowerHamiltonian,
     nu: float,
     dt: float,
-    u_cur: GridField,
-    phi_field: GridField,
+    u_cur: np.ndarray,
+    cost: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 200000,
-) -> GridField:
+) -> np.ndarray:
     """Fixed-point iteration u <- u_cur + dt (nu Lap u - value + cost).
 
     Independent cross-check of the Newton path; contracts only when dt is
     small against nu / h^2, so it is a small-step oracle, not a solver.
     """
-    u = u_cur.copy()
+    h = 1.0 / u_cur.shape[-1]
+    u = u_cur
     for _ in range(max_iter):
-        lap = laplace_array(u.values, u.grid.h)
-        gval = ham.value_grid(hamiltonian_stencil(u.values, u.grid.h)).values
-        new = u_cur.values + dt * (nu * lap - gval + phi_field.values)
-        change = float(np.max(np.abs(new - u.values)))
-        u = GridField(u.grid, new)
+        lap = laplace_array(u, h)
+        gval = ham.value_grid(hamiltonian_stencil(u, h))
+        new = u_cur + dt * (nu * lap - gval + cost)
+        change = float(np.max(np.abs(new - u)))
+        u = new
         if change <= tol:
             return u
     raise NonConvergence(max_iter, change)
@@ -303,42 +308,41 @@ def hjb_step_picard(
 # transport and the implicit density step
 # ---------------------------------------------------------------------------
 
-def transport_apply(ham: PowerHamiltonian, u: GridField, m: GridField) -> GridField:
+def transport_apply(ham: PowerHamiltonian, u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Discrete transport of m along the upwind momentum field of u.
 
-    Defined by duality: inner2(transport(u, m), w) equals minus the sum of
-    m * grad(stencil(u)) . stencil(w) over all nodes, for every w.  The sum
-    over all nodes is therefore zero (take w = 1), which is the discrete
-    mass conservation.
+    Defined by duality: the node sum of transport(u, m) * w equals minus the
+    sum of m * grad(stencil(u)) . stencil(w) over all nodes, for every w.
+    The sum over all nodes is therefore zero (take w = 1), which is the
+    discrete mass conservation.
     """
-    if not u.grid.compatible(m.grid):
-        raise ValueError("u and m must share one grid")
-    h = u.grid.h
-    g = ham.grad_grid(hamiltonian_stencil(u.values, h))
-    a1, a2, a3, a4 = np.moveaxis(m.values[..., None] * g, -1, 0)
-    out = (
-        (a1 - np.roll(a1, 1, axis=0))
-        + (np.roll(a2, -1, axis=0) - a2)
-        + (a3 - np.roll(a3, 1, axis=1))
-        + (np.roll(a4, -1, axis=1) - a4)
+    if u.shape != m.shape:
+        raise ValueError(f"u and m must have one shape, got {u.shape} and {m.shape}")
+    h = 1.0 / u.shape[-1]
+    g = ham.grad_grid(hamiltonian_stencil(u, h))
+    a1, a2, a3, a4 = np.moveaxis(m[..., None] * g, -1, 0)
+    return (
+        (a1 - np.roll(a1, 1, axis=-2))
+        + (np.roll(a2, -1, axis=-2) - a2)
+        + (a3 - np.roll(a3, 1, axis=-1))
+        + (np.roll(a4, -1, axis=-1) - a4)
     ) / h
-    return GridField(u.grid, out)
 
 
-def linearized_hjb_apply(ham: PowerHamiltonian, nu: float, u: GridField, v: GridField) -> GridField:
+def linearized_hjb_apply(
+    ham: PowerHamiltonian, nu: float, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
     """Linearization of the stationary value operator at u, applied to v."""
-    if not u.grid.compatible(v.grid):
-        raise ValueError("u and v must share one grid")
-    g = ham.grad_grid(hamiltonian_stencil(u.values, u.grid.h))
-    dv = stencil_array(v.values, v.grid.h)
-    lap = laplace_array(v.values, v.grid.h)
-    return GridField(u.grid, -nu * lap + np.sum(g * dv, axis=-1))
+    if u.shape != v.shape:
+        raise ValueError(f"u and v must have one shape, got {u.shape} and {v.shape}")
+    h = 1.0 / u.shape[-1]
+    g = ham.grad_grid(hamiltonian_stencil(u, h))
+    return -nu * laplace_array(v, h) + np.sum(g * stencil_array(v, h), axis=-1)
 
 
-def adjoint_apply(ham: PowerHamiltonian, nu: float, u: GridField, m: GridField) -> GridField:
+def adjoint_apply(ham: PowerHamiltonian, nu: float, u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Adjoint of the linearized value operator: -nu Lap m - transport(u, m)."""
-    lap = laplace_array(m.values, m.grid.h)
-    return GridField(m.grid, -nu * lap - transport_apply(ham, u, m).values)
+    return -nu * laplace_array(m, 1.0 / m.shape[-1]) - transport_apply(ham, u, m)
 
 
 def _clamp_density(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -366,17 +370,20 @@ def fp_step_solve(
     ham: PowerHamiltonian,
     nu: float,
     dt: float,
-    u_next: GridField,
-    m_next: GridField,
+    u_next: np.ndarray,
+    m_next: np.ndarray,
     contract: Optional[LinearSolveContract] = None,
-) -> tuple[GridField, float]:
-    """Step the density backward: (m_cur, clamp magnitude) given u_next and m_next."""
+) -> tuple[np.ndarray, float]:
+    """Step the density backward: (m_cur, clamp magnitude) given u_next and m_next.
+
+    m_cur is a new array; the inputs are not modified.
+    """
     if nu <= 0:
         raise ValueError("nu must be positive")
     contract = contract or LinearSolveContract()
     a = fp_matrix(ham, nu, dt, u_next)
-    x, clamp = _clamp_density(_solve_checked(a, m_next.values.ravel() / dt, contract))
-    return GridField(u_next.grid, x.reshape(m_next.values.shape)), clamp
+    x, clamp = _clamp_density(_solve_checked(a, m_next.ravel() / dt, contract))
+    return x.reshape(m_next.shape), clamp
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +393,13 @@ def fp_step_solve(
 def adjoint_check(
     ham: PowerHamiltonian,
     nu: float,
-    u: GridField,
+    u: np.ndarray,
     probes: int = 20,
     seed: int = 0,
 ) -> float:
     """Largest normalized defect of the adjoint pairing over random probes.
 
-    For probe fields (v, m) compares inner2(L_u v, m) with inner2(v, A_u m),
+    For probe fields (v, m) compares the node sums of (L_u v) m and v (A_u m),
     where L_u is the linearized value operator and A_u the
     diffusion-transport operator; the two are assembled independently (direct
     stencils vs the roll-based transport), so agreement to roundoff pins the
@@ -400,18 +407,17 @@ def adjoint_check(
     |L_u v|_2 |m|_2 + |v|_2 |A_u m|_2; the contract is a result <= 1e-12.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    n = u.grid.n_side
     worst = 0.0
     for _ in range(probes):
-        v = GridField(u.grid, rng.normal(0.0, 1.0, size=(n, n)))
-        m = GridField(u.grid, rng.normal(0.0, 1.0, size=(n, n)))
+        v = rng.normal(0.0, 1.0, size=u.shape)
+        m = rng.normal(0.0, 1.0, size=u.shape)
         lv = linearized_hjb_apply(ham, nu, u, v)
         am = adjoint_apply(ham, nu, u, m)
-        lhs = inner2(lv, m)
-        rhs = inner2(v, am)
+        lhs = float(np.sum(lv * m))
+        rhs = float(np.sum(v * am))
         scale = (
-            float(np.linalg.norm(lv.flat()) * np.linalg.norm(m.flat()))
-            + float(np.linalg.norm(v.flat()) * np.linalg.norm(am.flat()))
+            float(np.linalg.norm(lv) * np.linalg.norm(m))
+            + float(np.linalg.norm(v) * np.linalg.norm(am))
             + 1e-300
         )
         worst = max(worst, abs(lhs - rhs) / scale)

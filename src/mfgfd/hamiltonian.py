@@ -36,13 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus_grid import (
-    GridField,
-    SpaceTimeField,
-    TorusGrid,
-    stencil_array,
-    time_sum,
-)
+from .torus_grid import GridField, SpaceTimeField, stencil_array, time_sum
 
 __all__ = [
     "PowerHamiltonian",
@@ -134,10 +128,6 @@ class PowerHamiltonian:
         if not self.beta > 1.0:
             raise ValueError(f"beta must be > 1, got {self.beta}")
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.potential.grid
-
     def gauge_hessian(self, p: np.ndarray) -> np.ndarray:
         """Hessian of |p|^beta at p != 0: beta|p|^(b-2) I + beta(b-2)|p|^(b-4) p p^T."""
         p = np.asarray(p, dtype=np.float64)
@@ -152,10 +142,9 @@ class PowerHamiltonian:
             + b * (b - 2.0) * s2[..., None, None] ** ((b - 4.0) / 2.0) * outer
         )
 
-    def value_grid(self, stencil: np.ndarray) -> GridField:
+    def value_grid(self, stencil: np.ndarray) -> np.ndarray:
         """Values at every node of an (N, N, 4) stencil array."""
-        vals = self.potential.values + _gauge(upwind_part(stencil), self.beta)
-        return GridField(self.grid, vals)
+        return self.potential.values + _gauge(upwind_part(stencil), self.beta)
 
     def grad_grid(self, stencil: np.ndarray) -> np.ndarray:
         """Gradients of a (..., 4) stencil array, one 4-vector per stencil."""

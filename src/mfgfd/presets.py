@@ -145,11 +145,11 @@ def build_evolutive_problem(cfg: RunConfig, n_side: int | None = None, n_steps: 
 
 def build_ergodic_problem(cfg: RunConfig, n_side: int | None = None) -> ErgodicProblem:
     grid = TorusGrid(n_side or cfg.n_side)
-    cost = cost_preset(cfg.cost_kind, grid, cfg.cost_local_preset, cfg.cost_local_alpha)
-    if not isinstance(cost, LocalCost):
-        raise ValueError("the ergodic solver requires a local cost")
     return ErgodicProblem(
-        nu=cfg.nu, hamiltonian=_hamiltonian_from(cfg, grid), cost=cost, grid=grid
+        nu=cfg.nu,
+        hamiltonian=_hamiltonian_from(cfg, grid),
+        cost=cost_preset(cfg.cost_kind, grid, cfg.cost_local_preset, cfg.cost_local_alpha),
+        grid=grid,
     )
 
 

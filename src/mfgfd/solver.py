@@ -63,7 +63,6 @@ from .torus_grid import (
     TimeMesh,
     TorusGrid,
     laplace_array,
-    mass,
     stencil_array,
     time_sum,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "FixedPointConfig",
     "EvolutiveSolution",
     "ErgodicSolution",
-    "PerturbationPair",
     "OuterNonConvergence",
     "solve_evolutive",
     "solve_ergodic",
@@ -168,18 +166,6 @@ class ErgodicSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass
-class PerturbationPair:
-    """Per-step defects of a perturbed trajectory pair.
-
-    Slice n of ``a`` (and of ``b``) is the defect of the step n -> n+1, for
-    n = 0..N_T-1; slice N_T is unused and kept zero.
-    """
-
-    a: SpaceTimeField
-    b: SpaceTimeField
-
-
 # ---------------------------------------------------------------------------
 # the damped outer iteration
 # ---------------------------------------------------------------------------
@@ -228,9 +214,7 @@ def _damped_fixed_point(
 
 def _cost_fields(p: EvolutiveProblem, m: np.ndarray) -> np.ndarray:
     """Costs of density slices 0..N_T-1, one cost application per slice."""
-    return np.stack(
-        [p.cost.apply(GridField(p.grid, m[n])).values for n in range(p.mesh.n_steps)]
-    )
+    return np.stack([p.cost.apply(m[n]) for n in range(p.mesh.n_steps)])
 
 
 def _bellman_sweep(
@@ -243,17 +227,10 @@ def _bellman_sweep(
     u = np.empty((p.mesh.n_steps + 1,) + p.u0.values.shape)
     u[0] = p.u0.values
     for n in range(p.mesh.n_steps):
-        guess = GridField(p.grid, warm[n + 1]) if warm is not None else None
+        guess = None if warm is None else warm[n + 1]
         u[n + 1] = hjb_step_solve(
-            p.hamiltonian,
-            p.nu,
-            p.mesh.dt,
-            GridField(p.grid, u[n]),
-            GridField(p.grid, cost[n]),
-            cfg=hjb_cfg,
-            contract=contract,
-            initial_guess=guess,
-        ).values
+            p.hamiltonian, p.nu, p.mesh.dt, u[n], cost[n], hjb_cfg, contract, guess
+        )
     return u
 
 
@@ -265,15 +242,7 @@ def _fp_sweep(
     m[nt] = p.mT.field.values
     clamp_max = 0.0
     for n in range(nt - 1, -1, -1):
-        m_n, clamp = fp_step_solve(
-            p.hamiltonian,
-            p.nu,
-            p.mesh.dt,
-            GridField(p.grid, u[n + 1]),
-            GridField(p.grid, m[n + 1]),
-            contract,
-        )
-        m[n] = m_n.values
+        m[n], clamp = fp_step_solve(p.hamiltonian, p.nu, p.mesh.dt, u[n + 1], m[n + 1], contract)
         clamp_max = max(clamp_max, clamp)
     return m, clamp_max
 
@@ -282,8 +251,8 @@ def evolutive_residuals(
     p: EvolutiveProblem, u: SpaceTimeField, m: SpaceTimeField
 ) -> tuple[float, float]:
     """Sup norms of the two defects of ``system_residuals`` along a trajectory pair."""
-    pert = system_residuals(p.hamiltonian, p.nu, p.cost, u, m)
-    return float(np.max(np.abs(pert.a.values))), float(np.max(np.abs(pert.b.values)))
+    a, b = system_residuals(p.hamiltonian, p.nu, p.cost, u, m)
+    return float(np.max(np.abs(a))), float(np.max(np.abs(b)))
 
 
 def solve_evolutive(
@@ -368,15 +337,15 @@ def solve_evolutive(
 # ---------------------------------------------------------------------------
 
 def _ergodic_value_residual(
-    p: ErgodicProblem, u: GridField, lam: float, cost_field: GridField
+    p: ErgodicProblem, u: np.ndarray, lam: float, cost: np.ndarray
 ) -> np.ndarray:
     """Defect of the stationary value equation -nu Lap u + H + lambda = cost."""
-    lap = laplace_array(u.values, p.grid.h)
-    gval = p.hamiltonian.value_grid(hamiltonian_stencil(u.values, p.grid.h)).values
-    return -p.nu * lap + gval + lam - cost_field.values
+    lap = laplace_array(u, p.grid.h)
+    gval = p.hamiltonian.value_grid(hamiltonian_stencil(u, p.grid.h))
+    return -p.nu * lap + gval + lam - cost
 
 
-def _bordered_jacobian(p: ErgodicProblem, u: GridField) -> sp.csc_matrix:
+def _bordered_jacobian(p: ErgodicProblem, u: np.ndarray) -> sp.csc_matrix:
     """[[A(u), 1], [h^2 1^T, 0]] with A(u) = ``linearized_hjb_matrix`` at u."""
     n2 = p.grid.n_side ** 2
     a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
@@ -387,30 +356,30 @@ def _bordered_jacobian(p: ErgodicProblem, u: GridField) -> sp.csc_matrix:
 
 def _ergodic_hjb_newton(
     p: ErgodicProblem,
-    cost_field: GridField,
-    u_init: GridField,
+    cost: np.ndarray,
+    u_init: np.ndarray,
     lam_init: float,
     cfg: HjbStepConfig,
     contract: LinearSolveContract,
-) -> tuple[GridField, float]:
+) -> tuple[np.ndarray, float]:
     """``newton_armijo`` on (u, lambda), the zero-mean row closing the system."""
-    n2 = p.grid.n_side ** 2
+    n = p.grid.n_side
     h2 = p.grid.h ** 2
 
     def residual(x: np.ndarray) -> np.ndarray:
-        u = GridField(p.grid, x[:n2])
-        top = _ergodic_value_residual(p, u, x[n2], cost_field)
-        return np.concatenate([top.ravel(), [h2 * float(np.sum(u.values))]])
+        u = x[:-1].reshape(n, n)
+        top = _ergodic_value_residual(p, u, x[-1], cost)
+        return np.concatenate([top.ravel(), [h2 * float(np.sum(u))]])
 
     def jacobian(x: np.ndarray) -> sp.spmatrix:
-        return _bordered_jacobian(p, GridField(p.grid, x[:n2]))
+        return _bordered_jacobian(p, x[:-1].reshape(n, n))
 
-    start = np.concatenate([u_init.values.ravel(), [lam_init]])
+    start = np.concatenate([u_init.ravel(), [lam_init]])
     x = newton_armijo(residual, jacobian, start, cfg, contract)
-    return GridField(p.grid, x[:n2]), float(x[n2])
+    return x[:-1].reshape(n, n), float(x[-1])
 
 
-def _stationary_density(p: ErgodicProblem, u: GridField, tol: float) -> GridField:
+def _stationary_density(p: ErgodicProblem, u: np.ndarray, tol: float) -> np.ndarray:
     """Kernel vector of A(u)^T with unit h^2-weighted mass.
 
     Solves J^T [m; c] = [0; 1] for the bordered Jacobian J of
@@ -434,7 +403,7 @@ def _stationary_density(p: ErgodicProblem, u: GridField, tol: float) -> GridFiel
         raise LinearSolveError(
             f"stationary density residual {residual:.3e} exceeds max({tol:.3e}, {floor:.3e})"
         )
-    return GridField(p.grid, x.reshape(n, n))
+    return x.reshape(n, n)
 
 
 def solve_ergodic(
@@ -465,49 +434,46 @@ def solve_ergodic(
         max_newton=hjb_cfg.max_newton,
     )
 
-    m_start = GridField.constant(p.grid, 1.0)
-    lam_start = float(
-        h2 * np.sum(p.cost.apply(m_start).values - p.hamiltonian.potential.values)
-    )
+    shape = (p.grid.n_side, p.grid.n_side)
+    m_start = np.ones(shape)
+    lam_start = float(h2 * np.sum(p.cost.apply(m_start) - p.hamiltonian.potential.values))
 
     def sweep(m: np.ndarray, state: tuple) -> tuple[np.ndarray, tuple]:
         u, lam, _ = state
-        cost_field = p.cost.apply(GridField(p.grid, m))
-        u, lam = _ergodic_hjb_newton(p, cost_field, u, lam, newton_cfg, contract)
+        cost = p.cost.apply(m)
+        u, lam = _ergodic_hjb_newton(p, cost, u, lam, newton_cfg, contract)
         m_new = _stationary_density(p, u, tol=residual_target / 10.0)
-        return m_new.values, (u, lam, cost_field)
+        return m_new, (u, lam, cost)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float):
-        u, lam, cost_field = state
-        m_field = GridField(p.grid, m_new)
-        res_hjb = float(np.max(np.abs(p.cost.apply(m_field).values - cost_field.values)))
+        u, lam, cost = state
+        res_hjb = float(np.max(np.abs(p.cost.apply(m_new) - cost)))
         if not res_hjb <= residual_target / 2.0:
             return None
-        u_centered = GridField(u.grid, u.values - h2 * float(np.sum(u.values)))
-        dens = DiscreteDensity.normalized(m_field)
+        u_centered = u - h2 * float(np.sum(u))
+        dens = DiscreteDensity.normalized(GridField(p.grid, m_new))
         return ErgodicSolution(
-            u=u_centered,
+            u=GridField(p.grid, u_centered),
             m=dens,
             lam=lam,
             outer_iters=len(history),
             residual_history=history,
-            diagnostics=_ergodic_diagnostics(p, u_centered, dens.field, lam),
+            diagnostics=_ergodic_diagnostics(p, u_centered, dens.field.values, lam),
         )
 
-    state = (GridField.zeros(p.grid), lam_start, None)
-    return _damped_fixed_point(p.grid, cfg, m_start.values, state, sweep, gate)
+    state = (np.zeros(shape), lam_start, None)
+    return _damped_fixed_point(p.grid, cfg, m_start, state, sweep, gate)
 
 
-def _ergodic_diagnostics(
-    p: ErgodicProblem, u: GridField, m: GridField, lam: float
-) -> dict:
+def _ergodic_diagnostics(p: ErgodicProblem, u: np.ndarray, m: np.ndarray, lam: float) -> dict:
+    h2 = p.grid.h ** 2
     res_hjb = _ergodic_value_residual(p, u, lam, p.cost.apply(m))
-    res_fp = adjoint_apply(p.hamiltonian, p.nu, u, m).values
+    res_fp = adjoint_apply(p.hamiltonian, p.nu, u, m)
     return {
         "hjb_residual": float(np.max(np.abs(res_hjb))),
         "fp_residual": float(np.max(np.abs(res_fp))),
-        "u_mean": p.grid.h ** 2 * float(np.sum(u.values)),
-        "m_mass_defect": abs(mass(m) - 1.0),
+        "u_mean": h2 * float(np.sum(u)),
+        "m_mass_defect": abs(h2 * float(np.sum(m)) - 1.0),
     }
 
 
@@ -521,37 +487,34 @@ def system_residuals(
     cost: CostOperator,
     u: SpaceTimeField,
     m: SpaceTimeField,
-) -> PerturbationPair:
-    """Per-step defects of an arbitrary trajectory pair against the scheme.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step defects (a, b) of an arbitrary trajectory pair against the scheme.
 
-    Slice n of the first output is the value-equation defect of step
-    n -> n+1 with the cost evaluated at density slice n; slice n of the
-    second is the density-equation defect.  A pair produced by the solver
-    has both near zero; for arbitrary trajectories this is exactly the
-    perturbation that makes them solve the perturbed system by construction.
+    Both are (N_T + 1, N, N) arrays.  Slice n of ``a`` is the value-equation
+    defect of step n -> n+1 with the cost evaluated at density slice n;
+    slice n of ``b`` is the density-equation defect; slice N_T of both is
+    zero.  A pair produced by the solver has both near zero; for arbitrary
+    trajectories this is exactly the perturbation that makes them solve the
+    perturbed system by construction.
     """
     dt = u.mesh.dt
-    a = np.zeros_like(u.values)
-    transport = np.zeros_like(u.values)
+    uv, mv = u.values, m.values
+    a = np.zeros_like(uv)
+    transport = np.zeros_like(uv)
     for n in range(u.mesh.n_steps):
-        a[n] = hjb_residual(ham, nu, dt, u[n + 1], u[n], cost.apply(m[n])).values
-        transport[n] = transport_apply(ham, u[n + 1], m[n]).values
-    mv = m.values
+        a[n] = hjb_residual(ham, nu, dt, uv[n + 1], uv[n], cost.apply(mv[n]))
+        transport[n] = transport_apply(ham, uv[n + 1], mv[n])
     b = np.zeros_like(mv)
     b[:-1] = (mv[1:] - mv[:-1]) / dt + nu * laplace_array(mv[:-1], u.grid.h) + transport[:-1]
-    return PerturbationPair(
-        a=SpaceTimeField.from_array(u.mesh, u.grid, a),
-        b=SpaceTimeField.from_array(u.mesh, u.grid, b),
-    )
+    return a, b
 
 
 def identity_terms(
     ham: PowerHamiltonian,
     nu: float,
-    dt: float,
     sol: tuple[SpaceTimeField, SpaceTimeField],
     sol_tilde: tuple[SpaceTimeField, SpaceTimeField],
-    pert: PerturbationPair,
+    pert: tuple[np.ndarray, np.ndarray],
     cost: CostOperator,
 ) -> dict:
     """All terms of the perturbed-pair balance, plus the gap and its scale.
@@ -561,20 +524,23 @@ def identity_terms(
         endpoint_final + endpoint_initial + bregman_base + bregman_tilde
             + cost_pairing  =  pert_a + pert_b,
 
-    where the perturbation pairings use the given defects of the tilde pair
-    minus the internally recomputed defects of the base pair, so the
-    equality is algebraically exact for arbitrary inputs.  When the base
-    pair solves the scheme, its defects vanish and this is the classical
-    statement.  All sums are unweighted node sums.
+    where the perturbation pairings use the given defects (a, b) of the
+    tilde pair, as ``system_residuals`` returns them, minus the internally
+    recomputed defects of the base pair, so the equality is algebraically
+    exact for arbitrary inputs.  When the base pair solves the scheme, its
+    defects vanish and this is the classical statement.  The time step is
+    that of the base pair's mesh.  All sums are unweighted node sums.
     """
     u, m = sol
     ut, mt = sol_tilde
     nt = u.mesh.n_steps
-    base_pert = system_residuals(ham, nu, cost, u, m)
+    dt = u.mesh.dt
+    pert_a, pert_b = pert
+    base_a, base_b = system_residuals(ham, nu, cost, u, m)
     du = u.values - ut.values
     dm = m.values - mt.values
     dcost = np.stack(
-        [cost.apply(m[n]).values - cost.apply(mt[n]).values for n in range(nt)]
+        [cost.apply(m.values[n]) - cost.apply(mt.values[n]) for n in range(nt)]
     )
     terms = {
         "endpoint_final": -(1.0 / dt) * float(np.sum(dm[nt] * du[nt])),
@@ -582,8 +548,8 @@ def identity_terms(
         "bregman_base": weighted_bregman_gap(ham, m, u, ut),
         "bregman_tilde": weighted_bregman_gap(ham, mt, ut, u),
         "cost_pairing": time_sum(dcost * dm[:-1]),
-        "pert_a": time_sum((pert.a.values[:-1] - base_pert.a.values[:-1]) * dm[:-1]),
-        "pert_b": time_sum((pert.b.values[:-1] - base_pert.b.values[:-1]) * du[1:]),
+        "pert_a": time_sum((pert_a[:-1] - base_a[:-1]) * dm[:-1]),
+        "pert_b": time_sum((pert_b[:-1] - base_b[:-1]) * du[1:]),
     }
     lhs = (
         terms["endpoint_final"]

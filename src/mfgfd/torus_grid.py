@@ -1,10 +1,12 @@
-"""Periodic 2-D grid, finite-difference stencils, inner products and norms.
+"""Periodic 2-D grid, field types, finite-difference stencils and sums.
 
 Everything lives on the unit torus [0,1)^2 discretized by a uniform N x N
-grid with step h = 1/N.  Node (i, j) sits at (i/N, j/N); index arithmetic is
-periodic, so any integer pair resolves to (i mod N, j mod N).  Fields are
-stored as (N, N) float64 arrays in C order, which is the lexicographic
-(i, j) layout; ``GridField.flat()`` exposes that vector without copying.
+grid with step h = 1/N.  Node (i, j) sits at (i/N, j/N); differences wrap
+periodically.  Fields are stored as (N, N) float64 arrays in C order, which
+is the lexicographic (i, j) layout, so ``ravel()`` gives the vector the
+sparse solvers use.  The operators take and return these plain arrays; the
+field types carry the grid and the time mesh at the problem and solution
+boundary.
 
 Sums and norms use numpy reductions, so the reduction order is fixed by the
 array layout and results are reproducible run to run.
@@ -26,11 +28,9 @@ __all__ = [
     "TimeMesh",
     "SpaceTimeField",
     "stencil_array",
-    "laplace5",
+    "laplace_array",
     "cell_average",
-    "inner2",
     "mass",
-    "norm_sup",
     "time_sum",
     "restrict",
     "restrict_space_time",
@@ -71,16 +71,6 @@ class TorusGrid:
         return self.n_side == other.n_side
 
 
-def _check_same_grid(*fields: "GridField") -> TorusGrid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if not grid.compatible(f.grid):
-            raise ValueError(
-                f"grid mismatch: n_side {grid.n_side} vs {f.grid.n_side}"
-            )
-    return grid
-
-
 @dataclass
 class GridField:
     """Real-valued function on the periodic grid.
@@ -95,8 +85,6 @@ class GridField:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
         n = self.grid.n_side
-        if v.shape == (n * n,):
-            v = v.reshape(n, n)
         if v.shape != (n, n):
             raise ValueError(f"expected shape {(n, n)}, got {v.shape}")
         self.values = np.ascontiguousarray(v)
@@ -114,16 +102,6 @@ class GridField:
         """Nodal samples of a vectorized callable f(x1, x2)."""
         x1, x2 = grid.node_coords()
         return cls(grid, np.asarray(f(x1, x2), dtype=np.float64))
-
-    def at(self, i: int, j: int) -> float:
-        """Periodic access: any integer pair wraps to (i mod N, j mod N)."""
-        return float(self.values[i % self.grid.n_side, j % self.grid.n_side])
-
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
-
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
 
 
 @dataclass(frozen=True)
@@ -157,7 +135,10 @@ class SpaceTimeField:
             raise ValueError(
                 f"expected {mesh.n_steps + 1} slices, got {len(slices)}"
             )
-        grid = _check_same_grid(*slices)
+        grid = slices[0].grid
+        for s in slices[1:]:
+            if not grid.compatible(s.grid):
+                raise ValueError(f"grid mismatch: n_side {grid.n_side} vs {s.grid.n_side}")
         self._wrap(mesh, grid, np.stack([s.values for s in slices]))
 
     def _wrap(self, mesh: TimeMesh, grid: TorusGrid, values: np.ndarray) -> None:
@@ -183,18 +164,9 @@ class SpaceTimeField:
         shape = (mesh.n_steps + 1, grid.n_side, grid.n_side)
         return cls.from_array(mesh, grid, np.full(shape, float(c)))
 
-    def __len__(self) -> int:
-        return len(self.slices)
-
-    def __getitem__(self, n: int) -> GridField:
-        return self.slices[n]
-
     def stack(self) -> np.ndarray:
         """Copy of the (N_T + 1, N, N) array of all slices."""
         return self.values.copy()
-
-    def copy(self) -> "SpaceTimeField":
-        return SpaceTimeField.from_array(self.mesh, self.grid, self.values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +198,6 @@ def laplace_array(values: np.ndarray, h: float) -> np.ndarray:
     ) / (h * h)
 
 
-def laplace5(u: GridField) -> GridField:
-    """Five-point discrete Laplacian with periodic wrap."""
-    return GridField(u.grid, laplace_array(u.values, u.grid.h))
-
-
 # ---------------------------------------------------------------------------
 # cell averages
 # ---------------------------------------------------------------------------
@@ -260,22 +227,12 @@ def cell_average(sampler: Callable, grid: TorusGrid) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# inner products and norms
+# sums
 # ---------------------------------------------------------------------------
-
-def inner2(u: GridField, v: GridField) -> float:
-    """Plain unweighted sum of products over all nodes."""
-    _check_same_grid(u, v)
-    return float(np.sum(u.values * v.values))
-
 
 def mass(u: GridField) -> float:
     """h^2-weighted total: h^2 * sum of node values."""
     return float(u.grid.h ** 2 * np.sum(u.values))
-
-
-def norm_sup(u: GridField) -> float:
-    return float(np.max(np.abs(u.values)))
 
 
 def time_sum(values: np.ndarray) -> float:

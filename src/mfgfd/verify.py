@@ -122,7 +122,7 @@ def run_identity_suite(
             ut = SpaceTimeField.from_array(mesh, grid, ut_arr)
             mt = SpaceTimeField.from_array(mesh, grid, mt_arr)
             pert = system_residuals(ham, 1.0, cost, ut, mt)
-            out = identity_terms(ham, 1.0, mesh.dt, (u, m), (ut, mt), pert, cost)
+            out = identity_terms(ham, 1.0, (u, m), (ut, mt), pert, cost)
             gap_ratio = out["gap"] / out["scale"]
             term_ratio = (
                 min(
@@ -173,7 +173,7 @@ def run_adjoint_suite(
     for n in sizes:
         grid = TorusGrid(n)
         ham = PowerHamiltonian(beta, GridField.zeros(grid))
-        u = GridField(grid, rng.normal(0.0, 1.0, size=(n, n)))
+        u = rng.normal(0.0, 1.0, size=(n, n))
         worst = adjoint_check(ham, nu, u, probes=probes, seed=seed + n)
         reports.append({"n_side": n, "max_discrepancy": worst, "pass": bool(worst <= ADJOINT_TOL)})
     return {

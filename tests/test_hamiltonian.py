@@ -35,8 +35,8 @@ def zero_ham(beta, n=4):
 
 def value_at(ham, q, node=(0, 0)):
     """``value_grid`` at one node of a stencil array holding q at every node."""
-    n = ham.grid.n_side
-    return ham.value_grid(np.broadcast_to(np.asarray(q, dtype=float), (n, n, 4))).values[node]
+    shape = ham.potential.values.shape + (4,)
+    return ham.value_grid(np.broadcast_to(np.asarray(q, dtype=float), shape))[node]
 
 
 class TestValue:
@@ -59,7 +59,7 @@ class TestValue:
                 i, j = rng.integers(0, 4, size=2)
                 q1, q2 = rng.normal(size=2)
                 got = value_at(ham, [q1, q1, q2, q2], (i, j))
-                expect = ham.potential.at(i, j) + (q1**2 + q2**2) ** (beta / 2)
+                expect = ham.potential.values[i, j] + (q1**2 + q2**2) ** (beta / 2)
                 assert abs(got - expect) <= 4 * np.finfo(float).eps * max(1.0, abs(expect))
         assert value_at(zero_ham(2.0), [3.0, 3.0, 4.0, 4.0]) == 25.0
 
@@ -164,7 +164,7 @@ class TestStencilFloor:
         rough = np.random.default_rng(2).normal(size=(8, 8))
         for pot in (GridField.zeros(u.grid), GridField(u.grid, rough)):
             ham = PowerHamiltonian(beta, pot)
-            assert np.array_equal(ham.value_grid(floored(u)).values, pot.values)
+            assert np.array_equal(ham.value_grid(floored(u)), pot.values)
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_stencil_just_above_floor_passes_unchanged(self, beta):
@@ -269,7 +269,7 @@ class TestWeightedBregmanGap:
         expect = 0.0
         for i in range(4):
             for j in range(4):
-                expect += m.slices[0].at(i, j) * float(
+                expect += m.values[0, i, j] * float(
                     bregman_gap_array(st[i, j], stt[i, j], self.ham.beta)
                 )
         assert got == pytest.approx(expect, rel=1e-13)

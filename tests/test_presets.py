@@ -33,7 +33,7 @@ class TestFieldPresets:
     def test_cosine_values(self):
         g = TorusGrid(8)
         f = u0_preset("cosine", g, amplitude=0.5)
-        assert f.at(0, 0) == pytest.approx(0.5)
+        assert f.values[0, 0] == pytest.approx(0.5)
 
     def test_unknown_name_rejected(self):
         g = TorusGrid(8)
@@ -149,8 +149,8 @@ class TestSpaceTimeRestriction:
             mesh_fine, [GridField(g_fine, rng.normal(size=(8, 8))) for _ in range(5)]
         )
         out = restrict_space_time(f, TimeMesh(1.0, 2), TorusGrid(4))
-        assert len(out.slices) == 3
-        assert out.slices[1].at(1, 1) == f.slices[2].at(2, 2)
+        assert out.values.shape == (3, 4, 4)
+        assert out.values[1, 1, 1] == f.values[2, 2, 2]
 
     def test_non_nested_time_rejected(self):
         g = TorusGrid(4)

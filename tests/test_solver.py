@@ -20,14 +20,11 @@ from mfgfd.solver import (
     solve_evolutive,
     system_residuals,
 )
-from mfgfd.torus_grid import (
-    GridField,
-    SpaceTimeField,
-    TimeMesh,
-    TorusGrid,
-    mass,
-    norm_sup,
-)
+from mfgfd.torus_grid import GridField, SpaceTimeField, TimeMesh, TorusGrid, mass
+
+
+def sup(a):
+    return float(np.max(np.abs(a)))
 
 
 def uniform_problem(n=8, nt=8, beta=2.0, horizon=1.0):
@@ -63,8 +60,8 @@ class TestEvolutiveSolver:
         sol = solve_evolutive(p)
         dt = p.mesh.dt
         for n in range(9):
-            assert norm_sup(GridField(p.grid, sol.u.slices[n].values - n * dt)) < 1e-9
-            assert norm_sup(GridField(p.grid, sol.m.slices[n].values - 1.0)) < 1e-9
+            assert sup(sol.u.values[n] - n * dt) < 1e-9
+            assert sup(sol.m.values[n] - 1.0) < 1e-9
 
     @pytest.mark.parametrize("beta", [1.5, 3.0])
     def test_uniform_exact_any_exponent(self, beta):
@@ -74,7 +71,7 @@ class TestEvolutiveSolver:
         sol = solve_evolutive(p)
         dt = p.mesh.dt
         for n in range(9):
-            assert norm_sup(GridField(p.grid, sol.u.slices[n].values - n * dt)) < 1e-9
+            assert sup(sol.u.values[n] - n * dt) < 1e-9
 
     def test_uniform_exact_from_other_start(self):
         p = uniform_problem(n=8, nt=8)
@@ -83,7 +80,7 @@ class TestEvolutiveSolver:
         sol = solve_evolutive(p, initial_m=start)
         dt = p.mesh.dt
         for n in range(9):
-            assert norm_sup(GridField(p.grid, sol.u.slices[n].values - n * dt)) < 1e-9
+            assert sup(sol.u.values[n] - n * dt) < 1e-9
 
     def test_boundary_slices_exact(self):
         p = smooth_problem(n=8, nt=8)
@@ -120,16 +117,16 @@ class TestEvolutiveSolver:
             grid=g,
         )
         sol = solve_evolutive(p)
-        assert max(norm_sup(s) for s in sol.u.slices) < 1e-12
+        assert sup(sol.u.values) < 1e-12
         ham = p.hamiltonian
-        m = p.mT.field
+        m = p.mT.field.values
         chain = [m]
         for _ in range(8):
-            m, _ = fp_step_solve(ham, 1.0, p.mesh.dt, GridField.zeros(g), m)
+            m, _ = fp_step_solve(ham, 1.0, p.mesh.dt, np.zeros((8, 8)), m)
             chain.append(m)
         chain = chain[::-1]
-        for ours, ref in zip(sol.m.slices, chain):
-            assert norm_sup(GridField(g, ours.values - ref.values)) < 1e-9
+        for ours, ref in zip(sol.m.values, chain):
+            assert sup(ours - ref) < 1e-9
 
     def test_uniqueness_two_starts_agree(self):
         p = smooth_problem(n=8, nt=16)
@@ -137,20 +134,10 @@ class TestEvolutiveSolver:
         sol_a = solve_evolutive(
             p, cfg=cfg, initial_m=SpaceTimeField.constant(p.mesh, p.grid, 1.0)
         )
-        start_b = SpaceTimeField(
-            p.mesh, [p.mT.field.copy() for _ in range(p.mesh.n_steps + 1)]
-        )
+        start_b = SpaceTimeField(p.mesh, [p.mT.field] * (p.mesh.n_steps + 1))
         sol_b = solve_evolutive(p, cfg=cfg, initial_m=start_b)
-        dist_u = max(
-            norm_sup(GridField(p.grid, a.values - b.values))
-            for a, b in zip(sol_a.u.slices, sol_b.u.slices)
-        )
-        dist_m = max(
-            norm_sup(GridField(p.grid, a.values - b.values))
-            for a, b in zip(sol_a.m.slices, sol_b.m.slices)
-        )
-        assert dist_u <= 1e-8
-        assert dist_m <= 1e-8
+        assert sup(sol_a.u.values - sol_b.u.values) <= 1e-8
+        assert sup(sol_a.m.values - sol_b.m.values) <= 1e-8
 
     def test_deterministic_bitwise(self):
         p = smooth_problem(n=8, nt=8)
@@ -197,8 +184,8 @@ class TestErgodicSolver:
         )
         sol = solve_ergodic(p)
         assert sol.lam == pytest.approx(1.0, abs=1e-8)
-        assert norm_sup(sol.u) < 1e-8
-        assert norm_sup(GridField(g, sol.m.field.values - 1.0)) < 1e-8
+        assert sup(sol.u.values) < 1e-8
+        assert sup(sol.m.field.values - 1.0) < 1e-8
 
     def test_constant_potential_shifts_lambda(self):
         g = TorusGrid(16)
@@ -236,10 +223,10 @@ class TestErgodicSolver:
             cost=LocalCost.power(2.0),
             grid=g,
         )
-        cost_field = p.cost.apply(GridField.constant(g, 1.0))
+        cost = p.cost.apply(np.ones((8, 8)))
         with pytest.raises(NonConvergence) as err:
             _ergodic_hjb_newton(
-                p, cost_field, GridField.zeros(g), 1.0,
+                p, cost, np.zeros((8, 8)), 1.0,
                 HjbStepConfig(newton_tol=1e-11, max_newton=1), LinearSolveContract(),
             )
         assert not isinstance(err.value, OuterNonConvergence)
@@ -266,12 +253,12 @@ class TestErgodicSolver:
         for k in range(n2):
             e = np.zeros(n2)
             e[k] = 1.0
-            dense[:, k] = adjoint_apply(p.hamiltonian, p.nu, sol.u, GridField(g, e.reshape(8, 8))).flat()
+            dense[:, k] = adjoint_apply(p.hamiltonian, p.nu, sol.u.values, e.reshape(8, 8)).ravel()
         _, svals, vt = np.linalg.svd(dense)
         kernel = vt[-1]
         kernel /= g.h**2 * np.sum(kernel)
         assert svals[-1] < 1e-10 * svals[0]
-        assert np.max(np.abs(kernel - sol.m.field.flat())) < 1e-7
+        assert np.max(np.abs(kernel - sol.m.field.values.ravel())) < 1e-7
 
     def test_local_cost_required(self):
         g = TorusGrid(8)
@@ -302,10 +289,17 @@ class TestIdentity:
     def test_trivial_gap_zero(self):
         p, sol = self.make_base()
         pert = system_residuals(p.hamiltonian, p.nu, p.cost, sol.u, sol.m)
-        out = identity_terms(
-            p.hamiltonian, p.nu, p.mesh.dt, (sol.u, sol.m), (sol.u, sol.m), pert, p.cost
-        )
+        out = identity_terms(p.hamiltonian, p.nu, (sol.u, sol.m), (sol.u, sol.m), pert, p.cost)
         assert out["gap"] == 0.0
+
+    def test_defects_are_trajectory_arrays(self):
+        # one (N_T + 1, N, N) array per equation, zero on the last slice,
+        # where no step starts
+        p, sol = self.make_base()
+        a, b = system_residuals(p.hamiltonian, p.nu, p.cost, sol.u, sol.m)
+        assert a.shape == b.shape == sol.u.values.shape
+        assert not np.any(a[-1]) and not np.any(b[-1])
+        assert max(np.max(np.abs(a)), np.max(np.abs(b))) <= 1e-9
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_random_pairs_gap_at_roundoff(self, beta):
@@ -320,9 +314,7 @@ class TestIdentity:
                 p.mesh, p.grid, np.abs(sol.m.stack() + rng.normal(0, 0.5, (p.mesh.n_steps + 1, n, n)))
             )
             pert = system_residuals(p.hamiltonian, p.nu, p.cost, ut, mt)
-            out = identity_terms(
-                p.hamiltonian, p.nu, p.mesh.dt, (sol.u, sol.m), (ut, mt), pert, p.cost
-            )
+            out = identity_terms(p.hamiltonian, p.nu, (sol.u, sol.m), (ut, mt), pert, p.cost)
             assert out["gap"] <= 1e-10 * out["scale"]
 
     def test_middle_terms_nonnegative(self):
@@ -337,9 +329,7 @@ class TestIdentity:
                 p.mesh, p.grid, np.abs(rng.normal(1.0, 0.5, (p.mesh.n_steps + 1, n, n)))
             )
             pert = system_residuals(p.hamiltonian, p.nu, p.cost, ut, mt)
-            out = identity_terms(
-                p.hamiltonian, p.nu, p.mesh.dt, (sol.u, sol.m), (ut, mt), pert, p.cost
-            )
+            out = identity_terms(p.hamiltonian, p.nu, (sol.u, sol.m), (ut, mt), pert, p.cost)
             tol = 1e-10 * out["scale"]
             assert out["terms"]["bregman_base"] >= -tol
             assert out["terms"]["bregman_tilde"] >= -tol
