@@ -63,7 +63,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"ergodic solve: outer_iters={sol.outer_iters} "
                 f"change={sol.residual_history[-1]:.3e} "
                 f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e} "
-                f"lambda={sol.lam:.12g}"
+                f"halvings={d['halvings']} lambda={sol.lam:.12g}"
             )
         else:
             problem = build_evolutive_problem(cfg)
@@ -73,7 +73,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print(
                 f"evolutive solve: outer_iters={sol.outer_iters} "
                 f"change={d['final_change']:.3e} "
-                f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e}"
+                f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e} "
+                f"halvings={d['halvings']}"
             )
         return 0
     except ValueError as exc:

@@ -2,15 +2,16 @@
 
 The evolutive system couples a forward value sweep (each step implicit in u,
 with the cost field frozen from the density trajectory) to a backward
-density sweep (each step implicit in m, explicit in u).  A damped Picard
-iteration on the density trajectory closes the loop: sweep values forward,
-sweep densities backward from the terminal density, then blend the new
-trajectory into the old one.  The iteration stops once the trajectory
-change is below tolerance *and* the defect of both discrete equations at
-the candidate pair is at or below the inner target, so the returned
-solution genuinely satisfies the scheme, not just a stagnation criterion.
-Both solvers run the same damped outer iteration, ``_damped_fixed_point``,
-and supply only their sweep and their termination gate.
+density sweep (each step implicit in m, explicit in u).  An
+Anderson-mixed fixed-point iteration on the density trajectory closes the
+loop: sweep values forward, sweep densities backward from the terminal
+density, then mix the new trajectory with the last few iterates and
+their sweep outputs.  The iteration stops once the trajectory change is
+below tolerance *and* the defect of both discrete equations at the
+candidate pair is at or below the inner target, so the returned solution
+genuinely satisfies the scheme, not just a stagnation criterion.  Both
+solvers run the same outer iteration, ``_damped_fixed_point``, and supply
+only their sweep and their termination gate.
 
 The stationary system adds the unknown effective constant: the value block
 is solved by Newton on (u, lambda) with the bordered Jacobian
@@ -82,6 +83,7 @@ __all__ = [
 ]
 
 INNER_RESIDUAL_TARGET = 1e-9
+ANDERSON_DEPTH = 3
 
 
 class OuterNonConvergence(RuntimeError):
@@ -98,7 +100,10 @@ class OuterNonConvergence(RuntimeError):
 
 @dataclass
 class FixedPointConfig:
-    """Outer-iteration controls shared by both solvers."""
+    """Outer-iteration controls shared by both solvers.
+
+    ``damping`` is the mixing factor theta of ``_damped_fixed_point``.
+    """
 
     damping: float = 0.5
     outer_tol: float = 1e-9
@@ -167,7 +172,7 @@ class ErgodicSolution:
 
 
 # ---------------------------------------------------------------------------
-# the damped outer iteration
+# the Anderson-mixed outer iteration
 # ---------------------------------------------------------------------------
 
 def _damped_fixed_point(
@@ -178,33 +183,61 @@ def _damped_fixed_point(
     sweep: Callable,
     gate: Callable,
 ):
-    """Damped Picard iteration on a density array, shared by both solvers.
+    """Anderson-mixed fixed point on a density array, shared by both solvers.
 
     ``sweep(m, state)`` returns the new densities and the solver state that
     the gate and the next sweep need; ``state`` seeds the first sweep.  The
     change is the largest h^2-weighted l1 distance over slices.  Once it is
-    below ``outer_tol``, ``gate(m_new, state, history, theta)`` returns the
-    solution, or None to go on.  Otherwise the densities are blended,
-    m <- (1 - theta) m + theta m_new, and theta is halved (at most six times
-    in total) whenever the change grows from one sweep to the next.
+    below ``outer_tol``, ``gate(m_new, state, history, theta, halvings)``
+    returns the solution, or None to go on; the gate always sees the exact
+    sweep output.  Otherwise, with f = m_new - m and dX, dF the differences
+    of the last ANDERSON_DEPTH iterates and residuals f, the next iterate is
+
+        m <- m + theta f - (dX + theta dF) gamma,  gamma = argmin |dF gamma - f|,
+
+    Anderson mixing with mixing factor theta = ``damping`` (Walker & Ni,
+    SIAM J. Numer. Anal. 49 (2011)); with no stored differences it is the
+    blend m + theta (m_new - m).  Differences of unit-mass slices have zero
+    mass, so the mixed iterate keeps the mass of the sweep output.  As a
+    safeguard, whenever the change grows from one sweep to the next, theta
+    is halved (at most six times in total) and the stored differences are
+    dropped; both solvers report the count as ``diagnostics["halvings"]``.
     """
     theta = cfg.damping
     halvings = 0
     prev_change = math.inf
     history: list[float] = []
+    dx = np.empty((ANDERSON_DEPTH,) + m.shape)
+    df = np.empty_like(dx)
+    pairs = 0  # difference pairs written since the last reset
+    last = None  # (m, f) of the previous sweep; None after a reset
     for _ in range(cfg.max_outer):
         m_new, state = sweep(m, state)
-        change = grid.h ** 2 * float(np.max(np.sum(np.abs(m_new - m), axis=(-2, -1))))
+        f = m_new - m
+        change = grid.h ** 2 * float(np.max(np.sum(np.abs(f), axis=(-2, -1))))
         history.append(change)
         if change < cfg.outer_tol:
-            sol = gate(m_new, state, history, theta)
+            sol = gate(m_new, state, history, theta, halvings)
             if sol is not None:
                 return sol
         if change > prev_change and halvings < 6:
             theta = theta / 2.0
             halvings += 1
+            pairs, last = 0, None
         prev_change = change
-        m = (1.0 - theta) * m + theta * m_new
+        if last is not None:
+            slot = pairs % ANDERSON_DEPTH
+            np.subtract(m, last[0], out=dx[slot])
+            np.subtract(f, last[1], out=df[slot])
+            pairs += 1
+        last = (m, f)
+        k = min(pairs, ANDERSON_DEPTH)
+        step = theta * f
+        if k:
+            gamma = np.linalg.lstsq(df[:k].reshape(k, -1).T, f.ravel())[0]
+            step -= np.tensordot(gamma, dx[:k], axes=1)
+            step -= theta * np.tensordot(gamma, df[:k], axes=1)
+        m = m + step
     raise OuterNonConvergence(cfg.max_outer, history[-1] if history else math.inf)
 
 
@@ -262,17 +295,19 @@ def solve_evolutive(
     hjb_cfg: Optional[HjbStepConfig] = None,
     contract: Optional[LinearSolveContract] = None,
 ) -> EvolutiveSolution:
-    """Damped Picard iteration on the density trajectory.
+    """Anderson-mixed fixed point on the density trajectory.
 
     Each sweep advances the value function forward with the cost frozen at
     the current densities (the cost entering step n -> n+1 is evaluated at
     slice n), then pulls the density backward from the terminal datum;
-    ``_damped_fixed_point`` blends and damps.  Termination requires the
-    change below ``outer_tol`` and the defects of both equations at the
-    candidate pair at or below 1e-9 in sup norm; the returned first u-slice
-    is the initial datum and the returned last m-slice the terminal
-    density, both exactly.  Since the gate adds ``newton_tol`` to the
-    defect, a ``newton_tol`` at or above 1e-9 is a ValueError.
+    ``_damped_fixed_point`` mixes the next trajectory from the last sweeps.
+    The returned densities are the last sweep's output, never a mixture.
+    Termination requires the change below ``outer_tol`` and the defects of
+    both equations at the candidate pair at or below 1e-9 in sup norm; the
+    returned first u-slice is the initial datum and the returned last
+    m-slice the terminal density, both exactly.  Since the gate adds
+    ``newton_tol`` to the defect, a ``newton_tol`` at or above 1e-9 is a
+    ValueError.
     """
     cfg = cfg or FixedPointConfig()
     hjb_cfg = hjb_cfg or HjbStepConfig()
@@ -297,7 +332,7 @@ def solve_evolutive(
         m_new, clamp_max = _fp_sweep(p, u, contract)
         return m_new, (u, cost, clamp_max)
 
-    def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float):
+    def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):
         # candidate return pair is (u, m_new): the density sweep is exact
         # for u, and the value sweep is exact for the *old* densities, so
         # the value defect is the cost mismatch between the trajectories.
@@ -319,6 +354,7 @@ def solve_evolutive(
             "max_clamp": clamp_max,
             "final_change": history[-1],
             "theta_final": theta,
+            "halvings": halvings,
         }
         return EvolutiveSolution(
             u=u_field,
@@ -412,17 +448,17 @@ def solve_ergodic(
     contract: Optional[LinearSolveContract] = None,
     hjb_cfg: Optional[HjbStepConfig] = None,
 ) -> ErgodicSolution:
-    """Damped fixed point on the invariant density.
+    """Anderson-mixed fixed point on the invariant density.
 
     Each sweep solves the bordered Newton system for (u, lambda), warm
     started from the last sweep, then takes the invariant density from the
-    same bordered matrix at the new u; ``_damped_fixed_point`` blends and
-    damps.  Returns once the density change is below tolerance and the
-    three residuals (value equation, stationary density equation, and the
-    two normalizations) are at or below 1e-8; the density residual may
-    instead sit at the roundoff floor of ``_stationary_density``.  The
-    Newton solve runs to min(``newton_tol``, a tenth of that target) within
-    ``max_newton`` iterations.
+    same bordered matrix at the new u; ``_damped_fixed_point`` mixes the
+    next density from the last sweeps.  Returns once the density change is
+    below tolerance and the three residuals (value equation, stationary
+    density equation, and the two normalizations) are at or below 1e-8;
+    the density residual may instead sit at the roundoff floor of
+    ``_stationary_density``.  The Newton solve runs to min(``newton_tol``,
+    a tenth of that target) within ``max_newton`` iterations.
     """
     cfg = cfg or FixedPointConfig()
     contract = contract or LinearSolveContract()
@@ -445,7 +481,7 @@ def solve_ergodic(
         m_new = _stationary_density(p, u, tol=residual_target / 10.0)
         return m_new, (u, lam, cost)
 
-    def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float):
+    def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):
         u, lam, cost = state
         res_hjb = float(np.max(np.abs(p.cost.apply(m_new) - cost)))
         if not res_hjb <= residual_target / 2.0:
@@ -458,7 +494,10 @@ def solve_ergodic(
             lam=lam,
             outer_iters=len(history),
             residual_history=history,
-            diagnostics=_ergodic_diagnostics(p, u_centered, dens.field.values, lam),
+            diagnostics={
+                **_ergodic_diagnostics(p, u_centered, dens.field.values, lam),
+                "halvings": halvings,
+            },
         )
 
     state = (np.zeros(shape), lam_start, None)

@@ -182,6 +182,20 @@ class TestSolveCommand:
         assert meta["partial"] is True
         assert "error" in meta
 
+    @pytest.mark.parametrize(
+        "template", [UNIFORM_CONFIG, ERGODIC_CONFIG], ids=["evolutive", "ergodic"]
+    )
+    def test_halvings_in_meta_and_summary(self, tmp_path, capsys, template):
+        text = template.replace("hamiltonian = zero", "hamiltonian = sines").replace(
+            "mT = uniform", "mT = bump"
+        )
+        path = write_config(tmp_path, text)
+        assert main(["solve", "--config", str(path)]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        halvings = meta["results"]["diagnostics"]["halvings"]
+        assert isinstance(halvings, int) and 0 <= halvings <= 6
+        assert f" halvings={halvings}" in capsys.readouterr().out
+
     def test_unattainable_newton_tol_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path, UNIFORM_CONFIG + "\n[solver]\nnewton_tol = 2e-9\n")
         assert main(["solve", "--config", str(path)]) == 1

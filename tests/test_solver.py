@@ -8,10 +8,12 @@ from mfgfd.dynamics import HjbStepConfig, LinearSolveContract, NonConvergence, f
 from mfgfd.hamiltonian import PowerHamiltonian
 from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
 from mfgfd.solver import (
+    ANDERSON_DEPTH,
     ErgodicProblem,
     EvolutiveProblem,
     FixedPointConfig,
     OuterNonConvergence,
+    _damped_fixed_point,
     _ergodic_hjb_newton,
     _trajectory_monitors,
     evolutive_residuals,
@@ -163,6 +165,15 @@ class TestEvolutiveSolver:
         assert err.value.iters == 2
         assert err.value.last_change > 0
 
+    def test_slow_exponent_converges_in_few_sweeps(self):
+        # beta = 1.5 with the power cost took 301 sweeps of the plain blend
+        p = smooth_problem(n=8, nt=16, cost="power", beta=1.5)
+        sol = solve_evolutive(p, cfg=FixedPointConfig(max_outer=100))
+        assert sol.outer_iters <= 100
+        hjb_res, fp_res = evolutive_residuals(p, sol.u, sol.m)
+        assert hjb_res <= 1e-9
+        assert fp_res <= 1e-9
+
     def test_unattainable_newton_tol_rejected(self):
         # the gate needs mismatch + newton_tol <= 1e-9, so these could never stop
         p = smooth_problem(n=8, nt=8)
@@ -171,6 +182,85 @@ class TestEvolutiveSolver:
                 solve_evolutive(
                     p, cfg=FixedPointConfig(max_outer=5), hjb_cfg=HjbStepConfig(newton_tol=tol)
                 )
+
+
+def recording_sweep(rule):
+    """Sweep ``m -> rule(m)`` that records every input and output it sees."""
+    inputs, outputs = [], []
+
+    def sweep(m, state):
+        out = rule(m)
+        inputs.append(m.copy())
+        outputs.append(out)
+        return out, state
+
+    return sweep, inputs, outputs
+
+
+def gate_reporting(m_new, state, history, theta, halvings):
+    return {"sweeps": len(history), "theta": theta, "halvings": halvings, "m": m_new}
+
+
+def slow_affine_contraction():
+    """c and A of m -> c + A (m - c) on unit-mass 2x2 densities; A acts on zero-mass vectors."""
+    c = np.array([[1.2, 0.9], [0.7, 1.2]])
+    basis = np.linalg.qr(np.array([[1.0, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]).T)[0]
+    return c, basis @ np.diag([0.95, -0.6, 0.8]) @ basis.T
+
+
+class TestAndersonMixing:
+    def test_affine_contraction_in_a_handful_of_sweeps(self):
+        g = TorusGrid(2)
+        c, a = slow_affine_contraction()
+        assert np.linalg.matrix_rank(a) <= ANDERSON_DEPTH
+
+        def rule(m):
+            return c + (a @ (m - c).ravel()).reshape(m.shape)
+
+        cfg = FixedPointConfig(damping=0.5, outer_tol=1e-12)
+        sweep, _, _ = recording_sweep(rule)
+        sol = _damped_fixed_point(g, cfg, np.ones((2, 2)), None, sweep, gate_reporting)
+        assert sol["sweeps"] <= 8
+        assert sol["halvings"] == 0
+        assert sup(sol["m"] - c) <= 1e-12
+        # the plain theta blend on the same map
+        m, sweeps = np.ones((2, 2)), 1
+        while g.h ** 2 * float(np.sum(np.abs(rule(m) - m))) >= cfg.outer_tol:
+            m = (1.0 - cfg.damping) * m + cfg.damping * rule(m)
+            sweeps += 1
+        assert sweeps > 30
+
+    def test_mixed_iterates_keep_unit_mass(self):
+        g = TorusGrid(4)
+        weights = 1.0 + 0.5 * np.sin(np.arange(48.0)).reshape(3, 4, 4)
+
+        def rule(m):
+            out = weights * np.exp(-0.8 * m)
+            return out / (g.h ** 2 * np.sum(out, axis=(-2, -1), keepdims=True))
+
+        sweep, inputs, _ = recording_sweep(rule)
+        cfg = FixedPointConfig(damping=0.5, outer_tol=1e-13)
+        sol = _damped_fixed_point(g, cfg, np.ones((3, 4, 4)), None, sweep, gate_reporting)
+        assert sol["sweeps"] > ANDERSON_DEPTH + 1
+        for m in inputs:
+            assert sup(g.h ** 2 * np.sum(m, axis=(-2, -1)) - 1.0) <= 1e-14
+
+    def test_growing_change_halves_theta_and_clears_history(self):
+        g = TorusGrid(2)
+        d = np.array([[1.0, -1.0], [0.0, 0.0]])
+        e = np.array([[0.0, 0.0], [1.0, -1.0]])
+        script = iter([0.1 * d, 0.2 * e, 0.0 * d])  # changes 0.05, 0.1, then 0
+        sweep, inputs, outputs = recording_sweep(lambda m: m + next(script))
+        cfg = FixedPointConfig(damping=0.5, outer_tol=1e-12, max_outer=3)
+        sol = _damped_fixed_point(g, cfg, np.ones((2, 2)), None, sweep, gate_reporting)
+        assert sol["sweeps"] == 3
+        assert sol["theta"] == 0.25
+        assert sol["halvings"] == 1
+        # first step is the plain blend with the full factor
+        assert np.array_equal(inputs[1], inputs[0] + 0.5 * (outputs[0] - inputs[0]))
+        # after the growth the stored pair is dropped: again the plain blend,
+        # now with the halved factor; the kept pair would have moved m along d
+        assert np.array_equal(inputs[2], inputs[1] + 0.25 * (outputs[1] - inputs[1]))
 
 
 class TestErgodicSolver:
