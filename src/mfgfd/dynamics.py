@@ -37,10 +37,21 @@ simplex without hiding real defects.
 Every operator takes and returns plain (N, N) float64 arrays, one time
 slice each, and reads the grid step of the unit torus from the array as
 h = 1/N with N its last axis.
+
+Every sparse LU goes through ``_DissectedLU``, which factors P A P^T with
+P the nested-dissection order of the torus grid (``dissection_order``):
+the nodes of row 0 and column 0, which carry every wrap-around edge, come
+last, and the open grid left is bisected recursively, each separator line
+after its two halves.  Border unknowns beyond the N^2 nodes (the ergodic
+Jacobian's) stay last.  SuperLU keeps that column order and pivots with
+its default partial pivoting.  On the bordered ergodic Jacobian at
+N = 128 this halves the LU fill of the default column ordering.  The
+matrices themselves are built and returned in lexicographic order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,7 +60,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hamiltonian import PowerHamiltonian, hamiltonian_stencil
-from .torus_grid import laplace_array, stencil_array
+from .torus_grid import dissection_order, laplace_array, stencil_array
 
 __all__ = [
     "HjbStepConfig",
@@ -174,15 +185,42 @@ def fp_matrix(ham: PowerHamiltonian, nu: float, dt: float, u_next: np.ndarray) -
     return _five_point_matrix(ham, nu, u_next, 1.0 / dt).T
 
 
+class _DissectedLU:
+    """Sparse LU of A in the nested-dissection order of the torus grid.
+
+    N is read from the size of A; the unknowns beyond N^2 keep their order
+    at the end.  ``solve(b, trans)`` solves A x = b (trans="N") or
+    A^T x = b (trans="T") in the original order.
+    """
+
+    def __init__(self, a: sp.spmatrix):
+        size = a.shape[0]
+        n = math.isqrt(size)
+        self._p = np.concatenate([dissection_order(n), np.arange(n * n, size)])
+        self._inv = np.empty(size, dtype=np.intc)
+        self._inv[self._p] = np.arange(size, dtype=np.intc)
+        pap = a.tocsr()[self._p]  # rows of P A
+        pap.indices = self._inv[pap.indices]  # columns relabelled: P A P^T
+        self._lu = spla.splu(pap.tocsc(), permc_spec="NATURAL")
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        return self._lu.solve(b[self._p], trans=trans)[self._inv]
+
+
 def _solve_checked(a: sp.spmatrix, b: np.ndarray, contract: LinearSolveContract) -> np.ndarray:
-    lu = spla.splu(a.tocsc())
+    """x with A x = b and |A x - b|_inf <= residual_tol |b|_inf.
+
+    One step of iterative refinement follows a miss; a second miss, or a
+    non-finite residual, is a LinearSolveError.
+    """
+    lu = _DissectedLU(a)
     x = lu.solve(b)
     limit = contract.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
     resid = a @ x - b
-    if float(np.max(np.abs(resid))) > limit:
+    if not float(np.max(np.abs(resid))) <= limit:
         x = x + lu.solve(-resid)  # one step of iterative refinement
         resid = a @ x - b
-        if float(np.max(np.abs(resid))) > limit:
+        if not float(np.max(np.abs(resid))) <= limit:
             raise LinearSolveError(
                 f"linear solve residual {float(np.max(np.abs(resid))):.3e} exceeds contract"
             )

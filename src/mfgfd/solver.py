@@ -44,6 +44,7 @@ from .dynamics import (
     LinearSolveContract,
     LinearSolveError,
     _clamp_density,
+    _DissectedLU,
     adjoint_apply,
     fp_step_solve,
     hjb_residual,
@@ -430,12 +431,12 @@ def _stationary_density(p: ErgodicProblem, u: np.ndarray, tol: float) -> np.ndar
     j = _bordered_jacobian(p, u)
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
-    x = spla.splu(j).solve(rhs, trans="T")[:-1]
+    x = _DissectedLU(j).solve(rhs, trans="T")[:-1]
     x, _ = _clamp_density(x / (p.grid.h ** 2 * float(np.sum(x))))
     at = j[:-1, :-1].T
     residual = float(np.max(np.abs(at @ x)))
     floor = STENCIL_FLOOR * np.finfo(float).eps * spla.norm(at, np.inf) * float(np.max(x))
-    if residual > max(tol, floor):
+    if not residual <= max(tol, floor):
         raise LinearSolveError(
             f"stationary density residual {residual:.3e} exceeds max({tol:.3e}, {floor:.3e})"
         )

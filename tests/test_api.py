@@ -1,5 +1,6 @@
 """Public names: every module's ``__all__`` resolves and star-imports cleanly,
-and every function the benchmark tracer wraps exists under its traced name."""
+every function the benchmark tracer wraps exists under its traced name, and
+the package factors sparse matrices in one place."""
 
 import ast
 import importlib
@@ -66,3 +67,11 @@ def test_tracing_target_resolves(span, module_name, path):
         assert not _resolves(module_name, path), f"{name} is back: drop it from STALE_TARGETS"
     else:
         assert _resolves(module_name, path), f"benchmark span {span!r} traces missing {name}"
+
+
+@pytest.mark.parametrize("token", ["splu(", "permc_spec"])
+def test_one_factorization_seam(token):
+    # every sparse LU goes through dynamics._DissectedLU
+    src = Path(mfgfd.__file__).parent
+    hits = {p.name: p.read_text().count(token) for p in sorted(src.glob("*.py"))}
+    assert sum(hits.values()) == 1 and hits["dynamics.py"] == 1, hits

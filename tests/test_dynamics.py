@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from mfgfd.cost_ops import LocalCost
 from mfgfd.dynamics import (
     CLAMP_LIMIT,
     HjbStepConfig,
     LinearSolveContract,
+    LinearSolveError,
     NonConvergence,
     PositivityError,
     _clamp_density,
+    _DissectedLU,
+    _solve_checked,
     adjoint_apply,
     adjoint_check,
     fp_matrix,
@@ -23,6 +28,8 @@ from mfgfd.dynamics import (
     transport_apply,
 )
 from mfgfd.hamiltonian import PowerHamiltonian
+from mfgfd.presets import hamiltonian_preset
+from mfgfd.solver import ErgodicProblem, _bordered_jacobian
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
 
 NU = 1.0
@@ -387,6 +394,62 @@ class TestFpStep:
         assert clamp == 0.0 and np.array_equal(x, [2.0, 0.0, 1.0])
         with pytest.raises(PositivityError, match="clamp limit"):
             _clamp_density(np.array([1.0, -2e-12]))
+
+
+def ergodic_sines(n):
+    g = TorusGrid(n)
+    return ErgodicProblem(
+        nu=1.0,
+        hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+        cost=LocalCost.power(2.0),
+        grid=g,
+    )
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("n, bordered", [(2, False), (3, False), (8, False), (8, True)])
+    def test_solves_match_dense(self, n, bordered):
+        # N = 2 has coinciding neighbours; the bordered Jacobian adds one
+        # unknown past the N^2 grid nodes
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=(n, n))
+        p = ergodic_sines(n)
+        if bordered:
+            a = _bordered_jacobian(p, u)
+        else:
+            a = hjb_jacobian(p.hamiltonian, 0.6, 0.05, u)
+        dense = a.toarray()
+        before = dense.copy()
+        b = rng.normal(size=dense.shape[0])
+        lu = _DissectedLU(a)
+        for trans, m in (("N", dense), ("T", dense.T)):
+            expect = np.linalg.solve(m, b)
+            got = lu.solve(b, trans=trans)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert np.array_equal(a.toarray(), before)
+
+    def test_fill_below_default_ordering(self):
+        # the bordered Jacobian's dense row and column stay last
+        n = 64
+        x1, x2 = TorusGrid(n).node_coords()
+        u = 0.3 * np.cos(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
+        j = _bordered_jacobian(ergodic_sines(n), u)
+        assert _DissectedLU(j)._lu.nnz <= 0.75 * spla.splu(j).nnz
+
+
+class TestNonFiniteSolves:
+    def test_infinite_rhs_raises(self):
+        a = hjb_jacobian(zero_ham(), NU, 0.05, cosine())
+        b = np.ones(64)
+        b[5] = np.inf
+        with pytest.raises(LinearSolveError):
+            _solve_checked(a, b, LinearSolveContract())
+
+    def test_nan_density_raises(self):
+        m_next = np.ones((8, 8))
+        m_next[3, 4] = np.nan
+        with pytest.raises(LinearSolveError):
+            fp_step_solve(zero_ham(), NU, 0.05, cosine(), m_next)
 
 
 class TestAdjointStructure:

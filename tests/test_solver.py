@@ -174,6 +174,20 @@ class TestEvolutiveSolver:
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
 
+    @pytest.mark.parametrize("cost", ["power", "bilaplacian"])
+    def test_large_exponent_end_to_end(self, cost):
+        # beta > 2: the Hamiltonian grows faster than quadratic
+        p = smooth_problem(n=8, nt=16, cost=cost, beta=3.0)
+        sol = solve_evolutive(p, cfg=FixedPointConfig(max_outer=40))
+        assert sol.outer_iters <= 40
+        hjb_res, fp_res = evolutive_residuals(p, sol.u, sol.m)
+        assert hjb_res <= 1e-9
+        assert fp_res <= 1e-9
+        h2 = p.grid.h ** 2
+        assert np.max(np.abs(h2 * np.sum(sol.m.values, axis=(1, 2)) - 1.0)) <= 1e-12
+        assert np.min(sol.m.values) >= 0.0
+        assert sol.diagnostics["max_clamp"] <= 1e-12
+
     def test_unattainable_newton_tol_rejected(self):
         # the gate needs mismatch + newton_tol <= 1e-9, so these could never stop
         p = smooth_problem(n=8, nt=8)

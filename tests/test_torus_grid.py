@@ -9,6 +9,7 @@ from mfgfd.torus_grid import (
     TimeMesh,
     TorusGrid,
     cell_average,
+    dissection_order,
     laplace_array,
     load_grid_field,
     mass,
@@ -353,3 +354,25 @@ class TestSpaceTimeArray:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             SpaceTimeField.from_array(self.mesh, self.grid, np.zeros((3, 4, 4)))
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 128])
+    def test_permutation_with_wrap_separator_last(self, n):
+        order = dissection_order(n)
+        assert np.array_equal(np.sort(order), np.arange(n * n))
+        i, j = np.divmod(order[n * n - (2 * n - 1) :], n)
+        assert np.all((i == 0) | (j == 0))
+
+    def test_cached_per_size(self):
+        assert dissection_order(16) is dissection_order(16)
+        assert not dissection_order(16).flags.writeable
+
+    def test_separator_after_both_halves(self):
+        # N = 8: the open grid of rows and columns 1..7 is split first at row 4
+        order = list(dissection_order(8))
+        middle = [8 * 4 + j for j in range(1, 8)]
+        above = [8 * i + j for i in range(1, 4) for j in range(1, 8)]
+        below = [8 * i + j for i in range(5, 8) for j in range(1, 8)]
+        last_half = max(order.index(k) for k in above + below)
+        assert min(order.index(k) for k in middle) > last_half
