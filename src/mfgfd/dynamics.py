@@ -47,10 +47,17 @@ Jacobian's) stay last.  SuperLU keeps that column order and pivots with
 its default partial pivoting.  On the bordered ergodic Jacobian at
 N = 128 this halves the LU fill of the default column ordering.  The
 matrices themselves are built and returned in lexicographic order.
+
+The sparsity pattern depends on N alone: its index arrays are built once
+per N and cached read-only (``_pattern``), an assembly computes only the
+values, and exact zeros stay as explicit entries.  ``_DissectedLU`` forms
+P A P^T, or P A^T P^T, by one gather of the data through maps cached per
+N on the first factorization (``_factor_order``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -132,6 +139,114 @@ class PositivityError(RuntimeError):
 # the five-point operator of both steps
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Pattern:
+    """Lexicographic CSR pattern of the matrices on one grid.
+
+    The pattern is structurally symmetric, so ``indptr`` and ``indices``
+    are also its CSC pattern, and the CSR data of A is the CSC data of
+    A^T.  ``slots[e]`` is the slot that source entry e is summed into.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.indptr.size - 1
+
+
+@dataclass(frozen=True)
+class _FactorOrder:
+    """A ``_Pattern`` in the factor order P of ``_DissectedLU``.
+
+    ``order[k]`` is the unknown eliminated k-th and ``inv`` its inverse.
+    ``indptr`` and ``indices`` are the CSC pattern of P A P^T, which
+    P A^T P^T shares; their CSC data is the CSR data of A gathered by
+    ``gather`` and by ``gather_t``.
+    """
+
+    order: np.ndarray
+    inv: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+    gather_t: np.ndarray
+
+
+def _read_only(cls, **arrays: np.ndarray):
+    """``cls`` holding read-only int32 copies of ``arrays``."""
+    for name, a in arrays.items():
+        arrays[name] = a = a.astype(np.intc)
+        a.flags.writeable = False
+    return cls(**arrays)
+
+
+@functools.cache
+def _pattern(n: int, bordered: bool) -> _Pattern:
+    """The pattern of the N x N five-point matrices, built once per N on first use.
+
+    Unbordered, the source entries are the 5 N^2 stencil entries, node by
+    node in the order (i, j), (i+1, j), (i-1, j), (i, j+1), (i, j-1), so
+    coinciding neighbours (N <= 2) share a slot.  Bordered, one unknown is
+    appended to the N^2 nodes, and the source entries are the CSR entries
+    of the five-point matrix, then the border column, then the border row.
+    """
+    n2 = n * n
+    k = np.arange(n2).reshape(n, n)
+    if bordered:
+        five = _pattern(n, False)
+        a_rows = np.repeat(k.ravel(), np.diff(five.indptr))
+        rows = np.concatenate([a_rows, k.ravel(), np.full(n2, n2)])
+        cols = np.concatenate([five.indices, np.full(n2, n2), k.ravel()])
+    else:
+        neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
+        rows = np.repeat(k.ravel(), 5)
+        cols = np.stack([k] + neighbours, axis=-1).ravel()
+    size = n2 + int(bordered)
+    keys, slots = np.unique(rows * size + cols, return_inverse=True)
+    return _read_only(
+        _Pattern,
+        indptr=np.searchsorted(keys // size, np.arange(size + 1)),
+        indices=keys % size,
+        slots=slots,
+    )
+
+
+@functools.cache
+def _factor_order(n: int, bordered: bool) -> _FactorOrder:
+    """``_pattern(n, bordered)`` in the order ``dissection_order(n)``, border last.
+
+    Built once per N, on the first factorization.
+    """
+    pattern = _pattern(n, bordered)
+    size = pattern.size
+    order = np.concatenate([dissection_order(n), np.arange(n * n, size)])
+    inv = np.empty(size, dtype=np.intc)
+    inv[order] = np.arange(size, dtype=np.intc)
+    # row and column of every CSR entry of A in P A P^T
+    rows = inv[np.repeat(np.arange(size), np.diff(pattern.indptr))]
+    cols = inv[pattern.indices]
+    gather = np.lexsort((rows, cols))  # CSC order: by column, then row
+    return _read_only(
+        _FactorOrder,
+        order=order,
+        inv=inv,
+        indptr=np.searchsorted(cols[gather], np.arange(size + 1)),
+        indices=rows[gather],
+        gather=gather,
+        gather_t=np.lexsort((cols, rows)),  # the same for P A^T P^T, rows and columns swapped
+    )
+
+
+def _on_pattern(pattern: _Pattern, entries: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix on ``pattern`` with every source entry summed into its slot."""
+    data = np.bincount(pattern.slots, weights=entries, minlength=pattern.indices.size)
+    shape = (pattern.size, pattern.size)
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=shape)
+
+
 def _five_point_matrix(
     ham: PowerHamiltonian, nu: float, u: np.ndarray, shift: float
 ) -> sp.csr_matrix:
@@ -142,8 +257,11 @@ def _five_point_matrix(
     off-diagonals are nonpositive and its rows sum to zero (upwind
     monotonicity).  Entries repeat the float operations of the sparse sums
     shift I - nu (shifts - 4 I) (1/h^2) + (sum of g_k times shift
-    differences) (1/h), so the factored matrices are bit for bit theirs;
-    coinciding neighbours (N = 2) are summed and exact zeros are dropped.
+    differences) (1/h), so the factored matrices are bit for bit theirs.
+    Only the values are computed: the index arrays are the read-only
+    cached ``_pattern`` of the grid, shared by every matrix of one N.
+    Coinciding neighbours (N <= 2) are summed in stencil order, and exact
+    zeros stay as explicit entries so that the pattern never changes.
     """
     n = u.shape[-1]
     h = 1.0 / n
@@ -161,13 +279,14 @@ def _five_point_matrix(
         ],
         axis=-1,
     )
-    k = np.arange(n * n).reshape(n, n)
-    neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
-    cols = np.stack([k] + neighbours, axis=-1)
-    rows = np.repeat(k.ravel(), 5)
-    a = sp.csr_matrix((data.ravel(), (rows, cols.ravel())), shape=(n * n, n * n))
-    a.eliminate_zeros()
-    return a
+    return _on_pattern(_pattern(n, False), data.ravel())
+
+
+def _bordered_matrix(a: sp.csr_matrix, weight: float) -> sp.csr_matrix:
+    """[[A, 1], [weight 1^T, 0]] for a five-point matrix A from ``_five_point_matrix``."""
+    n2 = a.shape[0]
+    pattern = _pattern(math.isqrt(n2), True)
+    return _on_pattern(pattern, np.concatenate([a.data, np.ones(n2), np.full(n2, weight)]))
 
 
 def linearized_hjb_matrix(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> sp.csr_matrix:
@@ -188,20 +307,27 @@ def fp_matrix(ham: PowerHamiltonian, nu: float, dt: float, u_next: np.ndarray) -
 class _DissectedLU:
     """Sparse LU of A in the nested-dissection order of the torus grid.
 
-    N is read from the size of A; the unknowns beyond N^2 keep their order
-    at the end.  ``solve(b, trans)`` solves A x = b (trans="N") or
-    A^T x = b (trans="T") in the original order.
+    A is a matrix of ``_five_point_matrix`` or ``_bordered_matrix``, in CSR
+    form or as the CSC view of a transpose; N is read from its size.
+    P A P^T is formed by one gather of its data into the cached factor
+    order.  ``solve(b, trans)`` solves A x = b (trans="N") or A^T x = b
+    (trans="T") in the original order.
     """
 
     def __init__(self, a: sp.spmatrix):
         size = a.shape[0]
         n = math.isqrt(size)
-        self._p = np.concatenate([dissection_order(n), np.arange(n * n, size)])
-        self._inv = np.empty(size, dtype=np.intc)
-        self._inv[self._p] = np.arange(size, dtype=np.intc)
-        pap = a.tocsr()[self._p]  # rows of P A
-        pap.indices = self._inv[pap.indices]  # columns relabelled: P A P^T
-        self._lu = spla.splu(pap.tocsc(), permc_spec="NATURAL")
+        bordered = size > n * n
+        pattern = _pattern(n, bordered)
+        if not (
+            np.array_equal(a.indptr, pattern.indptr) and np.array_equal(a.indices, pattern.indices)
+        ):
+            raise ValueError("matrix is not on the cached five-point pattern of its grid")
+        f = _factor_order(n, bordered)
+        self._p, self._inv = f.order, f.inv
+        data = a.data[f.gather if a.format == "csr" else f.gather_t]
+        pap = sp.csc_matrix((data, f.indices, f.indptr), shape=a.shape)
+        self._lu = spla.splu(pap, permc_spec="NATURAL")
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         return self._lu.solve(b[self._p], trans=trans)[self._inv]

@@ -43,6 +43,7 @@ from .dynamics import (
     HjbStepConfig,
     LinearSolveContract,
     LinearSolveError,
+    _bordered_matrix,
     _clamp_density,
     _DissectedLU,
     adjoint_apply,
@@ -382,13 +383,9 @@ def _ergodic_value_residual(
     return -p.nu * lap + gval + lam - cost
 
 
-def _bordered_jacobian(p: ErgodicProblem, u: np.ndarray) -> sp.csc_matrix:
+def _bordered_jacobian(p: ErgodicProblem, u: np.ndarray) -> sp.csr_matrix:
     """[[A(u), 1], [h^2 1^T, 0]] with A(u) = ``linearized_hjb_matrix`` at u."""
-    n2 = p.grid.n_side ** 2
-    a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
-    ones_col = sp.csr_matrix(np.ones((n2, 1)))
-    mean_row = sp.csr_matrix(p.grid.h ** 2 * np.ones((1, n2)))
-    return sp.bmat([[a, ones_col], [mean_row, None]], format="csc")
+    return _bordered_matrix(linearized_hjb_matrix(p.hamiltonian, p.nu, u), p.grid.h ** 2)
 
 
 def _ergodic_hjb_newton(
@@ -428,12 +425,12 @@ def _stationary_density(p: ErgodicProblem, u: np.ndarray, tol: float) -> np.ndar
     LinearSolveError.
     """
     n = p.grid.n_side
-    j = _bordered_jacobian(p, u)
+    a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
-    x = _DissectedLU(j).solve(rhs, trans="T")[:-1]
+    x = _DissectedLU(_bordered_matrix(a, p.grid.h ** 2)).solve(rhs, trans="T")[:-1]
     x, _ = _clamp_density(x / (p.grid.h ** 2 * float(np.sum(x))))
-    at = j[:-1, :-1].T
+    at = a.T
     residual = float(np.max(np.abs(at @ x)))
     floor = STENCIL_FLOOR * np.finfo(float).eps * spla.norm(at, np.inf) * float(np.max(x))
     if not residual <= max(tol, floor):

@@ -75,3 +75,12 @@ def test_one_factorization_seam(token):
     src = Path(mfgfd.__file__).parent
     hits = {p.name: p.read_text().count(token) for p in sorted(src.glob("*.py"))}
     assert sum(hits.values()) == 1 and hits["dynamics.py"] == 1, hits
+
+
+@pytest.mark.parametrize("token", ["eliminate_zeros", "bmat", "tocsc("])
+def test_one_assembly_path(token):
+    # every matrix is filled on the cached pattern of its grid and put into
+    # the factor order by one gather in dynamics._DissectedLU
+    src = Path(mfgfd.__file__).parent
+    hits = {p.name: p.read_text().count(token) for p in sorted(src.glob("*.py"))}
+    assert sum(hits.values()) == 0, hits

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mfgfd.cost_ops import LocalCost
@@ -27,7 +28,7 @@ from mfgfd.dynamics import (
     linearized_hjb_matrix,
     transport_apply,
 )
-from mfgfd.hamiltonian import PowerHamiltonian
+from mfgfd.hamiltonian import PowerHamiltonian, hamiltonian_stencil
 from mfgfd.presets import hamiltonian_preset
 from mfgfd.solver import ErgodicProblem, _bordered_jacobian
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
@@ -83,6 +84,35 @@ def dense_fp_from_transport(ham, nu, dt, u):
             e / dt - nu * laplace_array(ek, 1.0 / n).ravel() - transport_apply(ham, u, ek).ravel()
         )
     return np.stack(cols, axis=1)
+
+
+def coo_five_point(ham, nu, u, shift):
+    """shift I - nu L + B(u) by the COO assembly that the cached pattern
+    replaced: the same entry formulas, coinciding neighbours summed by the
+    COO-to-CSR conversion and exact zeros dropped."""
+    n = u.shape[-1]
+    h = 1.0 / n
+    inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
+    g = ham.grad_grid(hamiltonian_stencil(u, h))
+    g1, g2, g3, g4 = (g[..., k] for k in range(4))
+    off = -nu * inv_h2
+    data = np.stack(
+        [
+            shift + (-nu * (-4.0 * inv_h2) + (((-g1 + g2) - g3) + g4) * inv_h),
+            off + g1 * inv_h,
+            off + (-g2) * inv_h,
+            off + g3 * inv_h,
+            off + (-g4) * inv_h,
+        ],
+        axis=-1,
+    )
+    k = np.arange(n * n).reshape(n, n)
+    neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
+    cols = np.stack([k] + neighbours, axis=-1)
+    rows = np.repeat(k.ravel(), 5)
+    a = sp.csr_matrix((data.ravel(), (rows, cols.ravel())), shape=(n * n, n * n))
+    a.eliminate_zeros()
+    return a
 
 
 def dense_linearized(ham, nu, u):
@@ -320,6 +350,44 @@ class TestAssembly:
             err = np.max(np.abs(got.toarray() - expect))
             assert err <= 1e-12 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_bit_identical_to_coo_reference(self, n, beta):
+        # at N = 1 all five stencil entries share one slot, at N = 2 pairs do
+        rng = np.random.default_rng(30 + n)
+        g = TorusGrid(n)
+        ham = PowerHamiltonian(beta, GridField(g, rng.normal(size=(n, n))))
+        p = ErgodicProblem(nu=0.7, hamiltonian=ham, cost=LocalCost.power(2.0), grid=g)
+        u = rng.normal(size=(n, n))
+        dt = 0.05
+        lin = coo_five_point(ham, p.nu, u, 0.0)
+        jac = coo_five_point(ham, p.nu, u, 1.0 / dt)
+        border = sp.bmat(
+            [
+                [lin, sp.csr_matrix(np.ones((n * n, 1)))],
+                [sp.csr_matrix(g.h**2 * np.ones((1, n * n))), None],
+            ]
+        )
+        built = [
+            (linearized_hjb_matrix(ham, p.nu, u), lin),
+            (hjb_jacobian(ham, p.nu, dt, u), jac),
+            (fp_matrix(ham, p.nu, dt, u), jac.T),
+            (_bordered_jacobian(p, u), border),
+        ]
+        for got, expect in built:
+            assert np.array_equal(got.toarray(), expect.toarray())
+        # a second call computes only the values, on the same read-only indices
+        again = [
+            linearized_hjb_matrix(ham, p.nu, 2.0 * u),
+            hjb_jacobian(ham, p.nu, dt, 2.0 * u),
+            fp_matrix(ham, p.nu, dt, 2.0 * u),
+            _bordered_jacobian(p, 2.0 * u),
+        ]
+        for (first, _), second in zip(built, again):
+            for name in ("indices", "indptr"):
+                a, b = getattr(first, name), getattr(second, name)
+                assert np.shares_memory(a, b) and not a.flags.writeable
+
 
 class TestFpStep:
     def test_heat_step_on_constant(self):
@@ -407,26 +475,37 @@ def ergodic_sines(n):
 
 
 class TestFactorization:
-    @pytest.mark.parametrize("n, bordered", [(2, False), (3, False), (8, False), (8, True)])
+    @pytest.mark.parametrize(
+        "n, bordered", [(2, False), (3, False), (8, False), (2, True), (3, True), (8, True)]
+    )
     def test_solves_match_dense(self, n, bordered):
         # N = 2 has coinciding neighbours; the bordered Jacobian adds one
-        # unknown past the N^2 grid nodes
+        # unknown past the N^2 grid nodes; fp_matrix is the CSC view of a
+        # transpose, factored through the second gather
         rng = np.random.default_rng(n)
         u = rng.normal(size=(n, n))
         p = ergodic_sines(n)
         if bordered:
-            a = _bordered_jacobian(p, u)
+            matrices = [_bordered_jacobian(p, u)]
         else:
-            a = hjb_jacobian(p.hamiltonian, 0.6, 0.05, u)
-        dense = a.toarray()
-        before = dense.copy()
-        b = rng.normal(size=dense.shape[0])
-        lu = _DissectedLU(a)
-        for trans, m in (("N", dense), ("T", dense.T)):
-            expect = np.linalg.solve(m, b)
-            got = lu.solve(b, trans=trans)
-            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
-        assert np.array_equal(a.toarray(), before)
+            matrices = [
+                hjb_jacobian(p.hamiltonian, 0.6, 0.05, u),
+                fp_matrix(p.hamiltonian, 0.6, 0.05, u),
+            ]
+        for a in matrices:
+            dense = a.toarray()
+            before = dense.copy()
+            b = rng.normal(size=dense.shape[0])
+            lu = _DissectedLU(a)
+            for trans, m in (("N", dense), ("T", dense.T)):
+                expect = np.linalg.solve(m, b)
+                got = lu.solve(b, trans=trans)
+                assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+            assert np.array_equal(a.toarray(), before)
+
+    def test_rejects_matrix_off_the_pattern(self):
+        with pytest.raises(ValueError, match="pattern"):
+            _DissectedLU(sp.identity(64, format="csr"))
 
     def test_fill_below_default_ordering(self):
         # the bordered Jacobian's dense row and column stay last
@@ -434,7 +513,7 @@ class TestFactorization:
         x1, x2 = TorusGrid(n).node_coords()
         u = 0.3 * np.cos(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
         j = _bordered_jacobian(ergodic_sines(n), u)
-        assert _DissectedLU(j)._lu.nnz <= 0.75 * spla.splu(j).nnz
+        assert _DissectedLU(j)._lu.nnz <= 0.75 * spla.splu(sp.csc_matrix(j)).nnz
 
 
 class TestNonFiniteSolves:
