@@ -24,7 +24,6 @@ from .dynamics import (
     PositivityError,
     hjb_residual,
     hjb_step_solve,
-    hjb_step_picard,
     transport_apply,
     linearized_hjb_apply,
     adjoint_apply,

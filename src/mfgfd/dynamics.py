@@ -26,13 +26,13 @@ solves
 
     (1/dt) m_cur - nu Lap_h m_cur - transport(u_next, m_cur) = (1/dt) m_next.
 
-Its matrix is the transpose of the value-step Jacobian, built by the same
-five-point assembly, which is exactly the adjoint relation the scheme is
-built on; column sums of its advection-diffusion block vanish,
-so the h^2-weighted mass is conserved to the linear-solve tolerance, and
-the M-matrix sign pattern preserves nonnegativity.  Nonnegative clamping of
-roundoff-level undershoot (never below -1e-12) keeps densities in the
-simplex without hiding real defects.
+Its matrix is the transpose of the value-step Jacobian at u_next, which is
+exactly the adjoint relation the scheme is built on, so the step solves
+with the transpose of that Jacobian's LU; column sums of its
+advection-diffusion block vanish, so the h^2-weighted mass is conserved to
+the linear-solve tolerance, and the M-matrix sign pattern preserves
+nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
+below -1e-12) keeps densities in the simplex without hiding real defects.
 
 Every operator takes and returns plain (N, N) float64 arrays, one time
 slice each, and reads the grid step of the unit torus from the array as
@@ -50,9 +50,9 @@ matrices themselves are built and returned in lexicographic order.
 
 The sparsity pattern depends on N alone: its index arrays are built once
 per N and cached read-only (``_pattern``), an assembly computes only the
-values, and exact zeros stay as explicit entries.  ``_DissectedLU`` forms
-P A P^T, or P A^T P^T, by one gather of the data through maps cached per
-N on the first factorization (``_factor_order``).
+values, and exact zeros stay as explicit entries.  Only such CSR matrices
+are factored: ``_DissectedLU`` forms P A P^T by one gather of the data
+through a map cached per N on the first factorization (``_factor_order``).
 """
 
 from __future__ import annotations
@@ -78,13 +78,11 @@ __all__ = [
     "newton_armijo",
     "hjb_residual",
     "hjb_step_solve",
-    "hjb_step_picard",
     "transport_apply",
     "linearized_hjb_apply",
     "adjoint_apply",
     "linearized_hjb_matrix",
     "hjb_jacobian",
-    "fp_matrix",
     "fp_step_solve",
     "adjoint_check",
 ]
@@ -143,14 +141,14 @@ class PositivityError(RuntimeError):
 class _Pattern:
     """Lexicographic CSR pattern of the matrices on one grid.
 
-    The pattern is structurally symmetric, so ``indptr`` and ``indices``
-    are also its CSC pattern, and the CSR data of A is the CSC data of
-    A^T.  ``slots[e]`` is the slot that source entry e is summed into.
+    ``slots[e]`` is the slot that stencil entry e is summed into (none when
+    bordered: no two entries share a slot).  A CSC matrix of A^T has the
+    same index arrays, since the pattern is structurally symmetric.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray
+    slots: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -162,9 +160,8 @@ class _FactorOrder:
     """A ``_Pattern`` in the factor order P of ``_DissectedLU``.
 
     ``order[k]`` is the unknown eliminated k-th and ``inv`` its inverse.
-    ``indptr`` and ``indices`` are the CSC pattern of P A P^T, which
-    P A^T P^T shares; their CSC data is the CSR data of A gathered by
-    ``gather`` and by ``gather_t``.
+    ``indptr`` and ``indices`` are the CSC pattern of P A P^T; its CSC
+    data is the CSR data of A gathered by ``gather``.
     """
 
     order: np.ndarray
@@ -172,7 +169,6 @@ class _FactorOrder:
     indptr: np.ndarray
     indices: np.ndarray
     gather: np.ndarray
-    gather_t: np.ndarray
 
 
 def _read_only(cls, **arrays: np.ndarray):
@@ -190,28 +186,30 @@ def _pattern(n: int, bordered: bool) -> _Pattern:
     Unbordered, the source entries are the 5 N^2 stencil entries, node by
     node in the order (i, j), (i+1, j), (i-1, j), (i, j+1), (i, j-1), so
     coinciding neighbours (N <= 2) share a slot.  Bordered, one unknown is
-    appended to the N^2 nodes, and the source entries are the CSR entries
-    of the five-point matrix, then the border column, then the border row.
+    appended to the N^2 nodes (``_with_border``).
     """
     n2 = n * n
-    k = np.arange(n2).reshape(n, n)
     if bordered:
         five = _pattern(n, False)
-        a_rows = np.repeat(k.ravel(), np.diff(five.indptr))
-        rows = np.concatenate([a_rows, k.ravel(), np.full(n2, n2)])
-        cols = np.concatenate([five.indices, np.full(n2, n2), k.ravel()])
-    else:
-        neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
-        rows = np.repeat(k.ravel(), 5)
-        cols = np.stack([k] + neighbours, axis=-1).ravel()
-    size = n2 + int(bordered)
-    keys, slots = np.unique(rows * size + cols, return_inverse=True)
+        indices = _with_border(five.indices, np.full(n2, n2), np.arange(n2))
+        indptr = np.append(np.arange(n2 + 1) * (five.indices.size // n2 + 1), indices.size)
+        return _read_only(_Pattern, indptr=indptr, indices=indices)
+    k = np.arange(n2).reshape(n, n)
+    neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
+    rows = np.repeat(k.ravel(), 5)
+    cols = np.stack([k] + neighbours, axis=-1).ravel()
+    keys, slots = np.unique(rows * n2 + cols, return_inverse=True)
     return _read_only(
         _Pattern,
-        indptr=np.searchsorted(keys // size, np.arange(size + 1)),
-        indices=keys % size,
+        indptr=np.searchsorted(keys // n2, np.arange(n2 + 1)),
+        indices=keys % n2,
         slots=slots,
     )
+
+
+def _with_border(entries: np.ndarray, column: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """CSR entries of [[A, column], [row, 0]]: all rows of A are equally long."""
+    return np.concatenate([np.column_stack([entries.reshape(row.size, -1), column]).ravel(), row])
 
 
 @functools.cache
@@ -236,15 +234,7 @@ def _factor_order(n: int, bordered: bool) -> _FactorOrder:
         indptr=np.searchsorted(cols[gather], np.arange(size + 1)),
         indices=rows[gather],
         gather=gather,
-        gather_t=np.lexsort((cols, rows)),  # the same for P A^T P^T, rows and columns swapped
     )
-
-
-def _on_pattern(pattern: _Pattern, entries: np.ndarray) -> sp.csr_matrix:
-    """The CSR matrix on ``pattern`` with every source entry summed into its slot."""
-    data = np.bincount(pattern.slots, weights=entries, minlength=pattern.indices.size)
-    shape = (pattern.size, pattern.size)
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=shape)
 
 
 def _five_point_matrix(
@@ -279,14 +269,17 @@ def _five_point_matrix(
         ],
         axis=-1,
     )
-    return _on_pattern(_pattern(n, False), data.ravel())
+    pattern = _pattern(n, False)
+    data = np.bincount(pattern.slots, weights=data.ravel(), minlength=pattern.indices.size)
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n * n, n * n))
 
 
 def _bordered_matrix(a: sp.csr_matrix, weight: float) -> sp.csr_matrix:
     """[[A, 1], [weight 1^T, 0]] for a five-point matrix A from ``_five_point_matrix``."""
     n2 = a.shape[0]
     pattern = _pattern(math.isqrt(n2), True)
-    return _on_pattern(pattern, np.concatenate([a.data, np.ones(n2), np.full(n2, weight)]))
+    data = _with_border(a.data, np.ones(n2), np.full(n2, weight))
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n2 + 1, n2 + 1))
 
 
 def linearized_hjb_matrix(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> sp.csr_matrix:
@@ -299,19 +292,14 @@ def hjb_jacobian(ham: PowerHamiltonian, nu: float, dt: float, u: np.ndarray) -> 
     return _five_point_matrix(ham, nu, u, 1.0 / dt)
 
 
-def fp_matrix(ham: PowerHamiltonian, nu: float, dt: float, u_next: np.ndarray) -> sp.csc_matrix:
-    """System matrix of the implicit density step: the transpose of ``hjb_jacobian``."""
-    return _five_point_matrix(ham, nu, u_next, 1.0 / dt).T
-
-
 class _DissectedLU:
     """Sparse LU of A in the nested-dissection order of the torus grid.
 
-    A is a matrix of ``_five_point_matrix`` or ``_bordered_matrix``, in CSR
-    form or as the CSC view of a transpose; N is read from its size.
-    P A P^T is formed by one gather of its data into the cached factor
-    order.  ``solve(b, trans)`` solves A x = b (trans="N") or A^T x = b
-    (trans="T") in the original order.
+    A is a CSR matrix of ``_five_point_matrix`` or ``_bordered_matrix``;
+    N is read from its size.  P A P^T is formed by one gather of its data
+    into the cached factor order.  ``solve(b, trans)`` solves A x = b
+    (trans="N") or A^T x = b (trans="T") in the original order.  Any other
+    matrix, a CSC one of A^T too, is a ValueError.
     """
 
     def __init__(self, a: sp.spmatrix):
@@ -320,32 +308,37 @@ class _DissectedLU:
         bordered = size > n * n
         pattern = _pattern(n, bordered)
         if not (
-            np.array_equal(a.indptr, pattern.indptr) and np.array_equal(a.indices, pattern.indices)
+            a.format == "csr"
+            and np.array_equal(a.indptr, pattern.indptr)
+            and np.array_equal(a.indices, pattern.indices)
         ):
-            raise ValueError("matrix is not on the cached five-point pattern of its grid")
+            raise ValueError("matrix is not in CSR form on the cached pattern of its grid")
         f = _factor_order(n, bordered)
         self._p, self._inv = f.order, f.inv
-        data = a.data[f.gather if a.format == "csr" else f.gather_t]
-        pap = sp.csc_matrix((data, f.indices, f.indptr), shape=a.shape)
+        pap = sp.csc_matrix((a.data[f.gather], f.indices, f.indptr), shape=a.shape)
         self._lu = spla.splu(pap, permc_spec="NATURAL")
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         return self._lu.solve(b[self._p], trans=trans)[self._inv]
 
 
-def _solve_checked(a: sp.spmatrix, b: np.ndarray, contract: LinearSolveContract) -> np.ndarray:
-    """x with A x = b and |A x - b|_inf <= residual_tol |b|_inf.
+def _solve_checked(
+    a: sp.csr_matrix, b: np.ndarray, contract: LinearSolveContract, trans: str = "N"
+) -> np.ndarray:
+    """x with M x = b and |M x - b|_inf <= residual_tol |b|_inf.
 
-    One step of iterative refinement follows a miss; a second miss, or a
-    non-finite residual, is a LinearSolveError.
+    M is A (trans="N") or A^T (trans="T"), solved with the factor of A.
+    One step of iterative refinement against M follows a miss; a second
+    miss, or a non-finite residual, is a LinearSolveError.
     """
     lu = _DissectedLU(a)
-    x = lu.solve(b)
+    m = a if trans == "N" else a.T
+    x = lu.solve(b, trans)
     limit = contract.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
-    resid = a @ x - b
+    resid = m @ x - b
     if not float(np.max(np.abs(resid))) <= limit:
-        x = x + lu.solve(-resid)  # one step of iterative refinement
-        resid = a @ x - b
+        x = x + lu.solve(-resid, trans)  # one step of iterative refinement
+        resid = m @ x - b
         if not float(np.max(np.abs(resid))) <= limit:
             raise LinearSolveError(
                 f"linear solve residual {float(np.max(np.abs(resid))):.3e} exceeds contract"
@@ -441,33 +434,6 @@ def hjb_step_solve(
     return newton_armijo(residual, jacobian, start, cfg, contract).reshape(shape)
 
 
-def hjb_step_picard(
-    ham: PowerHamiltonian,
-    nu: float,
-    dt: float,
-    u_cur: np.ndarray,
-    cost: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 200000,
-) -> np.ndarray:
-    """Fixed-point iteration u <- u_cur + dt (nu Lap u - value + cost).
-
-    Independent cross-check of the Newton path; contracts only when dt is
-    small against nu / h^2, so it is a small-step oracle, not a solver.
-    """
-    h = 1.0 / u_cur.shape[-1]
-    u = u_cur
-    for _ in range(max_iter):
-        lap = laplace_array(u, h)
-        gval = ham.value_grid(hamiltonian_stencil(u, h))
-        new = u_cur + dt * (nu * lap - gval + cost)
-        change = float(np.max(np.abs(new - u)))
-        u = new
-        if change <= tol:
-            return u
-    raise NonConvergence(max_iter, change)
-
-
 # ---------------------------------------------------------------------------
 # transport and the implicit density step
 # ---------------------------------------------------------------------------
@@ -545,8 +511,8 @@ def fp_step_solve(
     if nu <= 0:
         raise ValueError("nu must be positive")
     contract = contract or LinearSolveContract()
-    a = fp_matrix(ham, nu, dt, u_next)
-    x, clamp = _clamp_density(_solve_checked(a, m_next.ravel() / dt, contract))
+    a = hjb_jacobian(ham, nu, dt, u_next)
+    x, clamp = _clamp_density(_solve_checked(a, m_next.ravel() / dt, contract, trans="T"))
     return x.reshape(m_next.shape), clamp
 
 

@@ -16,6 +16,7 @@ from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
 from mfgfd.study import convergence_study
 from mfgfd.torus_grid import GridField, SpaceTimeField, TimeMesh, TorusGrid, laplace_array, mass
 from mfgfd.verify import run_adjoint_suite, run_identity_suite, run_lemma_suites
+from oracles import hjb_step_picard
 
 
 def _report(num: int, name: str) -> None:
@@ -222,6 +223,6 @@ def test_criterion_10_brute_force_equivalence():
     ham8 = m.PowerHamiltonian(2.0, GridField.zeros(g8))
     u_cur = GridField.from_function(g8, lambda x1, x2: np.cos(2 * np.pi * x1)).values
     newton = m.hjb_step_solve(ham8, 1.0, 1e-3, u_cur, np.zeros((8, 8)))
-    picard = m.hjb_step_picard(ham8, 1.0, 1e-3, u_cur, np.zeros((8, 8)), tol=1e-13)
+    picard = hjb_step_picard(ham8, 1.0, 1e-3, u_cur, np.zeros((8, 8)), tol=1e-13)
     assert float(np.max(np.abs(newton - picard))) <= 1e-9
     _report(10, "brute-force-equivalence")

@@ -35,7 +35,7 @@ def test_star_import(name):
 
 # Targets the tracer still names though the function is gone (CHANGES.md
 # records them); each must stay missing until the tracer drops it.
-STALE_TARGETS = {"mfgfd.dynamics._fp_step_with_stats"}
+STALE_TARGETS = {"mfgfd.dynamics._fp_step_with_stats", "mfgfd.dynamics.fp_matrix"}
 
 
 def _tracing_targets():
@@ -77,10 +77,11 @@ def test_one_factorization_seam(token):
     assert sum(hits.values()) == 1 and hits["dynamics.py"] == 1, hits
 
 
-@pytest.mark.parametrize("token", ["eliminate_zeros", "bmat", "tocsc("])
+@pytest.mark.parametrize("token", ["eliminate_zeros", "bmat", "tocsc(", "gather_t", "fp_matrix"])
 def test_one_assembly_path(token):
     # every matrix is filled on the cached pattern of its grid and put into
-    # the factor order by one gather in dynamics._DissectedLU
+    # the factor order by one gather in dynamics._DissectedLU; a transposed
+    # system is solved with the factor of the CSR matrix itself
     src = Path(mfgfd.__file__).parent
     hits = {p.name: p.read_text().count(token) for p in sorted(src.glob("*.py"))}
     assert sum(hits.values()) == 0, hits

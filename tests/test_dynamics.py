@@ -18,11 +18,9 @@ from mfgfd.dynamics import (
     _solve_checked,
     adjoint_apply,
     adjoint_check,
-    fp_matrix,
     fp_step_solve,
     hjb_jacobian,
     hjb_residual,
-    hjb_step_picard,
     hjb_step_solve,
     linearized_hjb_apply,
     linearized_hjb_matrix,
@@ -32,6 +30,7 @@ from mfgfd.hamiltonian import PowerHamiltonian, hamiltonian_stencil
 from mfgfd.presets import hamiltonian_preset
 from mfgfd.solver import ErgodicProblem, _bordered_jacobian
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
+from oracles import hjb_step_picard
 
 NU = 1.0
 
@@ -323,7 +322,7 @@ class TestStencilFloor:
         ham = zero_ham(1.5)
         rough = np.random.default_rng(seed).normal(size=(8, 8))
         for u in (noisy_constant(seed=seed), rough):
-            a = fp_matrix(ham, NU, 0.05, u).toarray()
+            a = hjb_jacobian(ham, NU, 0.05, u).T.toarray()
             dense = dense_fp_from_transport(ham, NU, 0.05, u)
             assert np.max(np.abs(a - dense)) <= 1e-12 * np.max(np.abs(a))
 
@@ -345,7 +344,7 @@ class TestAssembly:
         for got, expect in (
             (linearized_hjb_matrix(ham, nu, u), lin),
             (hjb_jacobian(ham, nu, dt, u), np.eye(n * n) / dt + lin),
-            (fp_matrix(ham, nu, dt, u), dense_fp_from_transport(ham, nu, dt, u)),
+            (hjb_jacobian(ham, nu, dt, u).T, dense_fp_from_transport(ham, nu, dt, u)),
         ):
             err = np.max(np.abs(got.toarray() - expect))
             assert err <= 1e-12 * np.max(np.abs(expect))
@@ -371,7 +370,7 @@ class TestAssembly:
         built = [
             (linearized_hjb_matrix(ham, p.nu, u), lin),
             (hjb_jacobian(ham, p.nu, dt, u), jac),
-            (fp_matrix(ham, p.nu, dt, u), jac.T),
+            (hjb_jacobian(ham, p.nu, dt, u).T, jac.T),
             (_bordered_jacobian(p, u), border),
         ]
         for got, expect in built:
@@ -380,7 +379,7 @@ class TestAssembly:
         again = [
             linearized_hjb_matrix(ham, p.nu, 2.0 * u),
             hjb_jacobian(ham, p.nu, dt, 2.0 * u),
-            fp_matrix(ham, p.nu, dt, 2.0 * u),
+            hjb_jacobian(ham, p.nu, dt, 2.0 * u).T,
             _bordered_jacobian(p, 2.0 * u),
         ]
         for (first, _), second in zip(built, again):
@@ -443,7 +442,7 @@ class TestFpStep:
         rng = np.random.default_rng(11)
         ham = zero_ham()
         u = rng.normal(size=(8, 8))
-        a = fp_matrix(ham, NU, 0.05, u).toarray()
+        a = hjb_jacobian(ham, NU, 0.05, u).T.toarray()
         off = a - np.diag(np.diag(a))
         assert np.all(np.diag(a) > 0)
         assert np.all(off <= 1e-14)
@@ -480,32 +479,46 @@ class TestFactorization:
     )
     def test_solves_match_dense(self, n, bordered):
         # N = 2 has coinciding neighbours; the bordered Jacobian adds one
-        # unknown past the N^2 grid nodes; fp_matrix is the CSC view of a
-        # transpose, factored through the second gather
+        # unknown past the N^2 grid nodes
         rng = np.random.default_rng(n)
         u = rng.normal(size=(n, n))
         p = ergodic_sines(n)
         if bordered:
-            matrices = [_bordered_jacobian(p, u)]
+            a = _bordered_jacobian(p, u)
         else:
-            matrices = [
-                hjb_jacobian(p.hamiltonian, 0.6, 0.05, u),
-                fp_matrix(p.hamiltonian, 0.6, 0.05, u),
-            ]
-        for a in matrices:
-            dense = a.toarray()
-            before = dense.copy()
-            b = rng.normal(size=dense.shape[0])
-            lu = _DissectedLU(a)
-            for trans, m in (("N", dense), ("T", dense.T)):
-                expect = np.linalg.solve(m, b)
-                got = lu.solve(b, trans=trans)
-                assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
-            assert np.array_equal(a.toarray(), before)
+            a = hjb_jacobian(p.hamiltonian, 0.6, 0.05, u)
+        dense = a.toarray()
+        before = dense.copy()
+        b = rng.normal(size=dense.shape[0])
+        lu = _DissectedLU(a)
+        for trans, m in (("N", dense), ("T", dense.T)):
+            expect = np.linalg.solve(m, b)
+            got = lu.solve(b, trans=trans)
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+        assert np.array_equal(a.toarray(), before)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_transposed_checked_solve_matches_dense(self, n):
+        # the density step's solve: J^T x = b with the factor of J, checked
+        # against J^T; a rough u makes J far from symmetric
+        rng = np.random.default_rng(40 + n)
+        u = rng.normal(size=(n, n))
+        j = hjb_jacobian(ergodic_sines(n).hamiltonian, 0.6, 0.05, u)
+        dense = j.toarray()
+        assert np.max(np.abs(dense - dense.T)) > 0.1 * np.max(np.abs(dense))
+        b = rng.normal(size=n * n)
+        expect = np.linalg.solve(dense.T, b)
+        got = _solve_checked(j, b, LinearSolveContract(), "T")
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_rejects_matrix_off_the_pattern(self):
-        with pytest.raises(ValueError, match="pattern"):
-            _DissectedLU(sp.identity(64, format="csr"))
+        # the pattern is structurally symmetric, so a CSC matrix carries the
+        # index arrays of the CSR pattern; factoring its data as CSR would
+        # factor the transpose of the matrix meant
+        j = hjb_jacobian(ergodic_sines(8).hamiltonian, 0.6, 0.05, cosine())
+        for a in (sp.identity(64, format="csr"), j.T, sp.csc_matrix(j)):
+            with pytest.raises(ValueError, match="pattern"):
+                _DissectedLU(a)
 
     def test_fill_below_default_ordering(self):
         # the bordered Jacobian's dense row and column stay last
@@ -521,8 +534,9 @@ class TestNonFiniteSolves:
         a = hjb_jacobian(zero_ham(), NU, 0.05, cosine())
         b = np.ones(64)
         b[5] = np.inf
-        with pytest.raises(LinearSolveError):
-            _solve_checked(a, b, LinearSolveContract())
+        for trans in ("N", "T"):
+            with pytest.raises(LinearSolveError):
+                _solve_checked(a, b, LinearSolveContract(), trans)
 
     def test_nan_density_raises(self):
         m_next = np.ones((8, 8))
