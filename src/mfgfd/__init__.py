@@ -8,7 +8,6 @@ from .torus_grid import (
     stencil_array,
     cell_average,
     mass,
-    restrict,
 )
 from .hamiltonian import PowerHamiltonian, upwind_part, weighted_bregman_gap, inequality_suite
 from .cost_ops import (

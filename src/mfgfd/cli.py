@@ -147,6 +147,9 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
+        return 1
     outdir = Path(args.out or "verify_out")
     reports = {}
     if args.suite in ("lemmas", "all"):

@@ -65,8 +65,8 @@ from .torus_grid import (
     SpaceTimeField,
     TimeMesh,
     TorusGrid,
+    gradient_power_sum,
     laplace_array,
-    stencil_array,
     time_sum,
 )
 
@@ -619,8 +619,7 @@ def _trajectory_monitors(
     """
     h2 = u.grid.h ** 2
     dt = u.mesh.dt
-    d = stencil_array(u.values[1:], u.grid.h)
-    grad_term = time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0)) * (h2 * dt)
+    grad_term = gradient_power_sum(u.values[1:], u.grid.h, beta) * (h2 * dt)
     fvals = cost.f(np.maximum(m.values[:-1], 0.0))
     cost_term = time_sum(np.abs(fvals) ** cost.gamma) * (h2 * dt)
     means = h2 * np.sum(u.values, axis=(-2, -1))

@@ -1,12 +1,13 @@
 """Mesh-refinement self-convergence harness.
 
 Solves one problem family on a nested hierarchy of grids (each side count
-divides the next, the step count scaled along), restricts the finest
-solution onto each coarser level by injection in space and time, and
-reports per-level errors plus observed orders log2(err_coarse / err_fine)
-between consecutive levels.  There is no exact solution here; the finest
-level is the reference, which is what the convergence theory licenses for
-smooth presets.
+divides the next, the step count scaled along), reads the finest solution
+at the nodes and times of each coarser level (injection in space and
+time), and reports per-level errors plus observed orders
+log2(err_coarse / err_fine) between consecutive levels.  There is no exact
+solution here; the finest level is the reference, which is what the
+convergence theory licenses for smooth presets.  A stationary solution is
+measured as the one-step trajectory that stays at (u, m).
 """
 
 from __future__ import annotations
@@ -19,21 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import HjbStepConfig, LinearSolveContract
-from .solver import (
-    ErgodicSolution,
-    EvolutiveSolution,
-    FixedPointConfig,
-    solve_ergodic,
-    solve_evolutive,
-)
-from .torus_grid import (
-    SpaceTimeField,
-    TorusGrid,
-    restrict,
-    restrict_space_time,
-    stencil_array,
-    time_sum,
-)
+from .solver import ErgodicSolution, FixedPointConfig, solve_ergodic, solve_evolutive
+from .torus_grid import gradient_power_sum, time_sum
 
 __all__ = ["convergence_study", "write_study", "check_levels_nested"]
 
@@ -48,38 +36,31 @@ def check_levels_nested(levels: Sequence[tuple[int, int]]) -> None:
             raise ValueError(f"time levels not nested: {ta} does not divide into {tb}")
 
 
-def _error_norms(
-    du: np.ndarray, dm: np.ndarray, h: float, dt: float, beta: float, m_exponent: float
-) -> dict:
-    """(h^2 dt)-weighted discrete W^{1,beta} seminorm of du and L^m_exponent
-    norm of dm, for (K, N, N) error arrays; slice totals add in time order."""
+def _trajectory(sol) -> tuple[np.ndarray, np.ndarray, float]:
+    """(u, m, dt) of a solution as (K + 1, N, N) arrays; a stationary pair
+    is the one-step trajectory (u, u), (m, m) with unit weight dt = 1."""
+    if isinstance(sol, ErgodicSolution):
+        u, m = sol.u.values, sol.m.field.values
+        return np.stack([u, u]), np.stack([m, m]), 1.0
+    return sol.u.values, sol.m.values, sol.u.mesh.dt
+
+
+def _level_errors(level: tuple, ref: tuple, beta: float, m_exponent: float) -> dict:
+    """Errors of a ``_trajectory`` against the reference one read at its
+    nodes and times: sup norm of du over all slices, (h^2 dt)-weighted
+    discrete W^{1,beta} seminorm of du over t_1..t_K and L^m_exponent norm
+    of dm over t_0..t_{K-1}; slice totals add in time order."""
+    (u, m, dt), (ref_u, ref_m, _) = level, ref
+    t = (len(ref_u) - 1) // (len(u) - 1)
+    r = ref_u.shape[-1] // u.shape[-1]
+    h = 1.0 / u.shape[-1]
     h2 = h ** 2
-    d = stencil_array(du, h)
-    grad_total = time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0))
-    m_total = time_sum(np.abs(dm) ** m_exponent)
-    return {
-        "err_u_w1beta": (h2 * dt * grad_total) ** (1.0 / beta),
-        "err_m": (h2 * dt * m_total) ** (1.0 / m_exponent),
-    }
-
-
-def _space_time_errors(
-    coarse_u: SpaceTimeField,
-    coarse_m: SpaceTimeField,
-    ref_u: SpaceTimeField,
-    ref_m: SpaceTimeField,
-    beta: float,
-    m_exponent: float,
-) -> dict:
-    grid = coarse_u.grid
-    mesh = coarse_u.mesh
-    ru = restrict_space_time(ref_u, mesh, grid)
-    rm = restrict_space_time(ref_m, mesh, grid)
-    du = coarse_u.values - ru.values
-    dm = coarse_m.values[:-1] - rm.values[:-1]
+    du = u - ref_u[::t, ::r, ::r]
+    dm = m[:-1] - ref_m[::t, ::r, ::r][:-1]
     return {
         "err_u_sup": float(np.max(np.abs(du))),
-        **_error_norms(du[1:], dm, grid.h, mesh.dt, beta, m_exponent),
+        "err_u_w1beta": (h2 * dt * gradient_power_sum(du[1:], h, beta)) ** (1.0 / beta),
+        "err_m": (h2 * dt * time_sum(np.abs(dm) ** m_exponent)) ** (1.0 / m_exponent),
     }
 
 
@@ -101,67 +82,35 @@ def convergence_study(
     levels = [tuple(lv) for lv in levels]
     check_levels_nested(levels)
 
-    solve = solve_ergodic if kind == "ergodic" else solve_evolutive
+    ergodic = kind == "ergodic"
+    solve = solve_ergodic if ergodic else solve_evolutive
     solutions = [
         solve(make_problem(*lv), cfg=cfg, hjb_cfg=hjb_cfg, contract=contract) for lv in levels
     ]
 
     beta = make_problem(*levels[0]).hamiltonian.beta
+    ref = _trajectory(solutions[-1])
     rows: list[dict] = []
-    if kind == "ergodic":
-        ref = solutions[-1]
-        for (n_side, n_steps), sol in zip(levels, solutions):
-            assert isinstance(sol, ErgodicSolution)
-            row = {
-                "n_side": n_side,
-                "n_steps": n_steps,
-                "h": 1.0 / n_side,
-                "dt": 0.0,
-                "lambda": sol.lam,
-            }
-            if sol is not ref:
-                grid = TorusGrid(n_side)
-                du = sol.u.values - restrict(ref.u, grid).values
-                dm = sol.m.field.values - restrict(ref.m.field, grid).values
-                row["err_u_sup"] = float(np.max(np.abs(du)))
-                row.update(_error_norms(du[None], dm[None], grid.h, 1.0, beta, m_exponent))
-            rows.append(row)
+    for (n_side, n_steps), sol in zip(levels, solutions):
+        row = {"n_side": n_side, "n_steps": n_steps, "h": 1.0 / n_side}
+        if ergodic:
+            row.update({"dt": 0.0, "lambda": sol.lam})
+        else:
+            row.update({"dt": sol.u.mesh.dt, "outer_iters": sol.outer_iters})
+        if sol is not solutions[-1]:
+            row.update(_level_errors(_trajectory(sol), ref, beta, m_exponent))
+        if not ergodic and sol.monitors is not None:
+            row["monitors"] = {k: v for k, v in sol.monitors.items() if k != "u_mean_path"}
+        rows.append(row)
+    report = {
+        "kind": "ergodic" if ergodic else "evolutive",
+        "m_exponent": m_exponent,
+        "beta": beta,
+        "levels": rows,
+    }
+    if ergodic:
         lam_values = [r["lambda"] for r in rows]
-        increments = [abs(b - a) for a, b in zip(lam_values, lam_values[1:])]
-        report = {
-            "kind": "ergodic",
-            "m_exponent": m_exponent,
-            "beta": beta,
-            "levels": rows,
-            "lambda_increments": increments,
-        }
-    else:
-        ref = solutions[-1]
-        assert isinstance(ref, EvolutiveSolution)
-        for (n_side, n_steps), sol in zip(levels, solutions):
-            assert isinstance(sol, EvolutiveSolution)
-            row = {
-                "n_side": n_side,
-                "n_steps": n_steps,
-                "h": 1.0 / n_side,
-                "dt": sol.u.mesh.dt,
-                "outer_iters": sol.outer_iters,
-            }
-            if sol is not ref:
-                row.update(
-                    _space_time_errors(sol.u, sol.m, ref.u, ref.m, beta, m_exponent)
-                )
-            if sol.monitors is not None:
-                row["monitors"] = {
-                    k: v for k, v in sol.monitors.items() if k != "u_mean_path"
-                }
-            rows.append(row)
-        report = {
-            "kind": "evolutive",
-            "m_exponent": m_exponent,
-            "beta": beta,
-            "levels": rows,
-        }
+        report["lambda_increments"] = [abs(b - a) for a, b in zip(lam_values, lam_values[1:])]
 
     # observed orders between consecutive error-bearing levels
     orders: dict[str, list[float]] = {}

@@ -37,8 +37,7 @@ __all__ = [
     "cell_average",
     "mass",
     "time_sum",
-    "restrict",
-    "restrict_space_time",
+    "gradient_power_sum",
     "save_grid_field",
     "load_grid_field",
 ]
@@ -291,35 +290,11 @@ def time_sum(values: np.ndarray) -> float:
     return float(np.cumsum(np.sum(values, axis=(-2, -1)))[-1])
 
 
-# ---------------------------------------------------------------------------
-# restriction
-# ---------------------------------------------------------------------------
-
-def _nested_ratio(grid_fine: TorusGrid, grid_coarse: TorusGrid) -> int:
-    nf, nc = grid_fine.n_side, grid_coarse.n_side
-    if nf % nc != 0:
-        raise ValueError(f"grids not nested: fine {nf} is not a multiple of coarse {nc}")
-    return nf // nc
-
-
-def restrict(u_fine: GridField, grid_coarse: TorusGrid) -> GridField:
-    """Injection onto a nested coarse grid (coarse node reads coinciding fine node)."""
-    r = _nested_ratio(u_fine.grid, grid_coarse)
-    return GridField(grid_coarse, u_fine.values[::r, ::r].copy())
-
-
-def restrict_space_time(
-    f_fine: SpaceTimeField, mesh_coarse: TimeMesh, grid_coarse: TorusGrid
-) -> SpaceTimeField:
-    """Injection in space and time onto nested coarse meshes."""
-    nt_f, nt_c = f_fine.mesh.n_steps, mesh_coarse.n_steps
-    if nt_f % nt_c != 0:
-        raise ValueError(f"time meshes not nested: {nt_f} vs {nt_c}")
-    stride = nt_f // nt_c
-    r = _nested_ratio(f_fine.grid, grid_coarse)
-    return SpaceTimeField.from_array(
-        mesh_coarse, grid_coarse, f_fine.values[::stride, ::r, ::r].copy()
-    )
+def gradient_power_sum(values: np.ndarray, h: float, beta: float) -> float:
+    """Sum of the stencil magnitudes |D values|^beta of a (K, N, N) array, in
+    ``time_sum`` order; times h^2 dt it is the discrete W^{1,beta} power."""
+    d = stencil_array(values, h)
+    return time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +315,14 @@ def save_grid_field(u: GridField, path: str | Path) -> None:
 
 
 def load_grid_field(path: str | Path) -> GridField:
+    """Read a ``save_grid_field`` file; ValueError naming it unless every
+    node (i, j) with 0 <= i, j < N appears exactly once."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     grid = TorusGrid(int(meta["n_side"]))
-    values = np.zeros((grid.n_side, grid.n_side))
+    n = grid.n_side
+    values = np.zeros((n, n))
+    seen = np.zeros((n, n), dtype=bool)
     with path.open() as fh:
         header = fh.readline()
         if header.strip() != "i,j,value":
@@ -351,6 +330,17 @@ def load_grid_field(path: str | Path) -> GridField:
         for line in fh:
             if not line.strip():
                 continue
-            si, sj, sv = line.split(",")
-            values[int(si), int(sj)] = float(sv)
+            try:
+                si, sj, sv = line.split(",")
+                i, j, v = int(si), int(sj), float(sv)
+            except ValueError:
+                raise ValueError(f"malformed row {line.strip()!r} in {path}") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"node ({i}, {j}) in {path} is outside the {n} x {n} grid")
+            if seen[i, j]:
+                raise ValueError(f"node ({i}, {j}) appears twice in {path}")
+            values[i, j] = v
+            seen[i, j] = True
+    if not seen.all():
+        raise ValueError(f"{path} misses {n * n - int(np.sum(seen))} of {n * n} nodes")
     return GridField(grid, values)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cost_ops import LocalCost
+from .cost_ops import DiscreteDensity, LocalCost
 from .dynamics import adjoint_check
 from .hamiltonian import PowerHamiltonian, inequality_suite
 from .solver import (
@@ -53,9 +53,7 @@ def run_lemma_suites(
     return {"suite": "lemmas", "reports": reports, "pass": all(r["pass"] for r in reports)}
 
 
-def _uniform_base(
-    ham: PowerHamiltonian, mesh: TimeMesh, grid: TorusGrid
-) -> tuple[SpaceTimeField, SpaceTimeField]:
+def _uniform_base(mesh: TimeMesh, grid: TorusGrid) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Spatially uniform exact pair for the linear cost: u^n = n dt, m = 1."""
     u = SpaceTimeField(
         mesh, [GridField.constant(grid, n * mesh.dt) for n in range(mesh.n_steps + 1)]
@@ -69,25 +67,25 @@ def run_identity_suite(
     pairs: int = 100,
     betas: Sequence[float] = (1.5, 2.0, 3.0),
     ham_factory: Optional[Callable[[float, GridField], PowerHamiltonian]] = None,
-    n_side: int = 8,
-    n_steps: int = 5,
 ) -> dict:
     """Perturbed-pair balance on seeded random trajectories.
 
     Per exponent, checks gap <= 1e-10 * scale for every pair and the
     nonnegativity (to the same tolerance) of the two Bregman terms and the
     cost pairing.  Solver failures on the smooth base count as suite
-    failures.
+    failures.  Raises ValueError for ``pairs`` below 1.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     ham_factory = ham_factory or PowerHamiltonian
-    grid = TorusGrid(n_side)
-    mesh = TimeMesh(0.5, n_steps)
+    grid = TorusGrid(8)
+    mesh = TimeMesh(0.5, 5)
     cost = LocalCost.linear()
     rng = np.random.Generator(np.random.Philox(seed))
     reports = []
     for beta in betas:
         ham_zero = ham_factory(beta, GridField.zeros(grid))
-        bases = [("uniform", _uniform_base(ham_zero, mesh, grid), ham_zero)]
+        bases = [("uniform", _uniform_base(mesh, grid), ham_zero)]
         error: Optional[str] = None
         try:
             potential = GridField.from_function(
@@ -95,8 +93,6 @@ def run_identity_suite(
                 lambda x1, x2: 0.5 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
             )
             ham_smooth = ham_factory(beta, potential)
-            from .cost_ops import DiscreteDensity
-
             problem = EvolutiveProblem(
                 nu=1.0,
                 hamiltonian=ham_smooth,
@@ -161,20 +157,18 @@ def run_identity_suite(
     }
 
 
-def run_adjoint_suite(
-    seed: int = 0,
-    probes: int = 100,
-    sizes: Sequence[int] = (4, 8, 16),
-    beta: float = 2.0,
-    nu: float = 1.0,
-) -> dict:
+def run_adjoint_suite(seed: int = 0, probes: int = 100) -> dict:
+    """Duality of the beta = 2 linearized value and density operators at
+    nu = 1, ``probes`` random pairs per side count 4, 8 and 16."""
+    if probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}")
     rng = np.random.Generator(np.random.Philox(seed))
     reports = []
-    for n in sizes:
+    for n in (4, 8, 16):
         grid = TorusGrid(n)
-        ham = PowerHamiltonian(beta, GridField.zeros(grid))
+        ham = PowerHamiltonian(2.0, GridField.zeros(grid))
         u = rng.normal(0.0, 1.0, size=(n, n))
-        worst = adjoint_check(ham, nu, u, probes=probes, seed=seed + n)
+        worst = adjoint_check(ham, 1.0, u, probes=probes, seed=seed + n)
         reports.append({"n_side": n, "max_discrepancy": worst, "pass": bool(worst <= ADJOINT_TOL)})
     return {
         "suite": "adjoint",

@@ -347,6 +347,16 @@ class TestVerifyCommand:
         assert (tmp_path / "lemmas_report.json").exists()
         assert not (tmp_path / "adjoint_report.json").exists()
 
+    @pytest.mark.parametrize("suite", ["lemmas", "identity", "adjoint", "all"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_one(self, tmp_path, capsys, suite, samples):
+        out = tmp_path / "reports"
+        assert main(["verify", suite, "--samples", samples, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_lemma_dispatch_covers_small_beta(self, tmp_path):
         main(["verify", "lemmas", "--seed", "3", "--samples", "200", "--out", str(tmp_path)])
         report = json.loads((tmp_path / "lemmas_report.json").read_text())
@@ -392,6 +402,22 @@ class TestFilePresets:
         cfg = parse_config_text(text)
         with pytest.raises(ValueError, match="n_side"):
             build_evolutive_problem(cfg)
+
+    def test_truncated_file_exit_one(self, tmp_path, capsys):
+        from mfgfd.torus_grid import GridField, TorusGrid, save_grid_field
+
+        pot_path = tmp_path / "potential.csv"
+        save_grid_field(GridField.zeros(TorusGrid(8)), pot_path)
+        pot_path.write_text("\n".join(pot_path.read_text().splitlines()[:-5]) + "\n")
+        text = UNIFORM_CONFIG.format(out=tmp_path / "out").replace(
+            "hamiltonian = zero",
+            f"hamiltonian = file\nhamiltonian.file = {pot_path}",
+        )
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "misses 5 of 64 nodes" in err
 
     def test_missing_file_key_rejected(self, tmp_path):
         from mfgfd.config import ConfigError, parse_config_text

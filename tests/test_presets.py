@@ -14,8 +14,7 @@ from mfgfd.presets import (
     terminal_density_preset,
     u0_preset,
 )
-from mfgfd.torus_grid import GridField, TorusGrid, mass, restrict_space_time
-from mfgfd.torus_grid import SpaceTimeField, TimeMesh
+from mfgfd.torus_grid import GridField, TorusGrid, mass
 
 
 class TestFieldPresets:
@@ -139,21 +138,3 @@ outer_tol = 1e-8
         assert hjb.newton_tol == 1e-11
         assert contract.residual_tol == 1e-12
 
-
-class TestSpaceTimeRestriction:
-    def test_injection_of_nested_fields(self):
-        g_fine = TorusGrid(8)
-        mesh_fine = TimeMesh(1.0, 4)
-        rng = np.random.default_rng(0)
-        f = SpaceTimeField(
-            mesh_fine, [GridField(g_fine, rng.normal(size=(8, 8))) for _ in range(5)]
-        )
-        out = restrict_space_time(f, TimeMesh(1.0, 2), TorusGrid(4))
-        assert out.values.shape == (3, 4, 4)
-        assert out.values[1, 1, 1] == f.values[2, 2, 2]
-
-    def test_non_nested_time_rejected(self):
-        g = TorusGrid(4)
-        f = SpaceTimeField.constant(TimeMesh(1.0, 4), g, 1.0)
-        with pytest.raises(ValueError, match="nested"):
-            restrict_space_time(f, TimeMesh(1.0, 3), g)

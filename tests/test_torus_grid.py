@@ -1,4 +1,4 @@
-"""Grid calculus: stencils, sums, restriction, serialization, the space-time array."""
+"""Grid calculus: stencils, sums, serialization, the space-time array."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from mfgfd.torus_grid import (
     laplace_array,
     load_grid_field,
     mass,
-    restrict,
-    restrict_space_time,
     save_grid_field,
     stencil_array,
     time_sum,
@@ -241,28 +239,6 @@ class TestCellAverage:
         assert np.min(avg.values) >= 0.0
 
 
-class TestRestriction:
-    def test_constant(self):
-        fine = GridField.constant(TorusGrid(8), 3.0)
-        out = restrict(fine, TorusGrid(4))
-        assert np.all(out.values == 3.0)
-
-    def test_identity_on_same_grid(self):
-        g = TorusGrid(4)
-        rng = np.random.default_rng(11)
-        u = GridField(g, rng.normal(size=(4, 4)))
-        assert np.array_equal(restrict(u, g).values, u.values)
-
-    def test_index_arithmetic(self):
-        fine = GridField(TorusGrid(8), np.arange(64.0).reshape(8, 8))
-        out = restrict(fine, TorusGrid(4))
-        assert out.values[1, 1] == fine.values[2, 2]
-
-    def test_non_nested_rejected(self):
-        with pytest.raises(ValueError, match="nested"):
-            restrict(GridField.zeros(TorusGrid(8)), TorusGrid(3))
-
-
 class TestSerialization:
     def test_grid_field_roundtrip(self, tmp_path):
         g = TorusGrid(4)
@@ -274,6 +250,43 @@ class TestSerialization:
         back = load_grid_field(path)
         assert back.grid.n_side == 4
         assert np.array_equal(back.values, u.values)
+
+    @staticmethod
+    def saved_rows(tmp_path):
+        path = tmp_path / "field.csv"
+        save_grid_field(GridField(TorusGrid(4), np.arange(16.0).reshape(4, 4)), path)
+        return path, path.read_text().splitlines()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, rows = self.saved_rows(tmp_path)
+        path.write_text("\n".join(rows[:-5]) + "\n")
+        with pytest.raises(ValueError, match="misses 5 of 16 nodes") as info:
+            load_grid_field(path)
+        assert str(path) in str(info.value)
+
+    def test_duplicate_node_rejected(self, tmp_path):
+        path, rows = self.saved_rows(tmp_path)
+        path.write_text("\n".join(rows[:-1] + ["1,2,7.0"]) + "\n")
+        with pytest.raises(ValueError, match="appears twice") as info:
+            load_grid_field(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("row", ["3,3", "3,3,seven"])
+    def test_malformed_row_rejected(self, tmp_path, row):
+        path, rows = self.saved_rows(tmp_path)
+        path.write_text("\n".join(rows[:-1] + [row]) + "\n")
+        with pytest.raises(ValueError, match="malformed row") as info:
+            load_grid_field(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("row", ["-1,0,7.0", "0,4,7.0"])
+    def test_index_outside_grid_rejected(self, tmp_path, row):
+        # the replaced last row keeps the node count at N^2
+        path, rows = self.saved_rows(tmp_path)
+        path.write_text("\n".join(rows[:-1] + [row]) + "\n")
+        with pytest.raises(ValueError, match="outside the 4 x 4 grid") as info:
+            load_grid_field(path)
+        assert str(path) in str(info.value)
 
 
 class TestInvariantsOfTypes:
@@ -340,16 +353,6 @@ class TestSpaceTimeArray:
         for n in range(9):
             total += float(np.sum(arr[n]))
         assert time_sum(arr) == total
-
-    def test_restriction_matches_slice_loop(self):
-        rng = np.random.default_rng(22)
-        fine = SpaceTimeField.from_array(TimeMesh(0.5, 6), TorusGrid(8), rng.normal(size=(7, 8, 8)))
-        coarse = restrict_space_time(fine, self.mesh, self.grid)
-        for n in range(4):
-            assert np.array_equal(
-                coarse.values[n], restrict(fine.slices[2 * n], self.grid).values
-            )
-        assert not np.shares_memory(coarse.values, fine.values)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):

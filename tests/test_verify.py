@@ -48,6 +48,13 @@ class TestSuitesPass:
         b = run_adjoint_suite(seed=9, probes=20)
         assert a == b
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_counts_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="pairs must be >= 1"):
+            run_identity_suite(pairs=count)
+        with pytest.raises(ValueError, match="probes must be >= 1"):
+            run_adjoint_suite(probes=count)
+
 
 class FlippedGradient(PowerHamiltonian):
     """Sign defect confined to the instance method ``grad_grid``."""
