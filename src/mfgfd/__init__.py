@@ -18,7 +18,6 @@ from .cost_ops import (
 )
 from .dynamics import (
     HjbStepConfig,
-    LinearSolveContract,
     NonConvergence,
     PositivityError,
     hjb_residual,
@@ -29,6 +28,7 @@ from .dynamics import (
     fp_step_solve,
     adjoint_check,
 )
+from .linear import LinearSolveContract
 from .solver import (
     EvolutiveProblem,
     ErgodicProblem,

@@ -15,11 +15,11 @@ from pathlib import Path
 from .archive import write_ergodic_archive, write_evolutive_archive, write_partial_archive
 from .config import ConfigError, RunConfig, load_config
 from .cost_ops import CostSolveError
-from .dynamics import LinearSolveError, NonConvergence, PositivityError
-from .presets import build_ergodic_problem, build_evolutive_problem, cost_preset, solver_settings
+from .dynamics import NonConvergence, PositivityError
+from .linear import LinearSolveError
+from .presets import build_ergodic_problem, build_evolutive_problem, solver_settings
 from .solver import OuterNonConvergence, solve_ergodic, solve_evolutive
 from .study import convergence_study, errors_decreasing, write_study
-from .torus_grid import TorusGrid
 from .verify import (
     failure_summary,
     run_adjoint_suite,
@@ -105,21 +105,8 @@ def cmd_study(args: argparse.Namespace) -> int:
             return build_evolutive_problem(cfg, n_side=n_side, n_steps=n_steps)
 
     levels = [(n, n * cfg.steps_per_side) for n in cfg.levels]
-    m_exponent = 2.0
-    if cfg.cost_kind == "local":
-        cost = cost_preset("local", TorusGrid(cfg.levels[0]), cfg.cost_local_preset, cfg.cost_local_alpha)
-        m_exponent = 2.0 - cost.eta2
-
     try:
-        report = convergence_study(
-            make_problem,
-            levels,
-            cfg=fixed,
-            m_exponent=m_exponent,
-            kind=cfg.kind,
-            hjb_cfg=hjb,
-            contract=contract,
-        )
+        report = convergence_study(make_problem, levels, cfg=fixed, hjb_cfg=hjb, contract=contract)
     except SOLVER_FAILURES as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 2
@@ -190,7 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("suite", choices=["lemmas", "identity", "adjoint", "all"])
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument(
+        "--samples",
+        type=int,
+        default=1000,
+        help="samples per lemma check; identity pairs and adjoint probes are capped at 100",
+    )
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -169,7 +169,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("cost.kind", "the ergodic solver requires a local cost")
     if not 0.0 < cfg.damping <= 1.0:
         raise ConfigError("solver.damping", f"must lie in (0, 1], got {cfg.damping}")
-    if cfg.outer_tol <= 0 or cfg.newton_tol <= 0 or cfg.residual_tol <= 0:
+    if not (cfg.outer_tol > 0 and cfg.newton_tol > 0 and cfg.residual_tol > 0):  # NaN too
         raise ConfigError("solver", "tolerances must be positive")
     if cfg.kind == "evolutive" and cfg.newton_tol >= INNER_RESIDUAL_TARGET:
         raise ConfigError(

@@ -118,21 +118,6 @@ class LocalCost:
             name=f"power({alpha:g})",
         )
 
-    @classmethod
-    def zero(cls) -> "LocalCost":
-        """Trivial cost, used for decoupled heat-flow checks."""
-        return cls(
-            f=lambda m: np.zeros_like(m),
-            f_prime=None,
-            delta=1.0,
-            gamma=2.0,
-            c1=0.0,
-            delta_lower=1.0,
-            eta1=0.5,
-            eta2=0.5,
-            name="zero",
-        )
-
     def apply(self, m: np.ndarray) -> np.ndarray:
         """F at every node of a density slice."""
         return np.asarray(self.f(np.maximum(m, 0.0)), dtype=np.float64)

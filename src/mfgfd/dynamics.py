@@ -38,42 +38,25 @@ Every operator takes and returns plain (N, N) float64 arrays, one time
 slice each, and reads the grid step of the unit torus from the array as
 h = 1/N with N its last axis.
 
-Every sparse LU goes through ``_DissectedLU``, which factors P A P^T with
-P the nested-dissection order of the torus grid (``dissection_order``):
-the nodes of row 0 and column 0, which carry every wrap-around edge, come
-last, and the open grid left is bisected recursively, each separator line
-after its two halves.  Border unknowns beyond the N^2 nodes (the ergodic
-Jacobian's) stay last.  SuperLU keeps that column order and pivots with
-its default partial pivoting.  On the bordered ergodic Jacobian at
-N = 128 this halves the LU fill of the default column ordering.  The
-matrices themselves are built and returned in lexicographic order.
-
-The sparsity pattern depends on N alone: its index arrays are built once
-per N and cached read-only (``_pattern``), an assembly computes only the
-values, and exact zeros stay as explicit entries.  Only such CSR matrices
-are factored: ``_DissectedLU`` forms P A P^T by one gather of the data
-through a map cached per N on the first factorization (``_factor_order``).
+Assembly fills the five stencil entries of every node; ``linear`` owns
+their pattern, the factorization and the checked solve.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .hamiltonian import PowerHamiltonian, hamiltonian_stencil
-from .torus_grid import dissection_order, laplace_array, stencil_array
+from .linear import LinearSolveContract, _solve_checked, five_point_matrix
+from .torus_grid import laplace_array, stencil_array
 
 __all__ = [
     "HjbStepConfig",
-    "LinearSolveContract",
     "NonConvergence",
-    "LinearSolveError",
     "PositivityError",
     "newton_armijo",
     "hjb_residual",
@@ -106,13 +89,6 @@ class HjbStepConfig:
             raise ValueError("newton_tol must be positive")
 
 
-@dataclass
-class LinearSolveContract:
-    """Residual guarantee for every linear solve: |Ax - b|_inf <= tol * |b|_inf."""
-
-    residual_tol: float = 1e-12
-
-
 class NonConvergence(RuntimeError):
     """Newton failed; usually a too-large dt or degenerate data."""
 
@@ -125,10 +101,6 @@ class NonConvergence(RuntimeError):
         self.final_residual = final_residual
 
 
-class LinearSolveError(RuntimeError):
-    pass
-
-
 class PositivityError(RuntimeError):
     """Density undershoot beyond the clamp limit; a real defect, not roundoff."""
 
@@ -136,106 +108,6 @@ class PositivityError(RuntimeError):
 # ---------------------------------------------------------------------------
 # the five-point operator of both steps
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Pattern:
-    """Lexicographic CSR pattern of the matrices on one grid.
-
-    ``slots[e]`` is the slot that stencil entry e is summed into (none when
-    bordered: no two entries share a slot).  A CSC matrix of A^T has the
-    same index arrays, since the pattern is structurally symmetric.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: Optional[np.ndarray] = None
-
-    @property
-    def size(self) -> int:
-        return self.indptr.size - 1
-
-
-@dataclass(frozen=True)
-class _FactorOrder:
-    """A ``_Pattern`` in the factor order P of ``_DissectedLU``.
-
-    ``order[k]`` is the unknown eliminated k-th and ``inv`` its inverse.
-    ``indptr`` and ``indices`` are the CSC pattern of P A P^T; its CSC
-    data is the CSR data of A gathered by ``gather``.
-    """
-
-    order: np.ndarray
-    inv: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    gather: np.ndarray
-
-
-def _read_only(cls, **arrays: np.ndarray):
-    """``cls`` holding read-only int32 copies of ``arrays``."""
-    for name, a in arrays.items():
-        arrays[name] = a = a.astype(np.intc)
-        a.flags.writeable = False
-    return cls(**arrays)
-
-
-@functools.cache
-def _pattern(n: int, bordered: bool) -> _Pattern:
-    """The pattern of the N x N five-point matrices, built once per N on first use.
-
-    Unbordered, the source entries are the 5 N^2 stencil entries, node by
-    node in the order (i, j), (i+1, j), (i-1, j), (i, j+1), (i, j-1), so
-    coinciding neighbours (N <= 2) share a slot.  Bordered, one unknown is
-    appended to the N^2 nodes (``_with_border``).
-    """
-    n2 = n * n
-    if bordered:
-        five = _pattern(n, False)
-        indices = _with_border(five.indices, np.full(n2, n2), np.arange(n2))
-        indptr = np.append(np.arange(n2 + 1) * (five.indices.size // n2 + 1), indices.size)
-        return _read_only(_Pattern, indptr=indptr, indices=indices)
-    k = np.arange(n2).reshape(n, n)
-    neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
-    rows = np.repeat(k.ravel(), 5)
-    cols = np.stack([k] + neighbours, axis=-1).ravel()
-    keys, slots = np.unique(rows * n2 + cols, return_inverse=True)
-    return _read_only(
-        _Pattern,
-        indptr=np.searchsorted(keys // n2, np.arange(n2 + 1)),
-        indices=keys % n2,
-        slots=slots,
-    )
-
-
-def _with_border(entries: np.ndarray, column: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """CSR entries of [[A, column], [row, 0]]: all rows of A are equally long."""
-    return np.concatenate([np.column_stack([entries.reshape(row.size, -1), column]).ravel(), row])
-
-
-@functools.cache
-def _factor_order(n: int, bordered: bool) -> _FactorOrder:
-    """``_pattern(n, bordered)`` in the order ``dissection_order(n)``, border last.
-
-    Built once per N, on the first factorization.
-    """
-    pattern = _pattern(n, bordered)
-    size = pattern.size
-    order = np.concatenate([dissection_order(n), np.arange(n * n, size)])
-    inv = np.empty(size, dtype=np.intc)
-    inv[order] = np.arange(size, dtype=np.intc)
-    # row and column of every CSR entry of A in P A P^T
-    rows = inv[np.repeat(np.arange(size), np.diff(pattern.indptr))]
-    cols = inv[pattern.indices]
-    gather = np.lexsort((rows, cols))  # CSC order: by column, then row
-    return _read_only(
-        _FactorOrder,
-        order=order,
-        inv=inv,
-        indptr=np.searchsorted(cols[gather], np.arange(size + 1)),
-        indices=rows[gather],
-        gather=gather,
-    )
-
 
 def _five_point_matrix(
     ham: PowerHamiltonian, nu: float, u: np.ndarray, shift: float
@@ -248,10 +120,8 @@ def _five_point_matrix(
     monotonicity).  Entries repeat the float operations of the sparse sums
     shift I - nu (shifts - 4 I) (1/h^2) + (sum of g_k times shift
     differences) (1/h), so the factored matrices are bit for bit theirs.
-    Only the values are computed: the index arrays are the read-only
-    cached ``_pattern`` of the grid, shared by every matrix of one N.
-    Coinciding neighbours (N <= 2) are summed in stencil order, and exact
-    zeros stay as explicit entries so that the pattern never changes.
+    Only the values are computed; ``five_point_matrix`` puts them on the
+    cached pattern of the grid, exact zeros included.
     """
     n = u.shape[-1]
     h = 1.0 / n
@@ -269,17 +139,7 @@ def _five_point_matrix(
         ],
         axis=-1,
     )
-    pattern = _pattern(n, False)
-    data = np.bincount(pattern.slots, weights=data.ravel(), minlength=pattern.indices.size)
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n * n, n * n))
-
-
-def _bordered_matrix(a: sp.csr_matrix, weight: float) -> sp.csr_matrix:
-    """[[A, 1], [weight 1^T, 0]] for a five-point matrix A from ``_five_point_matrix``."""
-    n2 = a.shape[0]
-    pattern = _pattern(math.isqrt(n2), True)
-    data = _with_border(a.data, np.ones(n2), np.full(n2, weight))
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n2 + 1, n2 + 1))
+    return five_point_matrix(data)
 
 
 def linearized_hjb_matrix(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> sp.csr_matrix:
@@ -290,60 +150,6 @@ def linearized_hjb_matrix(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> sp
 def hjb_jacobian(ham: PowerHamiltonian, nu: float, dt: float, u: np.ndarray) -> sp.csr_matrix:
     """Jacobian of the value step: (1/dt) I - nu L + B(u)."""
     return _five_point_matrix(ham, nu, u, 1.0 / dt)
-
-
-class _DissectedLU:
-    """Sparse LU of A in the nested-dissection order of the torus grid.
-
-    A is a CSR matrix of ``_five_point_matrix`` or ``_bordered_matrix``;
-    N is read from its size.  P A P^T is formed by one gather of its data
-    into the cached factor order.  ``solve(b, trans)`` solves A x = b
-    (trans="N") or A^T x = b (trans="T") in the original order.  Any other
-    matrix, a CSC one of A^T too, is a ValueError.
-    """
-
-    def __init__(self, a: sp.spmatrix):
-        size = a.shape[0]
-        n = math.isqrt(size)
-        bordered = size > n * n
-        pattern = _pattern(n, bordered)
-        if not (
-            a.format == "csr"
-            and np.array_equal(a.indptr, pattern.indptr)
-            and np.array_equal(a.indices, pattern.indices)
-        ):
-            raise ValueError("matrix is not in CSR form on the cached pattern of its grid")
-        f = _factor_order(n, bordered)
-        self._p, self._inv = f.order, f.inv
-        pap = sp.csc_matrix((a.data[f.gather], f.indices, f.indptr), shape=a.shape)
-        self._lu = spla.splu(pap, permc_spec="NATURAL")
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        return self._lu.solve(b[self._p], trans=trans)[self._inv]
-
-
-def _solve_checked(
-    a: sp.csr_matrix, b: np.ndarray, contract: LinearSolveContract, trans: str = "N"
-) -> np.ndarray:
-    """x with M x = b and |M x - b|_inf <= residual_tol |b|_inf.
-
-    M is A (trans="N") or A^T (trans="T"), solved with the factor of A.
-    One step of iterative refinement against M follows a miss; a second
-    miss, or a non-finite residual, is a LinearSolveError.
-    """
-    lu = _DissectedLU(a)
-    m = a if trans == "N" else a.T
-    x = lu.solve(b, trans)
-    limit = contract.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
-    resid = m @ x - b
-    if not float(np.max(np.abs(resid))) <= limit:
-        x = x + lu.solve(-resid, trans)  # one step of iterative refinement
-        resid = m @ x - b
-        if not float(np.max(np.abs(resid))) <= limit:
-            raise LinearSolveError(
-                f"linear solve residual {float(np.max(np.abs(resid))):.3e} exceeds contract"
-            )
-    return x
 
 
 # ---------------------------------------------------------------------------

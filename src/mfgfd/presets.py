@@ -13,8 +13,9 @@ from scipy.special import i0
 
 from .config import RunConfig
 from .cost_ops import BilaplacianCost, CostOperator, DiscreteDensity, LocalCost
-from .dynamics import HjbStepConfig, LinearSolveContract
+from .dynamics import HjbStepConfig
 from .hamiltonian import PowerHamiltonian
+from .linear import LinearSolveContract
 from .solver import ErgodicProblem, EvolutiveProblem, FixedPointConfig
 from .torus_grid import GridField, TimeMesh, TorusGrid, cell_average, load_grid_field
 

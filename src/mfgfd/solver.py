@@ -41,11 +41,7 @@ import scipy.sparse.linalg as spla
 from .cost_ops import CostOperator, DiscreteDensity, LocalCost
 from .dynamics import (
     HjbStepConfig,
-    LinearSolveContract,
-    LinearSolveError,
-    _bordered_matrix,
     _clamp_density,
-    _DissectedLU,
     adjoint_apply,
     fp_step_solve,
     hjb_residual,
@@ -60,6 +56,7 @@ from .hamiltonian import (
     hamiltonian_stencil,
     weighted_bregman_gap,
 )
+from .linear import LinearSolveContract, LinearSolveError, _DissectedLU, bordered_matrix
 from .torus_grid import (
     GridField,
     SpaceTimeField,
@@ -385,7 +382,7 @@ def _ergodic_value_residual(
 
 def _bordered_jacobian(p: ErgodicProblem, u: np.ndarray) -> sp.csr_matrix:
     """[[A(u), 1], [h^2 1^T, 0]] with A(u) = ``linearized_hjb_matrix`` at u."""
-    return _bordered_matrix(linearized_hjb_matrix(p.hamiltonian, p.nu, u), p.grid.h ** 2)
+    return bordered_matrix(linearized_hjb_matrix(p.hamiltonian, p.nu, u), p.grid.h ** 2)
 
 
 def _ergodic_hjb_newton(
@@ -428,7 +425,7 @@ def _stationary_density(p: ErgodicProblem, u: np.ndarray, tol: float) -> np.ndar
     a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
-    x = _DissectedLU(_bordered_matrix(a, p.grid.h ** 2)).solve(rhs, trans="T")[:-1]
+    x = _DissectedLU(bordered_matrix(a, p.grid.h ** 2)).solve(rhs, trans="T")[:-1]
     x, _ = _clamp_density(x / (p.grid.h ** 2 * float(np.sum(x))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))

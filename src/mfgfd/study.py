@@ -19,8 +19,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import HjbStepConfig, LinearSolveContract
-from .solver import ErgodicSolution, FixedPointConfig, solve_ergodic, solve_evolutive
+from .cost_ops import LocalCost
+from .dynamics import HjbStepConfig
+from .linear import LinearSolveContract
+from .solver import ErgodicProblem, ErgodicSolution, FixedPointConfig, solve_ergodic, solve_evolutive
 from .torus_grid import gradient_power_sum, time_sum
 
 __all__ = ["convergence_study", "write_study", "check_levels_nested"]
@@ -68,8 +70,6 @@ def convergence_study(
     make_problem: Callable,
     levels: Sequence[tuple[int, int]],
     cfg: Optional[FixedPointConfig] = None,
-    m_exponent: float = 2.0,
-    kind: str = "evolutive",
     hjb_cfg: Optional[HjbStepConfig] = None,
     contract: Optional[LinearSolveContract] = None,
 ) -> dict:
@@ -77,18 +77,21 @@ def convergence_study(
 
     ``make_problem(n_side, n_steps)`` must build the problem at one level
     (the step count is ignored for the stationary family).  ``cfg``,
-    ``hjb_cfg`` and ``contract`` go to every solve.
+    ``hjb_cfg`` and ``contract`` go to every solve.  The kind follows the
+    problem type; the density error is an L^p norm with p = 2 - eta2 for a
+    local cost and p = 2 otherwise.
     """
     levels = [tuple(lv) for lv in levels]
     check_levels_nested(levels)
 
-    ergodic = kind == "ergodic"
+    problems = [make_problem(*lv) for lv in levels]
+    ergodic = isinstance(problems[0], ErgodicProblem)
+    cost = problems[0].cost
+    m_exponent = 2.0 - cost.eta2 if isinstance(cost, LocalCost) else 2.0
+    beta = problems[0].hamiltonian.beta
     solve = solve_ergodic if ergodic else solve_evolutive
-    solutions = [
-        solve(make_problem(*lv), cfg=cfg, hjb_cfg=hjb_cfg, contract=contract) for lv in levels
-    ]
+    solutions = [solve(p, cfg=cfg, hjb_cfg=hjb_cfg, contract=contract) for p in problems]
 
-    beta = make_problem(*levels[0]).hamiltonian.beta
     ref = _trajectory(solutions[-1])
     rows: list[dict] = []
     for (n_side, n_steps), sol in zip(levels, solutions):

@@ -10,14 +10,10 @@ boundary.
 
 Sums and norms use numpy reductions, so the reduction order is fixed by the
 array layout and results are reproducible run to run.
-
-``dissection_order`` gives the elimination order the sparse factorizations
-use: a nested dissection of the periodic grid (George 1973).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +29,6 @@ __all__ = [
     "SpaceTimeField",
     "stencil_array",
     "laplace_array",
-    "dissection_order",
     "cell_average",
     "mass",
     "time_sum",
@@ -200,48 +195,6 @@ def laplace_array(values: np.ndarray, h: float) -> np.ndarray:
         + np.roll(values, 1, axis=-1)
         - 4.0 * values
     ) / (h * h)
-
-
-# ---------------------------------------------------------------------------
-# nested-dissection order
-# ---------------------------------------------------------------------------
-
-# blocks of at most this many nodes are not split further
-DISSECTION_LEAF = 16
-
-
-@functools.cache
-def dissection_order(n: int) -> np.ndarray:
-    """Nested-dissection permutation of the N^2 lexicographic nodes.
-
-    Every wrap-around edge of the periodic five-point stencil touches row 0
-    or column 0, so those 2N - 1 nodes separate the torus from an open
-    (N-1) x (N-1) grid and are ordered last.  The open grid is bisected
-    recursively across its longer side, each separator line ordered after
-    both halves; blocks of at most DISSECTION_LEAF nodes keep lexicographic
-    order.  Entry k is the node eliminated k-th.  The array is built once
-    per N and is read-only.
-    """
-    k = np.arange(n * n).reshape(n, n)
-    parts: list[np.ndarray] = []
-
-    def dissect(block: np.ndarray) -> None:
-        rows, cols = block.shape
-        if block.size <= DISSECTION_LEAF:
-            parts.append(block.ravel())
-        elif rows >= cols:
-            dissect(block[: rows // 2])
-            dissect(block[rows // 2 + 1 :])
-            parts.append(block[rows // 2])
-        else:
-            dissect(block[:, : cols // 2])
-            dissect(block[:, cols // 2 + 1 :])
-            parts.append(block[:, cols // 2])
-
-    dissect(k[1:, 1:])
-    order = np.concatenate(parts + [k[0], k[1:, 0]])
-    order.flags.writeable = False
-    return order
 
 
 # ---------------------------------------------------------------------------

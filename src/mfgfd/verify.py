@@ -169,7 +169,8 @@ def run_adjoint_suite(seed: int = 0, probes: int = 100) -> dict:
         ham = PowerHamiltonian(2.0, GridField.zeros(grid))
         u = rng.normal(0.0, 1.0, size=(n, n))
         worst = adjoint_check(ham, 1.0, u, probes=probes, seed=seed + n)
-        reports.append({"n_side": n, "max_discrepancy": worst, "pass": bool(worst <= ADJOINT_TOL)})
+        passed = bool(worst <= ADJOINT_TOL)
+        reports.append({"n_side": n, "probes": probes, "max_discrepancy": worst, "pass": passed})
     return {
         "suite": "adjoint",
         "seed": seed,

@@ -130,7 +130,6 @@ def test_criterion_07_self_convergence_smoothing_cost():
         lambda n, nt: smooth_problem(n, nt, "bilaplacian"),
         [(8, 16), (16, 32), (32, 64)],
         cfg=m.FixedPointConfig(damping=1.0),
-        m_exponent=2.0,
     )
     elapsed = time.monotonic() - t0
     rows = [r for r in report["levels"] if "err_u_sup" in r]
@@ -150,7 +149,6 @@ def test_criterion_08_local_cost_convergence_and_monitors():
         lambda n, nt: smooth_problem(n, nt, "power"),
         [(8, 16), (16, 32), (32, 64)],
         cfg=m.FixedPointConfig(damping=1.0),
-        m_exponent=1.5,  # 2 - eta2 with eta2 = 0.5 for the quadratic local cost
     )
     elapsed = time.monotonic() - t0
     rows = [r for r in report["levels"] if "err_u_sup" in r]
@@ -190,9 +188,7 @@ def test_criterion_09_ergodic_effective_constant():
             grid=gn,
         )
 
-    report = convergence_study(
-        factory, [(8, 8), (16, 16), (32, 32)], kind="ergodic", m_exponent=1.5
-    )
+    report = convergence_study(factory, [(8, 8), (16, 16), (32, 32)])
     incs = report["lambda_increments"]
     assert incs[1] < incs[0]
     _report(9, "ergodic-effective-constant")

@@ -15,7 +15,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(mfgfd.__path__))
 
 
 def test_modules_found():
-    assert {"torus_grid", "hamiltonian", "dynamics", "solver"} <= set(MODULES)
+    assert {"torus_grid", "hamiltonian", "linear", "dynamics", "solver"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -69,19 +69,29 @@ def test_tracing_target_resolves(span, module_name, path):
         assert _resolves(module_name, path), f"benchmark span {span!r} traces missing {name}"
 
 
+def _token_hits(token: str) -> dict:
+    src = Path(mfgfd.__file__).parent
+    return {p.name: p.read_text().count(token) for p in sorted(src.glob("*.py"))}
+
+
 @pytest.mark.parametrize("token", ["splu(", "permc_spec"])
 def test_one_factorization_seam(token):
-    # every sparse LU goes through dynamics._DissectedLU
-    src = Path(mfgfd.__file__).parent
-    hits = {p.name: p.read_text().count(token) for p in sorted(src.glob("*.py"))}
-    assert sum(hits.values()) == 1 and hits["dynamics.py"] == 1, hits
+    # every sparse LU goes through linear._DissectedLU
+    hits = _token_hits(token)
+    assert sum(hits.values()) == 1 and hits["linear.py"] == 1, hits
+
+
+def test_csr_built_in_linear_only():
+    # the five-point and bordered matrices are put on the cached pattern of
+    # their grid in one module
+    hits = _token_hits("csr_matrix(")
+    assert sum(hits.values()) == hits["linear.py"] > 0, hits
 
 
 @pytest.mark.parametrize("token", ["eliminate_zeros", "bmat", "tocsc(", "gather_t", "fp_matrix"])
 def test_one_assembly_path(token):
     # every matrix is filled on the cached pattern of its grid and put into
-    # the factor order by one gather in dynamics._DissectedLU; a transposed
+    # the factor order by one gather in linear._DissectedLU; a transposed
     # system is solved with the factor of the CSR matrix itself
-    src = Path(mfgfd.__file__).parent
-    hits = {p.name: p.read_text().count(token) for p in sorted(src.glob("*.py"))}
+    hits = _token_hits(token)
     assert sum(hits.values()) == 0, hits

@@ -204,6 +204,13 @@ class TestSolveCommand:
         assert "newton_tol 2.000e-09" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["outer_tol", "newton_tol", "residual_tol"])
+    def test_nan_tolerance_exit_one(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, UNIFORM_CONFIG + f"\n[solver]\n{key} = nan\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "tolerances must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("n_side, outer_tol", [(64, "1e-11"), (32, "1e-12")])
     def test_tight_ergodic_outer_tol_exit_zero(self, tmp_path, capsys, n_side, outer_tol):
         # the density residual cannot reach these tolerances in float64; the
@@ -356,6 +363,13 @@ class TestVerifyCommand:
         assert "--samples" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("samples, used", [(500, 100), (7, 7)])
+    def test_pairs_and_probes_capped_at_100(self, tmp_path, samples, used):
+        for suite, key in (("identity", "pairs"), ("adjoint", "probes")):
+            assert main(["verify", suite, "--samples", str(samples), "--out", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / f"{suite}_report.json").read_text())
+            assert [r[key] for r in report["reports"]] == [used] * len(report["reports"])
 
     def test_lemma_dispatch_covers_small_beta(self, tmp_path):
         main(["verify", "lemmas", "--seed", "3", "--samples", "200", "--out", str(tmp_path)])

@@ -9,13 +9,9 @@ from mfgfd.cost_ops import LocalCost
 from mfgfd.dynamics import (
     CLAMP_LIMIT,
     HjbStepConfig,
-    LinearSolveContract,
-    LinearSolveError,
     NonConvergence,
     PositivityError,
     _clamp_density,
-    _DissectedLU,
-    _solve_checked,
     adjoint_apply,
     adjoint_check,
     fp_step_solve,
@@ -27,6 +23,7 @@ from mfgfd.dynamics import (
     transport_apply,
 )
 from mfgfd.hamiltonian import PowerHamiltonian, hamiltonian_stencil
+from mfgfd.linear import LinearSolveContract, LinearSolveError, _DissectedLU, _solve_checked
 from mfgfd.presets import hamiltonian_preset
 from mfgfd.solver import ErgodicProblem, _bordered_jacobian
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
@@ -530,6 +527,13 @@ class TestFactorization:
 
 
 class TestNonFiniteSolves:
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+    def test_contract_needs_positive_tolerance(self, tol):
+        # such a tolerance would only fail at the first solve, as a residual
+        # that "exceeds contract"
+        with pytest.raises(ValueError, match="residual_tol"):
+            LinearSolveContract(residual_tol=tol)
+
     def test_infinite_rhs_raises(self):
         a = hjb_jacobian(zero_ham(), NU, 0.05, cosine())
         b = np.ones(64)

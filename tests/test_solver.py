@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
-from mfgfd.dynamics import HjbStepConfig, LinearSolveContract, NonConvergence, fp_step_solve
+from mfgfd.dynamics import HjbStepConfig, NonConvergence, fp_step_solve
 from mfgfd.hamiltonian import PowerHamiltonian
+from mfgfd.linear import LinearSolveContract
 from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
 from mfgfd.solver import (
     ANDERSON_DEPTH,
@@ -27,6 +28,21 @@ from mfgfd.torus_grid import GridField, SpaceTimeField, TimeMesh, TorusGrid, mas
 
 def sup(a):
     return float(np.max(np.abs(a)))
+
+
+def zero_cost():
+    """Trivial local cost, for decoupled heat-flow checks."""
+    return LocalCost(
+        f=lambda m: np.zeros_like(m),
+        f_prime=None,
+        delta=1.0,
+        gamma=2.0,
+        c1=0.0,
+        delta_lower=1.0,
+        eta1=0.5,
+        eta2=0.5,
+        name="zero",
+    )
 
 
 def uniform_problem(n=8, nt=8, beta=2.0, horizon=1.0):
@@ -112,7 +128,7 @@ class TestEvolutiveSolver:
         p = EvolutiveProblem(
             nu=1.0,
             hamiltonian=PowerHamiltonian(2.0, GridField.zeros(g)),
-            cost=LocalCost.zero(),
+            cost=zero_cost(),
             u0=GridField.zeros(g),
             mT=terminal_density_preset("bump", g),
             mesh=TimeMesh(0.5, 8),
@@ -457,7 +473,7 @@ class TestMonitors:
         p = EvolutiveProblem(
             nu=1.0,
             hamiltonian=PowerHamiltonian(2.0, GridField.zeros(g)),
-            cost=LocalCost.zero(),
+            cost=zero_cost(),
             u0=GridField.zeros(g),
             mT=terminal_density_preset("bump", g),
             mesh=TimeMesh(0.5, 8),

@@ -88,9 +88,7 @@ class TestEvolutiveStudy:
 
 class TestErgodicStudy:
     def test_lambda_increments(self):
-        report = convergence_study(
-            ergodic_factory, [(8, 8), (16, 16), (32, 32)], kind="ergodic", m_exponent=1.5
-        )
+        report = convergence_study(ergodic_factory, [(8, 8), (16, 16), (32, 32)])
         lams = [r["lambda"] for r in report["levels"]]
         assert len(lams) == 3
         incs = report["lambda_increments"]
@@ -166,9 +164,9 @@ class TestErrorsMatchRestrictionOracle:
     def test_evolutive(self, monkeypatch):
         report, (coarse, ref) = recorded_study(
             monkeypatch, "solve_evolutive", smooth_factory, [(4, 8), (8, 16)],
-            cfg=FixedPointConfig(damping=1.0), m_exponent=1.5,
+            cfg=FixedPointConfig(damping=1.0),
         )
-        expected = oracle_evolutive(coarse, ref, 2.0, 1.5)
+        expected = oracle_evolutive(coarse, ref, 2.0, 2.0)  # bilaplacian cost: p = 2
         row = report["levels"][0]
         assert {k: row[k] for k in self.KEYS} == expected
         assert not any(k in report["levels"][1] for k in self.KEYS)
@@ -176,7 +174,6 @@ class TestErrorsMatchRestrictionOracle:
     def test_ergodic(self, monkeypatch):
         report, (coarse, ref) = recorded_study(
             monkeypatch, "solve_ergodic", ergodic_factory, [(8, 8), (16, 16)],
-            kind="ergodic", m_exponent=1.5,
         )
         expected = oracle_ergodic(coarse, ref, 2.0, 1.5)
         row = report["levels"][0]

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from mfgfd.linear import dissection_order
 from mfgfd.torus_grid import (
     GridField,
     SpaceTimeField,
     TimeMesh,
     TorusGrid,
     cell_average,
-    dissection_order,
     laplace_array,
     load_grid_field,
     mass,
