@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .solver import ErgodicSolution, EvolutiveSolution
-from .torus_grid import save_grid_field
+from .torus_grid import GridField, save_grid_field
 
 __all__ = ["write_evolutive_archive", "write_ergodic_archive", "write_partial_archive"]
 
@@ -40,10 +40,9 @@ def write_evolutive_archive(
 ) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for n, s in enumerate(sol.u.slices):
-        save_grid_field(s, outdir / f"u_slice_{n:04d}.csv")
-    for n, s in enumerate(sol.m.slices):
-        save_grid_field(s, outdir / f"m_slice_{n:04d}.csv")
+    for name, field in (("u", sol.u), ("m", sol.m)):
+        for n, values in enumerate(field.values):
+            save_grid_field(GridField(field.grid, values), outdir / f"{name}_slice_{n:04d}.csv")
     _write_meta(
         outdir,
         "evolutive",

@@ -29,7 +29,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .solver import INNER_RESIDUAL_TARGET
+from .dynamics import HjbStepConfig
+from .linear import LinearSolveContract
+from .solver import INNER_RESIDUAL_TARGET, FixedPointConfig
+from .study import check_levels_nested
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text"]
 
@@ -61,12 +64,12 @@ class RunConfig:
     cost_kind: str = "local"
     cost_local_preset: str = "linear"
     cost_local_alpha: float = 1.0
-    damping: float = 0.5
-    outer_tol: float = 1e-9
-    max_outer: int = 500
-    newton_tol: float = 1e-11
-    max_newton: int = 50
-    residual_tol: float = 1e-12
+    damping: float = FixedPointConfig.damping
+    outer_tol: float = FixedPointConfig.outer_tol
+    max_outer: int = FixedPointConfig.max_outer
+    newton_tol: float = HjbStepConfig.newton_tol
+    max_newton: int = HjbStepConfig.max_newton
+    residual_tol: float = LinearSolveContract.residual_tol
     levels: list[int] = field(default_factory=list)
     steps_per_side: int = 2
     out_dir: str = "out"
@@ -180,16 +183,12 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.max_outer < 1 or cfg.max_newton < 1:
         raise ConfigError("solver", "iteration caps must be >= 1")
     if cfg.levels:
-        if len(cfg.levels) < 2:
-            raise ConfigError("study.levels", "need at least two levels")
-        for a, b in zip(cfg.levels, cfg.levels[1:]):
-            if b % a != 0 or b <= a:
-                raise ConfigError(
-                    "study.levels",
-                    f"levels must be nested (each divides the next): {a} -> {b}",
-                )
         if cfg.steps_per_side < 1:
             raise ConfigError("study.steps_per_side", "must be >= 1")
+        try:
+            check_levels_nested([(n, n * cfg.steps_per_side) for n in cfg.levels])
+        except ValueError as exc:
+            raise ConfigError("study.levels", str(exc)) from None
 
 
 def load_config(path: str | Path) -> RunConfig:

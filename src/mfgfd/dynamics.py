@@ -85,8 +85,8 @@ class HjbStepConfig:
     max_newton: int = 50
 
     def __post_init__(self) -> None:
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        if not (self.newton_tol > 0 and self.max_newton >= 1):  # NaN too
+            raise ValueError("newton_tol must be positive and max_newton >= 1")
 
 
 class NonConvergence(RuntimeError):

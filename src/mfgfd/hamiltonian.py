@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus_grid import GridField, SpaceTimeField, stencil_array, time_sum
+from .torus_grid import GridField, stencil_array, time_sum
 
 __all__ = [
     "PowerHamiltonian",
@@ -152,27 +152,26 @@ class PowerHamiltonian:
 
 
 def weighted_bregman_gap(
-    ham: PowerHamiltonian,
-    m: SpaceTimeField,
-    u: SpaceTimeField,
-    u_tilde: SpaceTimeField,
+    ham: PowerHamiltonian, m: np.ndarray, u: np.ndarray, u_tilde: np.ndarray
 ) -> float:
     """Density-weighted sum of Bregman gaps between two u-trajectories.
 
-    Sums m^{n-1} times the per-node gap between the Hamiltonian stencils
-    (``hamiltonian_stencil``) of u^n and u_tilde^n for n = 1..N_T, with no
-    h^2 dt weights (the solver-side identities carry those factors
-    explicitly).  Nonnegative whenever m is.
+    The three arguments are (N_T + 1, N, N) arrays of one shape, else a
+    ValueError; h = 1/N.  Sums m^{n-1} times the per-node gap between the
+    Hamiltonian stencils (``hamiltonian_stencil``) of u^n and u_tilde^n for
+    n = 1..N_T, with no h^2 dt weights (the solver-side identities carry
+    those factors explicitly).  Nonnegative whenever m is.
     """
-    if m.mesh.n_steps != u.mesh.n_steps or m.mesh.n_steps != u_tilde.mesh.n_steps:
-        raise ValueError("space-time fields must share one time mesh")
-    if not (m.grid.compatible(u.grid) and m.grid.compatible(u_tilde.grid)):
-        raise ValueError("space-time fields must share one grid")
-    h = u.grid.h
+    if not m.shape == u.shape == u_tilde.shape:
+        raise ValueError(
+            f"trajectories must share one time mesh and grid, got shapes "
+            f"{m.shape}, {u.shape} and {u_tilde.shape}"
+        )
+    h = 1.0 / u.shape[-1]
     gap = bregman_gap_array(
-        hamiltonian_stencil(u.values[1:], h), hamiltonian_stencil(u_tilde.values[1:], h), ham.beta
+        hamiltonian_stencil(u[1:], h), hamiltonian_stencil(u_tilde[1:], h), ham.beta
     )
-    return time_sum(m.values[:-1] * gap)
+    return time_sum(m[:-1] * gap)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every matrix is a five-point matrix on the lexicographic vector of one
 N x N grid, bordered by one unknown in the ergodic Newton step.  Its
 pattern depends on N alone, so the index arrays are built once per grid
-and cached read-only with their factor order (``_layout``); an assembly
-computes only the values, and exact zeros stay as explicit entries.
+and cached read-only (``_layout``), their factor order on the first
+factorization; an assembly computes only the values, and exact zeros stay
+as explicit entries.
 
 Every sparse LU is a ``_DissectedLU`` of such a CSR matrix A.  It factors
 P A P^T, formed by one gather of the data, with P the nested-dissection
@@ -56,7 +57,6 @@ class LinearSolveError(RuntimeError):
 DISSECTION_LEAF = 16
 
 
-@functools.cache
 def dissection_order(n: int) -> np.ndarray:
     """Nested-dissection permutation of the N^2 lexicographic nodes.
 
@@ -65,8 +65,7 @@ def dissection_order(n: int) -> np.ndarray:
     (N-1) x (N-1) grid and are ordered last.  The open grid is bisected
     recursively across its longer side, each separator line ordered after
     both halves; blocks of at most DISSECTION_LEAF nodes keep lexicographic
-    order.  Entry k is the node eliminated k-th.  The array is built once
-    per N and is read-only.
+    order.  Entry k is the node eliminated k-th.
     """
     k = np.arange(n * n).reshape(n, n)
     parts: list[np.ndarray] = []
@@ -85,14 +84,20 @@ def dissection_order(n: int) -> np.ndarray:
             parts.append(block[:, cols // 2])
 
     dissect(k[1:, 1:])
-    order = np.concatenate(parts + [k[0], k[1:, 0]])
-    order.flags.writeable = False
-    return order
+    return np.concatenate(parts + [k[0], k[1:, 0]])
 
 
 # ---------------------------------------------------------------------------
 # the cached layout of one grid and the assembly on it
 # ---------------------------------------------------------------------------
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only C-int copies: the index arrays scipy.sparse and SuperLU take."""
+    out = tuple(a.astype(np.intc) for a in arrays)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
 
 @dataclass(frozen=True)
 class _Layout:
@@ -100,60 +105,57 @@ class _Layout:
 
     ``indptr`` and ``indices`` are the lexicographic CSR pattern;
     ``slots[e]`` is the slot that stencil entry e is summed into (none when
-    bordered: no two entries share a slot).  ``order[k]`` is the unknown
-    eliminated k-th and ``inv`` its inverse.  ``pap_indptr`` and
-    ``pap_indices`` are the CSC pattern of P A P^T; its CSC data is the CSR
-    data of A gathered by ``gather``.
+    bordered: no two entries share a slot).
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray | None
-    order: np.ndarray
-    inv: np.ndarray
-    pap_indptr: np.ndarray
-    pap_indices: np.ndarray
-    gather: np.ndarray
+
+    @functools.cached_property
+    def factor_order(self) -> tuple[np.ndarray, ...]:
+        """(order, inv, pap_indptr, pap_indices, gather), built on first use.
+
+        ``order[k]`` is the unknown eliminated k-th, ``dissection_order``
+        with border unknowns last, and ``inv`` its inverse.  ``pap_indptr``
+        and ``pap_indices`` are the CSC pattern of P A P^T; its CSC data is
+        the CSR data of A gathered by ``gather``.
+        """
+        size = self.indptr.size - 1
+        n = math.isqrt(size)
+        order = np.concatenate([dissection_order(n), np.arange(n * n, size)])
+        inv = np.empty(size, dtype=np.intc)
+        inv[order] = np.arange(size, dtype=np.intc)
+        # row and column of every CSR entry of A in P A P^T
+        rows = inv[np.repeat(np.arange(size), np.diff(self.indptr))]
+        cols = inv[self.indices]
+        gather = np.lexsort((rows, cols))  # CSC order: by column, then row
+        pap_indptr = np.searchsorted(cols[gather], np.arange(size + 1))
+        return _read_only(order, inv, pap_indptr, rows[gather], gather)
 
 
 @functools.cache
 def _layout(n: int, bordered: bool) -> _Layout:
-    """The layout of the N x N five-point matrices, built once per N on first use.
+    """The pattern of the N x N five-point matrices, built once per N on first use.
 
     Unbordered, the source entries are the 5 N^2 stencil entries, node by
     node in the order (i, j), (i+1, j), (i-1, j), (i, j+1), (i, j-1), so
     coinciding neighbours (N <= 2) share a slot.  Bordered, one unknown is
-    appended to the N^2 nodes (``_with_border``).  The factor order is
-    ``dissection_order(n)``, border last.
+    appended to the N^2 nodes (``_with_border``).
     """
     n2 = n * n
-    slots = None
     if bordered:
         five = _layout(n, False)
         indices = _with_border(five.indices, np.full(n2, n2), np.arange(n2))
         indptr = np.append(np.arange(n2 + 1) * (five.indices.size // n2 + 1), indices.size)
-    else:
-        k = np.arange(n2).reshape(n, n)
-        neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
-        rows = np.repeat(k.ravel(), 5)
-        cols = np.stack([k] + neighbours, axis=-1).ravel()
-        keys, slots = np.unique(rows * n2 + cols, return_inverse=True)
-        indptr, indices = np.searchsorted(keys // n2, np.arange(n2 + 1)), keys % n2
-    size = indptr.size - 1
-    order = np.concatenate([dissection_order(n), np.arange(n2, size)])
-    inv = np.empty(size, dtype=np.intc)
-    inv[order] = np.arange(size, dtype=np.intc)
-    # row and column of every CSR entry of A in P A P^T
-    rows = inv[np.repeat(np.arange(size), np.diff(indptr))]
-    cols = inv[indices]
-    gather = np.lexsort((rows, cols))  # CSC order: by column, then row
-    pap_indptr = np.searchsorted(cols[gather], np.arange(size + 1))
-    arrays = [indptr, indices, slots, order, inv, pap_indptr, rows[gather], gather]
-    for k, a in enumerate(arrays):
-        if a is not None:
-            arrays[k] = a = a.astype(np.intc)
-            a.flags.writeable = False
-    return _Layout(*arrays)  # in field order
+        return _Layout(*_read_only(indptr, indices), None)
+    k = np.arange(n2).reshape(n, n)
+    neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
+    rows = np.repeat(k.ravel(), 5)
+    cols = np.stack([k] + neighbours, axis=-1).ravel()
+    keys, slots = np.unique(rows * n2 + cols, return_inverse=True)
+    indptr, indices = np.searchsorted(keys // n2, np.arange(n2 + 1)), keys % n2
+    return _Layout(*_read_only(indptr, indices, slots))
 
 
 def _with_border(entries: np.ndarray, column: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -207,10 +209,8 @@ class _DissectedLU:
             and np.array_equal(a.indices, layout.indices)
         ):
             raise ValueError("matrix is not in CSR form on the cached pattern of its grid")
-        self._p, self._inv = layout.order, layout.inv
-        pap = sp.csc_matrix(
-            (a.data[layout.gather], layout.pap_indices, layout.pap_indptr), shape=a.shape
-        )
+        self._p, self._inv, pap_indptr, pap_indices, gather = layout.factor_order
+        pap = sp.csc_matrix((a.data[gather], pap_indices, pap_indptr), shape=a.shape)
         self._lu = spla.splu(pap, permc_spec="NATURAL")
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:

@@ -9,7 +9,6 @@ to machine precision.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import i0
 
 from .config import RunConfig
 from .cost_ops import BilaplacianCost, CostOperator, DiscreteDensity, LocalCost
@@ -90,7 +89,7 @@ def terminal_density_preset(
     if name == "uniform":
         return DiscreteDensity.uniform(grid)
     if name == "bump":
-        norm = i0(kappa) ** 2
+        norm = float(np.i0(kappa)) ** 2
 
         def density(x1, x2):
             return (

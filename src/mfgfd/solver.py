@@ -111,7 +111,7 @@ class FixedPointConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.outer_tol <= 0 or self.max_outer < 1:
+        if not (self.outer_tol > 0 and self.max_outer >= 1):  # NaN too
             raise ValueError("outer_tol must be positive and max_outer >= 1")
 
 
@@ -280,10 +280,10 @@ def _fp_sweep(
 
 
 def evolutive_residuals(
-    p: EvolutiveProblem, u: SpaceTimeField, m: SpaceTimeField
+    p: EvolutiveProblem, u: np.ndarray, m: np.ndarray
 ) -> tuple[float, float]:
     """Sup norms of the two defects of ``system_residuals`` along a trajectory pair."""
-    a, b = system_residuals(p.hamiltonian, p.nu, p.cost, u, m)
+    a, b = system_residuals(p.hamiltonian, p.nu, p.mesh.dt, p.cost, u, m)
     return float(np.max(np.abs(a))), float(np.max(np.abs(b)))
 
 
@@ -339,11 +339,9 @@ def solve_evolutive(
         mismatch = float(np.max(np.abs(_cost_fields(p, m_new) - cost)))
         if not mismatch + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET:
             return None
-        u_field = SpaceTimeField.from_array(p.mesh, p.grid, u)
-        m_field = SpaceTimeField.from_array(p.mesh, p.grid, m_new)
-        hjb_res, fp_res = evolutive_residuals(p, u_field, m_field)
+        hjb_res, fp_res = evolutive_residuals(p, u, m_new)
         monitors = (
-            _trajectory_monitors(u_field, m_field, p.cost, p.hamiltonian.beta)
+            _trajectory_monitors(u, m_new, p.mesh.dt, p.cost, p.hamiltonian.beta)
             if isinstance(p.cost, LocalCost)
             else None
         )
@@ -356,8 +354,8 @@ def solve_evolutive(
             "halvings": halvings,
         }
         return EvolutiveSolution(
-            u=u_field,
-            m=m_field,
+            u=SpaceTimeField.from_array(p.mesh, p.grid, u),
+            m=SpaceTimeField.from_array(p.mesh, p.grid, m_new),
             outer_iters=len(history),
             residual_history=history,
             monitors=monitors,
@@ -518,36 +516,37 @@ def _ergodic_diagnostics(p: ErgodicProblem, u: np.ndarray, m: np.ndarray, lam: f
 def system_residuals(
     ham: PowerHamiltonian,
     nu: float,
+    dt: float,
     cost: CostOperator,
-    u: SpaceTimeField,
-    m: SpaceTimeField,
+    u: np.ndarray,
+    m: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step defects (a, b) of an arbitrary trajectory pair against the scheme.
 
-    Both are (N_T + 1, N, N) arrays.  Slice n of ``a`` is the value-equation
-    defect of step n -> n+1 with the cost evaluated at density slice n;
-    slice n of ``b`` is the density-equation defect; slice N_T of both is
-    zero.  A pair produced by the solver has both near zero; for arbitrary
+    u, m and both defects are (N_T + 1, N, N) arrays; h = 1/N and dt is
+    the time step.  Slice n of ``a`` is the value-equation defect of step
+    n -> n+1 with the cost evaluated at density slice n; slice n of ``b``
+    is the density-equation defect; slice N_T of both is zero.  A pair produced by the solver has both near zero; for arbitrary
     trajectories this is exactly the perturbation that makes them solve the
     perturbed system by construction.
     """
-    dt = u.mesh.dt
-    uv, mv = u.values, m.values
-    a = np.zeros_like(uv)
-    transport = np.zeros_like(uv)
-    for n in range(u.mesh.n_steps):
-        a[n] = hjb_residual(ham, nu, dt, uv[n + 1], uv[n], cost.apply(mv[n]))
-        transport[n] = transport_apply(ham, uv[n + 1], mv[n])
-    b = np.zeros_like(mv)
-    b[:-1] = (mv[1:] - mv[:-1]) / dt + nu * laplace_array(mv[:-1], u.grid.h) + transport[:-1]
+    a = np.zeros_like(u)
+    transport = np.zeros_like(u)
+    for n in range(len(u) - 1):
+        a[n] = hjb_residual(ham, nu, dt, u[n + 1], u[n], cost.apply(m[n]))
+        transport[n] = transport_apply(ham, u[n + 1], m[n])
+    b = np.zeros_like(m)
+    h = 1.0 / u.shape[-1]
+    b[:-1] = (m[1:] - m[:-1]) / dt + nu * laplace_array(m[:-1], h) + transport[:-1]
     return a, b
 
 
 def identity_terms(
     ham: PowerHamiltonian,
     nu: float,
-    sol: tuple[SpaceTimeField, SpaceTimeField],
-    sol_tilde: tuple[SpaceTimeField, SpaceTimeField],
+    dt: float,
+    sol: tuple[np.ndarray, np.ndarray],
+    sol_tilde: tuple[np.ndarray, np.ndarray],
     pert: tuple[np.ndarray, np.ndarray],
     cost: CostOperator,
 ) -> dict:
@@ -562,20 +561,18 @@ def identity_terms(
     tilde pair, as ``system_residuals`` returns them, minus the internally
     recomputed defects of the base pair, so the equality is algebraically
     exact for arbitrary inputs.  When the base pair solves the scheme, its
-    defects vanish and this is the classical statement.  The time step is
-    that of the base pair's mesh.  All sums are unweighted node sums.
+    defects vanish and this is the classical statement.  ``sol`` and
+    ``sol_tilde`` are (u, m) pairs of (N_T + 1, N, N) arrays on the time
+    step ``dt``.  All sums are unweighted node sums.
     """
     u, m = sol
     ut, mt = sol_tilde
-    nt = u.mesh.n_steps
-    dt = u.mesh.dt
+    nt = len(u) - 1
     pert_a, pert_b = pert
-    base_a, base_b = system_residuals(ham, nu, cost, u, m)
-    du = u.values - ut.values
-    dm = m.values - mt.values
-    dcost = np.stack(
-        [cost.apply(m.values[n]) - cost.apply(mt.values[n]) for n in range(nt)]
-    )
+    base_a, base_b = system_residuals(ham, nu, dt, cost, u, m)
+    du = u - ut
+    dm = m - mt
+    dcost = np.stack([cost.apply(m[n]) - cost.apply(mt[n]) for n in range(nt)])
     terms = {
         "endpoint_final": -(1.0 / dt) * float(np.sum(dm[nt] * du[nt])),
         "endpoint_initial": (1.0 / dt) * float(np.sum(dm[0] * du[0])),
@@ -602,7 +599,7 @@ def identity_terms(
 # ---------------------------------------------------------------------------
 
 def _trajectory_monitors(
-    u: SpaceTimeField, m: SpaceTimeField, cost: LocalCost, beta: float
+    u: np.ndarray, m: np.ndarray, dt: float, cost: LocalCost, beta: float
 ) -> dict:
     """Runtime monitors of the a priori bounded quantities for local costs.
 
@@ -612,19 +609,20 @@ def _trajectory_monitors(
     norm of u, and the path of slice means with its total variation.  Each
     is bounded by a level-independent constant on the smooth presets; the
     tests pin those constants.  ``solve_evolutive`` stores them as
-    ``EvolutiveSolution.monitors``.
+    ``EvolutiveSolution.monitors``.  u and m are (N_T + 1, N, N) arrays on
+    the time step ``dt``; h = 1/N.
     """
-    h2 = u.grid.h ** 2
-    dt = u.mesh.dt
-    grad_term = gradient_power_sum(u.values[1:], u.grid.h, beta) * (h2 * dt)
-    fvals = cost.f(np.maximum(m.values[:-1], 0.0))
+    h = 1.0 / u.shape[-1]
+    h2 = h ** 2
+    grad_term = gradient_power_sum(u[1:], h, beta) * (h2 * dt)
+    fvals = cost.f(np.maximum(m[:-1], 0.0))
     cost_term = time_sum(np.abs(fvals) ** cost.gamma) * (h2 * dt)
-    means = h2 * np.sum(u.values, axis=(-2, -1))
+    means = h2 * np.sum(u, axis=(-2, -1))
     return {
-        "u_min": float(np.min(u.values)),
+        "u_min": float(np.min(u)),
         "grad_power_total": grad_term,
         "cost_power_total": cost_term,
-        "u_l1_max": h2 * float(np.max(np.sum(np.abs(u.values), axis=(-2, -1)))),
+        "u_l1_max": h2 * float(np.max(np.sum(np.abs(u), axis=(-2, -1)))),
         "u_mean_path": means.tolist(),
         "u_mean_total_variation": float(np.sum(np.abs(np.diff(means)))),
     }

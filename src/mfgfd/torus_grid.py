@@ -124,8 +124,7 @@ class TimeMesh:
 class SpaceTimeField:
     """N_T + 1 grid fields held in one (N_T + 1, N, N) array ``values``.
 
-    Slice n holds the values at t_n; ``slices[n]`` is a GridField view of
-    ``values[n]``, so writes through either are seen by both.
+    Slice n holds the values at t_n.
     """
 
     def __init__(self, mesh: TimeMesh, slices: Sequence[GridField]):
@@ -149,7 +148,6 @@ class SpaceTimeField:
         self.mesh = mesh
         self.grid = grid
         self.values = values
-        self.slices = [GridField(grid, v) for v in values]
 
     @classmethod
     def from_array(cls, mesh: TimeMesh, grid: TorusGrid, arr: np.ndarray) -> "SpaceTimeField":
@@ -157,11 +155,6 @@ class SpaceTimeField:
         f = cls.__new__(cls)
         f._wrap(mesh, grid, np.ascontiguousarray(arr, dtype=np.float64))
         return f
-
-    @classmethod
-    def constant(cls, mesh: TimeMesh, grid: TorusGrid, c: float) -> "SpaceTimeField":
-        shape = (mesh.n_steps + 1, grid.n_side, grid.n_side)
-        return cls.from_array(mesh, grid, np.full(shape, float(c)))
 
     def stack(self) -> np.ndarray:
         """Copy of the (N_T + 1, N, N) array of all slices."""

@@ -57,9 +57,9 @@ def test_criterion_01_exact_solution_reproduction():
     elapsed = time.monotonic() - t0
     dt = p.mesh.dt
     err_u = max(
-        float(np.max(np.abs(sol.u.slices[n].values - n * dt))) for n in range(33)
+        float(np.max(np.abs(sol.u.values[n] - n * dt))) for n in range(33)
     )
-    err_m = max(float(np.max(np.abs(s.values - 1.0))) for s in sol.m.slices)
+    err_m = max(float(np.max(np.abs(s - 1.0))) for s in sol.m.values)
     assert err_u <= 1e-8
     assert err_m <= 1e-8
     assert elapsed < 10.0
@@ -102,9 +102,9 @@ def test_criterion_05_conservation_and_positivity():
     for kind in ("bilaplacian", "power"):
         p = smooth_problem(16, 32, kind)
         sol = m.solve_evolutive(p, cfg=m.FixedPointConfig(damping=1.0))
-        for s in sol.m.slices:
-            assert abs(mass(s) - 1.0) <= 1e-9
-            assert float(np.min(s.values)) >= 0.0
+        for s in sol.m.values:
+            assert abs(mass(GridField(p.grid, s)) - 1.0) <= 1e-9
+            assert float(np.min(s)) >= 0.0
         assert sol.diagnostics["max_clamp"] <= 1e-12
     _report(5, "conservation-and-positivity")
 
@@ -113,13 +113,13 @@ def test_criterion_06_uniqueness_two_starts():
     p = smooth_problem(16, 32, "bilaplacian")
     cfg = m.FixedPointConfig(damping=1.0)
     sol_a = m.solve_evolutive(
-        p, cfg=cfg, initial_m=SpaceTimeField.constant(p.mesh, p.grid, 1.0)
+        p, cfg=cfg, initial_m=SpaceTimeField.from_array(p.mesh, p.grid, np.full((33, 16, 16), 1.0))
     )
     start_b = SpaceTimeField(p.mesh, [p.mT.field] * (p.mesh.n_steps + 1))
     sol_b = m.solve_evolutive(p, cfg=cfg, initial_m=start_b)
     dist = 0.0
-    for a, b in zip(sol_a.u.slices + sol_a.m.slices, sol_b.u.slices + sol_b.m.slices):
-        dist = max(dist, float(np.max(np.abs(a.values - b.values))))
+    for a, b in zip([*sol_a.u.values, *sol_a.m.values], [*sol_b.u.values, *sol_b.m.values]):
+        dist = max(dist, float(np.max(np.abs(a - b))))
     assert dist <= 1e-8
     _report(6, "uniqueness-two-starts")
 

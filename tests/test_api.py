@@ -95,3 +95,16 @@ def test_one_assembly_path(token):
     # system is solved with the factor of the CSR matrix itself
     hits = _token_hits(token)
     assert sum(hits.values()) == 0, hits
+
+
+def test_trajectory_kernels_take_arrays():
+    # the Bregman gap and the identity suite work on (K+1, N, N) arrays;
+    # SpaceTimeField wraps them only at the problem and solution boundary
+    hits = _token_hits("SpaceTimeField")
+    assert hits["hamiltonian.py"] == hits["verify.py"] == 0, hits
+
+
+def test_no_per_slice_views():
+    # a space-time field holds one array; its slices are values[n]
+    hits = _token_hits(".slices")
+    assert sum(hits.values()) == 0, hits

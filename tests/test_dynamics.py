@@ -1,5 +1,10 @@
 """Step operators: residuals, Newton step, transport duality, density step, adjoint."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -507,6 +512,33 @@ class TestFactorization:
         expect = np.linalg.solve(dense.T, b)
         got = _solve_checked(j, b, LinearSolveContract(), "T")
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_ergodic_solve_orders_only_the_bordered_layout(self):
+        # the ergodic model factors only the bordered matrix, so the factor
+        # order of the unbordered pattern is never built; a fresh process
+        # holds no layout another test built
+        script = textwrap.dedent(
+            """
+            from mfgfd.cost_ops import LocalCost
+            from mfgfd.hamiltonian import PowerHamiltonian
+            from mfgfd.linear import _layout
+            from mfgfd.presets import hamiltonian_preset
+            from mfgfd.solver import ErgodicProblem, solve_ergodic
+            from mfgfd.torus_grid import TorusGrid
+
+            g = TorusGrid(6)
+            ham = PowerHamiltonian(2.0, hamiltonian_preset("sines", g))
+            solve_ergodic(ErgodicProblem(1.0, ham, LocalCost.power(2.0), g))
+            assert _layout.cache_info().currsize == 2
+            assert "factor_order" in vars(_layout(6, True))
+            assert "factor_order" not in vars(_layout(6, False))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
 
     def test_rejects_matrix_off_the_pattern(self):
         # the pattern is structurally symmetric, so a CSC matrix carries the

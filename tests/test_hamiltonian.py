@@ -14,8 +14,6 @@ from mfgfd.hamiltonian import (
 )
 from mfgfd.torus_grid import (
     GridField,
-    SpaceTimeField,
-    TimeMesh,
     TorusGrid,
     stencil_array,
 )
@@ -231,54 +229,43 @@ class TestBregmanGap:
 class TestWeightedBregmanGap:
     def setup_method(self):
         self.grid = TorusGrid(4)
-        self.mesh = TimeMesh(1.0, 1)
         self.ham = PowerHamiltonian(2.0, GridField.zeros(self.grid))
 
     def test_equal_trajectories(self):
         rng = np.random.default_rng(6)
-        u = SpaceTimeField(
-            self.mesh, [GridField(self.grid, rng.normal(size=(4, 4))) for _ in range(2)]
-        )
-        m = SpaceTimeField.constant(self.mesh, self.grid, 1.0)
+        u = rng.normal(size=(2, 4, 4))
+        m = np.full((2, 4, 4), 1.0)
         assert weighted_bregman_gap(self.ham, m, u, u) == 0.0
 
     def test_zero_density(self):
         rng = np.random.default_rng(7)
-        u = SpaceTimeField(
-            self.mesh, [GridField(self.grid, rng.normal(size=(4, 4))) for _ in range(2)]
-        )
-        ut = SpaceTimeField(
-            self.mesh, [GridField(self.grid, rng.normal(size=(4, 4))) for _ in range(2)]
-        )
-        m = SpaceTimeField.constant(self.mesh, self.grid, 0.0)
+        u = rng.normal(size=(2, 4, 4))
+        ut = rng.normal(size=(2, 4, 4))
+        m = np.full((2, 4, 4), 0.0)
         assert weighted_bregman_gap(self.ham, m, u, ut) == 0.0
 
     def test_brute_force_resummation(self):
         rng = np.random.default_rng(8)
-        u = SpaceTimeField(
-            self.mesh, [GridField(self.grid, rng.normal(size=(4, 4))) for _ in range(2)]
-        )
-        ut = SpaceTimeField(
-            self.mesh, [GridField(self.grid, rng.normal(size=(4, 4))) for _ in range(2)]
-        )
-        m = SpaceTimeField.constant(self.mesh, self.grid, 1.0)
+        u = rng.normal(size=(2, 4, 4))
+        ut = rng.normal(size=(2, 4, 4))
+        m = np.full((2, 4, 4), 1.0)
         got = weighted_bregman_gap(self.ham, m, u, ut)
         # independent per-node loop over the gap of one stencil pair
-        st = plain(u.slices[1])
-        stt = plain(ut.slices[1])
+        st = plain(GridField(self.grid, u[1]))
+        stt = plain(GridField(self.grid, ut[1]))
         expect = 0.0
         for i in range(4):
             for j in range(4):
-                expect += m.values[0, i, j] * float(
+                expect += m[0, i, j] * float(
                     bregman_gap_array(st[i, j], stt[i, j], self.ham.beta)
                 )
         assert got == pytest.approx(expect, rel=1e-13)
         assert got > 0.0
 
     def test_mesh_mismatch_rejected(self):
-        u = SpaceTimeField.constant(self.mesh, self.grid, 0.0)
-        other = SpaceTimeField.constant(TimeMesh(1.0, 2), self.grid, 0.0)
-        m = SpaceTimeField.constant(self.mesh, self.grid, 1.0)
+        u = np.zeros((2, 4, 4))
+        other = np.zeros((3, 4, 4))
+        m = np.full((2, 4, 4), 1.0)
         with pytest.raises(ValueError, match="time mesh"):
             weighted_bregman_gap(self.ham, m, u, other)
 

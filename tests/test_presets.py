@@ -1,10 +1,14 @@
 """Built-in problem presets and config-to-problem marshalling."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from mfgfd.config import parse_config_text
-from mfgfd.cost_ops import BilaplacianCost, LocalCost
+from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
 from mfgfd.presets import (
     build_ergodic_problem,
     build_evolutive_problem,
@@ -14,7 +18,7 @@ from mfgfd.presets import (
     terminal_density_preset,
     u0_preset,
 )
-from mfgfd.torus_grid import GridField, TorusGrid, mass
+from mfgfd.torus_grid import TorusGrid, cell_average, mass
 
 
 class TestFieldPresets:
@@ -67,6 +71,29 @@ class TestTerminalDensity:
         flat = terminal_density_preset("bump", g, kappa=0.5)
         sharp = terminal_density_preset("bump", g, kappa=4.0)
         assert np.max(sharp.field.values) > np.max(flat.field.values)
+
+    def test_bump_matches_scipy_bessel_normalization(self):
+        from scipy.special import i0
+
+        g = TorusGrid(16)
+        norm = i0(2.0) ** 2
+
+        def density(x1, x2):
+            bump = np.cos(2 * np.pi * (x1 - 0.5)) + np.cos(2 * np.pi * (x2 - 0.5))
+            return np.exp(2.0 * bump) / norm
+
+        expect = DiscreteDensity.normalized(cell_average(density, g)).field.values
+        assert np.array_equal(terminal_density_preset("bump", g).field.values, expect)
+
+    def test_presets_do_not_import_scipy_special(self):
+        # numpy's i0 normalizes the bump; scipy.special costs import time and memory
+        script = "import sys, mfgfd, mfgfd.presets, mfgfd.archive\n"
+        script += "assert 'scipy.special' not in sys.modules, 'scipy.special imported'"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
 
 
 class TestCostPreset:

@@ -93,7 +93,7 @@ class TestEvolutiveSolver:
 
     def test_uniform_exact_from_other_start(self):
         p = uniform_problem(n=8, nt=8)
-        start = SpaceTimeField.constant(p.mesh, p.grid, 0.5)
+        start = SpaceTimeField.from_array(p.mesh, p.grid, np.full((9, 8, 8), 0.5))
         # not a valid density trajectory, but any start must reach the target
         sol = solve_evolutive(p, initial_m=start)
         dt = p.mesh.dt
@@ -103,21 +103,21 @@ class TestEvolutiveSolver:
     def test_boundary_slices_exact(self):
         p = smooth_problem(n=8, nt=8)
         sol = solve_evolutive(p, cfg=FixedPointConfig(damping=1.0))
-        assert np.array_equal(sol.u.slices[0].values, p.u0.values)
-        assert np.array_equal(sol.m.slices[-1].values, p.mT.field.values)
+        assert np.array_equal(sol.u.values[0], p.u0.values)
+        assert np.array_equal(sol.m.values[-1], p.mT.field.values)
 
     def test_all_density_slices_in_simplex(self):
         p = smooth_problem(n=8, nt=8)
         sol = solve_evolutive(p, cfg=FixedPointConfig(damping=1.0))
-        for s in sol.m.slices:
-            assert abs(mass(s) - 1.0) <= 1e-9
-            assert float(np.min(s.values)) >= 0.0
+        for s in sol.m.values:
+            assert abs(mass(GridField(p.grid, s)) - 1.0) <= 1e-9
+            assert float(np.min(s)) >= 0.0
         assert sol.diagnostics["max_clamp"] <= 1e-12
 
     def test_inner_residuals_at_return(self):
         p = smooth_problem(n=8, nt=8)
         sol = solve_evolutive(p, cfg=FixedPointConfig(damping=1.0))
-        hjb_res, fp_res = evolutive_residuals(p, sol.u, sol.m)
+        hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
 
@@ -150,7 +150,9 @@ class TestEvolutiveSolver:
         p = smooth_problem(n=8, nt=16)
         cfg = FixedPointConfig(damping=1.0)
         sol_a = solve_evolutive(
-            p, cfg=cfg, initial_m=SpaceTimeField.constant(p.mesh, p.grid, 1.0)
+            p,
+            cfg=cfg,
+            initial_m=SpaceTimeField.from_array(p.mesh, p.grid, np.full((17, 8, 8), 1.0)),
         )
         start_b = SpaceTimeField(p.mesh, [p.mT.field] * (p.mesh.n_steps + 1))
         sol_b = solve_evolutive(p, cfg=cfg, initial_m=start_b)
@@ -161,10 +163,10 @@ class TestEvolutiveSolver:
         p = smooth_problem(n=8, nt=8)
         sol_a = solve_evolutive(p, cfg=FixedPointConfig(damping=1.0))
         sol_b = solve_evolutive(smooth_problem(n=8, nt=8), cfg=FixedPointConfig(damping=1.0))
-        for a, b in zip(sol_a.u.slices, sol_b.u.slices):
-            assert np.array_equal(a.values, b.values)
-        for a, b in zip(sol_a.m.slices, sol_b.m.slices):
-            assert np.array_equal(a.values, b.values)
+        for a, b in zip(sol_a.u.values, sol_b.u.values):
+            assert np.array_equal(a, b)
+        for a, b in zip(sol_a.m.values, sol_b.m.values):
+            assert np.array_equal(a, b)
 
     def test_comparison_lower_bound_on_u(self):
         p = smooth_problem(n=8, nt=8, cost="power")
@@ -172,7 +174,7 @@ class TestEvolutiveSolver:
         max_pot = float(np.max(p.hamiltonian.potential.values))
         min_cost = 0.0  # F(m) = m^2 >= 0
         bound = float(np.min(p.u0.values)) - p.mesh.horizon * max(0.0, max_pot - min_cost)
-        assert min(float(np.min(s.values)) for s in sol.u.slices) >= bound - 1e-8
+        assert min(float(np.min(s)) for s in sol.u.values) >= bound - 1e-8
 
     def test_outer_nonconvergence_raised(self):
         p = smooth_problem(n=8, nt=8)
@@ -186,7 +188,7 @@ class TestEvolutiveSolver:
         p = smooth_problem(n=8, nt=16, cost="power", beta=1.5)
         sol = solve_evolutive(p, cfg=FixedPointConfig(max_outer=100))
         assert sol.outer_iters <= 100
-        hjb_res, fp_res = evolutive_residuals(p, sol.u, sol.m)
+        hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
 
@@ -196,7 +198,7 @@ class TestEvolutiveSolver:
         p = smooth_problem(n=8, nt=16, cost=cost, beta=3.0)
         sol = solve_evolutive(p, cfg=FixedPointConfig(max_outer=40))
         assert sol.outer_iters <= 40
-        hjb_res, fp_res = evolutive_residuals(p, sol.u, sol.m)
+        hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
         h2 = p.grid.h ** 2
@@ -212,6 +214,15 @@ class TestEvolutiveSolver:
                 solve_evolutive(
                     p, cfg=FixedPointConfig(max_outer=5), hjb_cfg=HjbStepConfig(newton_tol=tol)
                 )
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0, -1])
+@pytest.mark.parametrize("field", ["newton_tol", "max_newton", "outer_tol", "max_outer"])
+def test_settings_reject_nan_and_nonpositive(field, value):
+    # a NaN tolerance would otherwise surface only later, as a NonConvergence
+    cls = HjbStepConfig if field in ("newton_tol", "max_newton") else FixedPointConfig
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
 
 
 def recording_sweep(rule):
@@ -408,15 +419,16 @@ class TestIdentity:
 
     def test_trivial_gap_zero(self):
         p, sol = self.make_base()
-        pert = system_residuals(p.hamiltonian, p.nu, p.cost, sol.u, sol.m)
-        out = identity_terms(p.hamiltonian, p.nu, (sol.u, sol.m), (sol.u, sol.m), pert, p.cost)
+        u, m, dt = sol.u.values, sol.m.values, p.mesh.dt
+        pert = system_residuals(p.hamiltonian, p.nu, dt, p.cost, u, m)
+        out = identity_terms(p.hamiltonian, p.nu, dt, (u, m), (u, m), pert, p.cost)
         assert out["gap"] == 0.0
 
     def test_defects_are_trajectory_arrays(self):
         # one (N_T + 1, N, N) array per equation, zero on the last slice,
         # where no step starts
         p, sol = self.make_base()
-        a, b = system_residuals(p.hamiltonian, p.nu, p.cost, sol.u, sol.m)
+        a, b = system_residuals(p.hamiltonian, p.nu, p.mesh.dt, p.cost, sol.u.values, sol.m.values)
         assert a.shape == b.shape == sol.u.values.shape
         assert not np.any(a[-1]) and not np.any(b[-1])
         assert max(np.max(np.abs(a)), np.max(np.abs(b))) <= 1e-9
@@ -426,30 +438,24 @@ class TestIdentity:
         p, sol = self.make_base(beta=beta)
         rng = np.random.default_rng(17)
         n = p.grid.n_side
+        u, m, dt = sol.u.values, sol.m.values, p.mesh.dt
         for _ in range(10):
-            ut = SpaceTimeField.from_array(
-                p.mesh, p.grid, sol.u.stack() + rng.normal(0, 0.5, (p.mesh.n_steps + 1, n, n))
-            )
-            mt = SpaceTimeField.from_array(
-                p.mesh, p.grid, np.abs(sol.m.stack() + rng.normal(0, 0.5, (p.mesh.n_steps + 1, n, n)))
-            )
-            pert = system_residuals(p.hamiltonian, p.nu, p.cost, ut, mt)
-            out = identity_terms(p.hamiltonian, p.nu, (sol.u, sol.m), (ut, mt), pert, p.cost)
+            ut = sol.u.values + rng.normal(0, 0.5, (p.mesh.n_steps + 1, n, n))
+            mt = np.abs(sol.m.values + rng.normal(0, 0.5, (p.mesh.n_steps + 1, n, n)))
+            pert = system_residuals(p.hamiltonian, p.nu, dt, p.cost, ut, mt)
+            out = identity_terms(p.hamiltonian, p.nu, dt, (u, m), (ut, mt), pert, p.cost)
             assert out["gap"] <= 1e-10 * out["scale"]
 
     def test_middle_terms_nonnegative(self):
         p, sol = self.make_base()
         rng = np.random.default_rng(18)
         n = p.grid.n_side
+        u, m, dt = sol.u.values, sol.m.values, p.mesh.dt
         for _ in range(10):
-            ut = SpaceTimeField.from_array(
-                p.mesh, p.grid, rng.normal(0, 1.0, (p.mesh.n_steps + 1, n, n))
-            )
-            mt = SpaceTimeField.from_array(
-                p.mesh, p.grid, np.abs(rng.normal(1.0, 0.5, (p.mesh.n_steps + 1, n, n)))
-            )
-            pert = system_residuals(p.hamiltonian, p.nu, p.cost, ut, mt)
-            out = identity_terms(p.hamiltonian, p.nu, (sol.u, sol.m), (ut, mt), pert, p.cost)
+            ut = rng.normal(0, 1.0, (p.mesh.n_steps + 1, n, n))
+            mt = np.abs(rng.normal(1.0, 0.5, (p.mesh.n_steps + 1, n, n)))
+            pert = system_residuals(p.hamiltonian, p.nu, dt, p.cost, ut, mt)
+            out = identity_terms(p.hamiltonian, p.nu, dt, (u, m), (ut, mt), pert, p.cost)
             tol = 1e-10 * out["scale"]
             assert out["terms"]["bregman_base"] >= -tol
             assert out["terms"]["bregman_tilde"] >= -tol
@@ -496,26 +502,26 @@ class TestMonitors:
         g, mesh, beta = TorusGrid(8), TimeMesh(0.5, 6), 1.5
         cost = LocalCost.power(2.0)
         rng = np.random.default_rng(21)
-        u = SpaceTimeField.from_array(mesh, g, rng.normal(size=(7, 8, 8)))
-        m = SpaceTimeField.from_array(mesh, g, np.abs(rng.normal(size=(7, 8, 8))))
+        u = rng.normal(size=(7, 8, 8))
+        m = np.abs(rng.normal(size=(7, 8, 8)))
         h2, dt = g.h**2, mesh.dt
         grad_term = 0.0
         for n in range(1, 7):
-            d = stencil_array(u.slices[n].values, g.h)
+            d = stencil_array(u[n], g.h)
             grad_term += float(np.sum(np.sum(d * d, axis=-1) ** (beta / 2.0)))
         cost_term = 0.0
         for n in range(6):
-            cost_term += float(np.sum(np.abs(cost.f(m.slices[n].values)) ** cost.gamma))
-        means = [h2 * float(np.sum(s.values)) for s in u.slices]
+            cost_term += float(np.sum(np.abs(cost.f(m[n])) ** cost.gamma))
+        means = [h2 * float(np.sum(s)) for s in u]
         expect = {
-            "u_min": min(float(np.min(s.values)) for s in u.slices),
+            "u_min": min(float(np.min(s)) for s in u),
             "grad_power_total": grad_term * (h2 * dt),
             "cost_power_total": cost_term * (h2 * dt),
-            "u_l1_max": max(h2 * float(np.sum(np.abs(s.values))) for s in u.slices),
+            "u_l1_max": max(h2 * float(np.sum(np.abs(s))) for s in u),
             "u_mean_path": means,
             "u_mean_total_variation": float(np.sum(np.abs(np.diff(means)))),
         }
-        assert _trajectory_monitors(u, m, cost, beta) == expect
+        assert _trajectory_monitors(u, m, dt, cost, beta) == expect
 
     def test_standalone_call(self):
         p = uniform_problem(n=8, nt=4)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfgfd.linear import dissection_order
+from mfgfd.linear import _layout, dissection_order
 from mfgfd.torus_grid import (
     GridField,
     SpaceTimeField,
@@ -318,14 +318,16 @@ class TestSpaceTimeArray:
     def test_values_shape(self):
         f = SpaceTimeField(self.mesh, self.random_slices(14))
         assert f.values.shape == (4, 4, 4)
-        assert SpaceTimeField.constant(self.mesh, self.grid, 1.0).values.shape == (4, 4, 4)
+        ones = SpaceTimeField.from_array(self.mesh, self.grid, np.full((4, 4, 4), 1.0))
+        assert ones.values.shape == (4, 4, 4)
 
     def test_slices_are_views(self):
+        # the archive writer wraps each slice as GridField(grid, values[n])
         f = SpaceTimeField(self.mesh, self.random_slices(15))
         for n in range(4):
-            assert np.shares_memory(f.slices[n].values, f.values[n])
+            assert np.shares_memory(GridField(f.grid, f.values[n]).values, f.values[n])
         f.values[2, 1, 3] = 7.0
-        assert f.slices[2].values[1, 3] == 7.0
+        assert GridField(f.grid, f.values[2]).values[1, 3] == 7.0
 
     def test_constructor_copies_inputs(self):
         slices = self.random_slices(16)
@@ -339,13 +341,13 @@ class TestSpaceTimeArray:
         arr = np.random.default_rng(17).normal(size=(4, 4, 4))
         f = SpaceTimeField.from_array(self.mesh, self.grid, arr)
         assert f.values is arr
-        assert np.shares_memory(f.slices[3].values, arr[3])
+        assert np.shares_memory(GridField(f.grid, f.values[3]).values, arr[3])
 
     def test_stack_equals_values(self):
         f = SpaceTimeField(self.mesh, self.random_slices(18))
         st = f.stack()
         assert np.array_equal(st, f.values)
-        assert np.array_equal(st, np.stack([s.values for s in f.slices]))
+        assert np.array_equal(st, np.stack([f.values[n] for n in range(4)]))
 
     def test_time_sum_matches_slice_loop(self):
         arr = np.random.default_rng(20).normal(size=(9, 16, 16)) ** 3
@@ -368,8 +370,11 @@ class TestDissectionOrder:
         assert np.all((i == 0) | (j == 0))
 
     def test_cached_per_size(self):
-        assert dissection_order(16) is dissection_order(16)
-        assert not dissection_order(16).flags.writeable
+        # the layout of a grid keeps its factor order, built once per size
+        order = _layout(16, False).factor_order[0]
+        assert order is _layout(16, False).factor_order[0]
+        assert not order.flags.writeable
+        assert np.array_equal(order, dissection_order(16))
 
     def test_separator_after_both_halves(self):
         # N = 8: the open grid of rows and columns 1..7 is split first at row 4
