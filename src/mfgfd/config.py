@@ -25,6 +25,7 @@ raise ConfigError carrying the offending section.key.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -136,7 +137,21 @@ def parse_config_text(text: str) -> RunConfig:
     return cfg
 
 
+# keys whose value must be a finite number, with their RunConfig fields
+_FINITE = {
+    "problem.nu": "nu",
+    "problem.beta": "beta",
+    "problem.T": "horizon",
+    "problem.hamiltonian.amplitude": "hamiltonian_amplitude",
+    "problem.u0.amplitude": "u0_amplitude",
+    "problem.mT.kappa": "mT_kappa",
+}
+
+
 def _validate(cfg: RunConfig) -> None:
+    for key, name in _FINITE.items():
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(key, f"must be a finite number, got {getattr(cfg, name)}")
     if cfg.kind not in ("evolutive", "ergodic"):
         raise ConfigError("problem.kind", f"must be 'evolutive' or 'ergodic', got {cfg.kind!r}")
     if not cfg.beta > 1.0:

@@ -50,15 +50,16 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .hamiltonian import PowerHamiltonian, hamiltonian_stencil
+from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
 from .linear import LinearSolveContract, _solve_checked, five_point_matrix
-from .torus_grid import laplace_array, stencil_array
+from .torus_grid import _shift, _stencil_laplace, laplace_array, stencil_array
 
 __all__ = [
     "HjbStepConfig",
     "NonConvergence",
     "PositivityError",
     "newton_armijo",
+    "value_operator",
     "hjb_residual",
     "hjb_step_solve",
     "transport_apply",
@@ -193,6 +194,14 @@ def newton_armijo(
     raise NonConvergence(cfg.max_newton, r)
 
 
+def value_operator(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> np.ndarray:
+    """-nu Lap_h u + value(x, hamiltonian_stencil(u)) of both models, from one stencil."""
+    h = 1.0 / u.shape[-1]
+    q = stencil_array(u, h)
+    lap = _stencil_laplace(q, h)  # unfloored: the floor below overwrites q
+    return -nu * lap + ham.value_grid(_floor_stencil(q, u, h))
+
+
 def hjb_residual(
     ham: PowerHamiltonian,
     nu: float,
@@ -202,10 +211,7 @@ def hjb_residual(
     cost: np.ndarray,
 ) -> np.ndarray:
     """Defect of the semi-implicit value equation at (u_next, u_cur, cost)."""
-    h = 1.0 / u_next.shape[-1]
-    lap = laplace_array(u_next, h)
-    gval = ham.value_grid(hamiltonian_stencil(u_next, h))
-    return (u_next - u_cur) / dt - nu * lap + gval - cost
+    return (u_next - u_cur) / dt + value_operator(ham, nu, u_next) - cost
 
 
 def hjb_step_solve(
@@ -258,10 +264,10 @@ def transport_apply(ham: PowerHamiltonian, u: np.ndarray, m: np.ndarray) -> np.n
     g = ham.grad_grid(hamiltonian_stencil(u, h))
     a1, a2, a3, a4 = np.moveaxis(m[..., None] * g, -1, 0)
     return (
-        (a1 - np.roll(a1, 1, axis=-2))
-        + (np.roll(a2, -1, axis=-2) - a2)
-        + (a3 - np.roll(a3, 1, axis=-1))
-        + (np.roll(a4, -1, axis=-1) - a4)
+        (a1 - _shift(a1, -1, -2))
+        + (_shift(a2, 1, -2) - a2)
+        + (a3 - _shift(a3, -1, -1))
+        + (_shift(a4, 1, -1) - a4)
     ) / h
 
 
@@ -338,8 +344,8 @@ def adjoint_check(
     For probe fields (v, m) compares the node sums of (L_u v) m and v (A_u m),
     where L_u is the linearized value operator and A_u the
     diffusion-transport operator; the two are assembled independently (direct
-    stencils vs the roll-based transport), so agreement to roundoff pins the
-    adjoint structure.  Each defect is normalized by
+    stencils vs the transport defined by duality), so agreement to roundoff
+    pins the adjoint structure.  Each defect is normalized by
     |L_u v|_2 |m|_2 + |v|_2 |A_u m|_2; the contract is a result <= 1e-12.
     """
     rng = np.random.Generator(np.random.Philox(seed))

@@ -67,7 +67,11 @@ def hamiltonian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     slice; directions, error norms and monitors use the plain
     ``stencil_array``.
     """
-    q = stencil_array(values, h)
+    return _floor_stencil(stencil_array(values, h), values, h)
+
+
+def _floor_stencil(q: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+    """``hamiltonian_stencil`` of ``values`` from its ``stencil_array`` q, in place."""
     scale = np.max(np.abs(values), axis=(-2, -1))[..., None, None, None]
     q[np.abs(q) <= STENCIL_FLOOR * _EPS * scale / h] = 0.0
     return q
@@ -143,7 +147,7 @@ class PowerHamiltonian:
         )
 
     def value_grid(self, stencil: np.ndarray) -> np.ndarray:
-        """Values at every node of an (N, N, 4) stencil array."""
+        """Values at every node of a (..., N, N, 4) stencil array."""
         return self.potential.values + _gauge(upwind_part(stencil), self.beta)
 
     def grad_grid(self, stencil: np.ndarray) -> np.ndarray:

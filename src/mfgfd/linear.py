@@ -25,6 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .torus_grid import _shift
+
 __all__ = [
     "LinearSolveContract",
     "LinearSolveError",
@@ -150,7 +152,7 @@ def _layout(n: int, bordered: bool) -> _Layout:
         indptr = np.append(np.arange(n2 + 1) * (five.indices.size // n2 + 1), indices.size)
         return _Layout(*_read_only(indptr, indices), None)
     k = np.arange(n2).reshape(n, n)
-    neighbours = [np.roll(k, step, axis=ax) for ax in (0, 1) for step in (-1, 1)]
+    neighbours = [_shift(k, step, ax) for ax in (0, 1) for step in (1, -1)]
     rows = np.repeat(k.ravel(), 5)
     cols = np.stack([k] + neighbours, axis=-1).ravel()
     keys, slots = np.unique(rows * n2 + cols, return_inverse=True)

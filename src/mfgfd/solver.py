@@ -48,14 +48,9 @@ from .dynamics import (
     hjb_step_solve,
     linearized_hjb_matrix,
     newton_armijo,
-    transport_apply,
+    value_operator,
 )
-from .hamiltonian import (
-    STENCIL_FLOOR,
-    PowerHamiltonian,
-    hamiltonian_stencil,
-    weighted_bregman_gap,
-)
+from .hamiltonian import STENCIL_FLOOR, PowerHamiltonian, weighted_bregman_gap
 from .linear import LinearSolveContract, LinearSolveError, _DissectedLU, bordered_matrix
 from .torus_grid import (
     GridField,
@@ -63,7 +58,6 @@ from .torus_grid import (
     TimeMesh,
     TorusGrid,
     gradient_power_sum,
-    laplace_array,
     time_sum,
 )
 
@@ -126,8 +120,8 @@ class EvolutiveProblem:
     grid: TorusGrid
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
         for f, name in ((self.u0, "u0"), (self.mT.field, "mT"), (self.hamiltonian.potential, "potential")):
             if not f.grid.compatible(self.grid):
                 raise ValueError(f"{name} lives on a different grid")
@@ -144,8 +138,8 @@ class ErgodicProblem:
     grid: TorusGrid
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
         if not isinstance(self.cost, LocalCost):
             raise ValueError("the stationary solver requires a local cost")
 
@@ -369,15 +363,6 @@ def solve_evolutive(
 # ergodic solver
 # ---------------------------------------------------------------------------
 
-def _ergodic_value_residual(
-    p: ErgodicProblem, u: np.ndarray, lam: float, cost: np.ndarray
-) -> np.ndarray:
-    """Defect of the stationary value equation -nu Lap u + H + lambda = cost."""
-    lap = laplace_array(u, p.grid.h)
-    gval = p.hamiltonian.value_grid(hamiltonian_stencil(u, p.grid.h))
-    return -p.nu * lap + gval + lam - cost
-
-
 def _bordered_jacobian(p: ErgodicProblem, u: np.ndarray) -> sp.csr_matrix:
     """[[A(u), 1], [h^2 1^T, 0]] with A(u) = ``linearized_hjb_matrix`` at u."""
     return bordered_matrix(linearized_hjb_matrix(p.hamiltonian, p.nu, u), p.grid.h ** 2)
@@ -397,7 +382,7 @@ def _ergodic_hjb_newton(
 
     def residual(x: np.ndarray) -> np.ndarray:
         u = x[:-1].reshape(n, n)
-        top = _ergodic_value_residual(p, u, x[-1], cost)
+        top = value_operator(p.hamiltonian, p.nu, u) + x[-1] - cost
         return np.concatenate([top.ravel(), [h2 * float(np.sum(u))]])
 
     def jacobian(x: np.ndarray) -> sp.spmatrix:
@@ -499,7 +484,7 @@ def solve_ergodic(
 
 def _ergodic_diagnostics(p: ErgodicProblem, u: np.ndarray, m: np.ndarray, lam: float) -> dict:
     h2 = p.grid.h ** 2
-    res_hjb = _ergodic_value_residual(p, u, lam, p.cost.apply(m))
+    res_hjb = value_operator(p.hamiltonian, p.nu, u) + lam - p.cost.apply(m)
     res_fp = adjoint_apply(p.hamiltonian, p.nu, u, m)
     return {
         "hjb_residual": float(np.max(np.abs(res_hjb))),
@@ -524,20 +509,18 @@ def system_residuals(
     """Per-step defects (a, b) of an arbitrary trajectory pair against the scheme.
 
     u, m and both defects are (N_T + 1, N, N) arrays; h = 1/N and dt is
-    the time step.  Slice n of ``a`` is the value-equation defect of step
-    n -> n+1 with the cost evaluated at density slice n; slice n of ``b``
-    is the density-equation defect; slice N_T of both is zero.  A pair produced by the solver has both near zero; for arbitrary
-    trajectories this is exactly the perturbation that makes them solve the
-    perturbed system by construction.
+    the time step.  Slice n of ``a`` is ``hjb_residual`` of step n -> n+1,
+    with the cost at density slice n, and of ``b`` (m[n+1] - m[n])/dt -
+    ``adjoint_apply``(u[n+1], m[n]); slice N_T of both is zero.  A pair
+    produced by the solver has both near zero; for arbitrary trajectories
+    this is exactly the perturbation that makes them solve the perturbed
+    system by construction.
     """
     a = np.zeros_like(u)
-    transport = np.zeros_like(u)
+    b = np.zeros_like(m)
     for n in range(len(u) - 1):
         a[n] = hjb_residual(ham, nu, dt, u[n + 1], u[n], cost.apply(m[n]))
-        transport[n] = transport_apply(ham, u[n + 1], m[n])
-    b = np.zeros_like(m)
-    h = 1.0 / u.shape[-1]
-    b[:-1] = (m[1:] - m[:-1]) / dt + nu * laplace_array(m[:-1], h) + transport[:-1]
+        b[n] = (m[n + 1] - m[n]) / dt - adjoint_apply(ham, nu, u[n + 1], m[n])
     return a, b
 
 

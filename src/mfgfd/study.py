@@ -29,6 +29,9 @@ __all__ = ["convergence_study", "write_study", "check_levels_nested"]
 
 
 def check_levels_nested(levels: Sequence[tuple[int, int]]) -> None:
+    for n, nt in levels:
+        if not (n >= 1 and nt >= 1):
+            raise ValueError(f"levels must be >= 1, got N_h = {n} and N_T = {nt}")
     if len(levels) < 2:
         raise ValueError("a study needs at least two levels")
     for (na, ta), (nb, tb) in zip(levels, levels[1:]):

@@ -111,8 +111,8 @@ class TimeMesh:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
 
@@ -165,6 +165,13 @@ class SpaceTimeField:
 # elementary difference operators
 # ---------------------------------------------------------------------------
 
+def _shift(values: np.ndarray, step: int, axis: int) -> np.ndarray:
+    """``values`` with entry i along ``axis`` taken from i + step (mod N), step = +-1."""
+    lead = (slice(None),) * (axis % values.ndim)
+    head, tail = values[lead + (slice(step, None),)], values[lead + (slice(None, step),)]
+    return np.concatenate([head, tail], axis=axis)
+
+
 def stencil_array(values: np.ndarray, h: float) -> np.ndarray:
     """One-sided difference stencil of (..., N, N) arrays, shape (..., N, N, 4).
 
@@ -172,22 +179,19 @@ def stencil_array(values: np.ndarray, h: float) -> np.ndarray:
     forward difference in i at (i-1, j), forward difference in j at (i, j),
     forward difference in j at (i, j-1).
     """
-    dp1 = (np.roll(values, -1, axis=-2) - values) / h
-    dp2 = (np.roll(values, -1, axis=-1) - values) / h
-    return np.stack(
-        [dp1, np.roll(dp1, 1, axis=-2), dp2, np.roll(dp2, 1, axis=-1)], axis=-1
-    )
+    dp1 = (_shift(values, 1, -2) - values) / h
+    dp2 = (_shift(values, 1, -1) - values) / h
+    return np.stack([dp1, _shift(dp1, -1, -2), dp2, _shift(dp2, -1, -1)], axis=-1)
+
+
+def _stencil_laplace(q: np.ndarray, h: float) -> np.ndarray:
+    """Five-point Laplacian ((q1 - q2) + (q3 - q4)) / h of a ``stencil_array`` q."""
+    return ((q[..., 0] - q[..., 1]) + (q[..., 2] - q[..., 3])) / h
 
 
 def laplace_array(values: np.ndarray, h: float) -> np.ndarray:
     """Five-point Laplacian on the trailing two axes of (..., N, N) arrays."""
-    return (
-        np.roll(values, -1, axis=-2)
-        + np.roll(values, 1, axis=-2)
-        + np.roll(values, -1, axis=-1)
-        + np.roll(values, 1, axis=-1)
-        - 4.0 * values
-    ) / (h * h)
+    return _stencil_laplace(stencil_array(values, h), h)
 
 
 # ---------------------------------------------------------------------------

@@ -108,3 +108,21 @@ def test_no_per_slice_views():
     # a space-time field holds one array; its slices are values[n]
     hits = _token_hits(".slices")
     assert sum(hits.values()) == 0, hits
+
+
+def test_stencils_without_roll():
+    # periodic neighbours come from torus_grid._shift, two slice copies
+    hits = _token_hits("np.roll(")
+    assert sum(hits.values()) == 0, hits
+
+
+def test_one_value_operator():
+    # the Hamiltonian value enters both models through dynamics.value_operator
+    hits = _token_hits(".value_grid(")
+    assert sum(hits.values()) == hits["dynamics.py"] == 1, hits
+
+
+def test_no_second_value_residual():
+    # the stationary model evaluates value_operator + lambda - cost
+    hits = _token_hits("_ergodic_value_residual")
+    assert sum(hits.values()) == 0, hits

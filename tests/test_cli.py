@@ -211,6 +211,31 @@ class TestSolveCommand:
         assert "tolerances must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("nu", "nan"),
+            ("nu", "inf"),
+            ("beta", "inf"),
+            ("T", "nan"),
+            ("T", "inf"),
+            ("hamiltonian.amplitude", "nan"),
+            ("u0.amplitude", "-inf"),
+            ("mT.kappa", "nan"),
+        ],
+    )
+    def test_nonfinite_problem_value_exit_one(self, tmp_path, capsys, key, value):
+        # NaN or inf here used to end in a singular LU or a NaN linear
+        # residual inside the solve
+        text = UNIFORM_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines")
+        text = text.replace("u0 = zero", "u0 = cosine").replace("mT = uniform", "mT = bump")
+        lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} = ")]
+        lines.insert(lines.index("[problem]") + 1, f"{key} = {value}")
+        path = write_config(tmp_path, "\n".join(lines) + "\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        assert f"[problem.{key}]: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("n_side, outer_tol", [(64, "1e-11"), (32, "1e-12")])
     def test_tight_ergodic_outer_tol_exit_zero(self, tmp_path, capsys, n_side, outer_tol):
         # the density residual cannot reach these tolerances in float64; the
@@ -312,6 +337,15 @@ class TestStudyCommand:
         path.write_text(text)
         assert main(["study", "--config", str(path)]) == 1
         assert "nested" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["0, 4", "-4, 4"])
+    def test_levels_below_one_exit_one(self, tmp_path, capsys, levels):
+        # a zero level used to divide by zero in the nesting check, and a
+        # negative one to pass it and fail in the grid
+        path = write_config(tmp_path, STUDY_CONFIG.replace("levels = 4, 8", f"levels = {levels}"))
+        assert main(["study", "--config", str(path)]) == 1
+        assert "[study.levels]: levels must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_levels_exit_one(self, tmp_path, capsys):
         path = write_config(tmp_path, UNIFORM_CONFIG)

@@ -26,11 +26,12 @@ from mfgfd.dynamics import (
     linearized_hjb_apply,
     linearized_hjb_matrix,
     transport_apply,
+    value_operator,
 )
 from mfgfd.hamiltonian import PowerHamiltonian, hamiltonian_stencil
 from mfgfd.linear import LinearSolveContract, LinearSolveError, _DissectedLU, _solve_checked
 from mfgfd.presets import hamiltonian_preset
-from mfgfd.solver import ErgodicProblem, _bordered_jacobian
+from mfgfd.solver import ErgodicProblem, _bordered_jacobian, _ergodic_diagnostics
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
 from oracles import hjb_step_picard
 
@@ -51,25 +52,27 @@ def cosine(n=8, amplitude=1.0):
     ).values
 
 
-def naive_hjb_residual(ham, nu, dt, u_next, u_cur, phi):
-    # independent per-node loop over the defining formula, with the value
-    # potential + |p|^beta at the upwind part p = (q1^-, q2^+, q3^-, q4^+)
-    n = u_next.shape[-1]
+def naive_value_operator(ham, nu, u):
+    # independent per-node loop over the defining formula: -nu times the
+    # five-point Laplacian plus the value potential + |p|^beta at the upwind
+    # part p = (q1^-, q2^+, q3^-, q4^+) of the one-sided differences
+    n = u.shape[-1]
+    h = 1.0 / n
     out = np.zeros((n, n))
-    st = stencil_array(u_next, 1.0 / n)
-    lap = laplace_array(u_next, 1.0 / n)
     for i in range(n):
         for j in range(n):
-            q1, q2, q3, q4 = st[i, j]
+            c = u[i, j]
+            east, west = u[(i + 1) % n, j], u[i - 1, j]
+            north, south = u[i, (j + 1) % n], u[i, j - 1]
+            q1, q2, q3, q4 = (east - c) / h, (c - west) / h, (north - c) / h, (c - south) / h
             p2 = max(-q1, 0.0) ** 2 + max(q2, 0.0) ** 2 + max(-q3, 0.0) ** 2 + max(q4, 0.0) ** 2
-            out[i, j] = (
-                (u_next[i, j] - u_cur[i, j]) / dt
-                - nu * lap[i, j]
-                + ham.potential.values[i, j]
-                + p2 ** (ham.beta / 2)
-                - phi[i, j]
-            )
+            lap = (east + west + north + south - 4.0 * c) / h**2
+            out[i, j] = -nu * lap + ham.potential.values[i, j] + p2 ** (ham.beta / 2)
     return out
+
+
+def naive_hjb_residual(ham, nu, dt, u_next, u_cur, phi):
+    return (u_next - u_cur) / dt + naive_value_operator(ham, nu, u_next) - phi
 
 
 def dense_fp_from_transport(ham, nu, dt, u):
@@ -149,6 +152,27 @@ class TestHjbResidual:
         phi = rng.normal(size=(8, 8))
         got = hjb_residual(ham, NU, 0.02, u_next, u_cur, phi)
         assert np.allclose(got, naive_hjb_residual(ham, NU, 0.02, u_next, u_cur, phi), atol=1e-11)
+
+        # the stationary defect value_operator + lambda - cost, as the ergodic
+        # Newton step and its final diagnostics evaluate it
+        p = ErgodicProblem(nu=NU, hamiltonian=ham, cost=LocalCost.power(2.0), grid=g)
+        m = rng.uniform(0.5, 1.5, size=(8, 8))
+        lam, cost = 0.3, p.cost.apply(m)
+        expect = naive_value_operator(ham, NU, u_next) + lam - cost
+        assert np.allclose(value_operator(ham, NU, u_next) + lam - cost, expect, atol=1e-11)
+        diag = _ergodic_diagnostics(p, u_next, m, lam)["hjb_residual"]
+        assert abs(diag - float(np.max(np.abs(expect)))) <= 1e-11
+
+        # a (K, N, N) batch of slices of different sizes gives, bit for bit,
+        # the K single-slice defects
+        u_next = np.array([1.0, 1e-3, 50.0])[:, None, None] * rng.normal(size=(3, 8, 8))
+        u_cur = rng.normal(size=(3, 8, 8))
+        phi = rng.normal(size=(3, 8, 8))
+        got = hjb_residual(ham, NU, 0.02, u_next, u_cur, phi)
+        for k in range(3):
+            expect = naive_hjb_residual(ham, NU, 0.02, u_next[k], u_cur[k], phi[k])
+            assert np.allclose(got[k], expect, rtol=1e-13, atol=1e-11)
+            assert np.array_equal(got[k], hjb_residual(ham, NU, 0.02, u_next[k], u_cur[k], phi[k]))
 
 
 class TestHjbStep:

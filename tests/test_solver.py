@@ -1,5 +1,7 @@
 """Coupled solvers, the perturbed-pair balance, and the a priori monitors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,17 @@ def test_settings_reject_nan_and_nonpositive(field, value):
     cls = HjbStepConfig if field in ("newton_tol", "max_newton") else FixedPointConfig
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0])
+def test_problems_reject_nonfinite_or_nonpositive_nu(nu):
+    # a NaN or infinite nu would otherwise surface only in the first LU, as
+    # a singular factor
+    p = uniform_problem(n=4, nt=4)
+    with pytest.raises(ValueError, match="nu must be positive and finite"):
+        dataclasses.replace(p, nu=nu)
+    with pytest.raises(ValueError, match="nu must be positive and finite"):
+        ErgodicProblem(nu=nu, hamiltonian=p.hamiltonian, cost=p.cost, grid=p.grid)
 
 
 def recording_sweep(rule):

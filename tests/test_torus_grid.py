@@ -293,8 +293,9 @@ class TestInvariantsOfTypes:
     def test_time_mesh(self):
         mesh = TimeMesh(1.0, 32)
         assert mesh.dt * mesh.n_steps == pytest.approx(1.0, abs=1e-16)
-        with pytest.raises(ValueError):
-            TimeMesh(-1.0, 4)
+        for horizon in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="horizon must be positive and finite"):
+                TimeMesh(horizon, 4)
 
     def test_grid_coordinates_exact(self):
         g = TorusGrid(16)
