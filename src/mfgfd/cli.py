@@ -137,6 +137,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
         return 1
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 1
     outdir = Path(args.out or "verify_out")
     reports = {}
     if args.suite in ("lemmas", "all"):

@@ -148,7 +148,7 @@ class BilaplacianCost:
             raise ValueError(f"density shape {m.shape} does not match the cost grid")
         h = self.grid.h
         w = np.ascontiguousarray(np.real(np.fft.ifft2(np.fft.fft2(m) / self._symbol)))
-        residual = float(np.max(np.abs(laplace_array(laplace_array(w, h), h) + w - m)))
+        residual = float(np.max(np.abs(laplace_array(laplace_array(w)) + w - m)))
         # recomputing the fourth-order stencil amplifies representation error
         # by ~ (4/h^2)^2 eps, so the gate carries that backward-error floor on
         # top of the data-relative contract

@@ -24,8 +24,10 @@ matrix stays the exact transpose.
 The density step is implicit: given u_next and the later density slice it
 solves
 
-    (1/dt) m_cur - nu Lap_h m_cur - transport(u_next, m_cur) = (1/dt) m_next.
+    (1/dt) m_cur - nu Lap_h m_cur - transport(u_next, m_cur) = (1/dt) m_next,
 
+where transport(u, m) = -D^T (m g), with D the stencil of ``torus_grid`` and
+g the gradient of the Hamiltonian at the floored stencil of u.
 Its matrix is the transpose of the value-step Jacobian at u_next, which is
 exactly the adjoint relation the scheme is built on, so the step solves
 with the transpose of that Jacobian's LU; column sums of its
@@ -38,12 +40,14 @@ Every operator takes and returns plain (N, N) float64 arrays, one time
 slice each, and reads the grid step of the unit torus from the array as
 h = 1/N with N its last axis.
 
-Assembly fills the five stencil entries of every node; ``linear`` owns
-their pattern, the factorization and the checked solve.
+Assembly fills the five stencil entries of every node, the node first and
+its neighbours in ``torus_grid.STENCIL`` order; ``linear`` owns their
+pattern, the factorization and the checked solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,7 +56,7 @@ import scipy.sparse as sp
 
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
 from .linear import LinearSolveContract, _solve_checked, five_point_matrix
-from .torus_grid import _shift, _stencil_laplace, laplace_array, stencil_array
+from .torus_grid import STENCIL_SIGNS, _stencil_laplace, laplace_array, stencil_adjoint, stencil_array
 
 __all__ = [
     "HjbStepConfig",
@@ -115,31 +119,21 @@ def _five_point_matrix(
 ) -> sp.csr_matrix:
     """shift I - nu L + B(u) as a CSR matrix on the lexicographic vector.
 
-    Row (i, j) holds node (i, j) and its four periodic neighbours.  B(u)
-    differentiates the node values of H through the floored stencil; its
+    Row (i, j) holds node (i, j), then its neighbours in ``STENCIL`` order.
+    B(u) v = g . D v, g the gradient of H at the floored stencil, puts
+    sign_k g_k / h on neighbour k and minus their sum on the diagonal: its
     off-diagonals are nonpositive and its rows sum to zero (upwind
-    monotonicity).  Entries repeat the float operations of the sparse sums
+    monotonicity).  The entries are bit for bit those of the sparse sums
     shift I - nu (shifts - 4 I) (1/h^2) + (sum of g_k times shift
-    differences) (1/h), so the factored matrices are bit for bit theirs.
-    Only the values are computed; ``five_point_matrix`` puts them on the
-    cached pattern of the grid, exact zeros included.
+    differences) (1/h).  Only the values are computed; ``five_point_matrix``
+    puts them on the cached pattern of the grid, exact zeros included.
     """
-    n = u.shape[-1]
-    h = 1.0 / n
+    h = 1.0 / u.shape[-1]
     inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
-    g = ham.grad_grid(hamiltonian_stencil(u, h))
-    g1, g2, g3, g4 = (g[..., k] for k in range(4))
-    off = -nu * inv_h2
-    data = np.stack(
-        [
-            shift + (-nu * (-4.0 * inv_h2) + (((-g1 + g2) - g3) + g4) * inv_h),
-            off + g1 * inv_h,
-            off + (-g2) * inv_h,
-            off + g3 * inv_h,
-            off + (-g4) * inv_h,
-        ],
-        axis=-1,
-    )
+    sg = ham.grad_grid(hamiltonian_stencil(u)) * STENCIL_SIGNS
+    diag = -(((sg[..., 0] + sg[..., 1]) + sg[..., 2]) + sg[..., 3])
+    centre = shift + (-nu * (-4.0 * inv_h2) + diag * inv_h)
+    data = np.concatenate([centre[..., None], -nu * inv_h2 + sg * inv_h], axis=-1)
     return five_point_matrix(data)
 
 
@@ -196,10 +190,9 @@ def newton_armijo(
 
 def value_operator(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> np.ndarray:
     """-nu Lap_h u + value(x, hamiltonian_stencil(u)) of both models, from one stencil."""
-    h = 1.0 / u.shape[-1]
-    q = stencil_array(u, h)
-    lap = _stencil_laplace(q, h)  # unfloored: the floor below overwrites q
-    return -nu * lap + ham.value_grid(_floor_stencil(q, u, h))
+    q = stencil_array(u)
+    lap = _stencil_laplace(q)  # unfloored: the floor below overwrites q
+    return -nu * lap + ham.value_grid(_floor_stencil(q, u))
 
 
 def hjb_residual(
@@ -230,8 +223,8 @@ def hjb_step_solve(
     a new array once the residual sup norm is below ``newton_tol``; raises
     NonConvergence otherwise.  The inputs are not modified.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     cfg = cfg or HjbStepConfig()
     contract = contract or LinearSolveContract()
     shape = u_cur.shape
@@ -253,22 +246,14 @@ def hjb_step_solve(
 def transport_apply(ham: PowerHamiltonian, u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Discrete transport of m along the upwind momentum field of u.
 
-    Defined by duality: the node sum of transport(u, m) * w equals minus the
-    sum of m * grad(stencil(u)) . stencil(w) over all nodes, for every w.
-    The sum over all nodes is therefore zero (take w = 1), which is the
-    discrete mass conservation.
+    Defined by duality as -D^T (m g) with g = grad(stencil(u)): the node sum
+    of transport(u, m) * w equals minus the sum of m * g . stencil(w) over
+    all nodes, for every w.  The sum over all nodes is therefore zero (take
+    w = 1), which is the discrete mass conservation.
     """
     if u.shape != m.shape:
         raise ValueError(f"u and m must have one shape, got {u.shape} and {m.shape}")
-    h = 1.0 / u.shape[-1]
-    g = ham.grad_grid(hamiltonian_stencil(u, h))
-    a1, a2, a3, a4 = np.moveaxis(m[..., None] * g, -1, 0)
-    return (
-        (a1 - _shift(a1, -1, -2))
-        + (_shift(a2, 1, -2) - a2)
-        + (a3 - _shift(a3, -1, -1))
-        + (_shift(a4, 1, -1) - a4)
-    ) / h
+    return -stencil_adjoint(m[..., None] * ham.grad_grid(hamiltonian_stencil(u)))
 
 
 def linearized_hjb_apply(
@@ -277,14 +262,13 @@ def linearized_hjb_apply(
     """Linearization of the stationary value operator at u, applied to v."""
     if u.shape != v.shape:
         raise ValueError(f"u and v must have one shape, got {u.shape} and {v.shape}")
-    h = 1.0 / u.shape[-1]
-    g = ham.grad_grid(hamiltonian_stencil(u, h))
-    return -nu * laplace_array(v, h) + np.sum(g * stencil_array(v, h), axis=-1)
+    g, q = ham.grad_grid(hamiltonian_stencil(u)), stencil_array(v)
+    return -nu * _stencil_laplace(q) + np.sum(g * q, axis=-1)
 
 
 def adjoint_apply(ham: PowerHamiltonian, nu: float, u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Adjoint of the linearized value operator: -nu Lap m - transport(u, m)."""
-    return -nu * laplace_array(m, 1.0 / m.shape[-1]) - transport_apply(ham, u, m)
+    return -nu * laplace_array(m) - transport_apply(ham, u, m)
 
 
 def _clamp_density(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -320,8 +304,8 @@ def fp_step_solve(
 
     m_cur is a new array; the inputs are not modified.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
     contract = contract or LinearSolveContract()
     a = hjb_jacobian(ham, nu, dt, u_next)
     x, clamp = _clamp_density(_solve_checked(a, m_next.ravel() / dt, contract, trans="T"))

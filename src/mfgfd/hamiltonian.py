@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus_grid import GridField, stencil_array, time_sum
+from .torus_grid import STENCIL_SIGNS, GridField, stencil_array, time_sum
 
 __all__ = [
     "PowerHamiltonian",
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 # sign pattern of d(p_k)/d(q_k) on the active branches
-_UPWIND_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+_UPWIND_SIGNS = -STENCIL_SIGNS
 
 # c of the stencil floor c * eps * max|u| / h; the largest roundoff stencil
 # measured on constant slices is 5 eps max|u| / h
@@ -57,21 +57,22 @@ STENCIL_FLOOR = 16.0
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def hamiltonian_stencil(values: np.ndarray, h: float) -> np.ndarray:
+def hamiltonian_stencil(values: np.ndarray) -> np.ndarray:
     """One-sided differences of (..., N, N) value slices with the roundoff floor.
 
     Returns the (..., N, N, 4) ``stencil_array`` with every difference of
     |q| <= STENCIL_FLOOR * eps * max|u| / h set to exactly 0, each (N, N)
-    slice floored against its own max|u|.  This is the stencil at which the
-    value, the gradient, the transport and the Jacobians evaluate a value
-    slice; directions, error norms and monitors use the plain
+    slice floored against its own max|u| (h = 1/N).  This is the stencil at
+    which the value, the gradient, the transport and the Jacobians evaluate
+    a value slice; directions, error norms and monitors use the plain
     ``stencil_array``.
     """
-    return _floor_stencil(stencil_array(values, h), values, h)
+    return _floor_stencil(stencil_array(values), values)
 
 
-def _floor_stencil(q: np.ndarray, values: np.ndarray, h: float) -> np.ndarray:
+def _floor_stencil(q: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``hamiltonian_stencil`` of ``values`` from its ``stencil_array`` q, in place."""
+    h = 1.0 / values.shape[-1]
     scale = np.max(np.abs(values), axis=(-2, -1))[..., None, None, None]
     q[np.abs(q) <= STENCIL_FLOOR * _EPS * scale / h] = 0.0
     return q
@@ -171,9 +172,8 @@ def weighted_bregman_gap(
             f"trajectories must share one time mesh and grid, got shapes "
             f"{m.shape}, {u.shape} and {u_tilde.shape}"
         )
-    h = 1.0 / u.shape[-1]
     gap = bregman_gap_array(
-        hamiltonian_stencil(u[1:], h), hamiltonian_stencil(u_tilde[1:], h), ham.beta
+        hamiltonian_stencil(u[1:]), hamiltonian_stencil(u_tilde[1:]), ham.beta
     )
     return time_sum(m[:-1] * gap)
 
@@ -373,7 +373,6 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
 
     # trajectory-level bounds on small random space-time batches
     n_side, n_t = 4, 2
-    h = 1.0 / n_side
     if beta >= 2.0:
         field_checks = {
             "weighted_gap_quadratic_lower": _Check("weighted_gap_quadratic_lower", S),
@@ -390,8 +389,8 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
         ut_arr = rng.normal(0.0, 1.0, size=(chunk, n_t, n_side, n_side))
         m_arr = 0.05 + np.abs(rng.normal(0.0, 1.0, size=(chunk, n_t, n_side, n_side)))
 
-        qf = stencil_array(u_arr, h)
-        qtf = stencil_array(ut_arr, h)
+        qf = stencil_array(u_arr)
+        qtf = stencil_array(ut_arr)
         pf = upwind_part(qf)
         ptf = upwind_part(qtf)
 

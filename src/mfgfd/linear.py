@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .torus_grid import _shift
+from .torus_grid import STENCIL, _shift
 
 __all__ = [
     "LinearSolveContract",
@@ -141,9 +141,9 @@ def _layout(n: int, bordered: bool) -> _Layout:
     """The pattern of the N x N five-point matrices, built once per N on first use.
 
     Unbordered, the source entries are the 5 N^2 stencil entries, node by
-    node in the order (i, j), (i+1, j), (i-1, j), (i, j+1), (i, j-1), so
-    coinciding neighbours (N <= 2) share a slot.  Bordered, one unknown is
-    appended to the N^2 nodes (``_with_border``).
+    node: the node, then its neighbours in ``STENCIL`` order, so coinciding
+    neighbours (N <= 2) share a slot.  Bordered, one unknown is appended to
+    the N^2 nodes (``_with_border``).
     """
     n2 = n * n
     if bordered:
@@ -152,7 +152,7 @@ def _layout(n: int, bordered: bool) -> _Layout:
         indptr = np.append(np.arange(n2 + 1) * (five.indices.size // n2 + 1), indices.size)
         return _Layout(*_read_only(indptr, indices), None)
     k = np.arange(n2).reshape(n, n)
-    neighbours = [_shift(k, step, ax) for ax in (0, 1) for step in (1, -1)]
+    neighbours = [_shift(k, step, axis) for step, axis, _ in STENCIL]
     rows = np.repeat(k.ravel(), 5)
     cols = np.stack([k] + neighbours, axis=-1).ravel()
     keys, slots = np.unique(rows * n2 + cols, return_inverse=True)
@@ -198,7 +198,8 @@ class _DissectedLU:
     read from its size.  P A P^T is formed by one gather of its data into
     the cached factor order.  ``solve(b, trans)`` solves A x = b
     (trans="N") or A^T x = b (trans="T") in the original order.  Any other
-    matrix, a CSC one of A^T too, is a ValueError.
+    matrix, a CSC one of A^T too, is a ValueError; a singular one is a
+    LinearSolveError.
     """
 
     def __init__(self, a: sp.spmatrix):
@@ -213,7 +214,10 @@ class _DissectedLU:
             raise ValueError("matrix is not in CSR form on the cached pattern of its grid")
         self._p, self._inv, pap_indptr, pap_indices, gather = layout.factor_order
         pap = sp.csc_matrix((a.data[gather], pap_indices, pap_indptr), shape=a.shape)
-        self._lu = spla.splu(pap, permc_spec="NATURAL")
+        try:
+            self._lu = spla.splu(pap, permc_spec="NATURAL")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise LinearSolveError(f"sparse LU failed: {exc}") from None
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
         return self._lu.solve(b[self._p], trans=trans)[self._inv]

@@ -597,7 +597,7 @@ def _trajectory_monitors(
     """
     h = 1.0 / u.shape[-1]
     h2 = h ** 2
-    grad_term = gradient_power_sum(u[1:], h, beta) * (h2 * dt)
+    grad_term = gradient_power_sum(u[1:], beta) * (h2 * dt)
     fvals = cost.f(np.maximum(m[:-1], 0.0))
     cost_term = time_sum(np.abs(fvals) ** cost.gamma) * (h2 * dt)
     means = h2 * np.sum(u, axis=(-2, -1))

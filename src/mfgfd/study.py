@@ -64,7 +64,7 @@ def _level_errors(level: tuple, ref: tuple, beta: float, m_exponent: float) -> d
     dm = m[:-1] - ref_m[::t, ::r, ::r][:-1]
     return {
         "err_u_sup": float(np.max(np.abs(du))),
-        "err_u_w1beta": (h2 * dt * gradient_power_sum(du[1:], h, beta)) ** (1.0 / beta),
+        "err_u_w1beta": (h2 * dt * gradient_power_sum(du[1:], beta)) ** (1.0 / beta),
         "err_m": (h2 * dt * time_sum(np.abs(dm) ** m_exponent)) ** (1.0 / m_exponent),
     }
 

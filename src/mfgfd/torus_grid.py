@@ -4,9 +4,14 @@ Everything lives on the unit torus [0,1)^2 discretized by a uniform N x N
 grid with step h = 1/N.  Node (i, j) sits at (i/N, j/N); differences wrap
 periodically.  Fields are stored as (N, N) float64 arrays in C order, which
 is the lexicographic (i, j) layout, so ``ravel()`` gives the vector the
-sparse solvers use.  The operators take and return these plain arrays; the
-field types carry the grid and the time mesh at the problem and solution
-boundary.
+sparse solvers use.  The operators take and return these plain arrays and
+read h = 1/N from their trailing axes; the field types carry the grid and the
+time mesh at the problem and solution boundary.
+
+The module owns the five-point stencil: ``STENCIL`` lists the step, axis and
+sign of its four one-sided differences, ``stencil_array`` applies it (D) and
+``stencil_adjoint`` its transpose (D^T).  The Laplacian, the transport, the
+matrices and the upwind signs of the package all read it from here.
 
 Sums and norms use numpy reductions, so the reduction order is fixed by the
 array layout and results are reproducible run to run.
@@ -27,7 +32,10 @@ __all__ = [
     "GridField",
     "TimeMesh",
     "SpaceTimeField",
+    "STENCIL",
+    "STENCIL_SIGNS",
     "stencil_array",
+    "stencil_adjoint",
     "laplace_array",
     "cell_average",
     "mass",
@@ -172,26 +180,39 @@ def _shift(values: np.ndarray, step: int, axis: int) -> np.ndarray:
     return np.concatenate([head, tail], axis=axis)
 
 
-def stencil_array(values: np.ndarray, h: float) -> np.ndarray:
-    """One-sided difference stencil of (..., N, N) arrays, shape (..., N, N, 4).
+# The five-point stencil D as (step, axis, sign) of each one-sided difference:
+# component k at node x is sign_k (u(x + step_k e_axis_k) - u(x)) / h, where
+# axis -2 is the index i, -1 the index j, and x + step_k e_axis_k is neighbour k.
+STENCIL = ((1, -2, 1.0), (-1, -2, -1.0), (1, -1, 1.0), (-1, -1, -1.0))
+STENCIL_SIGNS = np.array([sign for _, _, sign in STENCIL])
 
-    Component order at node (i, j): forward difference in i at (i, j),
-    forward difference in i at (i-1, j), forward difference in j at (i, j),
-    forward difference in j at (i, j-1).
-    """
+
+def stencil_array(values: np.ndarray) -> np.ndarray:
+    """D values: the (..., N, N, 4) one-sided differences of (..., N, N) arrays
+    in ``STENCIL`` order, h = 1/N."""
+    h = 1.0 / values.shape[-1]
     dp1 = (_shift(values, 1, -2) - values) / h
     dp2 = (_shift(values, 1, -1) - values) / h
     return np.stack([dp1, _shift(dp1, -1, -2), dp2, _shift(dp2, -1, -1)], axis=-1)
 
 
-def _stencil_laplace(q: np.ndarray, h: float) -> np.ndarray:
+def stencil_adjoint(a: np.ndarray) -> np.ndarray:
+    """D^T a of (..., N, N, 4) arrays, shape (..., N, N): the node sum of
+    stencil_adjoint(a) * w equals that of a . stencil_array(w) for every w."""
+    h = 1.0 / a.shape[-2]
+    t = [s * (_shift(a[..., k], -step, ax) - a[..., k]) for k, (step, ax, s) in enumerate(STENCIL)]
+    return (((t[0] + t[1]) + t[2]) + t[3]) / h
+
+
+def _stencil_laplace(q: np.ndarray) -> np.ndarray:
     """Five-point Laplacian ((q1 - q2) + (q3 - q4)) / h of a ``stencil_array`` q."""
+    h = 1.0 / q.shape[-2]
     return ((q[..., 0] - q[..., 1]) + (q[..., 2] - q[..., 3])) / h
 
 
-def laplace_array(values: np.ndarray, h: float) -> np.ndarray:
-    """Five-point Laplacian on the trailing two axes of (..., N, N) arrays."""
-    return _stencil_laplace(stencil_array(values, h), h)
+def laplace_array(values: np.ndarray) -> np.ndarray:
+    """Five-point Laplacian on the trailing two axes of (..., N, N) arrays, h = 1/N."""
+    return _stencil_laplace(stencil_array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +261,10 @@ def time_sum(values: np.ndarray) -> float:
     return float(np.cumsum(np.sum(values, axis=(-2, -1)))[-1])
 
 
-def gradient_power_sum(values: np.ndarray, h: float, beta: float) -> float:
+def gradient_power_sum(values: np.ndarray, beta: float) -> float:
     """Sum of the stencil magnitudes |D values|^beta of a (K, N, N) array, in
     ``time_sum`` order; times h^2 dt it is the discrete W^{1,beta} power."""
-    d = stencil_array(values, h)
+    d = stencil_array(values)
     return time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0))
 
 

@@ -28,8 +28,8 @@ def hjb_step_picard(
     h = 1.0 / u_cur.shape[-1]
     u = u_cur
     for _ in range(max_iter):
-        lap = laplace_array(u, h)
-        gval = ham.value_grid(hamiltonian_stencil(u, h))
+        lap = laplace_array(u)
+        gval = ham.value_grid(hamiltonian_stencil(u))
         new = u_cur + dt * (nu * lap - gval + cost)
         change = float(np.max(np.abs(new - u)))
         u = new

@@ -208,7 +208,7 @@ def test_criterion_10_brute_force_equivalence():
         e[k] = 1.0
         ef = e.reshape(4, 4)
         dense[:, k] = (
-            ef / dt - 1.0 * laplace_array(ef, g.h) - m.transport_apply(ham, u_next, ef)
+            ef / dt - 1.0 * laplace_array(ef) - m.transport_apply(ham, u_next, ef)
         ).ravel()
     expect = np.linalg.solve(dense, m_next.ravel() / dt)
     got, _ = m.fp_step_solve(ham, 1.0, dt, u_next, m_next)

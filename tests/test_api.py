@@ -5,6 +5,7 @@ the package factors sparse matrices in one place."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,15 @@ def test_no_second_value_residual():
     # the stationary model evaluates value_operator + lambda - cost
     hits = _token_hits("_ergodic_value_residual")
     assert sum(hits.values()) == 0, hits
+
+
+def test_one_stencil_owner():
+    # the four differences, their neighbour order and signs are the table
+    # torus_grid.STENCIL; transport is -stencil_adjoint(m g), not a second
+    # shift formula in dynamics
+    assert _token_hits("_shift(")["dynamics.py"] == 0
+    src = Path(mfgfd.__file__).parent
+    for signs in (["-1.0", "1.0", "-1.0", "1.0"], ["1.0", "-1.0", "1.0", "-1.0"]):
+        literal = re.compile(r"[\[(]\s*" + r",\s*".join(map(re.escape, signs)) + r"\s*[\])]")
+        hits = [p.name for p in sorted(src.glob("*.py")) if literal.search(p.read_text())]
+        assert set(hits) <= {"torus_grid.py"}, hits

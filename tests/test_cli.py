@@ -2,6 +2,9 @@
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -397,6 +400,28 @@ class TestVerifyCommand:
         assert "--samples" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("suite", ["lemmas", "identity", "adjoint", "all"])
+    def test_negative_seed_exit_one(self, tmp_path, capsys, suite):
+        out = tmp_path / "reports"
+        assert main(["verify", suite, "--seed", "-1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_negative_seed_without_traceback(self, tmp_path):
+        # numpy refuses a negative seed deep inside the suites, with a
+        # traceback, so the command has to refuse it first
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run(
+            [sys.executable, "-m", "mfgfd.cli", "verify", "adjoint", "--seed", "-1",
+             "--out", str(tmp_path / "reports")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: --seed")
+        assert "Traceback" not in run.stderr
 
     @pytest.mark.parametrize("samples, used", [(500, 100), (7, 7)])
     def test_pairs_and_probes_capped_at_100(self, tmp_path, samples, used):

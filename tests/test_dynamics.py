@@ -29,7 +29,13 @@ from mfgfd.dynamics import (
     value_operator,
 )
 from mfgfd.hamiltonian import PowerHamiltonian, hamiltonian_stencil
-from mfgfd.linear import LinearSolveContract, LinearSolveError, _DissectedLU, _solve_checked
+from mfgfd.linear import (
+    LinearSolveContract,
+    LinearSolveError,
+    _DissectedLU,
+    _solve_checked,
+    five_point_matrix,
+)
 from mfgfd.presets import hamiltonian_preset
 from mfgfd.solver import ErgodicProblem, _bordered_jacobian, _ergodic_diagnostics
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
@@ -85,7 +91,7 @@ def dense_fp_from_transport(ham, nu, dt, u):
     for e in np.eye(n * n):
         ek = e.reshape(n, n)
         cols.append(
-            e / dt - nu * laplace_array(ek, 1.0 / n).ravel() - transport_apply(ham, u, ek).ravel()
+            e / dt - nu * laplace_array(ek).ravel() - transport_apply(ham, u, ek).ravel()
         )
     return np.stack(cols, axis=1)
 
@@ -97,7 +103,7 @@ def coo_five_point(ham, nu, u, shift):
     n = u.shape[-1]
     h = 1.0 / n
     inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
-    g = ham.grad_grid(hamiltonian_stencil(u, h))
+    g = ham.grad_grid(hamiltonian_stencil(u))
     g1, g2, g3, g4 = (g[..., k] for k in range(4))
     off = -nu * inv_h2
     data = np.stack(
@@ -256,15 +262,14 @@ class TestTransport:
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
     def test_duality_identity(self, beta):
         rng = np.random.default_rng(4)
-        h = TorusGrid(8).h
         ham = zero_ham(beta)
         for _ in range(10):
             u = rng.normal(size=(8, 8))
             m = rng.normal(size=(8, 8))
             w = rng.normal(size=(8, 8))
             lhs = inner(transport_apply(ham, u, m), w)
-            grads = ham.grad_grid(stencil_array(u, h))
-            dw = stencil_array(w, h)
+            grads = ham.grad_grid(stencil_array(u))
+            dw = stencil_array(w)
             rhs = -float(np.sum(m[..., None] * grads * dw))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-11)
 
@@ -339,7 +344,7 @@ class TestStencilFloor:
         m = np.random.default_rng(4).normal(size=(8, 8))
         ham = zero_ham(beta)
         assert np.all(transport_apply(ham, u, m) == 0.0)
-        lap = laplace_array(u, TorusGrid(8).h)
+        lap = laplace_array(u)
         res = hjb_residual(ham, NU, 0.1, u, u, np.zeros((8, 8)))
         assert np.array_equal(res, -NU * lap)
 
@@ -604,6 +609,21 @@ class TestNonFiniteSolves:
         with pytest.raises(LinearSolveError):
             fp_step_solve(zero_ham(), NU, 0.05, cosine(), m_next)
 
+    def test_singular_factor_raises(self):
+        # SuperLU reports "Factor is exactly singular" as a plain RuntimeError
+        a = five_point_matrix(np.zeros((4, 4, 5)))
+        with pytest.raises(LinearSolveError, match="singular"):
+            _solve_checked(a, np.ones(16), LinearSolveContract())
+
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_steps_reject_nonfinite_or_nonpositive_nu(self, nu):
+        # a NaN nu passes a plain nu <= 0 test and ends in a singular factor
+        u, m = cosine(), np.ones((8, 8))
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            hjb_step_solve(zero_ham(), nu, 0.05, u, np.zeros((8, 8)))
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            fp_step_solve(zero_ham(), nu, 0.05, u, m)
+
 
 class TestAdjointStructure:
     def test_constant_u_reduces_to_laplacian_symmetry(self):
@@ -643,4 +663,4 @@ class TestAdjointStructure:
         rng = np.random.default_rng(15)
         u = rng.normal(size=(8, 8))
         lap = -linearized_hjb_matrix(zero_ham(n=8), 1.0, np.ones((8, 8)))
-        assert np.allclose(lap @ u.ravel(), laplace_array(u, TorusGrid(8).h).ravel(), atol=1e-11)
+        assert np.allclose(lap @ u.ravel(), laplace_array(u).ravel(), atol=1e-11)

@@ -20,11 +20,11 @@ from mfgfd.torus_grid import (
 
 
 def plain(u):
-    return stencil_array(u.values, u.grid.h)
+    return stencil_array(u.values)
 
 
 def floored(u):
-    return hamiltonian_stencil(u.values, u.grid.h)
+    return hamiltonian_stencil(u.values)
 
 
 def zero_ham(beta, n=4):

@@ -520,7 +520,7 @@ class TestMonitors:
         h2, dt = g.h**2, mesh.dt
         grad_term = 0.0
         for n in range(1, 7):
-            d = stencil_array(u[n], g.h)
+            d = stencil_array(u[n])
             grad_term += float(np.sum(np.sum(d * d, axis=-1) ** (beta / 2.0)))
         cost_term = 0.0
         for n in range(6):

@@ -113,7 +113,7 @@ class TestWriteStudy:
 
 def oracle_norms(du, dm, h, dt, beta, m_exponent):
     h2 = h ** 2
-    d = stencil_array(du, h)
+    d = stencil_array(du)
     grad_total = time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0))
     m_total = time_sum(np.abs(dm) ** m_exponent)
     return {

@@ -5,6 +5,7 @@ import pytest
 
 from mfgfd.linear import _layout, dissection_order
 from mfgfd.torus_grid import (
+    STENCIL,
     GridField,
     SpaceTimeField,
     TimeMesh,
@@ -14,6 +15,7 @@ from mfgfd.torus_grid import (
     load_grid_field,
     mass,
     save_grid_field,
+    stencil_adjoint,
     stencil_array,
     time_sum,
 )
@@ -46,7 +48,7 @@ def naive_d2(u: GridField) -> np.ndarray:
 
 
 def stencil(u: GridField) -> np.ndarray:
-    return stencil_array(u.values, u.grid.h)
+    return stencil_array(u.values)
 
 
 def d1(u: GridField) -> np.ndarray:
@@ -60,7 +62,7 @@ def d2(u: GridField) -> np.ndarray:
 
 
 def laplace(u: GridField) -> np.ndarray:
-    return laplace_array(u.values, u.grid.h)
+    return laplace_array(u.values)
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -146,6 +148,31 @@ class TestStencil:
                 # index -1 wraps to N - 1
                 expect = [f1[i, j], f1[i - 1, j], f2[i, j], f2[i, j - 1]]
                 assert np.array_equal(st[i, j], expect)
+
+
+class TestStencilTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_array_is_the_table(self, n):
+        # q_k = sign_k (v(x + step_k e_axis_k) - v(x)) / h, with np.roll as
+        # an independent periodic shift
+        v = np.random.default_rng(8).normal(size=(2, n, n))
+        want = np.stack(
+            [sign * (np.roll(v, -step, axis) - v) / (1.0 / n) for step, axis, sign in STENCIL],
+            axis=-1,
+        )
+        assert np.array_equal(stencil_array(v), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_adjoint_pairing(self, n):
+        # node sums of D^T a * w and a . D w agree for a batch of three slices
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(3, n, n, 4))
+        w = rng.normal(size=(3, n, n))
+        lhs = np.sum(stencil_adjoint(a) * w, axis=(-2, -1))
+        rhs = np.sum(a * stencil_array(w), axis=(-3, -2, -1))
+        tol = 64 * np.finfo(float).eps * n**3 * np.max(np.abs(a)) * np.max(np.abs(w))
+        assert np.all(np.abs(lhs - rhs) <= tol)
+        assert np.array_equal(stencil_adjoint(a[1]), stencil_adjoint(a)[1])
 
 
 class TestLaplacian:
