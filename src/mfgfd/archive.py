@@ -1,9 +1,11 @@
 """Solution archives: meta.json plus one CSV per trajectory slice.
 
 Archives are self-describing and reproducible: meta.json echoes the full
-config text that produced the run, numeric output uses shortest
-round-trip float formatting, and nothing time- or path-dependent is
-written, so identical runs produce byte-identical directories.
+config text that produced the run, grid fields are written with 17
+significant digits (``.17g``, which round-trips every float64 but is not
+the shortest form) and meta.json with Python's shortest round-trip repr,
+and nothing time- or path-dependent is written, so identical runs produce
+byte-identical directories.
 """
 
 from __future__ import annotations

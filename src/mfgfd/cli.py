@@ -1,8 +1,8 @@
 """Batch front end: solve, study, verify.
 
-Exit codes: 0 success, 1 config error, 2 solver failure (``solve`` still
-writes a partial archive), 3 failed verification, 4 non-decreasing study
-errors.
+Exit codes: 0 success, 1 config error or unusable output path, 2 solver
+failure (``solve`` still writes a partial archive), 3 failed verification,
+4 non-decreasing study errors.
 """
 
 from __future__ import annotations
@@ -45,13 +45,24 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
+def _output_dir(out: str) -> Path:
+    """``out`` as a Path, checked before any work: NotADirectoryError when it,
+    or the nearest of its parents that exists, is not a directory.  Nothing
+    is created here, so a refused run leaves no output behind."""
+    path = Path(out)
+    existing = next((d for d in (path, *path.parents) if d.exists()), path)
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output path {existing} is not a directory")
+    return path
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outdir = Path(args.out or cfg.out_dir)
+    outdir = _output_dir(args.out or cfg.out_dir)
     fixed, hjb, contract = solver_settings(cfg)
     try:
         if cfg.kind == "ergodic":
@@ -81,8 +92,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SOLVER_FAILURES as exc:
-        write_partial_archive(outdir, cfg.kind, _config_echo(cfg), cfg.text, str(exc))
         print(f"solver failed: {exc}", file=sys.stderr)
+        write_partial_archive(outdir, cfg.kind, _config_echo(cfg), cfg.text, str(exc))
         return 2
 
 
@@ -94,7 +105,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    outdir = Path(args.out or cfg.out_dir)
+    outdir = _output_dir(args.out or cfg.out_dir)
     fixed, hjb, contract = solver_settings(cfg)
 
     if cfg.kind == "ergodic":
@@ -140,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 1
-    outdir = Path(args.out or "verify_out")
+    outdir = _output_dir(args.out or "verify_out")
     reports = {}
     if args.suite in ("lemmas", "all"):
         reports["lemmas"] = run_lemma_suites(samples=args.samples, seed=args.seed)
@@ -193,7 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an unusable output path, or a failed read or write
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

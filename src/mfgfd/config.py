@@ -32,7 +32,7 @@ from typing import Optional
 
 from .dynamics import HjbStepConfig
 from .linear import LinearSolveContract
-from .solver import INNER_RESIDUAL_TARGET, FixedPointConfig
+from .solver import FixedPointConfig, check_newton_tol
 from .study import check_levels_nested
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text"]
@@ -189,12 +189,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("solver.damping", f"must lie in (0, 1], got {cfg.damping}")
     if not (cfg.outer_tol > 0 and cfg.newton_tol > 0 and cfg.residual_tol > 0):  # NaN too
         raise ConfigError("solver", "tolerances must be positive")
-    if cfg.kind == "evolutive" and cfg.newton_tol >= INNER_RESIDUAL_TARGET:
-        raise ConfigError(
-            "solver.newton_tol",
-            f"newton_tol {cfg.newton_tol:.3e} is not below the inner residual target "
-            f"{INNER_RESIDUAL_TARGET:.0e}, so the termination gate could never pass",
-        )
+    if cfg.kind == "evolutive":
+        try:
+            check_newton_tol(cfg.newton_tol)
+        except ValueError as exc:
+            raise ConfigError("solver.newton_tol", str(exc)) from None
     if cfg.max_outer < 1 or cfg.max_newton < 1:
         raise ConfigError("solver", "iteration caps must be >= 1")
     if cfg.levels:

@@ -10,12 +10,13 @@ application).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .torus_grid import GridField, TorusGrid, laplace_array, mass
+from .hamiltonian import _EPS, STENCIL_FLOOR
+from .torus_grid import GridField, TorusGrid, check_positive_finite, laplace_array, mass
 
 __all__ = [
     "DiscreteDensity",
@@ -41,10 +42,10 @@ class DiscreteDensity:
 
     def __init__(self, field: GridField):
         lowest = float(np.min(field.values))
-        if lowest < 0.0:
-            raise ValueError(f"density has a negative node value {lowest:.3e}")
+        if not lowest >= 0.0:  # NaN too
+            raise ValueError(f"density has a negative or NaN node value {lowest:.3e}")
         m = mass(field)
-        if abs(m - 1.0) > MASS_TOL:
+        if not abs(m - 1.0) <= MASS_TOL:
             raise ValueError(f"density mass {m!r} deviates from 1 by more than {MASS_TOL}")
         self.field = field
 
@@ -56,8 +57,7 @@ class DiscreteDensity:
     def normalized(cls, field: GridField) -> "DiscreteDensity":
         """Rescale a nonnegative field multiplicatively to unit mass."""
         m = mass(field)
-        if m <= 0.0:
-            raise ValueError("cannot normalize a field with nonpositive mass")
+        check_positive_finite("the mass of a field to normalize", m)
         return cls(GridField(field.grid, field.values / m))
 
 
@@ -89,17 +89,8 @@ class LocalCost:
 
     @classmethod
     def linear(cls) -> "LocalCost":
-        return cls(
-            f=lambda m: m,
-            f_prime=lambda m: np.ones_like(m),
-            delta=1.0,
-            gamma=2.0,
-            c1=0.0,
-            delta_lower=1.0,
-            eta1=0.5,
-            eta2=0.5,
-            name="linear",
-        )
+        """F(m) = m: ``power(1.0)`` under its own name (m ** 1.0 is m bit for bit)."""
+        return replace(cls.power(1.0), name="linear")
 
     @classmethod
     def power(cls, alpha: float) -> "LocalCost":
@@ -152,8 +143,7 @@ class BilaplacianCost:
         # recomputing the fourth-order stencil amplifies representation error
         # by ~ (4/h^2)^2 eps, so the gate carries that backward-error floor on
         # top of the data-relative contract
-        eps = np.finfo(np.float64).eps
-        floor = 16.0 * eps * (4.0 / h ** 2) ** 2 * float(np.max(np.abs(w)))
+        floor = STENCIL_FLOOR * _EPS * (4.0 / h ** 2) ** 2 * float(np.max(np.abs(w)))
         limit = self.RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(m)))) + floor
         if residual > limit:
             raise CostSolveError(residual, limit)

@@ -47,7 +47,6 @@ pattern, the factorization and the checked solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -56,7 +55,9 @@ import scipy.sparse as sp
 
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
 from .linear import LinearSolveContract, _solve_checked, five_point_matrix
-from .torus_grid import STENCIL_SIGNS, _stencil_laplace, laplace_array, stencil_adjoint, stencil_array
+from .torus_grid import (
+    STENCIL_SIGNS, _stencil_laplace, check_positive_finite, laplace_array, stencil_adjoint, stencil_array
+)
 
 __all__ = [
     "HjbStepConfig",
@@ -223,8 +224,7 @@ def hjb_step_solve(
     a new array once the residual sup norm is below ``newton_tol``; raises
     NonConvergence otherwise.  The inputs are not modified.
     """
-    if not 0 < nu < math.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+    check_positive_finite("nu", nu)
     cfg = cfg or HjbStepConfig()
     contract = contract or LinearSolveContract()
     shape = u_cur.shape
@@ -304,8 +304,7 @@ def fp_step_solve(
 
     m_cur is a new array; the inputs are not modified.
     """
-    if not 0 < nu < math.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+    check_positive_finite("nu", nu)
     contract = contract or LinearSolveContract()
     a = hjb_jacobian(ham, nu, dt, u_next)
     x, clamp = _clamp_density(_solve_checked(a, m_next.ravel() / dt, contract, trans="T"))

@@ -34,7 +34,7 @@ def _load_matching(path: str, grid: TorusGrid, what: str) -> GridField:
         f = load_grid_field(path)
     except OSError as exc:
         raise ValueError(f"{what} file {path} cannot be read: {exc}") from None
-    if not f.grid.compatible(grid):
+    if f.grid != grid:
         raise ValueError(
             f"{what} file {path} has n_side {f.grid.n_side}, expected {grid.n_side}"
         )

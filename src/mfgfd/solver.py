@@ -50,13 +50,14 @@ from .dynamics import (
     newton_armijo,
     value_operator,
 )
-from .hamiltonian import STENCIL_FLOOR, PowerHamiltonian, weighted_bregman_gap
+from .hamiltonian import _EPS, STENCIL_FLOOR, PowerHamiltonian, weighted_bregman_gap
 from .linear import LinearSolveContract, LinearSolveError, _DissectedLU, bordered_matrix
 from .torus_grid import (
     GridField,
     SpaceTimeField,
     TimeMesh,
     TorusGrid,
+    check_positive_finite,
     gradient_power_sum,
     time_sum,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "EvolutiveSolution",
     "ErgodicSolution",
     "OuterNonConvergence",
+    "check_newton_tol",
     "solve_evolutive",
     "solve_ergodic",
     "system_residuals",
@@ -109,6 +111,27 @@ class FixedPointConfig:
             raise ValueError("outer_tol must be positive and max_outer >= 1")
 
 
+def check_newton_tol(newton_tol: float) -> None:
+    """ValueError unless ``newton_tol`` is below INNER_RESIDUAL_TARGET; the
+    evolutive gate adds it to the defect, so no other value can pass."""
+    if newton_tol >= INNER_RESIDUAL_TARGET:
+        raise ValueError(
+            f"newton_tol {newton_tol:.3e} is not below the inner residual target "
+            f"{INNER_RESIDUAL_TARGET:.0e}, so the termination gate could never pass"
+        )
+
+
+def _check_problem(p: EvolutiveProblem | ErgodicProblem, **fields: GridField) -> None:
+    """ValueError unless p.nu is positive and finite and the potential, the
+    named fields and a grid-bound cost live on p.grid."""
+    check_positive_finite("nu", p.nu)
+    for name, f in {"potential": p.hamiltonian.potential, **fields}.items():
+        if f.grid != p.grid:
+            raise ValueError(f"{name} lives on a different grid")
+    if getattr(p.cost, "grid", p.grid) != p.grid:
+        raise ValueError("cost operator is bound to a different grid")
+
+
 @dataclass
 class EvolutiveProblem:
     nu: float
@@ -120,14 +143,7 @@ class EvolutiveProblem:
     grid: TorusGrid
 
     def __post_init__(self) -> None:
-        if not 0 < self.nu < math.inf:
-            raise ValueError(f"nu must be positive and finite, got {self.nu}")
-        for f, name in ((self.u0, "u0"), (self.mT.field, "mT"), (self.hamiltonian.potential, "potential")):
-            if not f.grid.compatible(self.grid):
-                raise ValueError(f"{name} lives on a different grid")
-        cost_grid = getattr(self.cost, "grid", None)
-        if cost_grid is not None and not cost_grid.compatible(self.grid):
-            raise ValueError("cost operator is bound to a different grid")
+        _check_problem(self, u0=self.u0, mT=self.mT.field)
 
 
 @dataclass
@@ -138,8 +154,7 @@ class ErgodicProblem:
     grid: TorusGrid
 
     def __post_init__(self) -> None:
-        if not 0 < self.nu < math.inf:
-            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        _check_problem(self)
         if not isinstance(self.cost, LocalCost):
             raise ValueError("the stationary solver requires a local cost")
 
@@ -284,7 +299,7 @@ def evolutive_residuals(
 def solve_evolutive(
     p: EvolutiveProblem,
     cfg: Optional[FixedPointConfig] = None,
-    initial_m: Optional[SpaceTimeField] = None,
+    initial_m: Optional[np.ndarray | SpaceTimeField] = None,
     hjb_cfg: Optional[HjbStepConfig] = None,
     contract: Optional[LinearSolveContract] = None,
 ) -> EvolutiveSolution:
@@ -298,24 +313,23 @@ def solve_evolutive(
     Termination requires the change below ``outer_tol`` and the defects of
     both equations at the candidate pair at or below 1e-9 in sup norm; the
     returned first u-slice is the initial datum and the returned last
-    m-slice the terminal density, both exactly.  Since the gate adds
-    ``newton_tol`` to the defect, a ``newton_tol`` at or above 1e-9 is a
-    ValueError.
+    m-slice the terminal density, both exactly.  ``initial_m``, the start
+    trajectory, is a (N_T + 1, N, N) array or a SpaceTimeField; by default
+    every slice is the terminal density.  ``check_newton_tol`` refuses a
+    ``newton_tol`` the gate could never pass.
     """
     cfg = cfg or FixedPointConfig()
     hjb_cfg = hjb_cfg or HjbStepConfig()
     contract = contract or LinearSolveContract()
-    if hjb_cfg.newton_tol >= INNER_RESIDUAL_TARGET:
-        raise ValueError(
-            f"newton_tol {hjb_cfg.newton_tol:.3e} is not below the inner residual target "
-            f"{INNER_RESIDUAL_TARGET:.0e}, so the termination gate could never pass"
-        )
+    check_newton_tol(hjb_cfg.newton_tol)
     nt = p.mesh.n_steps
 
     if initial_m is not None:
-        if initial_m.mesh.n_steps != nt or not initial_m.grid.compatible(p.grid):
+        if isinstance(initial_m, SpaceTimeField):
+            initial_m = initial_m.values
+        m_start = np.array(initial_m, dtype=np.float64)
+        if m_start.shape != (nt + 1, p.grid.n_side, p.grid.n_side):
             raise ValueError("initial_m does not match the problem discretization")
-        m_start = initial_m.stack()
     else:
         m_start = np.stack([p.mT.field.values] * (nt + 1))
 
@@ -412,7 +426,7 @@ def _stationary_density(p: ErgodicProblem, u: np.ndarray, tol: float) -> np.ndar
     x, _ = _clamp_density(x / (p.grid.h ** 2 * float(np.sum(x))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))
-    floor = STENCIL_FLOOR * np.finfo(float).eps * spla.norm(at, np.inf) * float(np.max(x))
+    floor = STENCIL_FLOOR * _EPS * spla.norm(at, np.inf) * float(np.max(x))
     if not residual <= max(tol, floor):
         raise LinearSolveError(
             f"stationary density residual {residual:.3e} exceeds max({tol:.3e}, {floor:.3e})"
@@ -598,8 +612,7 @@ def _trajectory_monitors(
     h = 1.0 / u.shape[-1]
     h2 = h ** 2
     grad_term = gradient_power_sum(u[1:], beta) * (h2 * dt)
-    fvals = cost.f(np.maximum(m[:-1], 0.0))
-    cost_term = time_sum(np.abs(fvals) ** cost.gamma) * (h2 * dt)
+    cost_term = time_sum(np.abs(cost.apply(m[:-1])) ** cost.gamma) * (h2 * dt)
     means = h2 * np.sum(u, axis=(-2, -1))
     return {
         "u_min": float(np.min(u)),

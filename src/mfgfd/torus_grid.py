@@ -32,6 +32,7 @@ __all__ = [
     "GridField",
     "TimeMesh",
     "SpaceTimeField",
+    "check_positive_finite",
     "STENCIL",
     "STENCIL_SIGNS",
     "stencil_array",
@@ -74,9 +75,6 @@ class TorusGrid:
         c = self.coords1d()
         return np.meshgrid(c, c, indexing="ij")
 
-    def compatible(self, other: "TorusGrid") -> bool:
-        return self.n_side == other.n_side
-
 
 @dataclass
 class GridField:
@@ -111,6 +109,12 @@ class GridField:
         return cls(grid, np.asarray(f(x1, x2), dtype=np.float64))
 
 
+def check_positive_finite(name: str, value: float) -> None:
+    """ValueError naming ``name`` unless 0 < value < inf; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TimeMesh:
     """Uniform time mesh on [0, T] with N_T steps; t_n = n * dt."""
@@ -119,8 +123,7 @@ class TimeMesh:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+        check_positive_finite("horizon", self.horizon)
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
 
@@ -143,7 +146,7 @@ class SpaceTimeField:
             )
         grid = slices[0].grid
         for s in slices[1:]:
-            if not grid.compatible(s.grid):
+            if s.grid != grid:
                 raise ValueError(f"grid mismatch: n_side {grid.n_side} vs {s.grid.n_side}")
         self._wrap(mesh, grid, np.stack([s.values for s in slices]))
 
@@ -287,7 +290,7 @@ def save_grid_field(u: GridField, path: str | Path) -> None:
 
 def load_grid_field(path: str | Path) -> GridField:
     """Read a ``save_grid_field`` file; ValueError naming it unless every
-    node (i, j) with 0 <= i, j < N appears exactly once."""
+    node (i, j) with 0 <= i, j < N appears exactly once with a finite value."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     grid = TorusGrid(int(meta["n_side"]))
@@ -308,6 +311,8 @@ def load_grid_field(path: str | Path) -> GridField:
                 raise ValueError(f"malformed row {line.strip()!r} in {path}") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"node ({i}, {j}) in {path} is outside the {n} x {n} grid")
+            if not math.isfinite(v):
+                raise ValueError(f"node ({i}, {j}) in {path} holds the non-finite value {v}")
             if seen[i, j]:
                 raise ValueError(f"node ({i}, {j}) appears twice in {path}")
             values[i, j] = v

@@ -22,6 +22,7 @@ import numpy as np
 from .cost_ops import DiscreteDensity, LocalCost
 from .dynamics import adjoint_check
 from .hamiltonian import PowerHamiltonian, inequality_suite
+from .presets import hamiltonian_preset
 from .solver import (
     EvolutiveProblem,
     FixedPointConfig,
@@ -85,11 +86,7 @@ def run_identity_suite(
         bases = [("uniform", _uniform_base(mesh, grid), ham_zero)]
         error: Optional[str] = None
         try:
-            potential = GridField.from_function(
-                grid,
-                lambda x1, x2: 0.5 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
-            )
-            ham_smooth = ham_factory(beta, potential)
+            ham_smooth = ham_factory(beta, hamiltonian_preset("sines", grid, amplitude=0.5))
             problem = EvolutiveProblem(
                 nu=1.0,
                 hamiltonian=ham_smooth,

@@ -139,3 +139,28 @@ def test_one_stencil_owner():
         literal = re.compile(r"[\[(]\s*" + r",\s*".join(map(re.escape, signs)) + r"\s*[\])]")
         hits = [p.name for p in sorted(src.glob("*.py")) if literal.search(p.read_text())]
         assert set(hits) <= {"torus_grid.py"}, hits
+
+
+@pytest.mark.parametrize(
+    "token, owner, count",
+    [
+        # nu, the horizon and a mass to normalize share torus_grid.check_positive_finite
+        ("must be positive and finite", "torus_grid.py", 1),
+        # config and solve_evolutive share solver.check_newton_tol
+        ("is not below the inner residual target", "solver.py", 1),
+        # the roundoff floors read eps and STENCIL_FLOOR from hamiltonian
+        ("np.finfo(", "hamiltonian.py", 1),
+        # the identity suite takes its potential from presets.hamiltonian_preset,
+        # whose "sines" line holds both factors
+        ("np.sin(2 * np.pi", "presets.py", 2),
+    ],
+)
+def test_one_definition_per_rule(token, owner, count):
+    hits = _token_hits(token)
+    assert sum(hits.values()) == hits[owner] == count, hits
+
+
+def test_grids_compared_by_equality():
+    # TorusGrid is a frozen dataclass, so == is the grid check
+    hits = _token_hits(".compatible(")
+    assert sum(hits.values()) == 0, hits

@@ -440,6 +440,94 @@ class TestVerifyCommand:
         assert "gap_kink_lower" in ids
 
 
+def one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called for a run that had to be refused first")
+
+
+class TestOutputPath:
+    """An output path that cannot become a directory is refused before any
+    work, and a failed write is one error line, exit 1."""
+
+    @pytest.fixture(params=["file", "under_file"])
+    def bad_out(self, request, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        return blocker if request.param == "file" else blocker / "sub"
+
+    def check_refused(self, tmp_path, capsys, code):
+        assert code == 1
+        assert "is not a directory" in one_error_line(capsys.readouterr().err)
+        assert (tmp_path / "taken").read_text() == "keep\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_solve_refused_before_solving(self, tmp_path, capsys, monkeypatch, bad_out):
+        import mfgfd.cli as cli
+
+        monkeypatch.setattr(cli, "solve_evolutive", refuse)
+        path = write_config(tmp_path, UNIFORM_CONFIG)
+        code = main(["solve", "--config", str(path), "--out", str(bad_out)])
+        self.check_refused(tmp_path, capsys, code)
+
+    def test_study_refused_before_solving(self, tmp_path, capsys, monkeypatch, bad_out):
+        import mfgfd.cli as cli
+
+        monkeypatch.setattr(cli, "convergence_study", refuse)
+        path = write_config(tmp_path, STUDY_CONFIG)
+        code = main(["study", "--config", str(path), "--out", str(bad_out)])
+        self.check_refused(tmp_path, capsys, code)
+
+    def test_verify_refused_before_running(self, tmp_path, capsys, monkeypatch, bad_out):
+        import mfgfd.cli as cli
+
+        monkeypatch.setattr(cli, "run_adjoint_suite", refuse)
+        code = main(["verify", "adjoint", "--samples", "2", "--out", str(bad_out)])
+        self.check_refused(tmp_path, capsys, code)
+
+    @pytest.mark.parametrize(
+        "command, writer, template",
+        [
+            ("solve", "write_evolutive_archive", UNIFORM_CONFIG),
+            ("solve", "write_ergodic_archive", ERGODIC_CONFIG),
+            ("study", "write_study", STUDY_CONFIG),
+            ("verify", "write_report", None),
+        ],
+        ids=["solve-evolutive", "solve-ergodic", "study", "verify"],
+    )
+    def test_failed_write_exit_one(self, tmp_path, capsys, monkeypatch, command, writer, template):
+        import mfgfd.cli as cli
+
+        def fail(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(tmp_path / "out"))
+
+        monkeypatch.setattr(cli, writer, fail)
+        if template is None:
+            argv = ["verify", "adjoint", "--samples", "2", "--out", str(tmp_path / "out")]
+        else:
+            argv = [command, "--config", str(write_config(tmp_path, template))]
+        assert main(argv) == 1
+        assert "Permission denied" in one_error_line(capsys.readouterr().err)
+
+    def test_solve_refused_without_traceback(self, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        path = write_config(tmp_path, UNIFORM_CONFIG)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run(
+            [sys.executable, "-m", "mfgfd.cli", "solve", "--config", str(path),
+             "--out", str(blocker)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1
+        assert run.stderr == f"error: output path {blocker} is not a directory\n"
+        assert "Traceback" not in run.stderr
+
+
 class TestFilePresets:
     def test_file_preset_roundtrip(self, tmp_path):
         import numpy as np
@@ -491,6 +579,24 @@ class TestFilePresets:
         assert main(["solve", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "misses 5 of 64 nodes" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key, preset", [("hamiltonian", "zero"), ("u0", "zero"), ("mT", "uniform")]
+    )
+    def test_nonfinite_file_value_exit_one(self, tmp_path, capsys, key, preset, value):
+        # a NaN used to reach the solver and end in a singular factor or a
+        # NaN linear residual, exit 2 with a partial archive
+        from mfgfd.torus_grid import GridField, TorusGrid, save_grid_field
+
+        path = tmp_path / f"{key}.csv"
+        save_grid_field(GridField.constant(TorusGrid(8), 1.0), path)
+        path.write_text(path.read_text().replace("7,7,1\n", f"7,7,{value}\n"))
+        text = UNIFORM_CONFIG.replace(f"{key} = {preset}", f"{key} = file\n{key}.file = {path}")
+        assert main(["solve", "--config", str(write_config(tmp_path, text))]) == 1
+        line = one_error_line(capsys.readouterr().err)
+        assert "node (7, 7)" in line and "non-finite" in line
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_key_rejected(self, tmp_path):
         from mfgfd.config import ConfigError, parse_config_text

@@ -1,5 +1,7 @@
 """Local and bilaplacian costs: presets, oracles, monotonicity, uniform bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,24 @@ class TestDiscreteDensity:
         with pytest.raises(ValueError, match="mass"):
             DiscreteDensity(GridField.constant(g, 2.0))
 
+    def test_nan_node_rejected(self):
+        # NaN passes "< 0" and "> MASS_TOL", so both tests are written to fail on it
+        vals = np.full((4, 4), 1.0)
+        vals[1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="negative or NaN"):
+                DiscreteDensity(GridField(TorusGrid(4), vals))
+
+    def test_normalized_infinite_node_rejected(self):
+        # dividing by an infinite mass used to return NaNs with a RuntimeWarning
+        vals = np.full((4, 4), 1.0)
+        vals[3, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mass .* must be positive and finite, got inf"):
+                DiscreteDensity.normalized(GridField(TorusGrid(4), vals))
+
     def test_normalized_mass_machine_true(self):
         g = TorusGrid(8)
         rng = np.random.default_rng(0)
@@ -70,6 +90,17 @@ class TestLocalCostPresets:
         rhs = cost.delta_lower * np.minimum(m**cost.eta1, m**-cost.eta2)
         assert np.all(lhs >= rhs - 1e-12 * np.abs(rhs))
         assert cost.eta1 > 0 and 0 < cost.eta2 < 1
+
+    def test_linear_is_power_one(self):
+        linear, power = LocalCost.linear(), LocalCost.power(1.0)
+        for name in ("delta", "gamma", "c1", "delta_lower", "eta1", "eta2"):
+            assert getattr(linear, name) == getattr(power, name), name
+        assert linear.name == "linear"
+        rng = np.random.default_rng(5)
+        m = rng.exponential(1.0, (3, 8, 8)) * (rng.uniform(size=(3, 8, 8)) < 0.7)
+        assert np.count_nonzero(m == 0.0) > 0
+        assert np.array_equal(linear.apply(m), m)
+        assert np.array_equal(linear.apply(m), power.apply(m))
 
     def test_linear_growth_condition(self):
         cost = LocalCost.linear()

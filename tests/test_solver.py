@@ -217,6 +217,66 @@ class TestEvolutiveSolver:
                     p, cfg=FixedPointConfig(max_outer=5), hjb_cfg=HjbStepConfig(newton_tol=tol)
                 )
 
+    def test_newton_tol_rule_has_one_message(self):
+        # the config check and the solver refuse through check_newton_tol
+        from mfgfd.config import ConfigError, parse_config_text
+
+        p = uniform_problem(n=4, nt=4)
+        with pytest.raises(ValueError) as solver_err:
+            solve_evolutive(p, hjb_cfg=HjbStepConfig(newton_tol=2e-9))
+        text = "[problem]\nkind = evolutive\n\n[solver]\nnewton_tol = 2e-9\n"
+        with pytest.raises(ConfigError) as config_err:
+            parse_config_text(text)
+        assert config_err.value.key == "solver.newton_tol"
+        assert config_err.value.detail == str(solver_err.value)
+
+    def test_array_start_equals_field_start(self):
+        p = smooth_problem(n=8, nt=8)
+        rng = np.random.default_rng(3)
+        start = p.mT.field.values * rng.uniform(0.5, 1.5, size=(9, 8, 8))
+        start /= p.grid.h ** 2 * np.sum(start, axis=(1, 2), keepdims=True)
+        cfg = FixedPointConfig(damping=1.0)
+        from_array = solve_evolutive(p, cfg=cfg, initial_m=start)
+        from_field = solve_evolutive(
+            p, cfg=cfg, initial_m=SpaceTimeField.from_array(p.mesh, p.grid, start)
+        )
+        assert np.array_equal(from_array.u.values, from_field.u.values)
+        assert np.array_equal(from_array.m.values, from_field.m.values)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (9, 4, 4), (9, 8, 8, 1), (8, 8)])
+    def test_array_start_of_other_shape_refused(self, shape):
+        p = uniform_problem(n=8, nt=8)
+        with pytest.raises(ValueError, match="initial_m does not match"):
+            solve_evolutive(p, initial_m=np.ones(shape))
+
+
+def test_evolutive_fields_on_another_grid_refused():
+    p = smooth_problem(n=8, nt=4)
+    g4 = TorusGrid(4)
+    cases = {
+        "u0 lives on a different grid": dict(u0=GridField.zeros(g4)),
+        "mT lives on a different grid": dict(mT=DiscreteDensity.uniform(g4)),
+        "potential lives on a different grid": dict(
+            hamiltonian=PowerHamiltonian(2.0, GridField.zeros(g4))
+        ),
+        "cost operator is bound to a different grid": dict(cost=BilaplacianCost(g4)),
+    }
+    for message, change in cases.items():
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(p, **change)
+
+
+def test_ergodic_potential_on_another_grid_refused():
+    # an 8 x 8 potential on a 16 x 16 problem used to reach solve_ergodic
+    # and fail there with a numpy broadcast error
+    with pytest.raises(ValueError, match="potential lives on a different grid"):
+        ErgodicProblem(
+            nu=1.0,
+            hamiltonian=PowerHamiltonian(2.0, GridField.zeros(TorusGrid(8))),
+            cost=LocalCost.linear(),
+            grid=TorusGrid(16),
+        )
+
 
 @pytest.mark.parametrize("value", [float("nan"), 0, -1])
 @pytest.mark.parametrize("field", ["newton_tol", "max_newton", "outer_tol", "max_outer"])

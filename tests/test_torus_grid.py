@@ -315,6 +315,14 @@ class TestSerialization:
             load_grid_field(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_value_rejected(self, tmp_path, value):
+        path, rows = self.saved_rows(tmp_path)
+        path.write_text("\n".join(rows[:-1] + [f"3,3,{value}"]) + "\n")
+        with pytest.raises(ValueError, match=r"node \(3, 3\) .* non-finite value") as info:
+            load_grid_field(path)
+        assert str(path) in str(info.value)
+
 
 class TestInvariantsOfTypes:
     def test_time_mesh(self):
