@@ -37,13 +37,17 @@ class CostSolveError(RuntimeError):
         self.limit = limit
 
 
+def _check_nonnegative(field: GridField) -> None:
+    lowest = float(np.min(field.values))
+    if not lowest >= 0.0:  # NaN too
+        raise ValueError(f"density has a negative or NaN node value {lowest:.3e}")
+
+
 class DiscreteDensity:
     """Grid field in the discrete probability simplex: nonnegative, h^2-mass 1."""
 
     def __init__(self, field: GridField):
-        lowest = float(np.min(field.values))
-        if not lowest >= 0.0:  # NaN too
-            raise ValueError(f"density has a negative or NaN node value {lowest:.3e}")
+        _check_nonnegative(field)
         m = mass(field)
         if not abs(m - 1.0) <= MASS_TOL:
             raise ValueError(f"density mass {m!r} deviates from 1 by more than {MASS_TOL}")
@@ -55,7 +59,13 @@ class DiscreteDensity:
 
     @classmethod
     def normalized(cls, field: GridField) -> "DiscreteDensity":
-        """Rescale a nonnegative field multiplicatively to unit mass."""
+        """Rescale a nonnegative field multiplicatively to unit mass.
+
+        Negative, NaN and -inf nodes are refused before the mass is summed,
+        so a field holding both infinities is no NaN mass; a +inf node
+        gives an infinite mass, which is refused.
+        """
+        _check_nonnegative(field)
         m = mass(field)
         check_positive_finite("the mass of a field to normalize", m)
         return cls(GridField(field.grid, field.values / m))

@@ -5,12 +5,19 @@ a frozen cost field, the next slice solves
 
     (u_next - u_cur)/dt - nu Lap_h u_next + value(x, stencil(u_next)) = cost,
 
-by damped Newton with the exact Jacobian (1/dt) I - nu L + B(u), where B
-collects the upwind gradient against the one-sided difference stencils.
-Monotonicity of the upwind Hamiltonian makes the Jacobian an M-matrix, so
-the sparse direct solve is always well posed and Armijo backtracking on the
-residual sup norm gives global progress (the iteration is semismooth at the
-gradient kink, where the gradient is extended by zero).
+by chord steps and damped Newton steps on the Jacobian
+J(u) = (1/dt) I - nu L + B(u), where B collects the upwind gradient
+against the one-sided difference stencils.  Monotonicity of the upwind
+Hamiltonian makes J an M-matrix, so the sparse direct solve is always well
+posed.  Within one solve call, J changes between iterates, steps and
+sweeps only in B, so a step first tries the chord step with the LU the
+solve holds (``linear.HeldFactor``), the LU of some earlier J; it keeps
+that step when the residual sup norm falls to CHORD_RATE of its old value.
+Otherwise it factors the exact J at the iterate, holds that LU, and takes
+the Newton step, with Armijo backtracking on the residual sup norm for
+global progress (the iteration is semismooth at the gradient kink, where
+the gradient is extended by zero).  Without a held factor every step is
+the exact Newton step.
 
 Residual, Jacobian, transport and density matrix all evaluate the
 Hamiltonian at ``hamiltonian_stencil(u)``: the one-sided differences of u
@@ -30,7 +37,9 @@ where transport(u, m) = -D^T (m g), with D the stencil of ``torus_grid`` and
 g the gradient of the Hamiltonian at the floored stencil of u.
 Its matrix is the transpose of the value-step Jacobian at u_next, which is
 exactly the adjoint relation the scheme is built on, so the step solves
-with the transpose of that Jacobian's LU; column sums of its
+with the held LU and trans="T", refined against the exact transpose, and
+factors that Jacobian afresh only when refinement misses the linear
+contract; column sums of its
 advection-diffusion block vanish, so the h^2-weighted mass is conserved to
 the linear-solve tolerance, and the M-matrix sign pattern preserves
 nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
@@ -54,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
-from .linear import LinearSolveContract, _solve_checked, five_point_matrix
+from .linear import CHORD_RATE, HeldFactor, LinearSolveContract, _solve_checked, five_point_matrix
 from .torus_grid import (
     STENCIL_SIGNS, _stencil_laplace, check_positive_finite, laplace_array, stencil_adjoint, stencil_array
 )
@@ -158,21 +167,35 @@ def newton_armijo(
     x: np.ndarray,
     cfg: HjbStepConfig,
     contract: LinearSolveContract,
+    held: Optional[HeldFactor] = None,
 ) -> np.ndarray:
-    """Damped Newton on flat vectors with Armijo backtracking.
+    """Chord and damped Newton steps on flat vectors, with Armijo backtracking.
 
-    Iterates x <- x + t * delta with jacobian(x) delta = -residual(x),
-    halving t from 1 until the residual sup norm r drops to at most
-    (1 - ARMIJO_C t) r, and returns x once r <= ``newton_tol``.  Raises
-    NonConvergence when t falls below MIN_STEP or ``max_newton``
-    iterations cannot reach the tolerance.
+    Returns x once the residual sup norm r is at most ``newton_tol``.  Each
+    iteration first tries the chord step x - LU^-1 residual(x) with the LU
+    of ``held``, if it holds one, and keeps it when r drops to at most
+    CHORD_RATE r.  Otherwise it takes the Newton step: jacobian(x) is
+    factored (and held), delta solves jacobian(x) delta = -residual(x)
+    under the linear contract, and x <- x + t delta with t halved from 1
+    until r drops to at most (1 - ARMIJO_C t) r.  Raises NonConvergence
+    when t falls below MIN_STEP or ``max_newton`` iterations cannot reach
+    the tolerance.  With ``held`` None every iteration is a Newton step.
     """
     res = residual(x)
     r = float(np.max(np.abs(res)))
     for it in range(cfg.max_newton):
         if r <= cfg.newton_tol:
             return x
-        delta = _solve_checked(jacobian(x), -res, contract)
+        if held is not None and held.lu is not None:
+            trial = x - held.lu.solve(res)
+            res_try = residual(trial)
+            r_try = float(np.max(np.abs(res_try)))
+            if r_try <= CHORD_RATE * r:
+                held.chord_accepted += 1
+                x, res, r = trial, res_try, r_try
+                continue
+            held.chord_rejected += 1
+        delta = _solve_checked(jacobian(x), -res, contract, held=held)
         t = 1.0
         while t >= MIN_STEP:
             trial = x + t * delta
@@ -217,12 +240,15 @@ def hjb_step_solve(
     cfg: Optional[HjbStepConfig] = None,
     contract: Optional[LinearSolveContract] = None,
     initial_guess: Optional[np.ndarray] = None,
+    held: Optional[HeldFactor] = None,
 ) -> np.ndarray:
     """Advance the value function one step by ``newton_armijo``.
 
     Starts from ``initial_guess`` (default: the current slice) and returns
     a new array once the residual sup norm is below ``newton_tol``; raises
-    NonConvergence otherwise.  The inputs are not modified.
+    NonConvergence otherwise.  ``held`` is the solve's held LU, tried for
+    chord steps and replaced by every fresh factorization.  The inputs are
+    not modified.
     """
     check_positive_finite("nu", nu)
     cfg = cfg or HjbStepConfig()
@@ -236,7 +262,7 @@ def hjb_step_solve(
         return hjb_jacobian(ham, nu, dt, x.reshape(shape))
 
     start = (u_cur if initial_guess is None else initial_guess).flatten()
-    return newton_armijo(residual, jacobian, start, cfg, contract).reshape(shape)
+    return newton_armijo(residual, jacobian, start, cfg, contract, held).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +325,23 @@ def fp_step_solve(
     u_next: np.ndarray,
     m_next: np.ndarray,
     contract: Optional[LinearSolveContract] = None,
+    held: Optional[HeldFactor] = None,
 ) -> tuple[np.ndarray, float]:
     """Step the density backward: (m_cur, clamp magnitude) given u_next and m_next.
 
-    m_cur is a new array; the inputs are not modified.
+    Solves J(u_next)^T m_cur = m_next / dt to the linear contract.  With
+    ``held`` the held LU is refined against the exact J^T first; only a
+    miss factors J afresh, and that LU becomes the held one.  m_cur is a
+    new array; the inputs are not modified.
     """
     check_positive_finite("nu", nu)
     contract = contract or LinearSolveContract()
     a = hjb_jacobian(ham, nu, dt, u_next)
-    x, clamp = _clamp_density(_solve_checked(a, m_next.ravel() / dt, contract, trans="T"))
+    b = m_next.ravel() / dt
+    x = None if held is None else held.solve_refined(a, b, contract, trans="T")
+    if x is None:
+        x = _solve_checked(a, b, contract, trans="T", held=held)
+    x, clamp = _clamp_density(x)
     return x.reshape(m_next.shape), clamp
 
 

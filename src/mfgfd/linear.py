@@ -13,6 +13,15 @@ order of the torus grid (``dissection_order``) and border unknowns last.
 SuperLU keeps that column order and pivots with its default partial
 pivoting.  On the bordered ergodic Jacobian at N = 128 this halves the LU
 fill of the default column ordering.
+
+One solve call holds one LU (``HeldFactor``): the LU of the last matrix
+factored in that solve.  The matrices of one solve differ from iterate to
+iterate, step to step and sweep to sweep only in the upwind block, so the
+held LU is a good approximate inverse of the current matrix: the value
+step tries a chord step with it and the density step refines with it
+against the exact matrix, and each factors afresh only when that fails.
+The held LU is dropped before every new factorization, so at most one LU
+of a solve is alive outside a factorization.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import scipy.sparse.linalg as spla
 from .torus_grid import STENCIL, _shift
 
 __all__ = [
+    "HeldFactor",
     "LinearSolveContract",
     "LinearSolveError",
     "dissection_order",
@@ -223,22 +233,96 @@ class _DissectedLU:
         return self._lu.solve(b[self._p], trans=trans)[self._inv]
 
 
-def _solve_checked(
-    a: sp.csr_matrix, b: np.ndarray, contract: LinearSolveContract, trans: str = "N"
-) -> np.ndarray:
-    """x with M x = b and |M x - b|_inf <= residual_tol |b|_inf.
+# a chord step with the held LU is kept when it cuts the residual sup norm
+# to at most this fraction; otherwise the value step factors afresh
+CHORD_RATE = 0.1
+# refinement steps of a solve with the held LU before it factors afresh
+MAX_REFINEMENTS = 8
 
-    M is A (trans="N") or A^T (trans="T"), solved with the factor of A.
-    One step of iterative refinement against M follows a miss; a second
-    miss, or a non-finite residual, is a LinearSolveError.
+
+class HeldFactor:
+    """The LU of the last matrix factored in one solve call, and its counts.
+
+    ``factor(a)`` drops the held LU, factors A and holds its LU; after a
+    failed factorization none is held.  The counts are deterministic:
+    ``factorizations``, chord steps kept (``chord_accepted``) and rejected
+    (``chord_rejected``) by ``dynamics.newton_armijo``, and ``refinements``,
+    the refinement steps of every checked or held solve.
     """
-    lu = _DissectedLU(a)
+
+    def __init__(self) -> None:
+        self.lu: _DissectedLU | None = None
+        self.factorizations = 0
+        self.chord_accepted = 0
+        self.chord_rejected = 0
+        self.refinements = 0
+
+    def factor(self, a: sp.csr_matrix) -> _DissectedLU:
+        self.lu = None  # at most one LU alive outside a factorization
+        self.lu = _DissectedLU(a)
+        self.factorizations += 1
+        return self.lu
+
+    def solve_refined(
+        self, a: sp.csr_matrix, b: np.ndarray, contract: LinearSolveContract, trans: str = "N"
+    ) -> np.ndarray | None:
+        """x with |M x - b|_inf <= residual_tol |b|_inf by the held LU, or None.
+
+        M is A (trans="N") or A^T (trans="T").  Solves with the held LU,
+        then refines against M, at most MAX_REFINEMENTS times; None when no
+        LU is held or the contract is still missed.
+        """
+        if self.lu is None:
+            return None
+        m = a if trans == "N" else a.T
+        limit = _limit(b, contract)
+        x = self.lu.solve(b, trans)
+        for _ in range(MAX_REFINEMENTS):
+            resid = m @ x - b
+            if float(np.max(np.abs(resid))) <= limit:
+                return x
+            x = x - self.lu.solve(resid, trans)
+            self.refinements += 1
+        return x if float(np.max(np.abs(m @ x - b))) <= limit else None
+
+    def counts(self) -> dict:
+        return {
+            "factorizations": self.factorizations,
+            "chord_accepted": self.chord_accepted,
+            "chord_rejected": self.chord_rejected,
+            "refinements": self.refinements,
+        }
+
+
+def _limit(b: np.ndarray, contract: LinearSolveContract) -> float:
+    return contract.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
+
+
+def _solve_checked(
+    a: sp.csr_matrix,
+    b: np.ndarray,
+    contract: LinearSolveContract,
+    trans: str = "N",
+    held: HeldFactor | None = None,
+) -> np.ndarray:
+    """x with M x = b and |M x - b|_inf <= residual_tol |b|_inf, from a fresh LU of A.
+
+    M is A (trans="N") or A^T (trans="T").  The one checked solve of a
+    freshly factored matrix: the exact Newton step and the density step
+    that the held LU could not serve.  With ``held``, A is factored by
+    ``held.factor`` and its LU stays held.  One step of iterative
+    refinement against M follows a miss; a second miss, or a non-finite
+    residual, is a LinearSolveError.
+    """
+    held = held if held is not None else HeldFactor()
+    lu = held.factor(a)
     m = a if trans == "N" else a.T
     x = lu.solve(b, trans)
-    limit = contract.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
+    limit = _limit(b, contract)
     resid = m @ x - b
     if not float(np.max(np.abs(resid))) <= limit:
         x = x + lu.solve(-resid, trans)  # one step of iterative refinement
+        held.refinements += 1
         resid = m @ x - b
         if not float(np.max(np.abs(resid))) <= limit:
             raise LinearSolveError(

@@ -20,6 +20,12 @@ The invariant density is the left null vector of that same matrix: one
 factorization and one transposed solve give the kernel vector of A(u)^T
 (A(u) has zero row sums, so the border unknown is 0).
 
+Each solve call owns one ``linear.HeldFactor`` and passes it to every
+step: the LU of the last matrix factored in the solve serves the chord
+value steps and the refined density steps until a step factors afresh.
+Its counts go into ``diagnostics``; the LU is released before the final
+checks.
+
 This module also hosts the exact algebraic checker for the perturbed
 two-pair balance: endpoint pairings plus both weighted Bregman terms plus
 the cost monotonicity pairing equal the perturbation pairings.  The checker
@@ -51,7 +57,7 @@ from .dynamics import (
     value_operator,
 )
 from .hamiltonian import _EPS, STENCIL_FLOOR, PowerHamiltonian, weighted_bregman_gap
-from .linear import LinearSolveContract, LinearSolveError, _DissectedLU, bordered_matrix
+from .linear import HeldFactor, LinearSolveContract, LinearSolveError, _DissectedLU, bordered_matrix
 from .torus_grid import (
     GridField,
     SpaceTimeField,
@@ -264,26 +270,29 @@ def _bellman_sweep(
     hjb_cfg: HjbStepConfig,
     contract: LinearSolveContract,
     warm: Optional[np.ndarray],
+    held: HeldFactor,
 ) -> np.ndarray:
     u = np.empty((p.mesh.n_steps + 1,) + p.u0.values.shape)
     u[0] = p.u0.values
     for n in range(p.mesh.n_steps):
         guess = None if warm is None else warm[n + 1]
         u[n + 1] = hjb_step_solve(
-            p.hamiltonian, p.nu, p.mesh.dt, u[n], cost[n], hjb_cfg, contract, guess
+            p.hamiltonian, p.nu, p.mesh.dt, u[n], cost[n], hjb_cfg, contract, guess, held
         )
     return u
 
 
 def _fp_sweep(
-    p: EvolutiveProblem, u: np.ndarray, contract: LinearSolveContract
+    p: EvolutiveProblem, u: np.ndarray, contract: LinearSolveContract, held: HeldFactor
 ) -> tuple[np.ndarray, float]:
     nt = p.mesh.n_steps
     m = np.empty_like(u)
     m[nt] = p.mT.field.values
     clamp_max = 0.0
     for n in range(nt - 1, -1, -1):
-        m[n], clamp = fp_step_solve(p.hamiltonian, p.nu, p.mesh.dt, u[n + 1], m[n + 1], contract)
+        m[n], clamp = fp_step_solve(
+            p.hamiltonian, p.nu, p.mesh.dt, u[n + 1], m[n + 1], contract, held
+        )
         clamp_max = max(clamp_max, clamp)
     return m, clamp_max
 
@@ -316,7 +325,8 @@ def solve_evolutive(
     m-slice the terminal density, both exactly.  ``initial_m``, the start
     trajectory, is a (N_T + 1, N, N) array or a SpaceTimeField; by default
     every slice is the terminal density.  ``check_newton_tol`` refuses a
-    ``newton_tol`` the gate could never pass.
+    ``newton_tol`` the gate could never pass.  The counts of the solve's
+    held factor are in ``diagnostics``.
     """
     cfg = cfg or FixedPointConfig()
     hjb_cfg = hjb_cfg or HjbStepConfig()
@@ -332,11 +342,12 @@ def solve_evolutive(
             raise ValueError("initial_m does not match the problem discretization")
     else:
         m_start = np.stack([p.mT.field.values] * (nt + 1))
+    held = HeldFactor()
 
     def sweep(m: np.ndarray, last: Optional[tuple]) -> tuple[np.ndarray, tuple]:
         cost = _cost_fields(p, m)
-        u = _bellman_sweep(p, cost, hjb_cfg, contract, None if last is None else last[0])
-        m_new, clamp_max = _fp_sweep(p, u, contract)
+        u = _bellman_sweep(p, cost, hjb_cfg, contract, None if last is None else last[0], held)
+        m_new, clamp_max = _fp_sweep(p, u, contract, held)
         return m_new, (u, cost, clamp_max)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):
@@ -347,6 +358,7 @@ def solve_evolutive(
         mismatch = float(np.max(np.abs(_cost_fields(p, m_new) - cost)))
         if not mismatch + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET:
             return None
+        held.lu = None  # the gate passes: no step needs the LU any more
         hjb_res, fp_res = evolutive_residuals(p, u, m_new)
         monitors = (
             _trajectory_monitors(u, m_new, p.mesh.dt, p.cost, p.hamiltonian.beta)
@@ -360,6 +372,7 @@ def solve_evolutive(
             "final_change": history[-1],
             "theta_final": theta,
             "halvings": halvings,
+            **held.counts(),
         }
         return EvolutiveSolution(
             u=SpaceTimeField.from_array(p.mesh, p.grid, u),
@@ -389,6 +402,7 @@ def _ergodic_hjb_newton(
     lam_init: float,
     cfg: HjbStepConfig,
     contract: LinearSolveContract,
+    held: Optional[HeldFactor] = None,
 ) -> tuple[np.ndarray, float]:
     """``newton_armijo`` on (u, lambda), the zero-mean row closing the system."""
     n = p.grid.n_side
@@ -403,11 +417,13 @@ def _ergodic_hjb_newton(
         return _bordered_jacobian(p, x[:-1].reshape(n, n))
 
     start = np.concatenate([u_init.ravel(), [lam_init]])
-    x = newton_armijo(residual, jacobian, start, cfg, contract)
+    x = newton_armijo(residual, jacobian, start, cfg, contract, held)
     return x[:-1].reshape(n, n), float(x[-1])
 
 
-def _stationary_density(p: ErgodicProblem, u: np.ndarray, tol: float) -> np.ndarray:
+def _stationary_density(
+    p: ErgodicProblem, u: np.ndarray, tol: float, held: Optional[HeldFactor] = None
+) -> np.ndarray:
     """Kernel vector of A(u)^T with unit h^2-weighted mass.
 
     Solves J^T [m; c] = [0; 1] for the bordered Jacobian J of
@@ -416,13 +432,16 @@ def _stationary_density(p: ErgodicProblem, u: np.ndarray, tol: float) -> np.ndar
     clamped as the evolutive density step is.  Its residual max|A^T m| must
     be at most ``tol`` or the backward-error floor
     STENCIL_FLOOR eps |A^T|_inf max|m|, whichever is larger; a miss is a
-    LinearSolveError.
+    LinearSolveError.  With ``held`` the bordered LU becomes the held one,
+    so the next Newton step at u is exact at no factorization cost.
     """
     n = p.grid.n_side
     a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
-    x = _DissectedLU(bordered_matrix(a, p.grid.h ** 2)).solve(rhs, trans="T")[:-1]
+    j = bordered_matrix(a, p.grid.h ** 2)
+    lu = _DissectedLU(j) if held is None else held.factor(j)
+    x = lu.solve(rhs, trans="T")[:-1]
     x, _ = _clamp_density(x / (p.grid.h ** 2 * float(np.sum(x))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))
@@ -450,7 +469,8 @@ def solve_ergodic(
     density equation, and the two normalizations) are at or below 1e-8;
     the density residual may instead sit at the roundoff floor of
     ``_stationary_density``.  The Newton solve runs to min(``newton_tol``,
-    a tenth of that target) within ``max_newton`` iterations.
+    a tenth of that target) within ``max_newton`` iterations.  The counts
+    of the solve's held factor are in ``diagnostics``.
     """
     cfg = cfg or FixedPointConfig()
     contract = contract or LinearSolveContract()
@@ -465,12 +485,13 @@ def solve_ergodic(
     shape = (p.grid.n_side, p.grid.n_side)
     m_start = np.ones(shape)
     lam_start = float(h2 * np.sum(p.cost.apply(m_start) - p.hamiltonian.potential.values))
+    held = HeldFactor()
 
     def sweep(m: np.ndarray, state: tuple) -> tuple[np.ndarray, tuple]:
         u, lam, _ = state
         cost = p.cost.apply(m)
-        u, lam = _ergodic_hjb_newton(p, cost, u, lam, newton_cfg, contract)
-        m_new = _stationary_density(p, u, tol=residual_target / 10.0)
+        u, lam = _ergodic_hjb_newton(p, cost, u, lam, newton_cfg, contract, held)
+        m_new = _stationary_density(p, u, residual_target / 10.0, held)
         return m_new, (u, lam, cost)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):
@@ -478,6 +499,7 @@ def solve_ergodic(
         res_hjb = float(np.max(np.abs(p.cost.apply(m_new) - cost)))
         if not res_hjb <= residual_target / 2.0:
             return None
+        held.lu = None  # the gate passes: no step needs the LU any more
         u_centered = u - h2 * float(np.sum(u))
         dens = DiscreteDensity.normalized(GridField(p.grid, m_new))
         return ErgodicSolution(
@@ -489,6 +511,7 @@ def solve_ergodic(
             diagnostics={
                 **_ergodic_diagnostics(p, u_centered, dens.field.values, lam),
                 "halvings": halvings,
+                **held.counts(),
             },
         )
 

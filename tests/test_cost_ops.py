@@ -59,6 +59,16 @@ class TestDiscreteDensity:
             with pytest.raises(ValueError, match="mass .* must be positive and finite, got inf"):
                 DiscreteDensity.normalized(GridField(TorusGrid(4), vals))
 
+    def test_normalized_field_of_both_infinities_rejected(self):
+        # +inf and -inf sum to a NaN mass, which numpy warns about; the
+        # negative node is refused before the sum
+        vals = np.full((4, 4), 1.0)
+        vals[0, 1], vals[2, 3] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="negative or NaN node value -inf"):
+                DiscreteDensity.normalized(GridField(TorusGrid(4), vals))
+
     def test_normalized_mass_machine_true(self):
         g = TorusGrid(8)
         rng = np.random.default_rng(0)

@@ -12,6 +12,7 @@ import scipy.sparse.linalg as spla
 
 from mfgfd.cost_ops import LocalCost
 from mfgfd.dynamics import (
+    ARMIJO_C,
     CLAMP_LIMIT,
     HjbStepConfig,
     NonConvergence,
@@ -30,6 +31,8 @@ from mfgfd.dynamics import (
 )
 from mfgfd.hamiltonian import PowerHamiltonian, hamiltonian_stencil
 from mfgfd.linear import (
+    MAX_REFINEMENTS,
+    HeldFactor,
     LinearSolveContract,
     LinearSolveError,
     _DissectedLU,
@@ -585,6 +588,116 @@ class TestFactorization:
         u = 0.3 * np.cos(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
         j = _bordered_jacobian(ergodic_sines(n), u)
         assert _DissectedLU(j)._lu.nnz <= 0.75 * spla.splu(sp.csc_matrix(j)).nnz
+
+
+def sines_step(n=8, beta=2.0):
+    """(ham, u_cur, cost) of one value or density step on the sines potential."""
+    g = TorusGrid(n)
+    x1, x2 = g.node_coords()
+    u_cur = 0.25 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+    return PowerHamiltonian(beta, hamiltonian_preset("sines", g)), u_cur, np.ones((n, n))
+
+
+def held_of_distant_jacobian(ham, n=8):
+    # J at a rough u of amplitude 30: its upwind block dwarfs that of any
+    # smooth iterate, so its LU is a poor inverse of the J a step needs
+    held = HeldFactor()
+    held.factor(hjb_jacobian(ham, 0.6, 0.05, 30.0 * np.random.default_rng(3).normal(size=(n, n))))
+    return held
+
+
+class TestHeldFactor:
+    def test_distant_lu_rejects_chord_and_refactors(self):
+        ham, u_cur, cost = sines_step()
+        held = held_of_distant_jacobian(ham)
+        distant = held.lu
+        cfg = HjbStepConfig()
+        got = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg, held=held)
+        assert held.chord_rejected >= 1 and held.factorizations >= 2
+        assert held.lu is not distant
+        # the exact residual, from the per-node loop, meets the Newton tolerance
+        assert np.max(np.abs(naive_hjb_residual(ham, 0.6, 0.05, got, u_cur, cost))) <= cfg.newton_tol
+        assert np.max(np.abs(got - hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg))) <= 1e-12
+
+    def test_density_refinement_miss_falls_back_to_fresh_factor(self):
+        ham, u_next, _ = sines_step(n=4)
+        held = held_of_distant_jacobian(ham, n=4)
+        m_next = np.abs(np.random.default_rng(4).normal(1.0, 0.3, (4, 4)))
+        contract = LinearSolveContract()
+        got, clamp = fp_step_solve(ham, 0.6, 0.05, u_next, m_next, contract, held)
+        assert held.refinements >= MAX_REFINEMENTS and held.factorizations == 2
+        # contract against the exact J^T, assembled densely from the transport
+        exact_t = dense_fp_from_transport(ham, 0.6, 0.05, u_next)
+        b = m_next.ravel() / 0.05
+        assert np.max(np.abs(exact_t @ got.ravel() - b)) <= contract.residual_tol * np.max(np.abs(b))
+        h2 = TorusGrid(4).h ** 2
+        assert abs(h2 * np.sum(got) - h2 * np.sum(m_next)) <= 10 * contract.residual_tol
+        assert np.min(got) >= 0.0 and clamp == 0.0
+        # the fresh LU of J(u_next) is held and serves a step at a nearby u
+        # by refinement against that step's exact J^T, with no new factor
+        u_near = 1.05 * u_next
+        got, _ = fp_step_solve(ham, 0.6, 0.05, u_near, m_next, contract, held)
+        assert held.refinements > MAX_REFINEMENTS and held.factorizations == 2
+        exact_t = dense_fp_from_transport(ham, 0.6, 0.05, u_near)
+        assert np.max(np.abs(exact_t @ got.ravel() - b)) <= contract.residual_tol * np.max(np.abs(b))
+
+    def test_without_held_factor_steps_match_one_lu_per_solve(self):
+        # with held=None every Newton iteration and every density step
+        # factors its exact matrix afresh, with the float operations of
+        # this per-iteration oracle, bit for bit
+        ham, _, cost = sines_step(n=8, beta=1.5)
+        rng = np.random.default_rng(21)
+        u_cur, m_next = rng.normal(size=(8, 8)), np.abs(rng.normal(1.0, 0.3, (8, 8)))
+        cfg, contract = HjbStepConfig(), LinearSolveContract()
+
+        def fresh_solve(a, b, trans):
+            lu, m = _DissectedLU(a), (a if trans == "N" else a.T)
+            x = lu.solve(b, trans)
+            resid = m @ x - b
+            if not np.max(np.abs(resid)) <= contract.residual_tol * np.max(np.abs(b)):
+                x = x + lu.solve(-resid, trans)
+            return x
+
+        def residual(x):
+            return hjb_residual(ham, 0.6, 0.05, x.reshape(8, 8), u_cur, cost).ravel()
+
+        x = u_cur.flatten()
+        res = residual(x)
+        r = np.max(np.abs(res))
+        while not r <= cfg.newton_tol:
+            delta = fresh_solve(hjb_jacobian(ham, 0.6, 0.05, x.reshape(8, 8)), -res, "N")
+            t = 1.0
+            while True:
+                trial = x + t * delta
+                res_try = residual(trial)
+                if np.max(np.abs(res_try)) <= (1.0 - ARMIJO_C * t) * r:
+                    break
+                t *= 0.5
+            x, res, r = trial, res_try, np.max(np.abs(res_try))
+        got = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg, contract, held=None)
+        assert np.array_equal(got, x.reshape(8, 8))
+        expect = fresh_solve(hjb_jacobian(ham, 0.6, 0.05, u_cur), m_next.ravel() / 0.05, "T")
+        got, _ = fp_step_solve(ham, 0.6, 0.05, u_cur, m_next, contract, held=None)
+        assert np.array_equal(got.ravel(), expect)
+
+    def test_failed_factorization_leaves_no_stale_lu(self):
+        ham, u, _ = sines_step()
+        j = hjb_jacobian(ham, 0.6, 0.05, u)
+        held = HeldFactor()
+        held.factor(j)
+        singular = five_point_matrix(np.zeros((8, 8, 5)))
+        with pytest.raises(LinearSolveError, match="singular"):
+            _solve_checked(singular, np.ones(64), LinearSolveContract(), held=held)
+        assert held.lu is None and held.factorizations == 1
+        with pytest.raises(LinearSolveError, match="singular"):
+            held.factor(singular)
+        assert held.lu is None
+        # without an LU, the density step factors its exact matrix afresh
+        b = np.ones(64)
+        assert held.solve_refined(j, b, LinearSolveContract(), "T") is None
+        x = _solve_checked(j, b, LinearSolveContract(), "T", held)
+        assert np.max(np.abs(np.linalg.solve(j.toarray().T, b) - x)) <= 1e-12 * np.max(np.abs(x))
+        assert held.lu is not None and held.factorizations == 2
 
 
 class TestNonFiniteSolves:

@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from mfgfd.archive import write_ergodic_archive, write_evolutive_archive
 from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
 from mfgfd.dynamics import HjbStepConfig, NonConvergence, fp_step_solve
 from mfgfd.hamiltonian import PowerHamiltonian
@@ -473,6 +475,46 @@ class TestErgodicSolver:
                 cost=BilaplacianCost(g),
                 grid=g,
             )
+
+
+class TestHeldFactorCounts:
+    HELD_KEYS = ("factorizations", "chord_accepted", "chord_rejected", "refinements")
+
+    def count_factorizations(self, monkeypatch, solve):
+        calls = []
+        splu = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        sol = solve()
+        return sol, len(calls)
+
+    @pytest.mark.parametrize("kind", ["evolutive", "ergodic"])
+    def test_counts_match_factorizations_and_repeat(self, kind, monkeypatch, tmp_path):
+        if kind == "evolutive":
+            def solve():
+                return solve_evolutive(smooth_problem(n=8, nt=8, cost="power"))
+            write = write_evolutive_archive
+        else:
+            def solve():
+                g = TorusGrid(16)
+                ham = PowerHamiltonian(2.0, hamiltonian_preset("sines", g))
+                return solve_ergodic(ErgodicProblem(1.0, ham, LocalCost.power(2.0), g))
+            write = write_ergodic_archive
+        first, calls = self.count_factorizations(monkeypatch, solve)
+        d = first.diagnostics
+        assert d["factorizations"] == calls > 0
+        assert d["chord_accepted"] > 0
+        assert all(isinstance(d[k], int) for k in self.HELD_KEYS)
+        second, calls_again = self.count_factorizations(monkeypatch, solve)
+        assert calls_again == calls
+        assert {k: second.diagnostics[k] for k in self.HELD_KEYS} == {k: d[k] for k in self.HELD_KEYS}
+        for n, sol in enumerate((first, second)):
+            write(tmp_path / str(n), sol, {}, "")
+        assert (tmp_path / "0" / "meta.json").read_bytes() == (tmp_path / "1" / "meta.json").read_bytes()
 
 
 class TestIdentity:
