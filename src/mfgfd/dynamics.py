@@ -16,8 +16,8 @@ that step when the residual sup norm falls to CHORD_RATE of its old value.
 Otherwise it factors the exact J at the iterate, holds that LU, and takes
 the Newton step, with Armijo backtracking on the residual sup norm for
 global progress (the iteration is semismooth at the gradient kink, where
-the gradient is extended by zero).  Without a held factor every step is
-the exact Newton step.
+the gradient is extended by zero).  A step called without a held LU
+makes a fresh ``HeldFactor`` and runs the same code.
 
 Residual, Jacobian, transport and density matrix all evaluate the
 Hamiltonian at ``hamiltonian_stencil(u)``: the one-sided differences of u
@@ -37,9 +37,9 @@ where transport(u, m) = -D^T (m g), with D the stencil of ``torus_grid`` and
 g the gradient of the Hamiltonian at the floored stencil of u.
 Its matrix is the transpose of the value-step Jacobian at u_next, which is
 exactly the adjoint relation the scheme is built on, so the step solves
-with the held LU and trans="T", refined against the exact transpose, and
-factors that Jacobian afresh only when refinement misses the linear
-contract; column sums of its
+with the held LU and trans="T", refined against the exact transpose to
+within the linear contract and INNER_RESIDUAL_TARGET / 10, and factors
+that Jacobian afresh only when refinement misses; column sums of its
 advection-diffusion block vanish, so the h^2-weighted mass is conserved to
 the linear-solve tolerance, and the M-matrix sign pattern preserves
 nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
@@ -63,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
-from .linear import CHORD_RATE, HeldFactor, LinearSolveContract, _solve_checked, five_point_matrix
+from .linear import HeldFactor, LinearSolveContract, _solve_checked, five_point_matrix
 from .torus_grid import (
     STENCIL_SIGNS, _stencil_laplace, check_positive_finite, laplace_array, stencil_adjoint, stencil_array
 )
@@ -86,10 +86,14 @@ __all__ = [
 ]
 
 CLAMP_LIMIT = 1e-12
+# sup norm of both defects of an evolutive solution; density steps refine to a tenth
+INNER_RESIDUAL_TARGET = 1e-9
 
 # Armijo sufficient-decrease constant and smallest step of ``newton_armijo``
 ARMIJO_C = 1e-4
 MIN_STEP = 2.0 ** -20
+# a chord step is kept when it cuts the residual sup norm to this fraction
+CHORD_RATE = 0.1
 
 
 @dataclass
@@ -167,7 +171,7 @@ def newton_armijo(
     x: np.ndarray,
     cfg: HjbStepConfig,
     contract: LinearSolveContract,
-    held: Optional[HeldFactor] = None,
+    held: HeldFactor,
 ) -> np.ndarray:
     """Chord and damped Newton steps on flat vectors, with Armijo backtracking.
 
@@ -179,15 +183,15 @@ def newton_armijo(
     under the linear contract, and x <- x + t delta with t halved from 1
     until r drops to at most (1 - ARMIJO_C t) r.  Raises NonConvergence
     when t falls below MIN_STEP or ``max_newton`` iterations cannot reach
-    the tolerance.  With ``held`` None every iteration is a Newton step.
+    the tolerance.
     """
     res = residual(x)
     r = float(np.max(np.abs(res)))
     for it in range(cfg.max_newton):
         if r <= cfg.newton_tol:
             return x
-        if held is not None and held.lu is not None:
-            trial = x - held.lu.solve(res)
+        if held.lu is not None:
+            trial = x - held.solve(res)
             res_try = residual(trial)
             r_try = float(np.max(np.abs(res_try)))
             if r_try <= CHORD_RATE * r:
@@ -246,9 +250,9 @@ def hjb_step_solve(
 
     Starts from ``initial_guess`` (default: the current slice) and returns
     a new array once the residual sup norm is below ``newton_tol``; raises
-    NonConvergence otherwise.  ``held`` is the solve's held LU, tried for
-    chord steps and replaced by every fresh factorization.  The inputs are
-    not modified.
+    NonConvergence otherwise.  ``held`` is the solve's held LU (default: a
+    fresh ``HeldFactor``), tried for chord steps and replaced by every
+    fresh factorization.  The inputs are not modified.
     """
     check_positive_finite("nu", nu)
     cfg = cfg or HjbStepConfig()
@@ -262,7 +266,8 @@ def hjb_step_solve(
         return hjb_jacobian(ham, nu, dt, x.reshape(shape))
 
     start = (u_cur if initial_guess is None else initial_guess).flatten()
-    return newton_armijo(residual, jacobian, start, cfg, contract, held).reshape(shape)
+    x = newton_armijo(residual, jacobian, start, cfg, contract, held or HeldFactor())
+    return x.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +334,21 @@ def fp_step_solve(
 ) -> tuple[np.ndarray, float]:
     """Step the density backward: (m_cur, clamp magnitude) given u_next and m_next.
 
-    Solves J(u_next)^T m_cur = m_next / dt to the linear contract.  With
-    ``held`` the held LU is refined against the exact J^T first; only a
-    miss factors J afresh, and that LU becomes the held one.  m_cur is a
-    new array; the inputs are not modified.
+    Solves J(u_next)^T m_cur = m_next / dt.  The LU of ``held`` (default:
+    a fresh ``HeldFactor``), if any, is refined against the exact J^T to
+    the contract and to INNER_RESIDUAL_TARGET / 10, since b grows like
+    1/dt; only a miss factors J afresh, under the contract, and holds that
+    LU.  m_cur is a new array; the inputs are not modified.
     """
     check_positive_finite("nu", nu)
     contract = contract or LinearSolveContract()
+    held = held or HeldFactor()
     a = hjb_jacobian(ham, nu, dt, u_next)
     b = m_next.ravel() / dt
-    x = None if held is None else held.solve_refined(a, b, contract, trans="T")
-    if x is None:
-        x = _solve_checked(a, b, contract, trans="T", held=held)
+    limit = min(contract.limit(b), INNER_RESIDUAL_TARGET / 10.0)
+    x, r = held.solve_refined(a, b, limit, "T")
+    if not r <= limit:
+        x = _solve_checked(a, b, contract, "T", held)
     x, clamp = _clamp_density(x)
     return x.reshape(m_next.shape), clamp
 

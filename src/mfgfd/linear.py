@@ -7,21 +7,24 @@ and cached read-only (``_layout``), their factor order on the first
 factorization; an assembly computes only the values, and exact zeros stay
 as explicit entries.
 
-Every sparse LU is a ``_DissectedLU`` of such a CSR matrix A.  It factors
-P A P^T, formed by one gather of the data, with P the nested-dissection
-order of the torus grid (``dissection_order``) and border unknowns last.
-SuperLU keeps that column order and pivots with its default partial
-pivoting.  On the bordered ergodic Jacobian at N = 128 this halves the LU
-fill of the default column ordering.
+Every sparse LU is a ``HeldFactor``, the one LU type: one solve call
+holds one, the LU of the last matrix A factored in that solve.  It
+factors P A P^T, formed by one gather of the data, with P the
+nested-dissection order of the torus grid (``dissection_order``) and
+border unknowns last.  SuperLU keeps that column order and pivots with its
+default partial pivoting.  On the bordered ergodic Jacobian at N = 128
+this halves the LU fill of the default column ordering.
 
-One solve call holds one LU (``HeldFactor``): the LU of the last matrix
-factored in that solve.  The matrices of one solve differ from iterate to
-iterate, step to step and sweep to sweep only in the upwind block, so the
-held LU is a good approximate inverse of the current matrix: the value
-step tries a chord step with it and the density step refines with it
-against the exact matrix, and each factors afresh only when that fails.
-The held LU is dropped before every new factorization, so at most one LU
-of a solve is alive outside a factorization.
+The matrices of one solve differ from iterate to iterate, step to step
+and sweep to sweep only in the upwind block, so the held LU is a good
+approximate inverse of the current matrix: the value step tries a chord
+step with it and the density step refines with it against the exact
+matrix, and each factors afresh only when that fails.  Every solve, held
+or fresh, runs the one refinement loop ``HeldFactor.solve_refined``; the
+checked solve of a fresh LU (``_solve_checked``) allows it one step.  The
+held LU is dropped before every new factorization, so at most one LU of a
+solve is alive outside a factorization.  A step called without a held
+factor makes a fresh one and runs the same code.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class LinearSolveContract:
     def __post_init__(self) -> None:
         if not self.residual_tol > 0:
             raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+
+    def limit(self, b: np.ndarray) -> float:
+        """The largest residual sup norm the contract allows for right-hand side b."""
+        return self.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
 
 
 class LinearSolveError(RuntimeError):
@@ -201,18 +208,34 @@ def bordered_matrix(a: sp.csr_matrix, weight: float) -> sp.csr_matrix:
 # factorization and the checked solve
 # ---------------------------------------------------------------------------
 
-class _DissectedLU:
-    """Sparse LU of A in the nested-dissection order of the torus grid.
+# refinement steps of a solve with the held LU before it factors afresh
+MAX_REFINEMENTS = 8
 
-    A is a CSR matrix of ``five_point_matrix`` or ``bordered_matrix``; N is
-    read from its size.  P A P^T is formed by one gather of its data into
-    the cached factor order.  ``solve(b, trans)`` solves A x = b
-    (trans="N") or A^T x = b (trans="T") in the original order.  Any other
-    matrix, a CSC one of A^T too, is a ValueError; a singular one is a
-    LinearSolveError.
+
+class HeldFactor:
+    """The one sparse LU type: the LU of the last matrix factored in a solve call.
+
+    ``factor(a)`` drops the held LU, then factors a CSR matrix A of
+    ``five_point_matrix`` or ``bordered_matrix`` (N read from its size) as
+    P A P^T, formed by one gather of its data into the cached factor order,
+    and holds that LU as ``lu``; after a failed factorization none is held.
+    Any other matrix, a CSC one of A^T too, is a ValueError; a singular one
+    is a LinearSolveError.  ``solve(b, trans)`` solves A x = b (trans="N")
+    or A^T x = b (trans="T") in the original order.  The counts are
+    deterministic: ``factorizations``, chord steps kept (``chord_accepted``)
+    and rejected (``chord_rejected``) by ``dynamics.newton_armijo``, and
+    ``refinements``, the refinement steps of every solve.
     """
 
-    def __init__(self, a: sp.spmatrix):
+    def __init__(self) -> None:
+        self.lu = None
+        self.factorizations = 0
+        self.chord_accepted = 0
+        self.chord_rejected = 0
+        self.refinements = 0
+
+    def factor(self, a: sp.spmatrix) -> HeldFactor:
+        self.lu = None  # at most one LU alive outside a factorization
         size = a.shape[0]
         n = math.isqrt(size)
         layout = _layout(n, size > n * n)
@@ -225,65 +248,38 @@ class _DissectedLU:
         self._p, self._inv, pap_indptr, pap_indices, gather = layout.factor_order
         pap = sp.csc_matrix((a.data[gather], pap_indices, pap_indptr), shape=a.shape)
         try:
-            self._lu = spla.splu(pap, permc_spec="NATURAL")
+            self.lu = spla.splu(pap, permc_spec="NATURAL")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise LinearSolveError(f"sparse LU failed: {exc}") from None
+        self.factorizations += 1
+        return self
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        return self._lu.solve(b[self._p], trans=trans)[self._inv]
-
-
-# a chord step with the held LU is kept when it cuts the residual sup norm
-# to at most this fraction; otherwise the value step factors afresh
-CHORD_RATE = 0.1
-# refinement steps of a solve with the held LU before it factors afresh
-MAX_REFINEMENTS = 8
-
-
-class HeldFactor:
-    """The LU of the last matrix factored in one solve call, and its counts.
-
-    ``factor(a)`` drops the held LU, factors A and holds its LU; after a
-    failed factorization none is held.  The counts are deterministic:
-    ``factorizations``, chord steps kept (``chord_accepted``) and rejected
-    (``chord_rejected``) by ``dynamics.newton_armijo``, and ``refinements``,
-    the refinement steps of every checked or held solve.
-    """
-
-    def __init__(self) -> None:
-        self.lu: _DissectedLU | None = None
-        self.factorizations = 0
-        self.chord_accepted = 0
-        self.chord_rejected = 0
-        self.refinements = 0
-
-    def factor(self, a: sp.csr_matrix) -> _DissectedLU:
-        self.lu = None  # at most one LU alive outside a factorization
-        self.lu = _DissectedLU(a)
-        self.factorizations += 1
-        return self.lu
+        return self.lu.solve(b[self._p], trans=trans)[self._inv]
 
     def solve_refined(
-        self, a: sp.csr_matrix, b: np.ndarray, contract: LinearSolveContract, trans: str = "N"
-    ) -> np.ndarray | None:
-        """x with |M x - b|_inf <= residual_tol |b|_inf by the held LU, or None.
+        self, a: sp.csr_matrix, b: np.ndarray, limit: float, trans: str = "N",
+        steps: int = MAX_REFINEMENTS,
+    ) -> tuple[np.ndarray | None, float]:
+        """(x, r): x from the held LU, refined until r = |M x - b|_inf <= ``limit``.
 
-        M is A (trans="N") or A^T (trans="T").  Solves with the held LU,
-        then refines against M, at most MAX_REFINEMENTS times; None when no
-        LU is held or the contract is still missed.
+        M is A (trans="N") or A^T (trans="T").  At most ``steps`` refinement
+        steps x <- x - LU^-1 (M x - b) against M follow the solve; a
+        non-finite residual refines to the cap.  With no LU held it is
+        (None, inf).
         """
         if self.lu is None:
-            return None
+            return None, math.inf
         m = a if trans == "N" else a.T
-        limit = _limit(b, contract)
-        x = self.lu.solve(b, trans)
-        for _ in range(MAX_REFINEMENTS):
-            resid = m @ x - b
+        x = self.solve(b, trans)
+        resid = m @ x - b
+        for _ in range(steps):
             if float(np.max(np.abs(resid))) <= limit:
-                return x
-            x = x - self.lu.solve(resid, trans)
+                break
+            x = x - self.solve(resid, trans)
             self.refinements += 1
-        return x if float(np.max(np.abs(m @ x - b))) <= limit else None
+            resid = m @ x - b
+        return x, float(np.max(np.abs(resid)))
 
     def counts(self) -> dict:
         return {
@@ -292,10 +288,6 @@ class HeldFactor:
             "chord_rejected": self.chord_rejected,
             "refinements": self.refinements,
         }
-
-
-def _limit(b: np.ndarray, contract: LinearSolveContract) -> float:
-    return contract.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
 
 
 def _solve_checked(
@@ -307,25 +299,14 @@ def _solve_checked(
 ) -> np.ndarray:
     """x with M x = b and |M x - b|_inf <= residual_tol |b|_inf, from a fresh LU of A.
 
-    M is A (trans="N") or A^T (trans="T").  The one checked solve of a
-    freshly factored matrix: the exact Newton step and the density step
-    that the held LU could not serve.  With ``held``, A is factored by
-    ``held.factor`` and its LU stays held.  One step of iterative
-    refinement against M follows a miss; a second miss, or a non-finite
-    residual, is a LinearSolveError.
+    M is A (trans="N") or A^T (trans="T").  The Newton step and the density
+    step the held LU could not serve; A is factored by ``held`` (default: a
+    fresh ``HeldFactor``), which keeps its LU.  A miss after one refinement
+    step, or a non-finite residual, is a LinearSolveError.
     """
-    held = held if held is not None else HeldFactor()
-    lu = held.factor(a)
-    m = a if trans == "N" else a.T
-    x = lu.solve(b, trans)
-    limit = _limit(b, contract)
-    resid = m @ x - b
-    if not float(np.max(np.abs(resid))) <= limit:
-        x = x + lu.solve(-resid, trans)  # one step of iterative refinement
-        held.refinements += 1
-        resid = m @ x - b
-        if not float(np.max(np.abs(resid))) <= limit:
-            raise LinearSolveError(
-                f"linear solve residual {float(np.max(np.abs(resid))):.3e} exceeds contract"
-            )
+    held = held or HeldFactor()
+    limit = contract.limit(b)
+    x, r = held.factor(a).solve_refined(a, b, limit, trans, steps=1)
+    if not r <= limit:
+        raise LinearSolveError(f"linear solve residual {r:.3e} exceeds contract")
     return x

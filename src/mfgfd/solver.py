@@ -46,6 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .cost_ops import CostOperator, DiscreteDensity, LocalCost
 from .dynamics import (
+    INNER_RESIDUAL_TARGET,
     HjbStepConfig,
     _clamp_density,
     adjoint_apply,
@@ -57,7 +58,7 @@ from .dynamics import (
     value_operator,
 )
 from .hamiltonian import _EPS, STENCIL_FLOOR, PowerHamiltonian, weighted_bregman_gap
-from .linear import HeldFactor, LinearSolveContract, LinearSolveError, _DissectedLU, bordered_matrix
+from .linear import HeldFactor, LinearSolveContract, LinearSolveError, bordered_matrix
 from .torus_grid import (
     GridField,
     SpaceTimeField,
@@ -83,7 +84,6 @@ __all__ = [
     "evolutive_residuals",
 ]
 
-INNER_RESIDUAL_TARGET = 1e-9
 ANDERSON_DEPTH = 3
 
 
@@ -320,7 +320,8 @@ def solve_evolutive(
     ``_damped_fixed_point`` mixes the next trajectory from the last sweeps.
     The returned densities are the last sweep's output, never a mixture.
     Termination requires the change below ``outer_tol`` and the defects of
-    both equations at the candidate pair at or below 1e-9 in sup norm; the
+    both equations at the candidate pair at or below INNER_RESIDUAL_TARGET
+    in sup norm, or else a density defect above it is a LinearSolveError; the
     returned first u-slice is the initial datum and the returned last
     m-slice the terminal density, both exactly.  ``initial_m``, the start
     trajectory, is a (N_T + 1, N, N) array or a SpaceTimeField; by default
@@ -360,6 +361,10 @@ def solve_evolutive(
             return None
         held.lu = None  # the gate passes: no step needs the LU any more
         hjb_res, fp_res = evolutive_residuals(p, u, m_new)
+        if not fp_res <= INNER_RESIDUAL_TARGET:  # the mismatch bounds hjb_res
+            raise LinearSolveError(
+                f"density defect {fp_res:.3e} exceeds {INNER_RESIDUAL_TARGET:.0e}"
+            )
         monitors = (
             _trajectory_monitors(u, m_new, p.mesh.dt, p.cost, p.hamiltonian.beta)
             if isinstance(p.cost, LocalCost)
@@ -402,7 +407,7 @@ def _ergodic_hjb_newton(
     lam_init: float,
     cfg: HjbStepConfig,
     contract: LinearSolveContract,
-    held: Optional[HeldFactor] = None,
+    held: HeldFactor,
 ) -> tuple[np.ndarray, float]:
     """``newton_armijo`` on (u, lambda), the zero-mean row closing the system."""
     n = p.grid.n_side
@@ -422,7 +427,7 @@ def _ergodic_hjb_newton(
 
 
 def _stationary_density(
-    p: ErgodicProblem, u: np.ndarray, tol: float, held: Optional[HeldFactor] = None
+    p: ErgodicProblem, u: np.ndarray, tol: float, held: HeldFactor
 ) -> np.ndarray:
     """Kernel vector of A(u)^T with unit h^2-weighted mass.
 
@@ -432,16 +437,15 @@ def _stationary_density(
     clamped as the evolutive density step is.  Its residual max|A^T m| must
     be at most ``tol`` or the backward-error floor
     STENCIL_FLOOR eps |A^T|_inf max|m|, whichever is larger; a miss is a
-    LinearSolveError.  With ``held`` the bordered LU becomes the held one,
-    so the next Newton step at u is exact at no factorization cost.
+    LinearSolveError.  The bordered LU becomes the one ``held`` holds, so
+    the next Newton step at u is exact at no factorization cost.
     """
     n = p.grid.n_side
     a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
     j = bordered_matrix(a, p.grid.h ** 2)
-    lu = _DissectedLU(j) if held is None else held.factor(j)
-    x = lu.solve(rhs, trans="T")[:-1]
+    x = held.factor(j).solve(rhs, trans="T")[:-1]
     x, _ = _clamp_density(x / (p.grid.h ** 2 * float(np.sum(x))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))

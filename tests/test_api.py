@@ -77,9 +77,17 @@ def _token_hits(token: str) -> dict:
 
 @pytest.mark.parametrize("token", ["splu(", "permc_spec"])
 def test_one_factorization_seam(token):
-    # every sparse LU goes through linear._DissectedLU
+    # every sparse LU is a linear.HeldFactor, factored in HeldFactor.factor
     hits = _token_hits(token)
     assert sum(hits.values()) == 1 and hits["linear.py"] == 1, hits
+
+
+@pytest.mark.parametrize("token", ["held is None", "_DissectedLU"])
+def test_one_linear_path(token):
+    # a step called without a held factor makes a fresh HeldFactor, so no
+    # step forks into a second factor-per-iteration path or LU type
+    hits = _token_hits(token)
+    assert sum(hits.values()) == 0, hits
 
 
 def test_csr_built_in_linear_only():
@@ -92,7 +100,7 @@ def test_csr_built_in_linear_only():
 @pytest.mark.parametrize("token", ["eliminate_zeros", "bmat", "tocsc(", "gather_t", "fp_matrix"])
 def test_one_assembly_path(token):
     # every matrix is filled on the cached pattern of its grid and put into
-    # the factor order by one gather in linear._DissectedLU; a transposed
+    # the factor order by one gather in linear.HeldFactor.factor; a transposed
     # system is solved with the factor of the CSR matrix itself
     hits = _token_hits(token)
     assert sum(hits.values()) == 0, hits

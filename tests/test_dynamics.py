@@ -12,7 +12,6 @@ import scipy.sparse.linalg as spla
 
 from mfgfd.cost_ops import LocalCost
 from mfgfd.dynamics import (
-    ARMIJO_C,
     CLAMP_LIMIT,
     HjbStepConfig,
     NonConvergence,
@@ -35,7 +34,6 @@ from mfgfd.linear import (
     HeldFactor,
     LinearSolveContract,
     LinearSolveError,
-    _DissectedLU,
     _solve_checked,
     five_point_matrix,
 )
@@ -524,7 +522,7 @@ class TestFactorization:
         dense = a.toarray()
         before = dense.copy()
         b = rng.normal(size=dense.shape[0])
-        lu = _DissectedLU(a)
+        lu = HeldFactor().factor(a)
         for trans, m in (("N", dense), ("T", dense.T)):
             expect = np.linalg.solve(m, b)
             got = lu.solve(b, trans=trans)
@@ -579,7 +577,7 @@ class TestFactorization:
         j = hjb_jacobian(ergodic_sines(8).hamiltonian, 0.6, 0.05, cosine())
         for a in (sp.identity(64, format="csr"), j.T, sp.csc_matrix(j)):
             with pytest.raises(ValueError, match="pattern"):
-                _DissectedLU(a)
+                HeldFactor().factor(a)
 
     def test_fill_below_default_ordering(self):
         # the bordered Jacobian's dense row and column stay last
@@ -587,7 +585,7 @@ class TestFactorization:
         x1, x2 = TorusGrid(n).node_coords()
         u = 0.3 * np.cos(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
         j = _bordered_jacobian(ergodic_sines(n), u)
-        assert _DissectedLU(j)._lu.nnz <= 0.75 * spla.splu(sp.csc_matrix(j)).nnz
+        assert HeldFactor().factor(j).lu.nnz <= 0.75 * spla.splu(sp.csc_matrix(j)).nnz
 
 
 def sines_step(n=8, beta=2.0):
@@ -641,43 +639,33 @@ class TestHeldFactor:
         exact_t = dense_fp_from_transport(ham, 0.6, 0.05, u_near)
         assert np.max(np.abs(exact_t @ got.ravel() - b)) <= contract.residual_tol * np.max(np.abs(b))
 
+    @pytest.mark.parametrize("beta", [1.5, 2.0])
+    def test_standalone_value_step_runs_the_held_path(self, beta):
+        # a value step called without a held factor makes a fresh one: the
+        # same chord and Newton steps as a step inside a solve, bit for bit
+        ham, _, cost = sines_step(n=8, beta=beta)
+        u_cur = np.random.default_rng(21).normal(size=(8, 8))
+        cfg, contract = HjbStepConfig(), LinearSolveContract()
+        held = HeldFactor()
+        expect = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg, contract, held=held)
+        assert held.chord_accepted >= 1
+        got = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg, contract)
+        assert np.array_equal(got, expect)
+
     def test_without_held_factor_steps_match_one_lu_per_solve(self):
-        # with held=None every Newton iteration and every density step
-        # factors its exact matrix afresh, with the float operations of
-        # this per-iteration oracle, bit for bit
-        ham, _, cost = sines_step(n=8, beta=1.5)
+        # a density step called without a held factor factors its exact
+        # matrix once, with the float operations of this oracle, bit for bit
+        ham, _, _ = sines_step(n=8, beta=1.5)
         rng = np.random.default_rng(21)
         u_cur, m_next = rng.normal(size=(8, 8)), np.abs(rng.normal(1.0, 0.3, (8, 8)))
-        cfg, contract = HjbStepConfig(), LinearSolveContract()
-
-        def fresh_solve(a, b, trans):
-            lu, m = _DissectedLU(a), (a if trans == "N" else a.T)
-            x = lu.solve(b, trans)
-            resid = m @ x - b
-            if not np.max(np.abs(resid)) <= contract.residual_tol * np.max(np.abs(b)):
-                x = x + lu.solve(-resid, trans)
-            return x
-
-        def residual(x):
-            return hjb_residual(ham, 0.6, 0.05, x.reshape(8, 8), u_cur, cost).ravel()
-
-        x = u_cur.flatten()
-        res = residual(x)
-        r = np.max(np.abs(res))
-        while not r <= cfg.newton_tol:
-            delta = fresh_solve(hjb_jacobian(ham, 0.6, 0.05, x.reshape(8, 8)), -res, "N")
-            t = 1.0
-            while True:
-                trial = x + t * delta
-                res_try = residual(trial)
-                if np.max(np.abs(res_try)) <= (1.0 - ARMIJO_C * t) * r:
-                    break
-                t *= 0.5
-            x, res, r = trial, res_try, np.max(np.abs(res_try))
-        got = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg, contract, held=None)
-        assert np.array_equal(got, x.reshape(8, 8))
-        expect = fresh_solve(hjb_jacobian(ham, 0.6, 0.05, u_cur), m_next.ravel() / 0.05, "T")
-        got, _ = fp_step_solve(ham, 0.6, 0.05, u_cur, m_next, contract, held=None)
+        contract = LinearSolveContract()
+        a, b = hjb_jacobian(ham, 0.6, 0.05, u_cur), m_next.ravel() / 0.05
+        lu = HeldFactor().factor(a)
+        expect = lu.solve(b, "T")
+        resid = a.T @ expect - b
+        if not np.max(np.abs(resid)) <= contract.residual_tol * np.max(np.abs(b)):
+            expect = expect + lu.solve(-resid, "T")
+        got, _ = fp_step_solve(ham, 0.6, 0.05, u_cur, m_next, contract)
         assert np.array_equal(got.ravel(), expect)
 
     def test_failed_factorization_leaves_no_stale_lu(self):
@@ -694,7 +682,7 @@ class TestHeldFactor:
         assert held.lu is None
         # without an LU, the density step factors its exact matrix afresh
         b = np.ones(64)
-        assert held.solve_refined(j, b, LinearSolveContract(), "T") is None
+        assert held.solve_refined(j, b, LinearSolveContract().limit(b), "T") == (None, np.inf)
         x = _solve_checked(j, b, LinearSolveContract(), "T", held)
         assert np.max(np.abs(np.linalg.solve(j.toarray().T, b) - x)) <= 1e-12 * np.max(np.abs(x))
         assert held.lu is not None and held.factorizations == 2

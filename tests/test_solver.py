@@ -10,8 +10,9 @@ from mfgfd.archive import write_ergodic_archive, write_evolutive_archive
 from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
 from mfgfd.dynamics import HjbStepConfig, NonConvergence, fp_step_solve
 from mfgfd.hamiltonian import PowerHamiltonian
-from mfgfd.linear import LinearSolveContract
+from mfgfd.linear import HeldFactor, LinearSolveContract, LinearSolveError
 from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
+import mfgfd.solver as solver_module
 from mfgfd.solver import (
     ANDERSON_DEPTH,
     ErgodicProblem,
@@ -62,7 +63,7 @@ def uniform_problem(n=8, nt=8, beta=2.0, horizon=1.0):
     )
 
 
-def smooth_problem(n=8, nt=16, cost="bilaplacian", beta=2.0, nu=0.6):
+def smooth_problem(n=8, nt=16, cost="bilaplacian", beta=2.0, nu=0.6, horizon=1.0):
     g = TorusGrid(n)
     cost_op = BilaplacianCost(g) if cost == "bilaplacian" else LocalCost.power(2.0)
     return EvolutiveProblem(
@@ -71,7 +72,7 @@ def smooth_problem(n=8, nt=16, cost="bilaplacian", beta=2.0, nu=0.6):
         cost=cost_op,
         u0=u0_preset("cosine", g, amplitude=0.25),
         mT=terminal_density_preset("bump", g),
-        mesh=TimeMesh(1.0, nt),
+        mesh=TimeMesh(horizon, nt),
         grid=g,
     )
 
@@ -124,6 +125,27 @@ class TestEvolutiveSolver:
         hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
+
+    def test_density_defect_meets_target_at_small_dt(self):
+        # the density step solves J^T m = m_next / dt: at dt = 1/1024 the
+        # relative linear contract alone admits density defects above 1e-9
+        p = smooth_problem(n=16, nt=32, cost="power", horizon=1.0 / 32)
+        sol = solve_evolutive(p, cfg=FixedPointConfig(damping=1.0))
+        hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
+        assert hjb_res <= 1e-9
+        assert fp_res <= 1e-9
+
+    def test_density_defect_above_target_is_a_linear_error(self, monkeypatch):
+        # the gate names a density defect it cannot return instead of
+        # returning a pair that misses the scheme
+        residuals = solver_module.evolutive_residuals
+
+        def inflated(p, u, m):
+            return residuals(p, u, m)[0], 2e-9
+
+        monkeypatch.setattr(solver_module, "evolutive_residuals", inflated)
+        with pytest.raises(LinearSolveError, match="density defect 2.000e-09"):
+            solve_evolutive(smooth_problem(n=8, nt=8), cfg=FixedPointConfig(damping=1.0))
 
     def test_decoupled_heat_evolution(self):
         # zero cost and zero potential: u stays 0 and m is the plain implicit
@@ -433,7 +455,7 @@ class TestErgodicSolver:
         with pytest.raises(NonConvergence) as err:
             _ergodic_hjb_newton(
                 p, cost, np.zeros((8, 8)), 1.0,
-                HjbStepConfig(newton_tol=1e-11, max_newton=1), LinearSolveContract(),
+                HjbStepConfig(newton_tol=1e-11, max_newton=1), LinearSolveContract(), HeldFactor(),
             )
         assert not isinstance(err.value, OuterNonConvergence)
         assert str(err.value).startswith("Newton did not converge after 1 iterations")
