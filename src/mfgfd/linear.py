@@ -18,13 +18,15 @@ this halves the LU fill of the default column ordering.
 The matrices of one solve differ from iterate to iterate, step to step
 and sweep to sweep only in the upwind block, so the held LU is a good
 approximate inverse of the current matrix: the value step tries a chord
-step with it and the density step refines with it against the exact
-matrix, and each factors afresh only when that fails.  Every solve, held
-or fresh, runs the one refinement loop ``HeldFactor.solve_refined``; the
-checked solve of a fresh LU (``_solve_checked``) allows it one step.  The
-held LU is dropped before every new factorization, so at most one LU of a
-solve is alive outside a factorization.  A step called without a held
-factor makes a fresh one and runs the same code.
+step with it, and the density steps of both models (the evolutive step
+and the ergodic invariant density) refine with it against the exact
+transposed matrix; each factors afresh only when that fails.  Every
+solve, held or fresh, runs the one refinement loop
+``HeldFactor.solve_refined``; the checked solve of a fresh LU
+(``_solve_checked``) allows it one step.  The held LU is dropped before
+every new factorization, so at most one LU of a solve is alive outside a
+factorization.  A step called without a held factor makes a fresh one
+and runs the same code.
 """
 
 from __future__ import annotations

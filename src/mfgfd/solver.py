@@ -17,14 +17,14 @@ The stationary system adds the unknown effective constant: the value block
 is solved by Newton on (u, lambda) with the bordered Jacobian
 [[A(u), 1], [h^2 1^T, 0]], the zero-mean row closing the rank deficiency.
 The invariant density is the left null vector of that same matrix: one
-factorization and one transposed solve give the kernel vector of A(u)^T
-(A(u) has zero row sums, so the border unknown is 0).
+transposed solve gives the kernel vector of A(u)^T (A(u) has zero row
+sums, so the border unknown is 0).
 
 Each solve call owns one ``linear.HeldFactor`` and passes it to every
 step: the LU of the last matrix factored in the solve serves the chord
-value steps and the refined density steps until a step factors afresh.
-Its counts go into ``diagnostics``; the LU is released before the final
-checks.
+value steps and the refined density steps of both models until a step
+factors afresh.  Its counts go into ``diagnostics``; the LU is released
+before the final checks.
 
 This module also hosts the exact algebraic checker for the perturbed
 two-pair balance: endpoint pairings plus both weighted Bregman terms plus
@@ -427,26 +427,39 @@ def _ergodic_hjb_newton(
 
 
 def _stationary_density(
-    p: ErgodicProblem, u: np.ndarray, tol: float, held: HeldFactor
+    p: ErgodicProblem,
+    u: np.ndarray,
+    tol: float,
+    held: HeldFactor,
+    contract: LinearSolveContract,
 ) -> np.ndarray:
     """Kernel vector of A(u)^T with unit h^2-weighted mass.
 
     Solves J^T [m; c] = [0; 1] for the bordered Jacobian J of
     ``_ergodic_hjb_newton``: A(u) has zero row sums, so summing the first
-    block gives c = 0 and A(u)^T m = 0.  The density is normalized, then
-    clamped as the evolutive density step is.  Its residual max|A^T m| must
-    be at most ``tol`` or the backward-error floor
+    block gives c = 0 and A(u)^T m = 0.  The LU ``held`` holds is refined
+    against the exact J^T to min(the contract, tol h^2 / 4): the solution
+    has unit node sum, so normalizing it to unit h^2-weighted mass
+    multiplies its residual by 1/h^2, dropping the border term h^2 c at
+    most doubles it, and a factor 2 is left for the clamp and the
+    roundoff of the final check.  Only a miss factors J through
+    ``held``, which then holds that LU, and solves with it.  The density is
+    normalized, then clamped as the evolutive density step is.  Its
+    residual max|A^T m| must be at most ``tol`` or the backward-error floor
     STENCIL_FLOOR eps |A^T|_inf max|m|, whichever is larger; a miss is a
-    LinearSolveError.  The bordered LU becomes the one ``held`` holds, so
-    the next Newton step at u is exact at no factorization cost.
+    LinearSolveError.
     """
     n = p.grid.n_side
+    h2 = p.grid.h ** 2
     a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
-    j = bordered_matrix(a, p.grid.h ** 2)
-    x = held.factor(j).solve(rhs, trans="T")[:-1]
-    x, _ = _clamp_density(x / (p.grid.h ** 2 * float(np.sum(x))))
+    j = bordered_matrix(a, h2)
+    limit = min(contract.limit(rhs), tol * h2 / 4.0)
+    x, r = held.solve_refined(j, rhs, limit, "T")
+    if not r <= limit:
+        x = held.factor(j).solve(rhs, trans="T")
+    x, _ = _clamp_density(x[:-1] / (h2 * float(np.sum(x[:-1]))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))
     floor = STENCIL_FLOOR * _EPS * spla.norm(at, np.inf) * float(np.max(x))
@@ -467,14 +480,16 @@ def solve_ergodic(
 
     Each sweep solves the bordered Newton system for (u, lambda), warm
     started from the last sweep, then takes the invariant density from the
-    same bordered matrix at the new u; ``_damped_fixed_point`` mixes the
-    next density from the last sweeps.  Returns once the density change is
-    below tolerance and the three residuals (value equation, stationary
-    density equation, and the two normalizations) are at or below 1e-8;
-    the density residual may instead sit at the roundoff floor of
-    ``_stationary_density``.  The Newton solve runs to min(``newton_tol``,
-    a tenth of that target) within ``max_newton`` iterations.  The counts
-    of the solve's held factor are in ``diagnostics``.
+    same bordered matrix at the new u (``_stationary_density``: the held LU
+    refined under ``contract``, a factorization only on a miss);
+    ``_damped_fixed_point`` mixes the next density from the last sweeps.
+    Returns once the density change is below tolerance and the three
+    residuals (value equation, stationary density equation, and the two
+    normalizations) are at or below 1e-8; the density residual may instead
+    sit at the roundoff floor of ``_stationary_density``.  The Newton solve
+    runs to min(``newton_tol``, a tenth of that target) within
+    ``max_newton`` iterations.  The counts of the solve's held factor are
+    in ``diagnostics``.
     """
     cfg = cfg or FixedPointConfig()
     contract = contract or LinearSolveContract()
@@ -495,7 +510,7 @@ def solve_ergodic(
         u, lam, _ = state
         cost = p.cost.apply(m)
         u, lam = _ergodic_hjb_newton(p, cost, u, lam, newton_cfg, contract, held)
-        m_new = _stationary_density(p, u, residual_target / 10.0, held)
+        m_new = _stationary_density(p, u, residual_target / 10.0, held, contract)
         return m_new, (u, lam, cost)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):

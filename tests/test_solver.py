@@ -19,8 +19,10 @@ from mfgfd.solver import (
     EvolutiveProblem,
     FixedPointConfig,
     OuterNonConvergence,
+    _bordered_jacobian,
     _damped_fixed_point,
     _ergodic_hjb_newton,
+    _stationary_density,
     _trajectory_monitors,
     evolutive_residuals,
     identity_terms,
@@ -488,6 +490,31 @@ class TestErgodicSolver:
         assert svals[-1] < 1e-10 * svals[0]
         assert np.max(np.abs(kernel - sol.m.field.values.ravel())) < 1e-7
 
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("scale", [0.5, 50.0])
+    def test_density_refines_the_held_lu_and_factors_on_a_miss(self, n, scale):
+        # the held LU of the bordered J at 0.5 u serves the density by
+        # refinement; at 50 u refinement misses and the step factors J at u
+        g = TorusGrid(n)
+        p = ErgodicProblem(
+            nu=1.0,
+            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            cost=LocalCost.power(2.0),
+            grid=g,
+        )
+        u = solve_ergodic(p).u.values
+        contract = LinearSolveContract()
+        fresh = _stationary_density(p, u, 1e-9, HeldFactor(), contract)
+        held = HeldFactor().factor(_bordered_jacobian(p, scale * u))
+        m = _stationary_density(p, u, 1e-9, held, contract)
+        if scale == 0.5:
+            assert held.factorizations == 1 and held.refinements > 0
+            assert sup(m - fresh) <= 1e-12
+        else:
+            assert held.factorizations == 2
+            assert np.array_equal(m, fresh)
+        assert sup(g.h ** 2 * np.sum(m) - 1.0) <= 1e-14
+
     def test_local_cost_required(self):
         g = TorusGrid(8)
         with pytest.raises(ValueError, match="local"):
@@ -529,6 +556,8 @@ class TestHeldFactorCounts:
         first, calls = self.count_factorizations(monkeypatch, solve)
         d = first.diagnostics
         assert d["factorizations"] == calls > 0
+        if kind == "ergodic":  # every sweep's density refines the one LU
+            assert d["factorizations"] == 1
         assert d["chord_accepted"] > 0
         assert all(isinstance(d[k], int) for k in self.HELD_KEYS)
         second, calls_again = self.count_factorizations(monkeypatch, solve)
