@@ -187,8 +187,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("cost.kind", "the ergodic solver requires a local cost")
     if not 0.0 < cfg.damping <= 1.0:
         raise ConfigError("solver.damping", f"must lie in (0, 1], got {cfg.damping}")
-    if not (cfg.outer_tol > 0 and cfg.newton_tol > 0 and cfg.residual_tol > 0):  # NaN too
-        raise ConfigError("solver", "tolerances must be positive")
+    for key in ("outer_tol", "newton_tol", "residual_tol"):
+        tol = getattr(cfg, key)
+        if not 0 < tol < math.inf:  # NaN too
+            raise ConfigError(f"solver.{key}", f"tolerances must be positive finite numbers, got {tol}")
     if cfg.kind == "evolutive":
         try:
             check_newton_tol(cfg.newton_tol)

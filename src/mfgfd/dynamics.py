@@ -36,10 +36,10 @@ solves
 where transport(u, m) = -D^T (m g), with D the stencil of ``torus_grid`` and
 g the gradient of the Hamiltonian at the floored stencil of u.
 Its matrix is the transpose of the value-step Jacobian at u_next, which is
-exactly the adjoint relation the scheme is built on, so the step solves
-with the held LU and trans="T", refined against the exact transpose to
-within the linear contract and INNER_RESIDUAL_TARGET / 10, and factors
-that Jacobian afresh only when refinement misses; column sums of its
+exactly the adjoint relation the scheme is built on, so the step is one
+``linear._solve_checked`` with trans="T": the held LU refined against the
+exact transpose to within the linear contract and INNER_RESIDUAL_TARGET
+/ 10, that Jacobian factored afresh only on a miss.  Column sums of its
 advection-diffusion block vanish, so the h^2-weighted mass is conserved to
 the linear-solve tolerance, and the M-matrix sign pattern preserves
 nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
@@ -51,7 +51,7 @@ h = 1/N with N its last axis.
 
 Assembly fills the five stencil entries of every node, the node first and
 its neighbours in ``torus_grid.STENCIL`` order; ``linear`` owns their
-pattern, the factorization and the checked solve.
+pattern, the factorization and the refine-or-factor rule of every solve.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
-from .linear import HeldFactor, LinearSolveContract, _solve_checked, five_point_matrix
+from .linear import HeldFactor, _solve_checked, five_point_matrix
 from .torus_grid import (
     STENCIL_SIGNS, _stencil_laplace, check_positive_finite, laplace_array, stencil_adjoint, stencil_array
 )
@@ -170,7 +170,6 @@ def newton_armijo(
     jacobian: Callable[[np.ndarray], sp.spmatrix],
     x: np.ndarray,
     cfg: HjbStepConfig,
-    contract: LinearSolveContract,
     held: HeldFactor,
 ) -> np.ndarray:
     """Chord and damped Newton steps on flat vectors, with Armijo backtracking.
@@ -179,11 +178,11 @@ def newton_armijo(
     iteration first tries the chord step x - LU^-1 residual(x) with the LU
     of ``held``, if it holds one, and keeps it when r drops to at most
     CHORD_RATE r.  Otherwise it takes the Newton step: jacobian(x) is
-    factored (and held), delta solves jacobian(x) delta = -residual(x)
-    under the linear contract, and x <- x + t delta with t halved from 1
-    until r drops to at most (1 - ARMIJO_C t) r.  Raises NonConvergence
-    when t falls below MIN_STEP or ``max_newton`` iterations cannot reach
-    the tolerance.
+    factored (and held), ``_solve_checked`` solves jacobian(x) delta =
+    -residual(x) under the contract of ``held``, and x <- x + t delta with
+    t halved from 1 until r drops to at most (1 - ARMIJO_C t) r.  Raises
+    NonConvergence when t falls below MIN_STEP or ``max_newton``
+    iterations cannot reach the tolerance.
     """
     res = residual(x)
     r = float(np.max(np.abs(res)))
@@ -199,7 +198,8 @@ def newton_armijo(
                 x, res, r = trial, res_try, r_try
                 continue
             held.chord_rejected += 1
-        delta = _solve_checked(jacobian(x), -res, contract, held=held)
+        j = jacobian(x)
+        delta = _solve_checked(j, -res, held.factor(j))
         t = 1.0
         while t >= MIN_STEP:
             trial = x + t * delta
@@ -242,7 +242,6 @@ def hjb_step_solve(
     u_cur: np.ndarray,
     cost: np.ndarray,
     cfg: Optional[HjbStepConfig] = None,
-    contract: Optional[LinearSolveContract] = None,
     initial_guess: Optional[np.ndarray] = None,
     held: Optional[HeldFactor] = None,
 ) -> np.ndarray:
@@ -250,13 +249,12 @@ def hjb_step_solve(
 
     Starts from ``initial_guess`` (default: the current slice) and returns
     a new array once the residual sup norm is below ``newton_tol``; raises
-    NonConvergence otherwise.  ``held`` is the solve's held LU (default: a
-    fresh ``HeldFactor``), tried for chord steps and replaced by every
-    fresh factorization.  The inputs are not modified.
+    NonConvergence otherwise.  ``held`` is the solve's held LU and linear
+    contract (default: a fresh ``HeldFactor``), tried for chord steps and
+    replaced by every fresh factorization.  The inputs are not modified.
     """
     check_positive_finite("nu", nu)
     cfg = cfg or HjbStepConfig()
-    contract = contract or LinearSolveContract()
     shape = u_cur.shape
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -266,7 +264,7 @@ def hjb_step_solve(
         return hjb_jacobian(ham, nu, dt, x.reshape(shape))
 
     start = (u_cur if initial_guess is None else initial_guess).flatten()
-    x = newton_armijo(residual, jacobian, start, cfg, contract, held or HeldFactor())
+    x = newton_armijo(residual, jacobian, start, cfg, held or HeldFactor())
     return x.reshape(shape)
 
 
@@ -329,26 +327,20 @@ def fp_step_solve(
     dt: float,
     u_next: np.ndarray,
     m_next: np.ndarray,
-    contract: Optional[LinearSolveContract] = None,
     held: Optional[HeldFactor] = None,
 ) -> tuple[np.ndarray, float]:
     """Step the density backward: (m_cur, clamp magnitude) given u_next and m_next.
 
-    Solves J(u_next)^T m_cur = m_next / dt.  The LU of ``held`` (default:
-    a fresh ``HeldFactor``), if any, is refined against the exact J^T to
-    the contract and to INNER_RESIDUAL_TARGET / 10, since b grows like
-    1/dt; only a miss factors J afresh, under the contract, and holds that
-    LU.  m_cur is a new array; the inputs are not modified.
+    Solves J(u_next)^T m_cur = m_next / dt by ``_solve_checked`` with
+    ``held`` (default: a fresh ``HeldFactor``) and the target
+    INNER_RESIDUAL_TARGET / 10 besides its contract, since b grows like
+    1/dt: the held LU refined against the exact J^T, J factored only on a
+    miss.  m_cur is a new array; the inputs are not modified.
     """
     check_positive_finite("nu", nu)
-    contract = contract or LinearSolveContract()
-    held = held or HeldFactor()
     a = hjb_jacobian(ham, nu, dt, u_next)
     b = m_next.ravel() / dt
-    limit = min(contract.limit(b), INNER_RESIDUAL_TARGET / 10.0)
-    x, r = held.solve_refined(a, b, limit, "T")
-    if not r <= limit:
-        x = _solve_checked(a, b, contract, "T", held)
+    x = _solve_checked(a, b, held or HeldFactor(), "T", INNER_RESIDUAL_TARGET / 10.0)
     x, clamp = _clamp_density(x)
     return x.reshape(m_next.shape), clamp
 

@@ -20,13 +20,14 @@ and sweep to sweep only in the upwind block, so the held LU is a good
 approximate inverse of the current matrix: the value step tries a chord
 step with it, and the density steps of both models (the evolutive step
 and the ergodic invariant density) refine with it against the exact
-transposed matrix; each factors afresh only when that fails.  Every
-solve, held or fresh, runs the one refinement loop
-``HeldFactor.solve_refined``; the checked solve of a fresh LU
-(``_solve_checked``) allows it one step.  The held LU is dropped before
-every new factorization, so at most one LU of a solve is alive outside a
-factorization.  A step called without a held factor makes a fresh one
-and runs the same code.
+transposed matrix.  Every linear solve of a step is ``_solve_checked``,
+the one refine-or-factor rule: it refines the held LU against the exact
+matrix to within the linear contract the held factor carries and the
+caller's target, and only on a miss factors afresh and allows that LU
+one refinement step against the contract alone.  The held LU is dropped
+before every new factorization, so at most one LU of a solve is alive
+outside a factorization.  A step called without a held factor makes a
+fresh one and runs the same code.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .torus_grid import STENCIL, _shift
+from .torus_grid import STENCIL, _shift, check_positive_finite
 
 __all__ = [
     "HeldFactor",
@@ -58,8 +59,7 @@ class LinearSolveContract:
     residual_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.residual_tol > 0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        check_positive_finite("residual_tol", self.residual_tol)
 
     def limit(self, b: np.ndarray) -> float:
         """The largest residual sup norm the contract allows for right-hand side b."""
@@ -217,7 +217,9 @@ MAX_REFINEMENTS = 8
 class HeldFactor:
     """The one sparse LU type: the LU of the last matrix factored in a solve call.
 
-    ``factor(a)`` drops the held LU, then factors a CSR matrix A of
+    It carries the solve's ``contract`` (default: ``LinearSolveContract()``),
+    which every ``_solve_checked`` through it meets.  ``factor(a)`` drops
+    the held LU, then factors a CSR matrix A of
     ``five_point_matrix`` or ``bordered_matrix`` (N read from its size) as
     P A P^T, formed by one gather of its data into the cached factor order,
     and holds that LU as ``lu``; after a failed factorization none is held.
@@ -229,7 +231,8 @@ class HeldFactor:
     ``refinements``, the refinement steps of every solve.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, contract: LinearSolveContract | None = None) -> None:
+        self.contract = contract or LinearSolveContract()
         self.lu = None
         self.factorizations = 0
         self.chord_accepted = 0
@@ -293,22 +296,23 @@ class HeldFactor:
 
 
 def _solve_checked(
-    a: sp.csr_matrix,
-    b: np.ndarray,
-    contract: LinearSolveContract,
-    trans: str = "N",
-    held: HeldFactor | None = None,
+    a: sp.csr_matrix, b: np.ndarray, held: HeldFactor, trans: str = "N", target: float = math.inf
 ) -> np.ndarray:
-    """x with M x = b and |M x - b|_inf <= residual_tol |b|_inf, from a fresh LU of A.
+    """x with M x = b, M = A (trans="N") or A^T (trans="T"): the refine-or-factor rule.
 
-    M is A (trans="N") or A^T (trans="T").  The Newton step and the density
-    step the held LU could not serve; A is factored by ``held`` (default: a
-    fresh ``HeldFactor``), which keeps its LU.  A miss after one refinement
-    step, or a non-finite residual, is a LinearSolveError.
+    The LU ``held`` holds, if any, is refined against the exact M until
+    |M x - b|_inf is within both ``held.contract`` and ``target``.  Only a
+    miss factors A through ``held``, which then holds that LU, and allows
+    it one refinement step against the contract alone.  A non-finite
+    right-hand side, checked before any solve, a singular A and a miss of
+    the fresh LU are each a LinearSolveError.
     """
-    held = held or HeldFactor()
-    limit = contract.limit(b)
-    x, r = held.factor(a).solve_refined(a, b, limit, trans, steps=1)
-    if not r <= limit:
-        raise LinearSolveError(f"linear solve residual {r:.3e} exceeds contract")
+    limit = held.contract.limit(b)
+    if not math.isfinite(limit):
+        raise LinearSolveError("non-finite right-hand side")
+    x, r = held.solve_refined(a, b, min(limit, target), trans)
+    if not r <= min(limit, target):
+        x, r = held.factor(a).solve_refined(a, b, limit, trans, steps=1)
+        if not r <= limit:
+            raise LinearSolveError(f"linear solve residual {r:.3e} exceeds contract")
     return x

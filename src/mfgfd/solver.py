@@ -20,11 +20,11 @@ The invariant density is the left null vector of that same matrix: one
 transposed solve gives the kernel vector of A(u)^T (A(u) has zero row
 sums, so the border unknown is 0).
 
-Each solve call owns one ``linear.HeldFactor`` and passes it to every
-step: the LU of the last matrix factored in the solve serves the chord
-value steps and the refined density steps of both models until a step
-factors afresh.  Its counts go into ``diagnostics``; the LU is released
-before the final checks.
+Each solve call owns one ``linear.HeldFactor``, which carries the solve's
+linear contract, and passes it to every step: the LU of the last matrix
+factored in the solve serves the chord value steps and the refined
+density steps of both models until a step factors afresh.  Its counts go
+into ``diagnostics``; the LU is released before the final checks.
 
 This module also hosts the exact algebraic checker for the perturbed
 two-pair balance: endpoint pairings plus both weighted Bregman terms plus
@@ -58,7 +58,7 @@ from .dynamics import (
     value_operator,
 )
 from .hamiltonian import _EPS, STENCIL_FLOOR, PowerHamiltonian, weighted_bregman_gap
-from .linear import HeldFactor, LinearSolveContract, LinearSolveError, bordered_matrix
+from .linear import HeldFactor, LinearSolveContract, LinearSolveError, _solve_checked, bordered_matrix
 from .torus_grid import (
     GridField,
     SpaceTimeField,
@@ -268,7 +268,6 @@ def _bellman_sweep(
     p: EvolutiveProblem,
     cost: np.ndarray,
     hjb_cfg: HjbStepConfig,
-    contract: LinearSolveContract,
     warm: Optional[np.ndarray],
     held: HeldFactor,
 ) -> np.ndarray:
@@ -277,22 +276,18 @@ def _bellman_sweep(
     for n in range(p.mesh.n_steps):
         guess = None if warm is None else warm[n + 1]
         u[n + 1] = hjb_step_solve(
-            p.hamiltonian, p.nu, p.mesh.dt, u[n], cost[n], hjb_cfg, contract, guess, held
+            p.hamiltonian, p.nu, p.mesh.dt, u[n], cost[n], hjb_cfg, guess, held
         )
     return u
 
 
-def _fp_sweep(
-    p: EvolutiveProblem, u: np.ndarray, contract: LinearSolveContract, held: HeldFactor
-) -> tuple[np.ndarray, float]:
+def _fp_sweep(p: EvolutiveProblem, u: np.ndarray, held: HeldFactor) -> tuple[np.ndarray, float]:
     nt = p.mesh.n_steps
     m = np.empty_like(u)
     m[nt] = p.mT.field.values
     clamp_max = 0.0
     for n in range(nt - 1, -1, -1):
-        m[n], clamp = fp_step_solve(
-            p.hamiltonian, p.nu, p.mesh.dt, u[n + 1], m[n + 1], contract, held
-        )
+        m[n], clamp = fp_step_solve(p.hamiltonian, p.nu, p.mesh.dt, u[n + 1], m[n + 1], held)
         clamp_max = max(clamp_max, clamp)
     return m, clamp_max
 
@@ -326,12 +321,12 @@ def solve_evolutive(
     m-slice the terminal density, both exactly.  ``initial_m``, the start
     trajectory, is a (N_T + 1, N, N) array or a SpaceTimeField; by default
     every slice is the terminal density.  ``check_newton_tol`` refuses a
-    ``newton_tol`` the gate could never pass.  The counts of the solve's
-    held factor are in ``diagnostics``.
+    ``newton_tol`` the gate could never pass.  Every linear solve meets
+    ``contract`` (default: ``LinearSolveContract()``), which the solve's
+    held factor carries; its counts are in ``diagnostics``.
     """
     cfg = cfg or FixedPointConfig()
     hjb_cfg = hjb_cfg or HjbStepConfig()
-    contract = contract or LinearSolveContract()
     check_newton_tol(hjb_cfg.newton_tol)
     nt = p.mesh.n_steps
 
@@ -343,12 +338,12 @@ def solve_evolutive(
             raise ValueError("initial_m does not match the problem discretization")
     else:
         m_start = np.stack([p.mT.field.values] * (nt + 1))
-    held = HeldFactor()
+    held = HeldFactor(contract)
 
     def sweep(m: np.ndarray, last: Optional[tuple]) -> tuple[np.ndarray, tuple]:
         cost = _cost_fields(p, m)
-        u = _bellman_sweep(p, cost, hjb_cfg, contract, None if last is None else last[0], held)
-        m_new, clamp_max = _fp_sweep(p, u, contract, held)
+        u = _bellman_sweep(p, cost, hjb_cfg, None if last is None else last[0], held)
+        m_new, clamp_max = _fp_sweep(p, u, held)
         return m_new, (u, cost, clamp_max)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):
@@ -406,7 +401,6 @@ def _ergodic_hjb_newton(
     u_init: np.ndarray,
     lam_init: float,
     cfg: HjbStepConfig,
-    contract: LinearSolveContract,
     held: HeldFactor,
 ) -> tuple[np.ndarray, float]:
     """``newton_armijo`` on (u, lambda), the zero-mean row closing the system."""
@@ -422,7 +416,7 @@ def _ergodic_hjb_newton(
         return _bordered_jacobian(p, x[:-1].reshape(n, n))
 
     start = np.concatenate([u_init.ravel(), [lam_init]])
-    x = newton_armijo(residual, jacobian, start, cfg, contract, held)
+    x = newton_armijo(residual, jacobian, start, cfg, held)
     return x[:-1].reshape(n, n), float(x[-1])
 
 
@@ -431,19 +425,18 @@ def _stationary_density(
     u: np.ndarray,
     tol: float,
     held: HeldFactor,
-    contract: LinearSolveContract,
 ) -> np.ndarray:
     """Kernel vector of A(u)^T with unit h^2-weighted mass.
 
     Solves J^T [m; c] = [0; 1] for the bordered Jacobian J of
     ``_ergodic_hjb_newton``: A(u) has zero row sums, so summing the first
-    block gives c = 0 and A(u)^T m = 0.  The LU ``held`` holds is refined
-    against the exact J^T to min(the contract, tol h^2 / 4): the solution
-    has unit node sum, so normalizing it to unit h^2-weighted mass
-    multiplies its residual by 1/h^2, dropping the border term h^2 c at
-    most doubles it, and a factor 2 is left for the clamp and the
-    roundoff of the final check.  Only a miss factors J through
-    ``held``, which then holds that LU, and solves with it.  The density is
+    block gives c = 0 and A(u)^T m = 0.  The solve is ``_solve_checked``
+    with ``held`` and the target tol h^2 / 4 besides its contract: the
+    solution has unit node sum, so normalizing it to unit h^2-weighted
+    mass multiplies its residual by 1/h^2, dropping the border term h^2 c
+    at most doubles it, and a factor 2 is left for the clamp and the
+    roundoff of the final check.  The held LU is refined against the exact
+    J^T; only a miss factors J, under the contract alone.  The density is
     normalized, then clamped as the evolutive density step is.  Its
     residual max|A^T m| must be at most ``tol`` or the backward-error floor
     STENCIL_FLOOR eps |A^T|_inf max|m|, whichever is larger; a miss is a
@@ -454,11 +447,7 @@ def _stationary_density(
     a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
-    j = bordered_matrix(a, h2)
-    limit = min(contract.limit(rhs), tol * h2 / 4.0)
-    x, r = held.solve_refined(j, rhs, limit, "T")
-    if not r <= limit:
-        x = held.factor(j).solve(rhs, trans="T")
+    x = _solve_checked(bordered_matrix(a, h2), rhs, held, "T", tol * h2 / 4.0)
     x, _ = _clamp_density(x[:-1] / (h2 * float(np.sum(x[:-1]))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))
@@ -481,8 +470,10 @@ def solve_ergodic(
     Each sweep solves the bordered Newton system for (u, lambda), warm
     started from the last sweep, then takes the invariant density from the
     same bordered matrix at the new u (``_stationary_density``: the held LU
-    refined under ``contract``, a factorization only on a miss);
-    ``_damped_fixed_point`` mixes the next density from the last sweeps.
+    refined, a factorization only on a miss); ``_damped_fixed_point``
+    mixes the next density from the last sweeps.  Every linear solve meets
+    ``contract`` (default: ``LinearSolveContract()``), which the solve's
+    held factor carries.
     Returns once the density change is below tolerance and the three
     residuals (value equation, stationary density equation, and the two
     normalizations) are at or below 1e-8; the density residual may instead
@@ -492,7 +483,6 @@ def solve_ergodic(
     in ``diagnostics``.
     """
     cfg = cfg or FixedPointConfig()
-    contract = contract or LinearSolveContract()
     hjb_cfg = hjb_cfg or HjbStepConfig()
     h2 = p.grid.h ** 2
     residual_target = min(1e-8, 10.0 * cfg.outer_tol)
@@ -504,13 +494,13 @@ def solve_ergodic(
     shape = (p.grid.n_side, p.grid.n_side)
     m_start = np.ones(shape)
     lam_start = float(h2 * np.sum(p.cost.apply(m_start) - p.hamiltonian.potential.values))
-    held = HeldFactor()
+    held = HeldFactor(contract)
 
     def sweep(m: np.ndarray, state: tuple) -> tuple[np.ndarray, tuple]:
         u, lam, _ = state
         cost = p.cost.apply(m)
-        u, lam = _ergodic_hjb_newton(p, cost, u, lam, newton_cfg, contract, held)
-        m_new = _stationary_density(p, u, residual_target / 10.0, held, contract)
+        u, lam = _ergodic_hjb_newton(p, cost, u, lam, newton_cfg, held)
+        m_new = _stationary_density(p, u, residual_target / 10.0, held)
         return m_new, (u, lam, cost)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):

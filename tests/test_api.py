@@ -90,6 +90,16 @@ def test_one_linear_path(token):
     assert sum(hits.values()) == 0, hits
 
 
+def test_one_refine_or_factor_rule():
+    # linear._solve_checked refines the held LU and factors only on a miss;
+    # no step writes a miss branch of its own, and outside linear only the
+    # Newton step of newton_armijo factors, before its checked solve
+    hits = _token_hits("solve_refined(")
+    assert sum(hits.values()) == hits["linear.py"] > 0, hits
+    hits = _token_hits(".factor(")
+    assert sum(hits.values()) - hits["linear.py"] == hits["dynamics.py"] == 1, hits
+
+
 def test_csr_built_in_linear_only():
     # the five-point and bordered matrices are put on the cached pattern of
     # their grid in one module

@@ -214,6 +214,16 @@ class TestSolveCommand:
         assert "tolerances must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["outer_tol", "newton_tol", "residual_tol"])
+    def test_infinite_tolerance_exit_one(self, tmp_path, capsys, key):
+        # an infinite tolerance passes a positivity test and switches off the
+        # checks it feeds: the ergodic solve would exit 0
+        path = write_config(tmp_path, ERGODIC_CONFIG + f"\n[solver]\n{key} = inf\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"[solver.{key}]: tolerances must be positive" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [

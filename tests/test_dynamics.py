@@ -433,7 +433,7 @@ class TestFpStep:
         u_next = rng.normal(size=(8, 8))
         m_next = np.abs(rng.normal(1.0, 0.3, (8, 8)))
         contract = LinearSolveContract()
-        out, _ = fp_step_solve(ham, NU, 0.05, u_next, m_next, contract)
+        out, _ = fp_step_solve(ham, NU, 0.05, u_next, m_next, HeldFactor(contract))
         h2 = TorusGrid(8).h ** 2
         assert abs(h2 * np.sum(out) - h2 * np.sum(m_next)) <= 10 * contract.residual_tol
 
@@ -540,7 +540,7 @@ class TestFactorization:
         assert np.max(np.abs(dense - dense.T)) > 0.1 * np.max(np.abs(dense))
         b = rng.normal(size=n * n)
         expect = np.linalg.solve(dense.T, b)
-        got = _solve_checked(j, b, LinearSolveContract(), "T")
+        got = _solve_checked(j, b, HeldFactor(), "T")
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_ergodic_solve_orders_only_the_bordered_layout(self):
@@ -621,8 +621,8 @@ class TestHeldFactor:
         ham, u_next, _ = sines_step(n=4)
         held = held_of_distant_jacobian(ham, n=4)
         m_next = np.abs(np.random.default_rng(4).normal(1.0, 0.3, (4, 4)))
-        contract = LinearSolveContract()
-        got, clamp = fp_step_solve(ham, 0.6, 0.05, u_next, m_next, contract, held)
+        contract = held.contract
+        got, clamp = fp_step_solve(ham, 0.6, 0.05, u_next, m_next, held)
         assert held.refinements >= MAX_REFINEMENTS and held.factorizations == 2
         # contract against the exact J^T, assembled densely from the transport
         exact_t = dense_fp_from_transport(ham, 0.6, 0.05, u_next)
@@ -634,7 +634,7 @@ class TestHeldFactor:
         # the fresh LU of J(u_next) is held and serves a step at a nearby u
         # by refinement against that step's exact J^T, with no new factor
         u_near = 1.05 * u_next
-        got, _ = fp_step_solve(ham, 0.6, 0.05, u_near, m_next, contract, held)
+        got, _ = fp_step_solve(ham, 0.6, 0.05, u_near, m_next, held)
         assert held.refinements > MAX_REFINEMENTS and held.factorizations == 2
         exact_t = dense_fp_from_transport(ham, 0.6, 0.05, u_near)
         assert np.max(np.abs(exact_t @ got.ravel() - b)) <= contract.residual_tol * np.max(np.abs(b))
@@ -645,11 +645,11 @@ class TestHeldFactor:
         # same chord and Newton steps as a step inside a solve, bit for bit
         ham, _, cost = sines_step(n=8, beta=beta)
         u_cur = np.random.default_rng(21).normal(size=(8, 8))
-        cfg, contract = HjbStepConfig(), LinearSolveContract()
+        cfg = HjbStepConfig()
         held = HeldFactor()
-        expect = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg, contract, held=held)
+        expect = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg, held=held)
         assert held.chord_accepted >= 1
-        got = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg, contract)
+        got = hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg)
         assert np.array_equal(got, expect)
 
     def test_without_held_factor_steps_match_one_lu_per_solve(self):
@@ -665,7 +665,7 @@ class TestHeldFactor:
         resid = a.T @ expect - b
         if not np.max(np.abs(resid)) <= contract.residual_tol * np.max(np.abs(b)):
             expect = expect + lu.solve(-resid, "T")
-        got, _ = fp_step_solve(ham, 0.6, 0.05, u_cur, m_next, contract)
+        got, _ = fp_step_solve(ham, 0.6, 0.05, u_cur, m_next, HeldFactor(contract))
         assert np.array_equal(got.ravel(), expect)
 
     def test_failed_factorization_leaves_no_stale_lu(self):
@@ -675,7 +675,7 @@ class TestHeldFactor:
         held.factor(j)
         singular = five_point_matrix(np.zeros((8, 8, 5)))
         with pytest.raises(LinearSolveError, match="singular"):
-            _solve_checked(singular, np.ones(64), LinearSolveContract(), held=held)
+            _solve_checked(singular, np.ones(64), held)
         assert held.lu is None and held.factorizations == 1
         with pytest.raises(LinearSolveError, match="singular"):
             held.factor(singular)
@@ -683,16 +683,16 @@ class TestHeldFactor:
         # without an LU, the density step factors its exact matrix afresh
         b = np.ones(64)
         assert held.solve_refined(j, b, LinearSolveContract().limit(b), "T") == (None, np.inf)
-        x = _solve_checked(j, b, LinearSolveContract(), "T", held)
+        x = _solve_checked(j, b, held, "T")
         assert np.max(np.abs(np.linalg.solve(j.toarray().T, b) - x)) <= 1e-12 * np.max(np.abs(x))
         assert held.lu is not None and held.factorizations == 2
 
 
 class TestNonFiniteSolves:
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
     def test_contract_needs_positive_tolerance(self, tol):
         # such a tolerance would only fail at the first solve, as a residual
-        # that "exceeds contract"
+        # that "exceeds contract", or, if infinite, switch every check off
         with pytest.raises(ValueError, match="residual_tol"):
             LinearSolveContract(residual_tol=tol)
 
@@ -701,20 +701,24 @@ class TestNonFiniteSolves:
         b = np.ones(64)
         b[5] = np.inf
         for trans in ("N", "T"):
-            with pytest.raises(LinearSolveError):
-                _solve_checked(a, b, LinearSolveContract(), trans)
+            held = HeldFactor()
+            with pytest.raises(LinearSolveError, match="non-finite"):
+                _solve_checked(a, b, held, trans)
+            assert held.factorizations == 0
 
     def test_nan_density_raises(self):
         m_next = np.ones((8, 8))
         m_next[3, 4] = np.nan
-        with pytest.raises(LinearSolveError):
-            fp_step_solve(zero_ham(), NU, 0.05, cosine(), m_next)
+        held = HeldFactor()
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            fp_step_solve(zero_ham(), NU, 0.05, cosine(), m_next, held)
+        assert held.factorizations == 0
 
     def test_singular_factor_raises(self):
         # SuperLU reports "Factor is exactly singular" as a plain RuntimeError
         a = five_point_matrix(np.zeros((4, 4, 5)))
         with pytest.raises(LinearSolveError, match="singular"):
-            _solve_checked(a, np.ones(16), LinearSolveContract())
+            _solve_checked(a, np.ones(16), HeldFactor())
 
     @pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0, -1.0])
     def test_steps_reject_nonfinite_or_nonpositive_nu(self, nu):

@@ -457,7 +457,7 @@ class TestErgodicSolver:
         with pytest.raises(NonConvergence) as err:
             _ergodic_hjb_newton(
                 p, cost, np.zeros((8, 8)), 1.0,
-                HjbStepConfig(newton_tol=1e-11, max_newton=1), LinearSolveContract(), HeldFactor(),
+                HjbStepConfig(newton_tol=1e-11, max_newton=1), HeldFactor(),
             )
         assert not isinstance(err.value, OuterNonConvergence)
         assert str(err.value).startswith("Newton did not converge after 1 iterations")
@@ -503,10 +503,9 @@ class TestErgodicSolver:
             grid=g,
         )
         u = solve_ergodic(p).u.values
-        contract = LinearSolveContract()
-        fresh = _stationary_density(p, u, 1e-9, HeldFactor(), contract)
+        fresh = _stationary_density(p, u, 1e-9, HeldFactor())
         held = HeldFactor().factor(_bordered_jacobian(p, scale * u))
-        m = _stationary_density(p, u, 1e-9, held, contract)
+        m = _stationary_density(p, u, 1e-9, held)
         if scale == 0.5:
             assert held.factorizations == 1 and held.refinements > 0
             assert sup(m - fresh) <= 1e-12
@@ -514,6 +513,23 @@ class TestErgodicSolver:
             assert held.factorizations == 2
             assert np.array_equal(m, fresh)
         assert sup(g.h ** 2 * np.sum(m) - 1.0) <= 1e-14
+
+    def test_density_miss_meets_the_contract(self):
+        # the fresh LU of a miss is checked against the contract too: one no
+        # float64 solve can meet makes the stationary density raise
+        g = TorusGrid(16)
+        p = ErgodicProblem(
+            nu=1.0,
+            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            cost=LocalCost.power(2.0),
+            grid=g,
+        )
+        x1, x2 = g.node_coords()
+        u = 0.3 * np.cos(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
+        held = HeldFactor(LinearSolveContract(residual_tol=1e-30))
+        with pytest.raises(LinearSolveError, match="exceeds contract"):
+            _stationary_density(p, u, 1e-9, held)
+        assert held.factorizations == 1
 
     def test_local_cost_required(self):
         g = TorusGrid(8)
