@@ -69,24 +69,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
             problem = build_ergodic_problem(cfg)
             sol = solve_ergodic(problem, cfg=fixed, contract=contract, hjb_cfg=hjb)
             write_ergodic_archive(outdir, sol, _config_echo(cfg), cfg.text)
-            d = sol.diagnostics
-            print(
-                f"ergodic solve: outer_iters={sol.outer_iters} "
-                f"change={sol.residual_history[-1]:.3e} "
-                f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e} "
-                f"halvings={d['halvings']} lambda={sol.lam:.12g}"
-            )
+            tail = f" lambda={sol.lam:.12g}"
         else:
             problem = build_evolutive_problem(cfg)
             sol = solve_evolutive(problem, cfg=fixed, hjb_cfg=hjb, contract=contract)
             write_evolutive_archive(outdir, sol, _config_echo(cfg), cfg.text)
-            d = sol.diagnostics
-            print(
-                f"evolutive solve: outer_iters={sol.outer_iters} "
-                f"change={d['final_change']:.3e} "
-                f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e} "
-                f"halvings={d['halvings']}"
-            )
+            tail = ""
+        d = sol.diagnostics
+        print(
+            f"{cfg.kind} solve: outer_iters={sol.outer_iters} "
+            f"change={sol.residual_history[-1]:.3e} "
+            f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e} "
+            f"halvings={d['halvings']}{tail}"
+        )
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

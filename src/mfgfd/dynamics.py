@@ -7,7 +7,7 @@ a frozen cost field, the next slice solves
 
 by chord steps and damped Newton steps on the Jacobian
 J(u) = (1/dt) I - nu L + B(u), where B collects the upwind gradient
-against the one-sided difference stencils.  Monotonicity of the upwind
+against the neighbour differences D u.  Monotonicity of the upwind
 Hamiltonian makes J an M-matrix, so the sparse direct solve is always well
 posed.  Within one solve call, J changes between iterates, steps and
 sweeps only in B, so a step first tries the chord step with the LU the
@@ -20,7 +20,7 @@ the gradient is extended by zero).  A step called without a held LU
 makes a fresh ``HeldFactor`` and runs the same code.
 
 Residual, Jacobian, transport and density matrix all evaluate the
-Hamiltonian at ``hamiltonian_stencil(u)``: the one-sided differences of u
+Hamiltonian at ``hamiltonian_stencil(u)``: the neighbour differences of u
 with those at or below the roundoff floor 16 eps max|u| / h set to 0.  A
 slice that should be constant keeps the roundoff of the previous linear
 solve, and for beta < 2 the gradient is not Lipschitz at 0, so without the
@@ -65,7 +65,7 @@ import scipy.sparse as sp
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
 from .linear import HeldFactor, _solve_checked, five_point_matrix
 from .torus_grid import (
-    STENCIL_SIGNS, _stencil_laplace, check_positive_finite, laplace_array, stencil_adjoint, stencil_array
+    _stencil_laplace, check_positive_finite, laplace_array, stencil_adjoint, stencil_array
 )
 
 __all__ = [
@@ -104,8 +104,9 @@ class HjbStepConfig:
     max_newton: int = 50
 
     def __post_init__(self) -> None:
-        if not (self.newton_tol > 0 and self.max_newton >= 1):  # NaN too
-            raise ValueError("newton_tol must be positive and max_newton >= 1")
+        check_positive_finite("newton_tol", self.newton_tol)
+        if not self.max_newton >= 1:  # NaN too
+            raise ValueError("max_newton must be >= 1")
 
 
 class NonConvergence(RuntimeError):
@@ -135,7 +136,7 @@ def _five_point_matrix(
 
     Row (i, j) holds node (i, j), then its neighbours in ``STENCIL`` order.
     B(u) v = g . D v, g the gradient of H at the floored stencil, puts
-    sign_k g_k / h on neighbour k and minus their sum on the diagonal: its
+    g_k / h on neighbour k and minus their sum on the diagonal: its
     off-diagonals are nonpositive and its rows sum to zero (upwind
     monotonicity).  The entries are bit for bit those of the sparse sums
     shift I - nu (shifts - 4 I) (1/h^2) + (sum of g_k times shift
@@ -144,10 +145,10 @@ def _five_point_matrix(
     """
     h = 1.0 / u.shape[-1]
     inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
-    sg = ham.grad_grid(hamiltonian_stencil(u)) * STENCIL_SIGNS
-    diag = -(((sg[..., 0] + sg[..., 1]) + sg[..., 2]) + sg[..., 3])
+    g = ham.grad_grid(hamiltonian_stencil(u))
+    diag = -(((g[..., 0] + g[..., 1]) + g[..., 2]) + g[..., 3])
     centre = shift + (-nu * (-4.0 * inv_h2) + diag * inv_h)
-    data = np.concatenate([centre[..., None], -nu * inv_h2 + sg * inv_h], axis=-1)
+    data = np.concatenate([centre[..., None], -nu * inv_h2 + g * inv_h], axis=-1)
     return five_point_matrix(data)
 
 
@@ -218,9 +219,9 @@ def newton_armijo(
 
 def value_operator(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> np.ndarray:
     """-nu Lap_h u + value(x, hamiltonian_stencil(u)) of both models, from one stencil."""
-    q = stencil_array(u)
-    lap = _stencil_laplace(q)  # unfloored: the floor below overwrites q
-    return -nu * lap + ham.value_grid(_floor_stencil(q, u))
+    d = stencil_array(u)
+    lap = _stencil_laplace(d)  # unfloored: the floor below overwrites d
+    return -nu * lap + ham.value_grid(_floor_stencil(d, u))
 
 
 def hjb_residual(
@@ -291,8 +292,8 @@ def linearized_hjb_apply(
     """Linearization of the stationary value operator at u, applied to v."""
     if u.shape != v.shape:
         raise ValueError(f"u and v must have one shape, got {u.shape} and {v.shape}")
-    g, q = ham.grad_grid(hamiltonian_stencil(u)), stencil_array(v)
-    return -nu * _stencil_laplace(q) + np.sum(g * q, axis=-1)
+    g, d = ham.grad_grid(hamiltonian_stencil(u)), stencil_array(v)
+    return -nu * _stencil_laplace(d) + np.sum(g * d, axis=-1)
 
 
 def adjoint_apply(ham: PowerHamiltonian, nu: float, u: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -1,20 +1,21 @@
 """Upwind numerical Hamiltonian of power type and its convexity toolbox.
 
 The Hamiltonian H(x, grad u) = potential(x) + |grad u|^beta is discretized
-per node through the four one-sided differences q = (q1, q2, q3, q4):
+per node through the four neighbour differences d = (d1, d2, d3, d4) of
+``torus_grid.stencil_array``, d_k = (u(x + step_k e_axis_k) - u(x)) / h:
 
-    value(x, q) = potential(x) + |p|^beta,   p = (q1^-, q2^+, q3^-, q4^+),
+    value(x, d) = potential(x) + |p|^beta,   p = max(-d, 0) componentwise.
 
-where r^+ = max(r, 0) and r^- = max(-r, 0).  Only the "upwind part" p
-enters, which makes the scheme monotone: the value is nonincreasing in
-q1, q3 and nondecreasing in q2, q4.  The gradient in q is
+Only this "upwind part" p enters, which makes the scheme monotone: the value
+is nonincreasing in every d_k.  The gradient in d is
 
-    grad(q) = beta |p|^(beta-2) * (-p1, p2, -p3, p4),
+    grad(d) = -beta |p|^(beta-2) p,
 
-extended by 0 at p = 0 (the continuous extension, valid for beta > 1).
+extended by 0 at p = 0 (the continuous extension, valid for beta > 1).  In
+the paper's q of ``torus_grid``, p = (q1^-, q2^+, q3^-, q4^+), r^- = max(-r, 0).
 
 The stencils that value and gradient see are those of ``hamiltonian_stencil``:
-the plain one-sided differences of a value slice u, with every difference
+the plain neighbour differences of a value slice u, with every difference
 of magnitude at most STENCIL_FLOOR * eps * max|u| / h set to exactly 0.
 Below that backward-error floor a difference cannot be told apart from
 roundoff in u (a slice that should be constant carries stencils of 2 to 5
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus_grid import STENCIL_SIGNS, GridField, stencil_array, time_sum
+from .torus_grid import GridField, stencil_array, time_sum
 
 __all__ = [
     "PowerHamiltonian",
@@ -48,9 +49,6 @@ __all__ = [
     "inequality_suite",
 ]
 
-# sign pattern of d(p_k)/d(q_k) on the active branches
-_UPWIND_SIGNS = -STENCIL_SIGNS
-
 # c of the stencil floor c * eps * max|u| / h; the largest roundoff stencil
 # measured on constant slices is 5 eps max|u| / h
 STENCIL_FLOOR = 16.0
@@ -58,10 +56,10 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def hamiltonian_stencil(values: np.ndarray) -> np.ndarray:
-    """One-sided differences of (..., N, N) value slices with the roundoff floor.
+    """Neighbour differences of (..., N, N) value slices with the roundoff floor.
 
     Returns the (..., N, N, 4) ``stencil_array`` with every difference of
-    |q| <= STENCIL_FLOOR * eps * max|u| / h set to exactly 0, each (N, N)
+    |d| <= STENCIL_FLOOR * eps * max|u| / h set to exactly 0, each (N, N)
     slice floored against its own max|u| (h = 1/N).  This is the stencil at
     which the value, the gradient, the transport and the Jacobians evaluate
     a value slice; directions, error norms and monitors use the plain
@@ -70,17 +68,17 @@ def hamiltonian_stencil(values: np.ndarray) -> np.ndarray:
     return _floor_stencil(stencil_array(values), values)
 
 
-def _floor_stencil(q: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``hamiltonian_stencil`` of ``values`` from its ``stencil_array`` q, in place."""
+def _floor_stencil(d: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``hamiltonian_stencil`` of ``values`` from its ``stencil_array`` d, in place."""
     h = 1.0 / values.shape[-1]
     scale = np.max(np.abs(values), axis=(-2, -1))[..., None, None, None]
-    q[np.abs(q) <= STENCIL_FLOOR * _EPS * scale / h] = 0.0
-    return q
+    d[np.abs(d) <= STENCIL_FLOOR * _EPS * scale / h] = 0.0
+    return d
 
 
-def upwind_part(q: np.ndarray) -> np.ndarray:
-    """Nonnegative 4-vector (q1^-, q2^+, q3^-, q4^+); works on (..., 4) arrays."""
-    return np.maximum(np.asarray(q, dtype=np.float64) * _UPWIND_SIGNS, 0.0)
+def upwind_part(d: np.ndarray) -> np.ndarray:
+    """Nonnegative 4-vector max(-d, 0) of neighbour differences; works on (..., 4) arrays."""
+    return np.maximum(-np.asarray(d, dtype=np.float64), 0.0)
 
 
 def _gauge(p: np.ndarray, beta: float) -> np.ndarray:
@@ -98,23 +96,23 @@ def _grad_coef(p: np.ndarray, beta: float) -> np.ndarray:
     return coef
 
 
-def _grad_from_q(q: np.ndarray, beta: float) -> np.ndarray:
-    p = upwind_part(q)
-    coef = _grad_coef(p, beta)
-    return coef[..., None] * p * _UPWIND_SIGNS
+def _grad_from_d(d: np.ndarray, beta: float) -> np.ndarray:
+    """-beta |p|^(beta-2) p, p the upwind part of d; works on (..., 4) arrays."""
+    p = upwind_part(d)
+    return -(_grad_coef(p, beta)[..., None] * p)
 
 
-def bregman_gap_array(q: np.ndarray, q_tilde: np.ndarray, beta: float) -> np.ndarray:
-    """value(x, q~) - value(x, q) - grad(q) . (q~ - q) on (..., 4) arrays.
+def bregman_gap_array(d: np.ndarray, d_tilde: np.ndarray, beta: float) -> np.ndarray:
+    """value(x, d~) - value(x, d) - grad(d) . (d~ - d) on (..., 4) arrays.
 
     The potential cancels, so the gap depends on the stencils only; it is
     nonnegative by convexity of the upwind composition.  The gradient is
-    the module's ``_grad_from_q``, never an instance method.
+    the module's ``_grad_from_d``, never an instance method.
     """
     return (
-        _gauge(upwind_part(q_tilde), beta)
-        - _gauge(upwind_part(q), beta)
-        - np.sum(_grad_from_q(q, beta) * (q_tilde - q), axis=-1)
+        _gauge(upwind_part(d_tilde), beta)
+        - _gauge(upwind_part(d), beta)
+        - np.sum(_grad_from_d(d, beta) * (d_tilde - d), axis=-1)
     )
 
 
@@ -153,7 +151,7 @@ class PowerHamiltonian:
 
     def grad_grid(self, stencil: np.ndarray) -> np.ndarray:
         """Gradients of a (..., 4) stencil array, one 4-vector per stencil."""
-        return _grad_from_q(stencil, self.beta)
+        return _grad_from_d(stencil, self.beta)
 
 
 def weighted_bregman_gap(
@@ -248,10 +246,11 @@ def _power_with_inf(x: np.ndarray, expo: float) -> np.ndarray:
 def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) -> dict:
     """Stress-test the convexity and smoothness bounds of the upwind Hamiltonian.
 
-    Draws ``sample_count`` seeded tuples (q, q~, r, eta) plus random
-    nonnegative density fields, asserts every applicable inequality with its
-    explicit constant at relative tolerance 1e-12, and reports the worst
-    margin per check.  The two-sided gradient-difference bound has no
+    Draws ``sample_count`` seeded tuples (q, q~, r, eta), q, q~ and r in the
+    paper's (D1+, D1-, D2+, D2-) and mapped to neighbour differences, plus
+    random nonnegative density fields, asserts every applicable inequality
+    with its explicit constant at relative tolerance 1e-12, and reports the
+    worst margin per check.  The two-sided gradient-difference bound has no
     universal constant in closed form here; the suite checks it with
     c = beta^2 (beta-1)^2 / 4 (a Young-inequality consequence of the
     integral representation), calibrates the smallest admissible c by
@@ -263,23 +262,24 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     rng = np.random.Generator(np.random.Philox(seed))
     S = int(sample_count)
 
-    q = _sample_q(rng, S)
-    qt = _sample_q(rng, S)
+    d, dtil = _sample_q(rng, S), _sample_q(rng, S)
     r = rng.normal(0.0, 1.0, size=(S, 4))
+    for x in (d, dtil, r):  # from the paper's q to d = (q1, -q2, q3, -q4)
+        x[:, 1::2] = -x[:, 1::2]
     eta = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=S))
 
-    p = upwind_part(q)
-    pt = upwind_part(qt)
+    p = upwind_part(d)
+    pt = upwind_part(dtil)
     ap = np.sqrt(np.sum(p * p, axis=-1))
     apt = np.sqrt(np.sum(pt * pt, axis=-1))
 
-    gap = bregman_gap_array(q, qt, beta)
+    gap = bregman_gap_array(d, dtil, beta)
     # the summands of ``gap``: at beta = 2 the two gap lower bounds hold with
     # equality, and the gap is a small difference of these
     gap_terms = (
         _gauge(pt, beta)
         + _gauge(p, beta)
-        + np.abs(np.sum(_grad_from_q(q, beta) * (qt - q), axis=-1))
+        + np.abs(np.sum(_grad_from_d(d, beta) * (dtil - d), axis=-1))
     )
     gauge_gap = _gauge(pt, beta) - _gauge(p, beta) - np.sum(
         _grad_coef(p, beta)[..., None] * p * (pt - p), axis=-1
@@ -330,7 +330,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
 
         # gradient-difference bound with the Young-split constant
         lhs32 = np.abs(
-            np.sum((_grad_from_q(qt, beta) - _grad_from_q(q, beta)) * r, axis=-1)
+            np.sum((_grad_from_d(dtil, beta) - _grad_from_d(d, beta)) * r, axis=-1)
         )
         mx = np.maximum(
             _power_with_inf(ap, beta - 2.0), _power_with_inf(apt, beta - 2.0)
@@ -389,13 +389,13 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
         ut_arr = rng.normal(0.0, 1.0, size=(chunk, n_t, n_side, n_side))
         m_arr = 0.05 + np.abs(rng.normal(0.0, 1.0, size=(chunk, n_t, n_side, n_side)))
 
-        qf = stencil_array(u_arr)
-        qtf = stencil_array(ut_arr)
-        pf = upwind_part(qf)
-        ptf = upwind_part(qtf)
+        df = stencil_array(u_arr)
+        dtilf = stencil_array(ut_arr)
+        pf = upwind_part(df)
+        ptf = upwind_part(dtilf)
 
         if beta >= 2.0:
-            gapf = bregman_gap_array(qf, qtf, beta)
+            gapf = bregman_gap_array(df, dtilf, beta)
             big_g = np.sum(m_arr * gapf, axis=(1, 2, 3))
             apf = np.sqrt(np.sum(pf * pf, axis=-1))
             aptf = np.sqrt(np.sum(ptf * ptf, axis=-1))
@@ -415,10 +415,10 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
             field_checks["weighted_gap_power_lower"].record(_rel_margin(big_g, w_pow), done)
 
             m_low = np.min(m_arr, axis=(1, 2, 3))
-            dq = qtf - qf
+            dd = dtilf - df
             w_sten = (
                 m_low
-                * np.sum(np.sum(dq * dq, axis=-1) ** (beta / 2.0), axis=(1, 2, 3))
+                * np.sum(np.sum(dd * dd, axis=-1) ** (beta / 2.0), axis=(1, 2, 3))
                 / (2.0 ** (2.0 * beta - 3.0) * (beta - 1.0))
             )
             field_checks["weighted_gap_stencil_lower"].record(
@@ -426,7 +426,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
             )
         else:
             # chain of bounds for the gap against the zero trajectory
-            gap0 = _gauge(ptf, beta)  # gap from q = 0 is the gauge itself
+            gap0 = _gauge(ptf, beta)  # gap from d = 0 is the gauge itself
             big_g0 = np.sum(m_arr * gap0, axis=(1, 2, 3))
             m_low = np.min(m_arr, axis=(1, 2, 3))
             w_chain = (
@@ -434,7 +434,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
                 * beta
                 * (beta - 1.0)
                 * m_low
-                * np.sum(np.sum(qtf * qtf, axis=-1) ** (beta / 2.0), axis=(1, 2, 3))
+                * np.sum(np.sum(dtilf * dtilf, axis=-1) ** (beta / 2.0), axis=(1, 2, 3))
             )
             field_checks["small_beta_chain_lower"].record(_rel_margin(big_g0, w_chain), done)
         done += chunk

@@ -171,7 +171,7 @@ def _layout(n: int, bordered: bool) -> _Layout:
         indptr = np.append(np.arange(n2 + 1) * (five.indices.size // n2 + 1), indices.size)
         return _Layout(*_read_only(indptr, indices), None)
     k = np.arange(n2).reshape(n, n)
-    neighbours = [_shift(k, step, axis) for step, axis, _ in STENCIL]
+    neighbours = [_shift(k, step, axis) for step, axis in STENCIL]
     rows = np.repeat(k.ravel(), 5)
     cols = np.stack([k] + neighbours, axis=-1).ravel()
     keys, slots = np.unique(rows * n2 + cols, return_inverse=True)

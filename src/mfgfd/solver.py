@@ -113,8 +113,9 @@ class FixedPointConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if not (self.outer_tol > 0 and self.max_outer >= 1):  # NaN too
-            raise ValueError("outer_tol must be positive and max_outer >= 1")
+        check_positive_finite("outer_tol", self.outer_tol)
+        if not self.max_outer >= 1:  # NaN too
+            raise ValueError("max_outer must be >= 1")
 
 
 def check_newton_tol(newton_tol: float) -> None:

@@ -8,10 +8,13 @@ sparse solvers use.  The operators take and return these plain arrays and
 read h = 1/N from their trailing axes; the field types carry the grid and the
 time mesh at the problem and solution boundary.
 
-The module owns the five-point stencil: ``STENCIL`` lists the step, axis and
-sign of its four one-sided differences, ``stencil_array`` applies it (D) and
-``stencil_adjoint`` its transpose (D^T).  The Laplacian, the transport, the
-matrices and the upwind signs of the package all read it from here.
+The module owns the five-point stencil: ``STENCIL`` lists the step and axis
+of its four neighbour differences d_k = (u(x + step_k e_axis_k) - u(x)) / h,
+``stencil_array`` applies it (D) and ``stencil_adjoint`` its transpose
+(D^T).  The Laplacian, the transport and the matrices of the package all
+read it from here.  In the paper's notation q = (D1+ u, D1- u, D2+ u, D2- u)
+the stencil is d = (q1, -q2, q3, -q4): negation is exact in float64, so the
+two conventions hold the same numbers up to sign.
 
 Sums and norms use numpy reductions, so the reduction order is fixed by the
 array layout and results are reproducible run to run.
@@ -34,7 +37,6 @@ __all__ = [
     "SpaceTimeField",
     "check_positive_finite",
     "STENCIL",
-    "STENCIL_SIGNS",
     "stencil_array",
     "stencil_adjoint",
     "laplace_array",
@@ -183,34 +185,33 @@ def _shift(values: np.ndarray, step: int, axis: int) -> np.ndarray:
     return np.concatenate([head, tail], axis=axis)
 
 
-# The five-point stencil D as (step, axis, sign) of each one-sided difference:
-# component k at node x is sign_k (u(x + step_k e_axis_k) - u(x)) / h, where
-# axis -2 is the index i, -1 the index j, and x + step_k e_axis_k is neighbour k.
-STENCIL = ((1, -2, 1.0), (-1, -2, -1.0), (1, -1, 1.0), (-1, -1, -1.0))
-STENCIL_SIGNS = np.array([sign for _, _, sign in STENCIL])
+# The five-point stencil D as (step, axis) of each neighbour difference:
+# component k at node x is (u(x + step_k e_axis_k) - u(x)) / h, where axis -2
+# is the index i, -1 the index j, and x + step_k e_axis_k is neighbour k.
+STENCIL = ((1, -2), (-1, -2), (1, -1), (-1, -1))
 
 
 def stencil_array(values: np.ndarray) -> np.ndarray:
-    """D values: the (..., N, N, 4) one-sided differences of (..., N, N) arrays
+    """D values: the (..., N, N, 4) neighbour differences of (..., N, N) arrays
     in ``STENCIL`` order, h = 1/N."""
     h = 1.0 / values.shape[-1]
     dp1 = (_shift(values, 1, -2) - values) / h
     dp2 = (_shift(values, 1, -1) - values) / h
-    return np.stack([dp1, _shift(dp1, -1, -2), dp2, _shift(dp2, -1, -1)], axis=-1)
+    return np.stack([dp1, -_shift(dp1, -1, -2), dp2, -_shift(dp2, -1, -1)], axis=-1)
 
 
 def stencil_adjoint(a: np.ndarray) -> np.ndarray:
     """D^T a of (..., N, N, 4) arrays, shape (..., N, N): the node sum of
     stencil_adjoint(a) * w equals that of a . stencil_array(w) for every w."""
     h = 1.0 / a.shape[-2]
-    t = [s * (_shift(a[..., k], -step, ax) - a[..., k]) for k, (step, ax, s) in enumerate(STENCIL)]
+    t = [_shift(a[..., k], -step, ax) - a[..., k] for k, (step, ax) in enumerate(STENCIL)]
     return (((t[0] + t[1]) + t[2]) + t[3]) / h
 
 
-def _stencil_laplace(q: np.ndarray) -> np.ndarray:
-    """Five-point Laplacian ((q1 - q2) + (q3 - q4)) / h of a ``stencil_array`` q."""
-    h = 1.0 / q.shape[-2]
-    return ((q[..., 0] - q[..., 1]) + (q[..., 2] - q[..., 3])) / h
+def _stencil_laplace(d: np.ndarray) -> np.ndarray:
+    """Five-point Laplacian ((d1 + d2) + (d3 + d4)) / h of a ``stencil_array`` d."""
+    h = 1.0 / d.shape[-2]
+    return ((d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3])) / h
 
 
 def laplace_array(values: np.ndarray) -> np.ndarray:

@@ -179,24 +179,23 @@ def write_report(report: dict, path: str | Path) -> None:
 
 def failure_summary(report: dict) -> str:
     """One line naming the first failing check and its worst sample."""
-    if report.get("suite") == "lemmas" or "reports" in report:
-        for sub in report.get("reports", []):
-            for chk in sub.get("checks", []):
-                if not chk["pass"]:
-                    return (
-                        f"{chk['lemma_id']} (beta={sub['beta']}) failed: "
-                        f"worst margin {chk['worst_margin']:.3e} at sample {chk['worst_sample']}"
-                    )
-            if not sub.get("pass", True) and "max_gap_ratio" in sub:
+    for sub in report.get("reports", []):
+        for chk in sub.get("checks", []):
+            if not chk["pass"]:
                 return (
-                    f"identity (beta={sub['beta']}) failed: gap ratio "
-                    f"{sub['max_gap_ratio']:.3e}, term ratio {sub['min_term_ratio']}, "
-                    f"worst pair {sub['worst_pair']}"
-                    + (f", {sub['error']}" if sub.get("error") else "")
+                    f"{chk['lemma_id']} (beta={sub['beta']}) failed: "
+                    f"worst margin {chk['worst_margin']:.3e} at sample {chk['worst_sample']}"
                 )
-            if not sub.get("pass", True) and "max_discrepancy" in sub:
-                return (
-                    f"adjoint (n_side={sub['n_side']}) failed: discrepancy "
-                    f"{sub['max_discrepancy']:.3e}"
-                )
+        if not sub.get("pass", True) and "max_gap_ratio" in sub:
+            return (
+                f"identity (beta={sub['beta']}) failed: gap ratio "
+                f"{sub['max_gap_ratio']:.3e}, term ratio {sub['min_term_ratio']}, "
+                f"worst pair {sub['worst_pair']}"
+                + (f", {sub['error']}" if sub.get("error") else "")
+            )
+        if not sub.get("pass", True) and "max_discrepancy" in sub:
+            return (
+                f"adjoint (n_side={sub['n_side']}) failed: discrepancy "
+                f"{sub['max_discrepancy']:.3e}"
+            )
     return "failure"

@@ -5,7 +5,6 @@ the package factors sparse matrices in one place."""
 import ast
 import importlib
 import pkgutil
-import re
 from pathlib import Path
 
 import pytest
@@ -148,15 +147,18 @@ def test_no_second_value_residual():
 
 
 def test_one_stencil_owner():
-    # the four differences, their neighbour order and signs are the table
-    # torus_grid.STENCIL; transport is -stencil_adjoint(m g), not a second
-    # shift formula in dynamics
+    # the four neighbour differences and their order are the table
+    # torus_grid.STENCIL of (step, axis) pairs, with no sign table beside it;
+    # transport is -stencil_adjoint(m g), not a second shift formula in dynamics
     assert _token_hits("_shift(")["dynamics.py"] == 0
-    src = Path(mfgfd.__file__).parent
-    for signs in (["-1.0", "1.0", "-1.0", "1.0"], ["1.0", "-1.0", "1.0", "-1.0"]):
-        literal = re.compile(r"[\[(]\s*" + r",\s*".join(map(re.escape, signs)) + r"\s*[\])]")
-        hits = [p.name for p in sorted(src.glob("*.py")) if literal.search(p.read_text())]
-        assert set(hits) <= {"torus_grid.py"}, hits
+    for token in ("STENCIL_SIGNS", "_UPWIND_SIGNS"):
+        hits = _token_hits(token)
+        assert sum(hits.values()) == 0, (token, hits)
+    from mfgfd.torus_grid import STENCIL
+
+    assert len(set(STENCIL)) == 4, STENCIL
+    for entry in STENCIL:
+        assert len(entry) == 2 and entry[0] in (1, -1) and entry[1] in (-2, -1), STENCIL
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,14 @@ from mfgfd.linear import (
 from mfgfd.presets import hamiltonian_preset
 from mfgfd.solver import ErgodicProblem, _bordered_jacobian, _ergodic_diagnostics
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
-from oracles import hjb_step_picard
+from oracles import (
+    hjb_step_picard,
+    paper_gradient,
+    paper_stencil,
+    paper_transport,
+    paper_value,
+    paper_value_operator,
+)
 
 NU = 1.0
 
@@ -99,12 +106,13 @@ def dense_fp_from_transport(ham, nu, dt, u):
 
 def coo_five_point(ham, nu, u, shift):
     """shift I - nu L + B(u) by the COO assembly that the cached pattern
-    replaced: the same entry formulas, coinciding neighbours summed by the
-    COO-to-CSR conversion and exact zeros dropped."""
+    replaced, with the entry formulas in the paper's q = (D1+, D1-, D2+, D2-)
+    and its gradient from the ``np.roll`` oracle: coinciding neighbours summed
+    by the COO-to-CSR conversion and exact zeros dropped."""
     n = u.shape[-1]
     h = 1.0 / n
     inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
-    g = ham.grad_grid(hamiltonian_stencil(u))
+    g = paper_gradient(ham, paper_stencil(u))
     g1, g2, g3, g4 = (g[..., k] for k in range(4))
     off = -nu * inv_h2
     data = np.stack(
@@ -418,6 +426,40 @@ class TestAssembly:
             for name in ("indices", "indptr"):
                 a, b = getattr(first, name), getattr(second, name)
                 assert np.shares_memory(a, b) and not a.flags.writeable
+
+
+class TestPaperConvention:
+    """The package's neighbour differences d = (q1, -q2, q3, -q4) against the
+    paper's q = (D1+ u, D1- u, D2+ u, D2- u), evaluated independently by
+    ``np.roll`` in ``oracles``: every kernel agrees bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_bit_identical_to_paper_oracle(self, n, beta):
+        rng = np.random.default_rng(40 + n)
+        ham = PowerHamiltonian(beta, GridField(TorusGrid(n), rng.normal(size=(n, n))))
+        u, m = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        q = paper_stencil(u)
+        d = hamiltonian_stencil(u)
+        assert np.array_equal(d, np.stack([q[0], -q[1], q[2], -q[3]], axis=-1))
+        assert np.array_equal(ham.value_grid(d), paper_value(ham, q))
+        g = ham.grad_grid(d)
+        mapped = np.stack([g[..., 0], -g[..., 1], g[..., 2], -g[..., 3]], axis=-1)
+        assert np.array_equal(mapped, paper_gradient(ham, q))
+        assert np.array_equal(value_operator(ham, 0.7, u), paper_value_operator(ham, 0.7, u))
+        assert np.array_equal(transport_apply(ham, u, m), paper_transport(ham, u, m))
+        jac = hjb_jacobian(ham, 0.7, 0.05, u)
+        assert np.array_equal(jac.toarray(), coo_five_point(ham, 0.7, u, 1.0 / 0.05).toarray())
+
+    def test_floored_entries_match(self):
+        # a noisy constant slice floors every difference in both conventions
+        eps = np.finfo(float).eps
+        u = 3.0 * (1.0 + eps * np.random.default_rng(1).integers(-2, 3, size=(8, 8)))
+        ham = PowerHamiltonian(1.5, GridField.zeros(TorusGrid(8)))
+        q, d = paper_stencil(u), hamiltonian_stencil(u)
+        assert all(np.all(qk == 0.0) for qk in q)
+        assert np.array_equal(ham.value_grid(d), paper_value(ham, q))
+        assert np.array_equal(ham.grad_grid(d), paper_gradient(ham, q))
 
 
 class TestFpStep:

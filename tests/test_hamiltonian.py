@@ -31,23 +31,25 @@ def zero_ham(beta, n=4):
     return PowerHamiltonian(beta, GridField.zeros(TorusGrid(n)))
 
 
-def value_at(ham, q, node=(0, 0)):
-    """``value_grid`` at one node of a stencil array holding q at every node."""
+def value_at(ham, d, node=(0, 0)):
+    """``value_grid`` at one node of a stencil array holding d at every node."""
     shape = ham.potential.values.shape + (4,)
-    return ham.value_grid(np.broadcast_to(np.asarray(q, dtype=float), shape))[node]
+    return ham.value_grid(np.broadcast_to(np.asarray(d, dtype=float), shape))[node]
 
 
 class TestValue:
     def test_upwind_discards_wrong_signs(self):
+        # every neighbour above the node: no upwind direction
         ham = zero_ham(2.0)
-        assert value_at(ham, [1.0, -1.0, 2.0, -2.0]) == 0.0
+        assert value_at(ham, [1.0, 1.0, 2.0, 2.0]) == 0.0
 
     def test_all_active(self):
         ham = zero_ham(2.0)
-        assert value_at(ham, [-1.0, 1.0, -1.0, 1.0]) == 4.0
+        assert value_at(ham, [-1.0, -1.0, -1.0, -1.0]) == 4.0
 
     def test_consistency_with_plain_power(self):
-        # repeated arguments reproduce potential + |q|^beta, machine-exactly
+        # a linear slice, d = (q1, -q1, q2, -q2), reproduces potential +
+        # |(q1, q2)|^beta, machine-exactly
         rng = np.random.default_rng(0)
         for beta in (1.5, 2.0, 3.0):
             ham = PowerHamiltonian(
@@ -56,23 +58,23 @@ class TestValue:
             for _ in range(10000):
                 i, j = rng.integers(0, 4, size=2)
                 q1, q2 = rng.normal(size=2)
-                got = value_at(ham, [q1, q1, q2, q2], (i, j))
+                got = value_at(ham, [q1, -q1, q2, -q2], (i, j))
                 expect = ham.potential.values[i, j] + (q1**2 + q2**2) ** (beta / 2)
                 assert abs(got - expect) <= 4 * np.finfo(float).eps * max(1.0, abs(expect))
-        assert value_at(zero_ham(2.0), [3.0, 3.0, 4.0, 4.0]) == 25.0
+        assert value_at(zero_ham(2.0), [3.0, -3.0, 4.0, -4.0]) == 25.0
 
     def test_monotonicity_directions(self):
+        # the value is nonincreasing in every neighbour difference
         rng = np.random.default_rng(1)
         ham = zero_ham(2.0)
         for _ in range(200):
-            q = rng.normal(scale=2.0, size=4)
-            base = value_at(ham, q)
+            d = rng.normal(scale=2.0, size=4)
+            base = value_at(ham, d)
             eps = 0.3
-            for k, sign in ((0, -1), (1, +1), (2, -1), (3, +1)):
-                bumped = q.copy()
+            for k in range(4):
+                bumped = d.copy()
                 bumped[k] += eps
-                diff = value_at(ham, bumped) - base
-                assert sign * diff >= -1e-12
+                assert value_at(ham, bumped) - base <= 1e-12
 
     def test_beta_must_exceed_one(self):
         with pytest.raises(ValueError, match="beta"):
@@ -85,10 +87,10 @@ class TestGradient:
     def test_zero_at_kink(self):
         for beta in (1.5, 2.0, 3.0):
             assert np.all(zero_ham(beta).grad_grid([0.0, 0.0, 0.0, 0.0]) == 0.0)
-        assert np.all(zero_ham(2.0).grad_grid([1.0, -1.0, 2.0, -2.0]) == 0.0)
+        assert np.all(zero_ham(2.0).grad_grid([1.0, 1.0, 2.0, 2.0]) == 0.0)
 
     def test_known_values(self):
-        assert np.array_equal(zero_ham(2.0).grad_grid([-1, 1, -1, 1]), [-2.0, 2.0, -2.0, 2.0])
+        assert np.array_equal(zero_ham(2.0).grad_grid([-1, -1, -1, -1]), [-2.0, -2.0, -2.0, -2.0])
         assert np.array_equal(zero_ham(3.0).grad_grid([-1, 0, 0, 0]), [-3.0, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
@@ -98,15 +100,15 @@ class TestGradient:
         step = 1e-6
         checked = 0
         while checked < 100:
-            q = rng.normal(scale=2.0, size=4)
-            if np.min(np.abs(q)) < 1e-3 or np.linalg.norm(upwind_part(q)) < 1e-3:
+            d = rng.normal(scale=2.0, size=4)
+            if np.min(np.abs(d)) < 1e-3 or np.linalg.norm(upwind_part(d)) < 1e-3:
                 continue
-            g = ham.grad_grid(q)
+            g = ham.grad_grid(d)
             for k in range(4):
-                qp, qm = q.copy(), q.copy()
-                qp[k] += step
-                qm[k] -= step
-                fd = (value_at(ham, qp) - value_at(ham, qm)) / (2 * step)
+                dp, dm = d.copy(), d.copy()
+                dp[k] += step
+                dm[k] -= step
+                fd = (value_at(ham, dp) - value_at(ham, dm)) / (2 * step)
                 assert g[k] == pytest.approx(fd, rel=1e-5, abs=1e-5)
             checked += 1
 
@@ -121,16 +123,15 @@ class TestGradient:
             if np.linalg.norm(p) < 1e-3 or np.min(p) < 1e-2:
                 continue
             hess = ham.gauge_hessian(p)
-            # gradient of the gauge at interior p: restrict to q with all slots
-            # active, where moving p[k] by +step moves q[k] by signs[k] * step
-            q = np.array([-p[0], p[1], -p[2], p[3]])
-            signs = np.array([-1.0, 1.0, -1.0, 1.0])
+            # gradient of the gauge at interior p: at d = -p every slot is
+            # active, p = -d, and the gauge gradient is minus grad_grid
+            d = -p
             for k in range(4):
-                qp, qm = q.copy(), q.copy()
-                qp[k] += step * signs[k]
-                qm[k] -= step * signs[k]
-                gp = ham.grad_grid(qp) * signs  # back to gauge-gradient components
-                gm = ham.grad_grid(qm) * signs
+                dp, dm = d.copy(), d.copy()
+                dp[k] -= step
+                dm[k] += step
+                gp = -ham.grad_grid(dp)
+                gm = -ham.grad_grid(dm)
                 fd_col = (gp - gm) / (2 * step)
                 assert np.allclose(fd_col, hess[:, k], rtol=1e-4, atol=1e-4)
             checked += 1
@@ -174,11 +175,11 @@ class TestStencilFloor:
             vals = np.ones((8, 8))
             vals[3, 5] = 1.0 + factor * STENCIL_FLOOR * eps
             u = GridField(g, vals)
-            q = plain(u)
+            d = plain(u)
             floor = STENCIL_FLOOR * eps * float(np.max(vals)) / g.h
-            assert np.max(np.abs(q)) == pytest.approx(factor * floor, rel=1e-12)
+            assert np.max(np.abs(d)) == pytest.approx(factor * floor, rel=1e-12)
             if kept:
-                assert np.array_equal(floored(u), q)
+                assert np.array_equal(floored(u), d)
                 assert np.any(ham.grad_grid(floored(u)) != 0.0)
             else:
                 assert np.all(floored(u) == 0.0)
@@ -194,15 +195,15 @@ class TestBregmanGap:
         ham = zero_ham(2.0)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            q = rng.normal(size=4)
-            assert bregman_gap_array(q, q, ham.beta) == 0.0
+            d = rng.normal(size=4)
+            assert bregman_gap_array(d, d, ham.beta) == 0.0
 
     def test_gap_from_origin(self):
-        assert bregman_gap_array(np.zeros(4), np.array([-1.0, 1, -1, 1]), 2.0) == 4.0
+        assert bregman_gap_array(np.zeros(4), np.array([-1.0, -1, -1, -1]), 2.0) == 4.0
 
     def test_gap_equality_case(self):
         # quadratic exponent: gap to the origin equals the squared distance bound
-        gap = bregman_gap_array(np.zeros(4), np.array([-1.0, 1, -1, 1]), 2.0)
+        gap = bregman_gap_array(np.zeros(4), np.array([-1.0, -1, -1, -1]), 2.0)
         p_dist = 4.0  # |p - p~|^2
         assert gap == pytest.approx(p_dist / (2 ** 0 * 1.0))
 
@@ -210,11 +211,11 @@ class TestBregmanGap:
     def test_nonnegative_and_dominates_gauge_gap(self, beta):
         rng = np.random.default_rng(5)
         for _ in range(500):
-            q = rng.normal(scale=2.0, size=4)
-            qt = rng.normal(scale=2.0, size=4)
-            gap = bregman_gap_array(q, qt, beta)
+            d = rng.normal(scale=2.0, size=4)
+            dtil = rng.normal(scale=2.0, size=4)
+            gap = bregman_gap_array(d, dtil, beta)
             assert gap >= -1e-12
-            p, pt = upwind_part(q), upwind_part(qt)
+            p, pt = upwind_part(d), upwind_part(dtil)
             coef = (
                 beta * np.sum(p * p) ** ((beta - 2) / 2) if np.any(p) else 0.0
             )

@@ -313,6 +313,14 @@ def test_settings_reject_nan_and_nonpositive(field, value):
         cls(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["newton_tol", "outer_tol"])
+def test_settings_reject_infinite_tolerance(field):
+    # an infinite newton_tol let hjb_step_solve return its start unsolved
+    cls = HjbStepConfig if field == "newton_tol" else FixedPointConfig
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        cls(**{field: float("inf")})
+
+
 @pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0])
 def test_problems_reject_nonfinite_or_nonpositive_nu(nu):
     # a NaN or infinite nu would otherwise surface only in the first LU, as

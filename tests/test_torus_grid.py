@@ -122,9 +122,10 @@ class TestStencil:
         assert np.all(st == 0.0)
 
     def test_spike_components(self):
+        # every neighbour of a unit spike lies 1 below it: d_k = -1 / h
         g = TorusGrid(4)
         st = stencil(spike(g))
-        assert np.array_equal(st[0, 0], [-4.0, 4.0, -4.0, 4.0])
+        assert np.array_equal(st[0, 0], [-4.0, -4.0, -4.0, -4.0])
 
     def test_component_ordering(self):
         # a field varying only in the second index keeps the first two slots zero
@@ -133,8 +134,9 @@ class TestStencil:
         st = stencil(u)
         assert np.all(st[..., 0] == 0.0)
         assert np.all(st[..., 1] == 0.0)
-        vals34 = np.unique(st[..., 2:])
-        assert set(vals34) == {1.0, 1.0 - 4}
+        # forward neighbour 1/4 higher, backward one 1/4 lower, except at the wrap
+        assert set(np.unique(st[..., 2])) == {1.0, 1.0 - 4}
+        assert set(np.unique(st[..., 3])) == {-1.0, 4 - 1.0}
 
     def test_entries_match_definition(self):
         g = TorusGrid(8)
@@ -145,20 +147,20 @@ class TestStencil:
         f2 = naive_d2(u)
         for i in range(8):
             for j in range(8):
-                # index -1 wraps to N - 1
-                expect = [f1[i, j], f1[i - 1, j], f2[i, j], f2[i, j - 1]]
+                # index -1 wraps to N - 1; the backward neighbour difference
+                # is minus the forward one of that neighbour
+                expect = [f1[i, j], -f1[i - 1, j], f2[i, j], -f2[i, j - 1]]
                 assert np.array_equal(st[i, j], expect)
 
 
 class TestStencilTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_array_is_the_table(self, n):
-        # q_k = sign_k (v(x + step_k e_axis_k) - v(x)) / h, with np.roll as
-        # an independent periodic shift
+        # d_k = (v(x + step_k e_axis_k) - v(x)) / h, with np.roll as an
+        # independent periodic shift
         v = np.random.default_rng(8).normal(size=(2, n, n))
         want = np.stack(
-            [sign * (np.roll(v, -step, axis) - v) / (1.0 / n) for step, axis, sign in STENCIL],
-            axis=-1,
+            [(np.roll(v, -step, axis) - v) / (1.0 / n) for step, axis in STENCIL], axis=-1
         )
         assert np.array_equal(stencil_array(v), want)
 

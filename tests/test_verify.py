@@ -71,8 +71,8 @@ class TestGradientMutations:
         assert "identity" in failure_summary(rep)
 
     def test_consistent_flip_breaks_nonnegativity(self, monkeypatch):
-        orig = hmod._grad_from_q
-        monkeypatch.setattr(hmod, "_grad_from_q", lambda q, beta: -orig(q, beta))
+        orig = hmod._grad_from_d
+        monkeypatch.setattr(hmod, "_grad_from_d", lambda d, beta: -orig(d, beta))
         rep = run_identity_suite(seed=7, pairs=10, betas=(2.0,))
         assert not rep["pass"]
         sub = rep["reports"][0]
@@ -81,7 +81,7 @@ class TestGradientMutations:
         assert sub["min_term_ratio"] < -1e-6
 
     def test_consistent_flip_also_fails_lemma_suite(self, monkeypatch):
-        orig = hmod._grad_from_q
-        monkeypatch.setattr(hmod, "_grad_from_q", lambda q, beta: -orig(q, beta))
+        orig = hmod._grad_from_d
+        monkeypatch.setattr(hmod, "_grad_from_d", lambda d, beta: -orig(d, beta))
         rep = run_lemma_suites(samples=500, seed=7, betas=(2.0,))
         assert not rep["pass"]
