@@ -140,23 +140,24 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
-        return 1
     if args.seed < 0:
         print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 1
     outdir = _output_dir(args.out or "verify_out")
+    suites = {
+        "lemmas": lambda: run_lemma_suites(samples=args.samples, seed=args.seed),
+        "identity": lambda: run_identity_suite(seed=args.seed, pairs=min(args.samples, 100)),
+        "adjoint": lambda: run_adjoint_suite(seed=args.seed, probes=min(args.samples, 100)),
+    }
     reports = {}
-    if args.suite in ("lemmas", "all"):
-        reports["lemmas"] = run_lemma_suites(samples=args.samples, seed=args.seed)
-        write_report(reports["lemmas"], outdir / "lemmas_report.json")
-    if args.suite in ("identity", "all"):
-        reports["identity"] = run_identity_suite(seed=args.seed, pairs=min(args.samples, 100))
-        write_report(reports["identity"], outdir / "identity_report.json")
-    if args.suite in ("adjoint", "all"):
-        reports["adjoint"] = run_adjoint_suite(seed=args.seed, probes=min(args.samples, 100))
-        write_report(reports["adjoint"], outdir / "adjoint_report.json")
+    for name, run in suites.items():
+        if args.suite in (name, "all"):
+            try:
+                reports[name] = run()
+            except ValueError as exc:  # each suite refuses a count below 1 before any work
+                print(f"error: --samples {args.samples}: {exc}", file=sys.stderr)
+                return 1
+            write_report(reports[name], outdir / f"{name}_report.json")
     all_pass = all(r["pass"] for r in reports.values())
     for name, rep in reports.items():
         status = "ok" if rep["pass"] else "FAILED"

@@ -25,15 +25,17 @@ raise ConfigError carrying the offending section.key.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
+from .cost_ops import LocalCost
 from .dynamics import HjbStepConfig
+from .hamiltonian import check_beta
 from .linear import LinearSolveContract
 from .solver import FixedPointConfig, check_newton_tol
 from .study import check_levels_nested
+from .torus_grid import TimeMesh, check_finite, check_positive_finite, check_positive_int
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text"]
 
@@ -137,74 +139,62 @@ def parse_config_text(text: str) -> RunConfig:
     return cfg
 
 
-# keys whose value must be a finite number, with their RunConfig fields
-_FINITE = {
-    "problem.nu": "nu",
-    "problem.beta": "beta",
-    "problem.T": "horizon",
-    "problem.hamiltonian.amplitude": "hamiltonian_amplitude",
-    "problem.u0.amplitude": "u0_amplitude",
-    "problem.mT.kappa": "mT_kappa",
+# the presets of each problem field; its 'file' preset needs the <field>.file key
+_PRESETS = {
+    "hamiltonian": ("zero", "sines", "file"), "u0": ("zero", "cosine", "file"), "mT": ("uniform", "bump", "file")
 }
 
 
+def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
+    """(config key, owner check) for each value a run reads whose rule the solver
+    enforces: the check calls the type or rule function that enforces it."""
+    evolutive = cfg.kind == "evolutive"
+    yield "problem.nu", lambda: check_positive_finite("nu", cfg.nu)
+    yield "problem.beta", lambda: check_beta(cfg.beta)
+    # an ergodic run reads no horizon, but T must still be a number
+    yield "problem.T", lambda: TimeMesh(cfg.horizon, 1) if evolutive else check_finite("T", cfg.horizon)
+    if evolutive:
+        yield "problem.N_T", lambda: TimeMesh(1.0, cfg.n_steps)
+        yield "solver.newton_tol", lambda: check_newton_tol(cfg.newton_tol)
+    # the rules of the sines, cosine and bump presets, whichever preset is chosen
+    yield "problem.hamiltonian.amplitude", lambda: check_finite("amplitude", cfg.hamiltonian_amplitude)
+    yield "problem.u0.amplitude", lambda: check_finite("amplitude", cfg.u0_amplitude)
+    yield "problem.mT.kappa", lambda: check_finite("kappa", cfg.mT_kappa)
+    if cfg.cost_kind == "local" and cfg.cost_local_preset == "power":
+        yield "cost.local.alpha", lambda: LocalCost.power(cfg.cost_local_alpha)
+    yield "solver.damping", lambda: FixedPointConfig(damping=cfg.damping)
+    yield "solver.outer_tol", lambda: FixedPointConfig(outer_tol=cfg.outer_tol)
+    yield "solver.max_outer", lambda: FixedPointConfig(max_outer=cfg.max_outer)
+    yield "solver.newton_tol", lambda: HjbStepConfig(newton_tol=cfg.newton_tol)
+    yield "solver.max_newton", lambda: HjbStepConfig(max_newton=cfg.max_newton)
+    yield "solver.residual_tol", lambda: LinearSolveContract(residual_tol=cfg.residual_tol)
+    if cfg.levels:
+        yield "study.steps_per_side", lambda: check_positive_int("steps_per_side", cfg.steps_per_side)
+        yield "study.levels", lambda: check_levels_nested([(n, n * cfg.steps_per_side) for n in cfg.levels])
+
+
 def _validate(cfg: RunConfig) -> None:
-    for key, name in _FINITE.items():
-        if not math.isfinite(getattr(cfg, name)):
-            raise ConfigError(key, f"must be a finite number, got {getattr(cfg, name)}")
     if cfg.kind not in ("evolutive", "ergodic"):
         raise ConfigError("problem.kind", f"must be 'evolutive' or 'ergodic', got {cfg.kind!r}")
-    if not cfg.beta > 1.0:
-        raise ConfigError("problem.beta", f"the Hamiltonian power must satisfy beta > 1, got {cfg.beta}")
-    if cfg.nu <= 0:
-        raise ConfigError("problem.nu", f"must be positive, got {cfg.nu}")
     if cfg.n_side < 2:
         raise ConfigError("problem.N_h", f"must be an integer >= 2, got {cfg.n_side}")
-    if cfg.kind == "evolutive":
-        if cfg.horizon <= 0:
-            raise ConfigError("problem.T", f"must be positive, got {cfg.horizon}")
-        if cfg.n_steps < 1:
-            raise ConfigError("problem.N_T", f"must be a positive integer, got {cfg.n_steps}")
-    if cfg.hamiltonian not in ("zero", "sines", "file"):
-        raise ConfigError("problem.hamiltonian", f"unknown preset {cfg.hamiltonian!r}")
-    if cfg.hamiltonian == "file" and not cfg.hamiltonian_file:
-        raise ConfigError("problem.hamiltonian.file", "required for the 'file' preset")
-    if cfg.u0 not in ("zero", "cosine", "file"):
-        raise ConfigError("problem.u0", f"unknown preset {cfg.u0!r}")
-    if cfg.u0 == "file" and not cfg.u0_file:
-        raise ConfigError("problem.u0.file", "required for the 'file' preset")
-    if cfg.mT not in ("uniform", "bump", "file"):
-        raise ConfigError("problem.mT", f"unknown preset {cfg.mT!r}")
-    if cfg.mT == "file" and not cfg.mT_file:
-        raise ConfigError("problem.mT.file", "required for the 'file' preset")
+    for key, names in _PRESETS.items():
+        preset = getattr(cfg, key)
+        if preset not in names:
+            raise ConfigError(f"problem.{key}", f"unknown preset {preset!r}")
+        if preset == "file" and not getattr(cfg, f"{key}_file"):
+            raise ConfigError(f"problem.{key}.file", "required for the 'file' preset")
     if cfg.cost_kind not in ("local", "bilaplacian"):
         raise ConfigError("cost.kind", f"must be 'local' or 'bilaplacian', got {cfg.cost_kind!r}")
     if cfg.cost_kind == "local" and cfg.cost_local_preset not in ("linear", "power"):
         raise ConfigError("cost.local.preset", f"must be 'linear' or 'power', got {cfg.cost_local_preset!r}")
-    if cfg.cost_kind == "local" and cfg.cost_local_preset == "power" and not 0.0 < cfg.cost_local_alpha <= 2.0:
-        raise ConfigError("cost.local.alpha", f"must lie in (0, 2], got {cfg.cost_local_alpha}")
     if cfg.kind == "ergodic" and cfg.cost_kind != "local":
         raise ConfigError("cost.kind", "the ergodic solver requires a local cost")
-    if not 0.0 < cfg.damping <= 1.0:
-        raise ConfigError("solver.damping", f"must lie in (0, 1], got {cfg.damping}")
-    for key in ("outer_tol", "newton_tol", "residual_tol"):
-        tol = getattr(cfg, key)
-        if not 0 < tol < math.inf:  # NaN too
-            raise ConfigError(f"solver.{key}", f"tolerances must be positive finite numbers, got {tol}")
-    if cfg.kind == "evolutive":
+    for key, check in _owner_checks(cfg):
         try:
-            check_newton_tol(cfg.newton_tol)
+            check()
         except ValueError as exc:
-            raise ConfigError("solver.newton_tol", str(exc)) from None
-    if cfg.max_outer < 1 or cfg.max_newton < 1:
-        raise ConfigError("solver", "iteration caps must be >= 1")
-    if cfg.levels:
-        if cfg.steps_per_side < 1:
-            raise ConfigError("study.steps_per_side", "must be >= 1")
-        try:
-            check_levels_nested([(n, n * cfg.steps_per_side) for n in cfg.levels])
-        except ValueError as exc:
-            raise ConfigError("study.levels", str(exc)) from None
+            raise ConfigError(key, str(exc)) from None
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -92,9 +92,9 @@ class LocalCost:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.delta <= 0 or self.gamma <= 1 or self.c1 < 0:
-            raise ValueError("need delta > 0, gamma > 1, c1 >= 0")
-        if self.eta1 <= 0 or not (0 < self.eta2 < 1):
+        if not (self.delta > 0 and self.gamma > 1 and self.c1 >= 0 and self.delta_lower > 0):  # NaN too
+            raise ValueError("need delta > 0, gamma > 1, c1 >= 0 and delta_lower > 0")
+        if not (self.eta1 > 0 and 0 < self.eta2 < 1):
             raise ValueError("need eta1 > 0 and eta2 in (0, 1)")
 
     @classmethod

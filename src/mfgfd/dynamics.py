@@ -65,7 +65,7 @@ import scipy.sparse as sp
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
 from .linear import HeldFactor, _solve_checked, five_point_matrix
 from .torus_grid import (
-    _stencil_laplace, check_positive_finite, laplace_array, stencil_adjoint, stencil_array
+    _stencil_laplace, check_positive_finite, check_positive_int, laplace_array, stencil_adjoint, stencil_array
 )
 
 __all__ = [
@@ -105,8 +105,7 @@ class HjbStepConfig:
 
     def __post_init__(self) -> None:
         check_positive_finite("newton_tol", self.newton_tol)
-        if not self.max_newton >= 1:  # NaN too
-            raise ValueError("max_newton must be >= 1")
+        check_positive_int("max_newton", self.max_newton)
 
 
 class NonConvergence(RuntimeError):

@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus_grid import GridField, stencil_array, time_sum
+from .torus_grid import GridField, check_positive_int, stencil_array, time_sum
 
 __all__ = [
     "PowerHamiltonian",
+    "check_beta",
     "STENCIL_FLOOR",
     "hamiltonian_stencil",
     "upwind_part",
@@ -116,20 +117,21 @@ def bregman_gap_array(d: np.ndarray, d_tilde: np.ndarray, beta: float) -> np.nda
     )
 
 
+def check_beta(beta: float) -> None:
+    """ValueError unless 1 < beta < inf; |p|^beta is C^1 at p = 0 for beta > 1 only."""
+    if not 1.0 < beta < np.inf:
+        raise ValueError(f"beta must be > 1 and finite, got {beta}")
+
+
 @dataclass
 class PowerHamiltonian:
-    """Power-type numerical Hamiltonian with nodal samples of the potential.
-
-    beta must exceed 1 so the gauge |p|^beta is C^1 through the kink at
-    p = 0.
-    """
+    """Power-type numerical Hamiltonian with nodal samples of the potential."""
 
     beta: float
     potential: GridField
 
     def __post_init__(self) -> None:
-        if not self.beta > 1.0:
-            raise ValueError(f"beta must be > 1, got {self.beta}")
+        check_beta(self.beta)
 
     def gauge_hessian(self, p: np.ndarray) -> np.ndarray:
         """Hessian of |p|^beta at p != 0: beta|p|^(b-2) I + beta(b-2)|p|^(b-4) p p^T."""
@@ -256,8 +258,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     integral representation), calibrates the smallest admissible c by
     sampling, floors the calibration at 1 for beta = 2, and records both.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    check_positive_int("sample_count", sample_count)
     beta = ham.beta
     rng = np.random.Generator(np.random.Philox(seed))
     S = int(sample_count)

@@ -16,7 +16,7 @@ from .dynamics import HjbStepConfig
 from .hamiltonian import PowerHamiltonian
 from .linear import LinearSolveContract
 from .solver import ErgodicProblem, EvolutiveProblem, FixedPointConfig
-from .torus_grid import GridField, TimeMesh, TorusGrid, cell_average, load_grid_field
+from .torus_grid import GridField, TimeMesh, TorusGrid, cell_average, check_finite, load_grid_field
 
 __all__ = [
     "hamiltonian_preset",
@@ -29,7 +29,9 @@ __all__ = [
 ]
 
 
-def _load_matching(path: str, grid: TorusGrid, what: str) -> GridField:
+def _load_matching(path: str | None, grid: TorusGrid, what: str) -> GridField:
+    if not path:
+        raise ValueError(f"{what} preset 'file' needs a path")
     try:
         f = load_grid_field(path)
     except OSError as exc:
@@ -48,13 +50,12 @@ def hamiltonian_preset(
     if name == "zero":
         return GridField.zeros(grid)
     if name == "sines":
+        check_finite("amplitude", amplitude)
         return GridField.from_function(
             grid,
             lambda x1, x2: amplitude * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
         )
     if name == "file":
-        if path is None:
-            raise ValueError("hamiltonian preset 'file' needs a path")
         return _load_matching(path, grid, "hamiltonian")
     raise ValueError(f"unknown hamiltonian preset {name!r}")
 
@@ -66,13 +67,12 @@ def u0_preset(
     if name == "zero":
         return GridField.zeros(grid)
     if name == "cosine":
+        check_finite("amplitude", amplitude)
         return GridField.from_function(
             grid,
             lambda x1, x2: amplitude * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2),
         )
     if name == "file":
-        if path is None:
-            raise ValueError("u0 preset 'file' needs a path")
         return _load_matching(path, grid, "u0")
     raise ValueError(f"unknown u0 preset {name!r}")
 
@@ -89,6 +89,7 @@ def terminal_density_preset(
     if name == "uniform":
         return DiscreteDensity.uniform(grid)
     if name == "bump":
+        check_finite("kappa", kappa)
         norm = float(np.i0(kappa)) ** 2
 
         def density(x1, x2):
@@ -100,8 +101,6 @@ def terminal_density_preset(
         averaged = cell_average(density, grid)
         return DiscreteDensity.normalized(averaged)
     if name == "file":
-        if path is None:
-            raise ValueError("mT preset 'file' needs a path")
         return DiscreteDensity.normalized(_load_matching(path, grid, "mT"))
     raise ValueError(f"unknown mT preset {name!r}")
 
@@ -131,14 +130,13 @@ def _hamiltonian_from(cfg: RunConfig, grid: TorusGrid) -> PowerHamiltonian:
 
 def build_evolutive_problem(cfg: RunConfig, n_side: int | None = None, n_steps: int | None = None) -> EvolutiveProblem:
     grid = TorusGrid(n_side or cfg.n_side)
-    mesh = TimeMesh(cfg.horizon, n_steps or cfg.n_steps)
     return EvolutiveProblem(
         nu=cfg.nu,
         hamiltonian=_hamiltonian_from(cfg, grid),
         cost=cost_preset(cfg.cost_kind, grid, cfg.cost_local_preset, cfg.cost_local_alpha),
         u0=u0_preset(cfg.u0, grid, amplitude=cfg.u0_amplitude, path=cfg.u0_file),
         mT=terminal_density_preset(cfg.mT, grid, kappa=cfg.mT_kappa, path=cfg.mT_file),
-        mesh=mesh,
+        mesh=TimeMesh(cfg.horizon, n_steps or cfg.n_steps),
         grid=grid,
     )
 

@@ -65,6 +65,7 @@ from .torus_grid import (
     TimeMesh,
     TorusGrid,
     check_positive_finite,
+    check_positive_int,
     gradient_power_sum,
     time_sum,
 )
@@ -111,11 +112,10 @@ class FixedPointConfig:
     max_outer: int = 500
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+        if not 0.0 < self.damping <= 1.0:  # NaN too
+            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         check_positive_finite("outer_tol", self.outer_tol)
-        if not self.max_outer >= 1:  # NaN too
-            raise ValueError("max_outer must be >= 1")
+        check_positive_int("max_outer", self.max_outer)
 
 
 def check_newton_tol(newton_tol: float) -> None:

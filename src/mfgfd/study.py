@@ -23,15 +23,15 @@ from .cost_ops import LocalCost
 from .dynamics import HjbStepConfig
 from .linear import LinearSolveContract
 from .solver import ErgodicProblem, ErgodicSolution, FixedPointConfig, solve_ergodic, solve_evolutive
-from .torus_grid import gradient_power_sum, time_sum
+from .torus_grid import check_positive_int, gradient_power_sum, time_sum
 
 __all__ = ["convergence_study", "write_study", "check_levels_nested"]
 
 
 def check_levels_nested(levels: Sequence[tuple[int, int]]) -> None:
     for n, nt in levels:
-        if not (n >= 1 and nt >= 1):
-            raise ValueError(f"levels must be >= 1, got N_h = {n} and N_T = {nt}")
+        check_positive_int("level N_h", n)
+        check_positive_int("level N_T", nt)
     if len(levels) < 2:
         raise ValueError("a study needs at least two levels")
     for (na, ta), (nb, tb) in zip(levels, levels[1:]):

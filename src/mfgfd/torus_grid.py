@@ -35,7 +35,9 @@ __all__ = [
     "GridField",
     "TimeMesh",
     "SpaceTimeField",
+    "check_finite",
     "check_positive_finite",
+    "check_positive_int",
     "STENCIL",
     "stencil_array",
     "stencil_adjoint",
@@ -62,8 +64,7 @@ class TorusGrid:
     n_side: int
 
     def __post_init__(self) -> None:
-        if self.n_side < 1:
-            raise ValueError(f"n_side must be a positive integer, got {self.n_side}")
+        check_positive_int("n_side", self.n_side)
 
     @property
     def h(self) -> float:
@@ -111,10 +112,22 @@ class GridField:
         return cls(grid, np.asarray(f(x1, x2), dtype=np.float64))
 
 
+def check_finite(name: str, value: float) -> None:
+    """ValueError naming ``name`` unless value is a finite number."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+
+
 def check_positive_finite(name: str, value: float) -> None:
     """ValueError naming ``name`` unless 0 < value < inf; NaN fails too."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_positive_int(name: str, value: int) -> None:
+    """ValueError naming ``name`` unless value is an integer >= 1; 2.5 and NaN fail too."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +139,7 @@ class TimeMesh:
 
     def __post_init__(self) -> None:
         check_positive_finite("horizon", self.horizon)
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be a positive integer")
+        check_positive_int("n_steps", self.n_steps)
 
     @property
     def dt(self) -> float:

@@ -30,7 +30,7 @@ from .solver import (
     solve_evolutive,
     system_residuals,
 )
-from .torus_grid import GridField, TimeMesh, TorusGrid
+from .torus_grid import GridField, TimeMesh, TorusGrid, check_positive_int
 
 __all__ = [
     "run_lemma_suites",
@@ -71,10 +71,9 @@ def run_identity_suite(
     Per exponent, checks gap <= 1e-10 * scale for every pair and the
     nonnegativity (to the same tolerance) of the two Bregman terms and the
     cost pairing.  Solver failures on the smooth base count as suite
-    failures.  Raises ValueError for ``pairs`` below 1.
+    failures.
     """
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    check_positive_int("pairs", pairs)
     ham_factory = ham_factory or PowerHamiltonian
     grid = TorusGrid(8)
     mesh = TimeMesh(0.5, 5)
@@ -152,8 +151,7 @@ def run_identity_suite(
 def run_adjoint_suite(seed: int = 0, probes: int = 100) -> dict:
     """Duality of the beta = 2 linearized value and density operators at
     nu = 1, ``probes`` random pairs per side count 4, 8 and 16."""
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
+    check_positive_int("probes", probes)
     rng = np.random.Generator(np.random.Philox(seed))
     reports = []
     for n in (4, 8, 16):

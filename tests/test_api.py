@@ -1,15 +1,22 @@
 """Public names: every module's ``__all__`` resolves and star-imports cleanly,
-every function the benchmark tracer wraps exists under its traced name, and
-the package factors sparse matrices in one place."""
+every function the benchmark tracer wraps exists under its traced name, the
+package factors sparse matrices in one place, each rule on an accepted value
+is written once, and the API refuses what the config refuses."""
 
 import ast
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import mfgfd
+from mfgfd.dynamics import HjbStepConfig
+from mfgfd.hamiltonian import PowerHamiltonian
+from mfgfd.presets import hamiltonian_preset, u0_preset
+from mfgfd.solver import FixedPointConfig
+from mfgfd.torus_grid import GridField, TimeMesh, TorusGrid
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mfgfd.__path__))
 
@@ -173,11 +180,44 @@ def test_one_stencil_owner():
         # the identity suite takes its potential from presets.hamiltonian_preset,
         # whose "sines" line holds both factors
         ("np.sin(2 * np.pi", "presets.py", 2),
+        # step counts, grid sizes, caps, study levels and suite sample counts
+        # share torus_grid.check_positive_int
+        ("must be an integer >= 1", "torus_grid.py", 1),
+        # the presets' amplitude and kappa share torus_grid.check_finite
+        ("must be a finite number", "torus_grid.py", 1),
     ],
 )
 def test_one_definition_per_rule(token, owner, count):
     hits = _token_hits(token)
     assert sum(hits.values()) == hits[owner] == count, hits
+
+
+@pytest.mark.parametrize("token", ["math.isfinite(", "math.inf", "tolerances must be"])
+def test_config_restates_no_owner_rule(token):
+    # config reaches every value rule through the type that enforces it
+    assert _token_hits(token)["config.py"] == 0
+
+
+_GRID = TorusGrid(4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: HjbStepConfig(max_newton=2.5), id="max_newton=2.5"),
+        pytest.param(lambda: FixedPointConfig(max_outer=2.5), id="max_outer=2.5"),
+        pytest.param(lambda: TorusGrid(2.5), id="TorusGrid(2.5)"),
+        pytest.param(lambda: TimeMesh(1.0, 2.5), id="TimeMesh(1.0, 2.5)"),
+        pytest.param(lambda: PowerHamiltonian(math.inf, GridField.zeros(_GRID)), id="beta=inf"),
+        pytest.param(lambda: hamiltonian_preset("sines", _GRID, amplitude=math.inf), id="sines-amplitude-inf"),
+        pytest.param(lambda: u0_preset("cosine", _GRID, amplitude=math.nan), id="cosine-amplitude-nan"),
+    ],
+)
+def test_api_refuses_what_config_refuses(build):
+    # each value used to pass the API and fail later: a TypeError inside
+    # range, a singular factor or a NaN field
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_grids_compared_by_equality():

@@ -91,7 +91,7 @@ class TestConfigParsing:
 
     def test_beta_constraint_named(self):
         text = UNIFORM_CONFIG.format(out="x").replace("beta = 2.0", "beta = 0.5")
-        with pytest.raises(ConfigError, match="beta > 1"):
+        with pytest.raises(ConfigError, match=r"\[problem\.beta\]: beta must be > 1 and finite"):
             parse_config_text(text)
 
     def test_missing_file(self):
@@ -155,7 +155,7 @@ class TestSolveCommand:
         path = tmp_path / "bad.ini"
         path.write_text(UNIFORM_CONFIG.format(out=tmp_path).replace("beta = 2.0", "beta = 0.5"))
         assert main(["solve", "--config", str(path)]) == 1
-        assert "beta > 1" in capsys.readouterr().err
+        assert "[problem.beta]: beta must be > 1 and finite, got 0.5" in capsys.readouterr().err
 
     def test_unknown_key_exit_one(self, tmp_path, capsys):
         path = tmp_path / "run.ini"
@@ -211,7 +211,7 @@ class TestSolveCommand:
     def test_nan_tolerance_exit_one(self, tmp_path, capsys, key):
         path = write_config(tmp_path, UNIFORM_CONFIG + f"\n[solver]\n{key} = nan\n")
         assert main(["solve", "--config", str(path)]) == 1
-        assert "tolerances must be positive" in capsys.readouterr().err
+        assert f"[solver.{key}]: {key} must be positive and finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["outer_tol", "newton_tol", "residual_tol"])
@@ -221,7 +221,14 @@ class TestSolveCommand:
         path = write_config(tmp_path, ERGODIC_CONFIG + f"\n[solver]\n{key} = inf\n")
         assert main(["solve", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"[solver.{key}]: tolerances must be positive" in err
+        assert f"[solver.{key}]: {key} must be positive and finite, got inf" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["max_outer", "max_newton"])
+    def test_zero_iteration_cap_names_its_key(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, UNIFORM_CONFIG + f"\n[solver]\n{key} = 0\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        assert f"[solver.{key}]: {key} must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -246,7 +253,10 @@ class TestSolveCommand:
         lines.insert(lines.index("[problem]") + 1, f"{key} = {value}")
         path = write_config(tmp_path, "\n".join(lines) + "\n")
         assert main(["solve", "--config", str(path)]) == 1
-        assert f"[problem.{key}]: must be a finite number" in capsys.readouterr().err
+        wording = {"nu": "nu must be positive and finite", "beta": "beta must be > 1 and finite",
+                   "T": "horizon must be positive and finite", "mT.kappa": "kappa must be a finite number"}
+        owner = wording.get(key, "amplitude must be a finite number")
+        assert f"[problem.{key}]: {owner}, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n_side, outer_tol", [(64, "1e-11"), (32, "1e-12")])
@@ -357,7 +367,7 @@ class TestStudyCommand:
         # negative one to pass it and fail in the grid
         path = write_config(tmp_path, STUDY_CONFIG.replace("levels = 4, 8", f"levels = {levels}"))
         assert main(["study", "--config", str(path)]) == 1
-        assert "[study.levels]: levels must be >= 1" in capsys.readouterr().err
+        assert "[study.levels]: level N_h must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_levels_exit_one(self, tmp_path, capsys):

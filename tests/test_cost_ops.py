@@ -1,5 +1,6 @@
 """Local and bilaplacian costs: presets, oracles, monotonicity, uniform bounds."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -116,6 +117,12 @@ class TestLocalCostPresets:
         cost = LocalCost.linear()
         m = np.linspace(0, 1e3, 500)
         assert np.all(m * cost.f(m) >= cost.delta * np.abs(cost.f(m)) ** cost.gamma - cost.c1)
+
+    @pytest.mark.parametrize("constant", ["delta", "gamma", "c1", "delta_lower", "eta1", "eta2"])
+    def test_nan_constant_refused(self, constant):
+        # a check written as x <= 0 lets NaN through; delta_lower had no check
+        with pytest.raises(ValueError, match="need"):
+            dataclasses.replace(LocalCost.linear(), **{constant: float("nan")})
 
     def test_alpha_range_validated(self):
         with pytest.raises(ValueError, match="alpha"):

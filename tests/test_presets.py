@@ -47,6 +47,16 @@ class TestFieldPresets:
         with pytest.raises(ValueError, match="preset"):
             terminal_density_preset("gaussian", g)
 
+    @pytest.mark.parametrize(
+        "preset, what",
+        [(hamiltonian_preset, "hamiltonian"), (u0_preset, "u0"), (terminal_density_preset, "mT")],
+    )
+    @pytest.mark.parametrize("path", [None, ""])
+    def test_file_preset_needs_a_path(self, preset, what, path):
+        # an empty path used to reach pathlib and fail on PosixPath('.')
+        with pytest.raises(ValueError, match=f"{what} preset 'file' needs a path"):
+            preset("file", TorusGrid(8), path=path)
+
 
 class TestTerminalDensity:
     def test_uniform(self):

@@ -50,9 +50,9 @@ class TestSuitesPass:
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_counts_below_one_rejected(self, count):
-        with pytest.raises(ValueError, match="pairs must be >= 1"):
+        with pytest.raises(ValueError, match="pairs must be an integer >= 1"):
             run_identity_suite(pairs=count)
-        with pytest.raises(ValueError, match="probes must be >= 1"):
+        with pytest.raises(ValueError, match="probes must be an integer >= 1"):
             run_adjoint_suite(probes=count)
 
 
