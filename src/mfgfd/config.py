@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from .cost_ops import LocalCost
 from .dynamics import HjbStepConfig
 from .hamiltonian import check_beta
 from .linear import LinearSolveContract
+from .presets import COST_KINDS, HAMILTONIAN_PRESETS, LOCAL_COSTS, MT_PRESETS, U0_PRESETS
 from .solver import FixedPointConfig, check_newton_tol
 from .study import check_levels_nested
 from .torus_grid import TimeMesh, check_finite, check_positive_finite, check_positive_int
@@ -55,17 +56,17 @@ class RunConfig:
     horizon: float = 1.0
     n_side: int = 16
     n_steps: int = 32
-    hamiltonian: str = "zero"
+    hamiltonian: str = HAMILTONIAN_PRESETS.default
     hamiltonian_amplitude: float = 1.0
     hamiltonian_file: Optional[str] = None
-    u0: str = "zero"
+    u0: str = U0_PRESETS.default
     u0_amplitude: float = 1.0
     u0_file: Optional[str] = None
-    mT: str = "uniform"
+    mT: str = MT_PRESETS.default
     mT_kappa: float = 2.0
     mT_file: Optional[str] = None
-    cost_kind: str = "local"
-    cost_local_preset: str = "linear"
+    cost_kind: str = COST_KINDS.default
+    cost_local_preset: str = LOCAL_COSTS.default
     cost_local_alpha: float = 1.0
     damping: float = FixedPointConfig.damping
     outer_tol: float = FixedPointConfig.outer_tol
@@ -139,16 +140,20 @@ def parse_config_text(text: str) -> RunConfig:
     return cfg
 
 
-# the presets of each problem field; its 'file' preset needs the <field>.file key
-_PRESETS = {
-    "hamiltonian": ("zero", "sines", "file"), "u0": ("zero", "cosine", "file"), "mT": ("uniform", "bump", "file")
-}
-
-
 def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
-    """(config key, owner check) for each value a run reads whose rule the solver
-    enforces: the check calls the type or rule function that enforces it."""
+    """(config key, owner check) for each value a run reads whose rule the library
+    enforces: the check calls the type, rule function or preset table that enforces it."""
     evolutive = cfg.kind == "evolutive"
+    for presets in (HAMILTONIAN_PRESETS, U0_PRESETS, MT_PRESETS):
+        name, param, path = presets.read(cfg)
+        key = f"problem.{presets.what}"
+        yield key, partial(presets.lookup, name)
+        yield f"{key}.file", partial(presets.check_path, name, path)
+        yield f"{key}.{presets.param}", partial(presets.check, param)
+    yield "cost.kind", partial(COST_KINDS.lookup, cfg.cost_kind)
+    if cfg.cost_kind == "local":  # the local cost reads local.preset and, for power, local.alpha
+        yield "cost.local.preset", partial(LOCAL_COSTS.lookup, cfg.cost_local_preset)
+        yield "cost.local.alpha", lambda: LOCAL_COSTS.lookup(cfg.cost_local_preset)(cfg.cost_local_alpha)
     yield "problem.nu", lambda: check_positive_finite("nu", cfg.nu)
     yield "problem.beta", lambda: check_beta(cfg.beta)
     # an ergodic run reads no horizon, but T must still be a number
@@ -156,12 +161,6 @@ def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
     if evolutive:
         yield "problem.N_T", lambda: TimeMesh(1.0, cfg.n_steps)
         yield "solver.newton_tol", lambda: check_newton_tol(cfg.newton_tol)
-    # the rules of the sines, cosine and bump presets, whichever preset is chosen
-    yield "problem.hamiltonian.amplitude", lambda: check_finite("amplitude", cfg.hamiltonian_amplitude)
-    yield "problem.u0.amplitude", lambda: check_finite("amplitude", cfg.u0_amplitude)
-    yield "problem.mT.kappa", lambda: check_finite("kappa", cfg.mT_kappa)
-    if cfg.cost_kind == "local" and cfg.cost_local_preset == "power":
-        yield "cost.local.alpha", lambda: LocalCost.power(cfg.cost_local_alpha)
     yield "solver.damping", lambda: FixedPointConfig(damping=cfg.damping)
     yield "solver.outer_tol", lambda: FixedPointConfig(outer_tol=cfg.outer_tol)
     yield "solver.max_outer", lambda: FixedPointConfig(max_outer=cfg.max_outer)
@@ -178,23 +177,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("problem.kind", f"must be 'evolutive' or 'ergodic', got {cfg.kind!r}")
     if cfg.n_side < 2:
         raise ConfigError("problem.N_h", f"must be an integer >= 2, got {cfg.n_side}")
-    for key, names in _PRESETS.items():
-        preset = getattr(cfg, key)
-        if preset not in names:
-            raise ConfigError(f"problem.{key}", f"unknown preset {preset!r}")
-        if preset == "file" and not getattr(cfg, f"{key}_file"):
-            raise ConfigError(f"problem.{key}.file", "required for the 'file' preset")
-    if cfg.cost_kind not in ("local", "bilaplacian"):
-        raise ConfigError("cost.kind", f"must be 'local' or 'bilaplacian', got {cfg.cost_kind!r}")
-    if cfg.cost_kind == "local" and cfg.cost_local_preset not in ("linear", "power"):
-        raise ConfigError("cost.local.preset", f"must be 'linear' or 'power', got {cfg.cost_local_preset!r}")
-    if cfg.kind == "ergodic" and cfg.cost_kind != "local":
-        raise ConfigError("cost.kind", "the ergodic solver requires a local cost")
     for key, check in _owner_checks(cfg):
         try:
             check()
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
+    if cfg.kind == "ergodic" and cfg.cost_kind != "local":
+        raise ConfigError("cost.kind", "the ergodic solver requires a local cost")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -282,9 +282,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
         + _gauge(p, beta)
         + np.abs(np.sum(_grad_from_d(d, beta) * (dtil - d), axis=-1))
     )
-    gauge_gap = _gauge(pt, beta) - _gauge(p, beta) - np.sum(
-        _grad_coef(p, beta)[..., None] * p * (pt - p), axis=-1
-    )
+    gauge_gap = bregman_gap_array(-p, -pt, beta)
 
     checks: list[_Check] = []
 
@@ -305,7 +303,8 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     checks.append(c)
 
     # Convexity transfers through the upwind map: the full Bregman gap
-    # dominates the gap of the gauge between the upwind parts.
+    # dominates the gap of the gauge between the upwind parts p and pt,
+    # the kernel's gap at -p and -pt, whose upwind parts they are.
     c = _Check("upwind_gap_transfer", S)
     c.record(_rel_margin(gap, gauge_gap))
     checks.append(c)

@@ -1,22 +1,30 @@
-"""Problem presets: potentials, initial costs, terminal densities.
+"""Problem presets: potentials, initial costs, terminal densities, costs.
 
-All built-in presets are smooth on the torus; the terminal densities are
-bounded below by a positive constant, produced by exact cell averaging of
-a smooth positive density and then renormalized so the discrete mass is 1
-to machine precision.
+Each input's preset names, builders and parameter rule form one ``Presets``
+table, and the config validates through the same tables.  All built-in
+presets are smooth on the torus; the terminal densities are bounded below by
+a positive constant, produced by exact cell averaging of a smooth positive
+density and then renormalized so the discrete mass is 1 to machine precision.
 """
 
 from __future__ import annotations
 
+import sys
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable
+
 import numpy as np
 
-from .config import RunConfig
 from .cost_ops import BilaplacianCost, CostOperator, DiscreteDensity, LocalCost
 from .dynamics import HjbStepConfig
 from .hamiltonian import PowerHamiltonian
 from .linear import LinearSolveContract
 from .solver import ErgodicProblem, EvolutiveProblem, FixedPointConfig
 from .torus_grid import GridField, TimeMesh, TorusGrid, cell_average, check_finite, load_grid_field
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 __all__ = [
     "hamiltonian_preset",
@@ -29,9 +37,41 @@ __all__ = [
 ]
 
 
-def _load_matching(path: str | None, grid: TorusGrid, what: str) -> GridField:
-    if not path:
-        raise ValueError(f"{what} preset 'file' needs a path")
+@dataclass(frozen=True)
+class Presets:
+    """One input's presets, name -> builder, the first the default; a field's builders
+    take (grid, param, path), and ``check``, the rule of ``param``, holds for every preset."""
+
+    what: str  # the input's name in messages and, for a field, its config key
+    builders: dict[str, Callable]
+    param: str = ""
+    check: Callable[[float], None] = lambda value: None
+
+    @property
+    def default(self) -> str:
+        return next(iter(self.builders))
+
+    def lookup(self, name: str) -> Callable:
+        if name not in self.builders:
+            raise ValueError(f"unknown {self.what} preset {name!r}, expected one of {', '.join(self.builders)}")
+        return self.builders[name]
+
+    def check_path(self, name: str, path: str | None) -> None:
+        if name == "file" and not path:
+            raise ValueError(f"{self.what} preset 'file' needs a path")
+
+    def read(self, cfg: RunConfig) -> tuple[str, float, str | None]:
+        """The preset name, parameter and file path that ``cfg`` gives this field."""
+        return getattr(cfg, self.what), getattr(cfg, f"{self.what}_{self.param}"), getattr(cfg, f"{self.what}_file")
+
+    def build(self, grid: TorusGrid, name: str, param: float, path: str | None):
+        builder = self.lookup(name)
+        self.check_path(name, path)
+        self.check(param)
+        return builder(grid, param, path)
+
+
+def _load_matching(what: str, grid: TorusGrid, _param: float, path: str) -> GridField:
     try:
         f = load_grid_field(path)
     except OSError as exc:
@@ -43,38 +83,69 @@ def _load_matching(path: str | None, grid: TorusGrid, what: str) -> GridField:
     return f
 
 
+# The bump's floor exp(-2|kappa|) / I0(kappa)^2 ~ 2 pi |kappa| exp(-4|kappa|) is a
+# normal float up to this |kappa|, ~177.1; I0(kappa)^2 overflows from about 359.
+BUMP_KAPPA_MAX = np.log(1.0 / sys.float_info.min) / 4.0
+
+
+def _check_kappa(kappa: float) -> None:
+    check_finite("kappa", kappa)
+    if abs(kappa) > BUMP_KAPPA_MAX:
+        raise ValueError(f"kappa must be at most {BUMP_KAPPA_MAX:.6g} in absolute value, got {kappa}")
+
+
+def _bump(grid: TorusGrid, kappa: float, _path: None) -> DiscreteDensity:
+    norm = float(np.i0(kappa)) ** 2
+
+    def density(x1, x2):
+        return (
+            np.exp(kappa * (np.cos(2 * np.pi * (x1 - 0.5)) + np.cos(2 * np.pi * (x2 - 0.5))))
+            / norm
+        )
+
+    return DiscreteDensity.normalized(cell_average(density, grid))
+
+
+_AMPLITUDE = partial(check_finite, "amplitude")
+HAMILTONIAN_PRESETS = Presets("hamiltonian", {
+    "zero": lambda grid, _amplitude, _path: GridField.zeros(grid),
+    "sines": lambda grid, amplitude, _path: GridField.from_function(
+        grid, lambda x1, x2: amplitude * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
+    ),
+    "file": partial(_load_matching, "hamiltonian"),
+}, "amplitude", _AMPLITUDE)
+U0_PRESETS = Presets("u0", {
+    "zero": HAMILTONIAN_PRESETS.builders["zero"],
+    "cosine": lambda grid, amplitude, _path: GridField.from_function(
+        grid, lambda x1, x2: amplitude * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+    ),
+    "file": partial(_load_matching, "u0"),
+}, "amplitude", _AMPLITUDE)
+MT_PRESETS = Presets("mT", {
+    "uniform": lambda grid, _kappa, _path: DiscreteDensity.uniform(grid),
+    "bump": _bump,
+    "file": lambda *args: DiscreteDensity.normalized(_load_matching("mT", *args)),
+}, "kappa", _check_kappa)
+# a local cost is built from alpha, a cost kind from (grid, local preset, alpha)
+LOCAL_COSTS = Presets("local cost", {"linear": lambda alpha: LocalCost.linear(), "power": LocalCost.power})
+COST_KINDS = Presets("cost", {
+    "local": lambda grid, preset, alpha: LOCAL_COSTS.lookup(preset)(alpha),
+    "bilaplacian": lambda grid, preset, alpha: BilaplacianCost(grid),
+})
+
+
 def hamiltonian_preset(
     name: str, grid: TorusGrid, amplitude: float = 1.0, path: str | None = None
 ) -> GridField:
     """Nodal samples of the potential: `zero`, `sines`, or `file`."""
-    if name == "zero":
-        return GridField.zeros(grid)
-    if name == "sines":
-        check_finite("amplitude", amplitude)
-        return GridField.from_function(
-            grid,
-            lambda x1, x2: amplitude * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2),
-        )
-    if name == "file":
-        return _load_matching(path, grid, "hamiltonian")
-    raise ValueError(f"unknown hamiltonian preset {name!r}")
+    return HAMILTONIAN_PRESETS.build(grid, name, amplitude, path)
 
 
 def u0_preset(
     name: str, grid: TorusGrid, amplitude: float = 1.0, path: str | None = None
 ) -> GridField:
     """Nodal samples of the initial cost: `zero`, `cosine`, or `file`."""
-    if name == "zero":
-        return GridField.zeros(grid)
-    if name == "cosine":
-        check_finite("amplitude", amplitude)
-        return GridField.from_function(
-            grid,
-            lambda x1, x2: amplitude * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2),
-        )
-    if name == "file":
-        return _load_matching(path, grid, "u0")
-    raise ValueError(f"unknown u0 preset {name!r}")
+    return U0_PRESETS.build(grid, name, amplitude, path)
 
 
 def terminal_density_preset(
@@ -86,56 +157,25 @@ def terminal_density_preset(
     exp(kappa (cos + cos)) normalized by the Bessel factor I0(kappa)^2; it
     is smooth and bounded below by a positive constant.
     """
-    if name == "uniform":
-        return DiscreteDensity.uniform(grid)
-    if name == "bump":
-        check_finite("kappa", kappa)
-        norm = float(np.i0(kappa)) ** 2
-
-        def density(x1, x2):
-            return (
-                np.exp(kappa * (np.cos(2 * np.pi * (x1 - 0.5)) + np.cos(2 * np.pi * (x2 - 0.5))))
-                / norm
-            )
-
-        averaged = cell_average(density, grid)
-        return DiscreteDensity.normalized(averaged)
-    if name == "file":
-        return DiscreteDensity.normalized(_load_matching(path, grid, "mT"))
-    raise ValueError(f"unknown mT preset {name!r}")
+    return MT_PRESETS.build(grid, name, kappa, path)
 
 
 def cost_preset(kind: str, grid: TorusGrid, local_preset: str = "linear", alpha: float = 1.0) -> CostOperator:
-    if kind == "bilaplacian":
-        return BilaplacianCost(grid)
-    if kind == "local":
-        if local_preset == "linear":
-            return LocalCost.linear()
-        if local_preset == "power":
-            return LocalCost.power(alpha)
-        raise ValueError(f"unknown local cost preset {local_preset!r}")
-    raise ValueError(f"unknown cost kind {kind!r}")
+    return COST_KINDS.lookup(kind)(grid, local_preset, alpha)
 
 
 # ---------------------------------------------------------------------------
 # config -> problem marshalling
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_from(cfg: RunConfig, grid: TorusGrid) -> PowerHamiltonian:
-    potential = hamiltonian_preset(
-        cfg.hamiltonian, grid, amplitude=cfg.hamiltonian_amplitude, path=cfg.hamiltonian_file
-    )
-    return PowerHamiltonian(cfg.beta, potential)
-
-
 def build_evolutive_problem(cfg: RunConfig, n_side: int | None = None, n_steps: int | None = None) -> EvolutiveProblem:
     grid = TorusGrid(n_side or cfg.n_side)
     return EvolutiveProblem(
         nu=cfg.nu,
-        hamiltonian=_hamiltonian_from(cfg, grid),
+        hamiltonian=PowerHamiltonian(cfg.beta, HAMILTONIAN_PRESETS.build(grid, *HAMILTONIAN_PRESETS.read(cfg))),
         cost=cost_preset(cfg.cost_kind, grid, cfg.cost_local_preset, cfg.cost_local_alpha),
-        u0=u0_preset(cfg.u0, grid, amplitude=cfg.u0_amplitude, path=cfg.u0_file),
-        mT=terminal_density_preset(cfg.mT, grid, kappa=cfg.mT_kappa, path=cfg.mT_file),
+        u0=U0_PRESETS.build(grid, *U0_PRESETS.read(cfg)),
+        mT=MT_PRESETS.build(grid, *MT_PRESETS.read(cfg)),
         mesh=TimeMesh(cfg.horizon, n_steps or cfg.n_steps),
         grid=grid,
     )
@@ -145,7 +185,7 @@ def build_ergodic_problem(cfg: RunConfig, n_side: int | None = None) -> ErgodicP
     grid = TorusGrid(n_side or cfg.n_side)
     return ErgodicProblem(
         nu=cfg.nu,
-        hamiltonian=_hamiltonian_from(cfg, grid),
+        hamiltonian=PowerHamiltonian(cfg.beta, HAMILTONIAN_PRESETS.build(grid, *HAMILTONIAN_PRESETS.read(cfg))),
         cost=cost_preset(cfg.cost_kind, grid, cfg.cost_local_preset, cfg.cost_local_alpha),
         grid=grid,
     )

@@ -14,7 +14,7 @@ import pytest
 import mfgfd
 from mfgfd.dynamics import HjbStepConfig
 from mfgfd.hamiltonian import PowerHamiltonian
-from mfgfd.presets import hamiltonian_preset, u0_preset
+from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
 from mfgfd.solver import FixedPointConfig
 from mfgfd.torus_grid import GridField, TimeMesh, TorusGrid
 
@@ -185,6 +185,8 @@ def test_one_stencil_owner():
         ("must be an integer >= 1", "torus_grid.py", 1),
         # the presets' amplitude and kappa share torus_grid.check_finite
         ("must be a finite number", "torus_grid.py", 1),
+        # the three field catalogues and the config share presets.Presets.check_path
+        ("'file' needs a path", "presets.py", 1),
     ],
 )
 def test_one_definition_per_rule(token, owner, count):
@@ -196,6 +198,17 @@ def test_one_definition_per_rule(token, owner, count):
 def test_config_restates_no_owner_rule(token):
     # config reaches every value rule through the type that enforces it
     assert _token_hits(token)["config.py"] == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["zero", "sines", "cosine", "uniform", "bump", "file", "linear", "power", "bilaplacian"]
+)
+def test_config_names_no_preset(name):
+    # every preset and cost name lives in the catalogues of presets.py, which
+    # config reads; "file" may name the config file itself as an error key
+    # ("local" is config's own: an ergodic run needs a local cost)
+    text = (Path(mfgfd.__file__).parent / "config.py").read_text()
+    assert text.count(f'"{name}"') - text.count(f'ConfigError("{name}"') == 0
 
 
 _GRID = TorusGrid(4)
@@ -211,6 +224,10 @@ _GRID = TorusGrid(4)
         pytest.param(lambda: PowerHamiltonian(math.inf, GridField.zeros(_GRID)), id="beta=inf"),
         pytest.param(lambda: hamiltonian_preset("sines", _GRID, amplitude=math.inf), id="sines-amplitude-inf"),
         pytest.param(lambda: u0_preset("cosine", _GRID, amplitude=math.nan), id="cosine-amplitude-nan"),
+        # a field's parameter rule holds whichever preset is chosen
+        pytest.param(lambda: hamiltonian_preset("zero", _GRID, amplitude=math.nan), id="zero-amplitude-nan"),
+        pytest.param(lambda: u0_preset("zero", _GRID, amplitude=math.inf), id="u0-zero-amplitude-inf"),
+        pytest.param(lambda: terminal_density_preset("uniform", _GRID, kappa=math.nan), id="uniform-kappa-nan"),
     ],
 )
 def test_api_refuses_what_config_refuses(build):

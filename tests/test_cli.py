@@ -108,11 +108,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="local"):
             parse_config_text(text)
 
-    def test_unknown_preset_named(self):
-        text = UNIFORM_CONFIG.format(out="x").replace("mT = uniform", "mT = gaussian")
-        with pytest.raises(ConfigError, match="mT"):
-            parse_config_text(text)
-
     def test_misspelled_key_named(self):
         text = UNIFORM_CONFIG.format(out="x") + "\n[solver]\ndampng = 1.0\n"
         with pytest.raises(ConfigError, match=r"\[solver\.dampng\]: unknown key"):
@@ -258,6 +253,20 @@ class TestSolveCommand:
         owner = wording.get(key, "amplitude must be a finite number")
         assert f"[problem.{key}]: {owner}, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kappa", ["178", "360", "800", "-800", "1e5"])
+    def test_bump_kappa_beyond_max_exit_one(self, tmp_path, capsys, kappa):
+        # 360 used to end in an OverflowError traceback, 800 in NaN density nodes
+        text = UNIFORM_CONFIG.replace("mT = uniform", f"mT = bump\nmT.kappa = {kappa}")
+        assert main(["solve", "--config", str(write_config(tmp_path, text))]) == 1
+        line = one_error_line(capsys.readouterr().err)
+        assert f"[problem.mT.kappa]: kappa must be at most 177.099 in absolute value, got {float(kappa)}" in line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kappa", ["177", "-177"])
+    def test_bump_kappa_within_max_accepted(self, kappa):
+        text = UNIFORM_CONFIG.format(out="x").replace("mT = uniform", f"mT = bump\nmT.kappa = {kappa}")
+        assert parse_config_text(text).mT_kappa == float(kappa)
 
     @pytest.mark.parametrize("n_side, outer_tol", [(64, "1e-11"), (32, "1e-12")])
     def test_tight_ergodic_outer_tol_exit_zero(self, tmp_path, capsys, n_side, outer_tol):

@@ -7,9 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from mfgfd.config import parse_config_text
+from mfgfd.config import ConfigError, parse_config_text
 from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
 from mfgfd.presets import (
+    BUMP_KAPPA_MAX,
+    COST_KINDS,
+    HAMILTONIAN_PRESETS,
+    LOCAL_COSTS,
+    MT_PRESETS,
+    U0_PRESETS,
     build_ergodic_problem,
     build_evolutive_problem,
     cost_preset,
@@ -18,7 +24,61 @@ from mfgfd.presets import (
     terminal_density_preset,
     u0_preset,
 )
-from mfgfd.torus_grid import TorusGrid, cell_average, mass
+from mfgfd.torus_grid import GridField, TorusGrid, cell_average, mass, save_grid_field
+
+
+# config key -> (its catalogue, the API call of its preset function, a name
+# that catalogue does not hold)
+CATALOGUE = {
+    "problem.hamiltonian": (
+        HAMILTONIAN_PRESETS, lambda name, g, path: hamiltonian_preset(name, g, path=path), "bumps"
+    ),
+    "problem.u0": (U0_PRESETS, lambda name, g, path: u0_preset(name, g, path=path), "sines"),
+    "problem.mT": (MT_PRESETS, lambda name, g, path: terminal_density_preset(name, g, path=path), "gaussian"),
+    "cost.kind": (COST_KINDS, lambda name, g, path: cost_preset(name, g), "convolution"),
+    "cost.local.preset": (LOCAL_COSTS, lambda name, g, path: cost_preset("local", g, name), "quadratic"),
+}
+
+
+def _catalogue_cases():
+    for key, (presets, _, unknown) in CATALOGUE.items():
+        field = key.startswith("problem.")  # a field's presets may read a file
+        for name in (*presets.builders, unknown):
+            yield pytest.param(key, name, "saved" if field else None, id=f"{key}-{name}")
+        if field:
+            yield pytest.param(key, "file", None, id=f"{key}-file-no-path")
+            yield pytest.param(key, "file", "", id=f"{key}-file-empty-path")
+
+
+@pytest.mark.parametrize("key, name, path", _catalogue_cases())
+def test_preset_catalogue(tmp_path, key, name, path):
+    # the config and the preset functions read one table per input: they
+    # accept the same names, and refuse an unknown name or a 'file' preset
+    # without a path with the same message; the config names the key
+    presets, build, _ = CATALOGUE[key]
+    grid = TorusGrid(8)
+    if path == "saved":
+        path = str(tmp_path / "field.csv")
+        save_grid_field(GridField.constant(grid, 1.0), path)
+    section, option = key.split(".", 1)
+    lines = [f"[{section}]", f"{option} = {name}"]
+    if path is not None:
+        lines.append(f"{option}.file = {path}")
+    text = "\n".join(lines) + "\n"
+    if name not in presets.builders:
+        refused_at = key
+    elif name == "file" and not path:
+        refused_at = f"{key}.file"
+    else:
+        parse_config_text(text)
+        build(name, grid, path)
+        return
+    with pytest.raises(ValueError) as api:
+        build(name, grid, path)
+    with pytest.raises(ConfigError) as config:
+        parse_config_text(text)
+    assert (config.value.key, config.value.detail) == (refused_at, str(api.value))
+    assert ("'file' needs a path" if name == "file" else f"{name!r}, expected one of") in config.value.detail
 
 
 class TestFieldPresets:
@@ -37,26 +97,6 @@ class TestFieldPresets:
         g = TorusGrid(8)
         f = u0_preset("cosine", g, amplitude=0.5)
         assert f.values[0, 0] == pytest.approx(0.5)
-
-    def test_unknown_name_rejected(self):
-        g = TorusGrid(8)
-        with pytest.raises(ValueError, match="preset"):
-            hamiltonian_preset("bumps", g)
-        with pytest.raises(ValueError, match="preset"):
-            u0_preset("sines", g)
-        with pytest.raises(ValueError, match="preset"):
-            terminal_density_preset("gaussian", g)
-
-    @pytest.mark.parametrize(
-        "preset, what",
-        [(hamiltonian_preset, "hamiltonian"), (u0_preset, "u0"), (terminal_density_preset, "mT")],
-    )
-    @pytest.mark.parametrize("path", [None, ""])
-    def test_file_preset_needs_a_path(self, preset, what, path):
-        # an empty path used to reach pathlib and fail on PosixPath('.')
-        with pytest.raises(ValueError, match=f"{what} preset 'file' needs a path"):
-            preset("file", TorusGrid(8), path=path)
-
 
 class TestTerminalDensity:
     def test_uniform(self):
@@ -81,6 +121,19 @@ class TestTerminalDensity:
         flat = terminal_density_preset("bump", g, kappa=0.5)
         sharp = terminal_density_preset("bump", g, kappa=4.0)
         assert np.max(sharp.field.values) > np.max(flat.field.values)
+
+    @pytest.mark.parametrize("kappa", [177.0, -177.0, BUMP_KAPPA_MAX, -BUMP_KAPPA_MAX])
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_bump_floor_normal_up_to_kappa_max(self, n, kappa):
+        # the floor exp(-2|kappa|) / I0(kappa)^2 is still a normal float here
+        values = terminal_density_preset("bump", TorusGrid(n), kappa=kappa).field.values
+        assert np.all(np.isfinite(values)) and values.min() >= sys.float_info.min
+
+    @pytest.mark.parametrize("kappa", [178.0, 360.0, 800.0, -800.0, 1e5])
+    def test_bump_kappa_beyond_max_refused(self, kappa):
+        # 360 used to overflow in I0(kappa)^2 and 800 to give NaN nodes
+        with pytest.raises(ValueError, match=r"kappa must be at most 177\.099 in absolute value"):
+            terminal_density_preset("bump", TorusGrid(8), kappa=kappa)
 
     def test_bump_matches_scipy_bessel_normalization(self):
         from scipy.special import i0
