@@ -36,7 +36,7 @@ from .linear import LinearSolveContract
 from .presets import COST_KINDS, HAMILTONIAN_PRESETS, LOCAL_COSTS, MT_PRESETS, U0_PRESETS
 from .solver import FixedPointConfig, check_newton_tol
 from .study import check_levels_nested
-from .torus_grid import TimeMesh, check_finite, check_positive_finite, check_positive_int
+from .torus_grid import TimeMesh, check_positive_finite, check_positive_int
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text"]
 
@@ -141,10 +141,12 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
-    """(config key, owner check) for each value a run reads whose rule the library
-    enforces: the check calls the type, rule function or preset table that enforces it."""
+    """(config key, owner check) for each value the chosen model reads whose rule the
+    library enforces: the check calls the type, rule function or preset table that
+    enforces it.  The ergodic model reads no u0, mT, T or N_T."""
     evolutive = cfg.kind == "evolutive"
-    for presets in (HAMILTONIAN_PRESETS, U0_PRESETS, MT_PRESETS):
+    fields = (HAMILTONIAN_PRESETS, U0_PRESETS, MT_PRESETS) if evolutive else (HAMILTONIAN_PRESETS,)
+    for presets in fields:
         name, param, path = presets.read(cfg)
         key = f"problem.{presets.what}"
         yield key, partial(presets.lookup, name)
@@ -156,9 +158,8 @@ def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
         yield "cost.local.alpha", lambda: LOCAL_COSTS.lookup(cfg.cost_local_preset)(cfg.cost_local_alpha)
     yield "problem.nu", lambda: check_positive_finite("nu", cfg.nu)
     yield "problem.beta", lambda: check_beta(cfg.beta)
-    # an ergodic run reads no horizon, but T must still be a number
-    yield "problem.T", lambda: TimeMesh(cfg.horizon, 1) if evolutive else check_finite("T", cfg.horizon)
     if evolutive:
+        yield "problem.T", lambda: TimeMesh(cfg.horizon, 1)
         yield "problem.N_T", lambda: TimeMesh(1.0, cfg.n_steps)
         yield "solver.newton_tol", lambda: check_newton_tol(cfg.newton_tol)
     yield "solver.damping", lambda: FixedPointConfig(damping=cfg.damping)
@@ -182,8 +183,6 @@ def _validate(cfg: RunConfig) -> None:
             check()
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
-    if cfg.kind == "ergodic" and cfg.cost_kind != "local":
-        raise ConfigError("cost.kind", "the ergodic solver requires a local cost")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -157,13 +157,11 @@ class EvolutiveProblem:
 class ErgodicProblem:
     nu: float
     hamiltonian: PowerHamiltonian
-    cost: LocalCost
+    cost: CostOperator
     grid: TorusGrid
 
     def __post_init__(self) -> None:
         _check_problem(self)
-        if not isinstance(self.cost, LocalCost):
-            raise ValueError("the stationary solver requires a local cost")
 
 
 @dataclass

@@ -206,7 +206,7 @@ def test_config_restates_no_owner_rule(token):
 def test_config_names_no_preset(name):
     # every preset and cost name lives in the catalogues of presets.py, which
     # config reads; "file" may name the config file itself as an error key
-    # ("local" is config's own: an ergodic run needs a local cost)
+    # ("local" stays: only the local cost reads local.preset and local.alpha)
     text = (Path(mfgfd.__file__).parent / "config.py").read_text()
     assert text.count(f'"{name}"') - text.count(f'ConfigError("{name}"') == 0
 

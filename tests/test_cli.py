@@ -49,6 +49,10 @@ local.preset = linear
 dir = {out}
 """
 
+ERGODIC_BILAPLACIAN_CONFIG = ERGODIC_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines").replace(
+    "kind = local\nlocal.preset = linear", "kind = bilaplacian"
+)
+
 STUDY_CONFIG = """\
 [problem]
 kind = evolutive
@@ -80,6 +84,13 @@ def write_config(tmp_path, template, name="run.ini", **kw):
     return path
 
 
+def with_problem_value(template: str, key: str, value: str) -> str:
+    """``template`` with [problem] ``key`` set to ``value``."""
+    lines = [ln for ln in template.splitlines() if not ln.startswith(f"{key} = ")]
+    lines.insert(lines.index("[problem]") + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 class TestConfigParsing:
     def test_defaults_and_overrides(self, tmp_path):
         path = write_config(tmp_path, UNIFORM_CONFIG)
@@ -101,11 +112,6 @@ class TestConfigParsing:
     def test_bad_levels_nesting(self):
         text = STUDY_CONFIG.format(out="x").replace("levels = 4, 8", "levels = 8, 12")
         with pytest.raises(ConfigError, match="nested"):
-            parse_config_text(text)
-
-    def test_ergodic_requires_local_cost(self):
-        text = ERGODIC_CONFIG.format(out="x").replace("kind = local", "kind = bilaplacian")
-        with pytest.raises(ConfigError, match="local"):
             parse_config_text(text)
 
     def test_misspelled_key_named(self):
@@ -166,6 +172,17 @@ class TestSolveCommand:
         assert meta["results"]["lambda"] == pytest.approx(1.0, abs=1e-8)
         assert (tmp_path / "out" / "u.csv").exists()
         assert (tmp_path / "out" / "m.csv").exists()
+
+    def test_ergodic_bilaplacian_exit_zero(self, tmp_path, capsys):
+        # both models take every cost
+        path = write_config(tmp_path, ERGODIC_BILAPLACIAN_CONFIG)
+        assert main(["solve", "--config", str(path)]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["config"]["cost_kind"] == "bilaplacian"
+        assert isinstance(meta["results"]["lambda"], float)
+        assert meta["results"]["diagnostics"]["hjb_residual"] <= 1e-8
+        assert meta["results"]["diagnostics"]["fp_residual"] <= 1e-8
+        assert f"lambda={meta['results']['lambda']:.12g}" in capsys.readouterr().out
 
     def test_nonconvergence_exit_two_with_partial_archive(self, tmp_path, capsys):
         text = UNIFORM_CONFIG.format(out=tmp_path / "out") + "\n[solver]\nmax_outer = 1\n"
@@ -244,9 +261,7 @@ class TestSolveCommand:
         # residual inside the solve
         text = UNIFORM_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines")
         text = text.replace("u0 = zero", "u0 = cosine").replace("mT = uniform", "mT = bump")
-        lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} = ")]
-        lines.insert(lines.index("[problem]") + 1, f"{key} = {value}")
-        path = write_config(tmp_path, "\n".join(lines) + "\n")
+        path = write_config(tmp_path, with_problem_value(text, key, value))
         assert main(["solve", "--config", str(path)]) == 1
         wording = {"nu": "nu must be positive and finite", "beta": "beta must be > 1 and finite",
                    "T": "horizon must be positive and finite", "mT.kappa": "kappa must be a finite number"}
@@ -393,6 +408,14 @@ class TestStudyCommand:
         assert main(["study", "--config", str(path)]) == 2
         assert "linear solve residual" in capsys.readouterr().err
 
+    def test_ergodic_bilaplacian_lambda_increments_shrink(self, tmp_path, capsys):
+        text = ERGODIC_BILAPLACIAN_CONFIG + "\n[study]\nlevels = 8 16 32\n"
+        assert main(["study", "--config", str(write_config(tmp_path, text))]) == 0
+        data = json.loads((tmp_path / "out" / "study.json").read_text())
+        assert [row["n_side"] for row in data["levels"]] == [8, 16, 32]
+        first, second = data["lambda_increments"]
+        assert 0.0 < second < first
+
     def test_cost_solve_failure_exit_two(self, tmp_path, capsys, monkeypatch):
         from mfgfd.cost_ops import BilaplacianCost
 
@@ -400,6 +423,37 @@ class TestStudyCommand:
         path = write_config(tmp_path, STUDY_CONFIG.replace("kind = local", "kind = bilaplacian"))
         assert main(["study", "--config", str(path)]) == 2
         assert "smoothing solve residual" in capsys.readouterr().err
+
+
+# (key, value, the key the evolutive refusal names): values of keys the
+# ergodic model never reads, each refused by the evolutive one
+UNREAD_BY_ERGODIC = [
+    ("mT.kappa", "178", "mT.kappa"),
+    ("mT.kappa", "nan", "mT.kappa"),
+    ("u0.amplitude", "inf", "u0.amplitude"),
+    ("u0", "gaussian", "u0"),
+    ("mT", "gaussian", "mT"),
+    ("mT", "file", "mT.file"),
+    ("T", "nan", "T"),
+]
+
+
+class TestEachModelReadsItsOwnKeys:
+    @pytest.mark.parametrize("key, value, named", UNREAD_BY_ERGODIC)
+    def test_ergodic_ignores_evolutive_keys(self, tmp_path, key, value, named):
+        base = ERGODIC_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines")
+        assert main(["solve", "--config", str(write_config(tmp_path, base, "base.ini"))]) == 0
+        path = write_config(tmp_path, with_problem_value(base, key, value))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "changed")]) == 0
+        for name in ("u.csv", "m.csv"):
+            assert (tmp_path / "changed" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize("key, value, named", UNREAD_BY_ERGODIC)
+    def test_evolutive_still_refuses(self, tmp_path, capsys, key, value, named):
+        path = write_config(tmp_path, with_problem_value(UNIFORM_CONFIG, key, value))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert one_error_line(capsys.readouterr().err).startswith(f"error: config error at [problem.{named}]: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestVerifyCommand:
