@@ -11,6 +11,7 @@ byte-identical directories.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .solver import ErgodicSolution, EvolutiveSolution
@@ -19,10 +20,25 @@ from .torus_grid import GridField, save_grid_field
 __all__ = ["write_evolutive_archive", "write_ergodic_archive", "write_partial_archive"]
 
 
+def _finite_json(value):
+    """``value`` with every non-finite float written as "nan", "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def _write_meta(
     outdir: Path, kind: str, config_echo: dict, config_text: str, partial: bool = False, **fields
 ) -> None:
-    """meta.json: the kind, the config that produced the run, and ``fields``."""
+    """meta.json: the kind, the config that produced the run, and ``fields``.
+
+    It is strict JSON: a non-finite float, say a NaN in a config key the
+    model does not read, is written as a string (``_finite_json``).
+    """
     outdir.mkdir(parents=True, exist_ok=True)
     meta = {
         "kind": kind,
@@ -31,7 +47,8 @@ def _write_meta(
         "config_text": config_text,
         **fields,
     }
-    (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite_json(meta), indent=2, sort_keys=True, allow_nan=False)
+    (outdir / "meta.json").write_text(text + "\n")
 
 
 def write_evolutive_archive(

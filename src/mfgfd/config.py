@@ -143,7 +143,7 @@ def parse_config_text(text: str) -> RunConfig:
 def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
     """(config key, owner check) for each value the chosen model reads whose rule the
     library enforces: the check calls the type, rule function or preset table that
-    enforces it.  The ergodic model reads no u0, mT, T or N_T."""
+    enforces it.  The ergodic model reads no u0, mT, T, N_T or study.steps_per_side."""
     evolutive = cfg.kind == "evolutive"
     fields = (HAMILTONIAN_PRESETS, U0_PRESETS, MT_PRESETS) if evolutive else (HAMILTONIAN_PRESETS,)
     for presets in fields:
@@ -169,8 +169,10 @@ def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
     yield "solver.max_newton", lambda: HjbStepConfig(max_newton=cfg.max_newton)
     yield "solver.residual_tol", lambda: LinearSolveContract(residual_tol=cfg.residual_tol)
     if cfg.levels:
-        yield "study.steps_per_side", lambda: check_positive_int("steps_per_side", cfg.steps_per_side)
-        yield "study.levels", lambda: check_levels_nested([(n, n * cfg.steps_per_side) for n in cfg.levels])
+        if evolutive:
+            yield "study.steps_per_side", lambda: check_positive_int("steps_per_side", cfg.steps_per_side)
+        levels = [(n, n * cfg.steps_per_side) for n in cfg.levels]
+        yield "study.levels", partial(check_levels_nested, levels, in_time=evolutive)
 
 
 def _validate(cfg: RunConfig) -> None:

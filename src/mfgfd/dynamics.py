@@ -38,11 +38,11 @@ g the gradient of the Hamiltonian at the floored stencil of u.
 Its matrix is the transpose of the value-step Jacobian at u_next, which is
 exactly the adjoint relation the scheme is built on, so the step is one
 ``linear._solve_checked`` with trans="T": the held LU refined against the
-exact transpose to within the linear contract and INNER_RESIDUAL_TARGET
-/ 10, that Jacobian factored afresh only on a miss.  Column sums of its
-advection-diffusion block vanish, so the h^2-weighted mass is conserved to
-the linear-solve tolerance, and the M-matrix sign pattern preserves
-nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
+exact transpose, from the slice the step replaces, to within the linear
+contract and INNER_RESIDUAL_TARGET / 10, that Jacobian factored afresh
+only on a miss.  Column sums of its advection-diffusion block vanish, so
+the h^2-weighted mass is conserved to the linear-solve tolerance, and the
+M-matrix sign pattern preserves nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
 below -1e-12) keeps densities in the simplex without hiding real defects.
 
 Every operator takes and returns plain (N, N) float64 arrays, one time
@@ -328,19 +328,22 @@ def fp_step_solve(
     u_next: np.ndarray,
     m_next: np.ndarray,
     held: Optional[HeldFactor] = None,
+    start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, float]:
     """Step the density backward: (m_cur, clamp magnitude) given u_next and m_next.
 
     Solves J(u_next)^T m_cur = m_next / dt by ``_solve_checked`` with
     ``held`` (default: a fresh ``HeldFactor``) and the target
     INNER_RESIDUAL_TARGET / 10 besides its contract, since b grows like
-    1/dt: the held LU refined against the exact J^T, J factored only on a
-    miss.  m_cur is a new array; the inputs are not modified.
+    1/dt: the held LU refined against the exact J^T from ``start``, the
+    slice m_cur replaces, if given, and J factored only on a miss.  m_cur
+    is a new array; the inputs are not modified.
     """
     check_positive_finite("nu", nu)
     a = hjb_jacobian(ham, nu, dt, u_next)
     b = m_next.ravel() / dt
-    x = _solve_checked(a, b, held or HeldFactor(), "T", INNER_RESIDUAL_TARGET / 10.0)
+    x0 = None if start is None else start.ravel()
+    x = _solve_checked(a, b, held or HeldFactor(), "T", INNER_RESIDUAL_TARGET / 10.0, x0)
     x, clamp = _clamp_density(x)
     return x.reshape(m_next.shape), clamp
 

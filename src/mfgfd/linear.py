@@ -24,9 +24,12 @@ transposed matrix.  Every linear solve of a step is ``_solve_checked``,
 the one refine-or-factor rule: it refines the held LU against the exact
 matrix to within the linear contract the held factor carries and the
 caller's target, and only on a miss factors afresh and allows that LU
-one refinement step against the contract alone.  The held LU is dropped
-before every new factorization, so at most one LU of a solve is alive
-outside a factorization.  A step called without a held factor makes a
+one refinement step against the contract alone.  A density solve starts
+its refinement from the density it replaces, which is usually far closer
+to the solution than LU^-1 b of a stale LU (iterative refinement from a
+start; Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
+The held LU is dropped before every new factorization, so at most one LU
+of a solve is alive outside a factorization.  A step called without a held factor makes a
 fresh one and runs the same code.
 """
 
@@ -264,19 +267,20 @@ class HeldFactor:
 
     def solve_refined(
         self, a: sp.csr_matrix, b: np.ndarray, limit: float, trans: str = "N",
-        steps: int = MAX_REFINEMENTS,
+        steps: int = MAX_REFINEMENTS, x0: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, float]:
         """(x, r): x from the held LU, refined until r = |M x - b|_inf <= ``limit``.
 
-        M is A (trans="N") or A^T (trans="T").  At most ``steps`` refinement
-        steps x <- x - LU^-1 (M x - b) against M follow the solve; a
+        M is A (trans="N") or A^T (trans="T").  The first iterate is LU^-1 b,
+        or x0 - LU^-1 (M x0 - b) from a start ``x0``.  At most ``steps``
+        refinement steps x <- x - LU^-1 (M x - b) against M follow; a
         non-finite residual refines to the cap.  With no LU held it is
         (None, inf).
         """
         if self.lu is None:
             return None, math.inf
         m = a if trans == "N" else a.T
-        x = self.solve(b, trans)
+        x = self.solve(b, trans) if x0 is None else x0 - self.solve(m @ x0 - b, trans)
         resid = m @ x - b
         for _ in range(steps):
             if float(np.max(np.abs(resid))) <= limit:
@@ -296,21 +300,23 @@ class HeldFactor:
 
 
 def _solve_checked(
-    a: sp.csr_matrix, b: np.ndarray, held: HeldFactor, trans: str = "N", target: float = math.inf
+    a: sp.csr_matrix, b: np.ndarray, held: HeldFactor, trans: str = "N", target: float = math.inf,
+    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """x with M x = b, M = A (trans="N") or A^T (trans="T"): the refine-or-factor rule.
 
-    The LU ``held`` holds, if any, is refined against the exact M until
-    |M x - b|_inf is within both ``held.contract`` and ``target``.  Only a
-    miss factors A through ``held``, which then holds that LU, and allows
-    it one refinement step against the contract alone.  A non-finite
-    right-hand side, checked before any solve, a singular A and a miss of
-    the fresh LU are each a LinearSolveError.
+    The LU ``held`` holds, if any, is refined against the exact M, from the
+    start ``x0`` if one is given, until |M x - b|_inf is within both
+    ``held.contract`` and ``target``.  Only a miss factors A through
+    ``held``, which then holds that LU, and allows it one refinement step
+    from LU^-1 b against the contract alone.  A non-finite right-hand
+    side, checked before any solve, a singular A and a miss of the fresh
+    LU are each a LinearSolveError; a non-finite ``x0`` misses.
     """
     limit = held.contract.limit(b)
     if not math.isfinite(limit):
         raise LinearSolveError("non-finite right-hand side")
-    x, r = held.solve_refined(a, b, min(limit, target), trans)
+    x, r = held.solve_refined(a, b, min(limit, target), trans, x0=x0)
     if not r <= min(limit, target):
         x, r = held.factor(a).solve_refined(a, b, limit, trans, steps=1)
         if not r <= limit:

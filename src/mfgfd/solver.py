@@ -86,16 +86,23 @@ __all__ = [
 ]
 
 ANDERSON_DEPTH = 3
+# times the safeguard of ``_damped_fixed_point`` may halve the mixing factor
+MAX_HALVINGS = 6
+# sweeps without a new smallest change, once every halving is spent, that end
+# the iteration as stagnated; converging preset runs go at most 6 sweeps
+# between new minima
+STAGNATION_SWEEPS = 50
 
 
 class OuterNonConvergence(RuntimeError):
     """Fixed-point iteration stalled; damping or the cost may be at fault."""
 
-    def __init__(self, iters: int, last_change: float):
-        super().__init__(
-            f"outer iteration did not converge after {iters} sweeps "
-            f"(last change {last_change:.3e})"
+    def __init__(self, iters: int, last_change: float, stagnated: bool = False):
+        why = (
+            f"stagnated (no new smallest change in {STAGNATION_SWEEPS} sweeps at the "
+            "smallest mixing factor)" if stagnated else "did not converge"
         )
+        super().__init__(f"outer iteration {why} after {iters} sweeps (last change {last_change:.3e})")
         self.iters = iters
         self.last_change = last_change
 
@@ -107,7 +114,7 @@ class FixedPointConfig:
     ``damping`` is the mixing factor theta of ``_damped_fixed_point``.
     """
 
-    damping: float = 0.5
+    damping: float = 1.0
     outer_tol: float = 1e-9
     max_outer: int = 500
 
@@ -213,12 +220,16 @@ def _damped_fixed_point(
     blend m + theta (m_new - m).  Differences of unit-mass slices have zero
     mass, so the mixed iterate keeps the mass of the sweep output.  As a
     safeguard, whenever the change grows from one sweep to the next, theta
-    is halved (at most six times in total) and the stored differences are
-    dropped; both solvers report the count as ``diagnostics["halvings"]``.
+    is halved (at most MAX_HALVINGS times in total) and the stored
+    differences are dropped; both solvers report the count as
+    ``diagnostics["halvings"]``.  Once every halving is spent, a change
+    that has not reached a new minimum for STAGNATION_SWEEPS sweeps ends the
+    iteration with OuterNonConvergence at once, as does ``max_outer``.
     """
     theta = cfg.damping
     halvings = 0
     prev_change = math.inf
+    best, best_at = math.inf, 0  # smallest change so far and its sweep
     history: list[float] = []
     dx = np.empty((ANDERSON_DEPTH,) + m.shape)
     df = np.empty_like(dx)
@@ -233,11 +244,15 @@ def _damped_fixed_point(
             sol = gate(m_new, state, history, theta, halvings)
             if sol is not None:
                 return sol
-        if change > prev_change and halvings < 6:
+        if change > prev_change and halvings < MAX_HALVINGS:
             theta = theta / 2.0
             halvings += 1
             pairs, last = 0, None
         prev_change = change
+        if change < best:
+            best, best_at = change, len(history)
+        elif halvings == MAX_HALVINGS and len(history) - best_at >= STAGNATION_SWEEPS:
+            raise OuterNonConvergence(len(history), change, stagnated=True)
         if last is not None:
             slot = pairs % ANDERSON_DEPTH
             np.subtract(m, last[0], out=dx[slot])
@@ -280,13 +295,18 @@ def _bellman_sweep(
     return u
 
 
-def _fp_sweep(p: EvolutiveProblem, u: np.ndarray, held: HeldFactor) -> tuple[np.ndarray, float]:
+def _fp_sweep(
+    p: EvolutiveProblem, u: np.ndarray, m_in: np.ndarray, held: HeldFactor
+) -> tuple[np.ndarray, float]:
+    """Densities pulled back from mT; step n starts from slice n of the sweep's input m_in."""
     nt = p.mesh.n_steps
     m = np.empty_like(u)
     m[nt] = p.mT.field.values
     clamp_max = 0.0
     for n in range(nt - 1, -1, -1):
-        m[n], clamp = fp_step_solve(p.hamiltonian, p.nu, p.mesh.dt, u[n + 1], m[n + 1], held)
+        m[n], clamp = fp_step_solve(
+            p.hamiltonian, p.nu, p.mesh.dt, u[n + 1], m[n + 1], held, m_in[n]
+        )
         clamp_max = max(clamp_max, clamp)
     return m, clamp_max
 
@@ -342,7 +362,7 @@ def solve_evolutive(
     def sweep(m: np.ndarray, last: Optional[tuple]) -> tuple[np.ndarray, tuple]:
         cost = _cost_fields(p, m)
         u = _bellman_sweep(p, cost, hjb_cfg, None if last is None else last[0], held)
-        m_new, clamp_max = _fp_sweep(p, u, held)
+        m_new, clamp_max = _fp_sweep(p, u, m, held)
         return m_new, (u, cost, clamp_max)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):
@@ -424,6 +444,7 @@ def _stationary_density(
     u: np.ndarray,
     tol: float,
     held: HeldFactor,
+    m: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Kernel vector of A(u)^T with unit h^2-weighted mass.
 
@@ -434,7 +455,9 @@ def _stationary_density(
     solution has unit node sum, so normalizing it to unit h^2-weighted
     mass multiplies its residual by 1/h^2, dropping the border term h^2 c
     at most doubles it, and a factor 2 is left for the clamp and the
-    roundoff of the final check.  The held LU is refined against the exact
+    roundoff of the final check.  Given the density ``m`` it replaces, the
+    solve starts from [m / sum(m); 0], which has the solution's node sum
+    and border unknown.  The held LU is refined against the exact
     J^T; only a miss factors J, under the contract alone.  The density is
     normalized, then clamped as the evolutive density step is.  Its
     residual max|A^T m| must be at most ``tol`` or the backward-error floor
@@ -446,7 +469,8 @@ def _stationary_density(
     a = linearized_hjb_matrix(p.hamiltonian, p.nu, u)
     rhs = np.zeros(n * n + 1)
     rhs[-1] = 1.0
-    x = _solve_checked(bordered_matrix(a, h2), rhs, held, "T", tol * h2 / 4.0)
+    x0 = None if m is None else np.append(m.ravel() / float(np.sum(m)), 0.0)
+    x = _solve_checked(bordered_matrix(a, h2), rhs, held, "T", tol * h2 / 4.0, x0)
     x, _ = _clamp_density(x[:-1] / (h2 * float(np.sum(x[:-1]))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))
@@ -499,7 +523,7 @@ def solve_ergodic(
         u, lam, _ = state
         cost = p.cost.apply(m)
         u, lam = _ergodic_hjb_newton(p, cost, u, lam, newton_cfg, held)
-        m_new = _stationary_density(p, u, residual_target / 10.0, held)
+        m_new = _stationary_density(p, u, residual_target / 10.0, held, m)
         return m_new, (u, lam, cost)
 
     def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):

@@ -28,16 +28,20 @@ from .torus_grid import check_positive_int, gradient_power_sum, time_sum
 __all__ = ["convergence_study", "write_study", "check_levels_nested"]
 
 
-def check_levels_nested(levels: Sequence[tuple[int, int]]) -> None:
+def check_levels_nested(levels: Sequence[tuple[int, int]], in_time: bool = True) -> None:
+    """ValueError unless there are two or more (N_h, N_T) levels, each N_h a positive
+    proper divisor of the next one's; with ``in_time`` the same for N_T.  A
+    stationary study reads no N_T."""
     for n, nt in levels:
         check_positive_int("level N_h", n)
-        check_positive_int("level N_T", nt)
+        if in_time:
+            check_positive_int("level N_T", nt)
     if len(levels) < 2:
         raise ValueError("a study needs at least two levels")
     for (na, ta), (nb, tb) in zip(levels, levels[1:]):
         if nb % na != 0 or nb <= na:
             raise ValueError(f"levels not nested: {na} does not divide into {nb}")
-        if tb % ta != 0 or tb <= ta:
+        if in_time and (tb % ta != 0 or tb <= ta):
             raise ValueError(f"time levels not nested: {ta} does not divide into {tb}")
 
 
@@ -79,16 +83,17 @@ def convergence_study(
     """Solve every level, in order, and measure errors against the finest one.
 
     ``make_problem(n_side, n_steps)`` must build the problem at one level
-    (the step count is ignored for the stationary family).  ``cfg``,
-    ``hjb_cfg`` and ``contract`` go to every solve.  The kind follows the
-    problem type; the density error is an L^p norm with p = 2 - eta2 for a
-    local cost and p = 2 otherwise.
+    (the step count is ignored for the stationary family, whose levels
+    need to nest in space only).  ``cfg``, ``hjb_cfg`` and ``contract`` go
+    to every solve.  The kind follows the problem type; the density error
+    is an L^p norm with p = 2 - eta2 for a local cost and p = 2 otherwise.
     """
     levels = [tuple(lv) for lv in levels]
-    check_levels_nested(levels)
+    check_levels_nested(levels, in_time=False)
 
     problems = [make_problem(*lv) for lv in levels]
     ergodic = isinstance(problems[0], ErgodicProblem)
+    check_levels_nested(levels, in_time=not ergodic)
     cost = problems[0].cost
     m_exponent = 2.0 - cost.eta2 if isinstance(cost, LocalCost) else 2.0
     beta = problems[0].hamiltonian.beta

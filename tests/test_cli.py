@@ -98,7 +98,7 @@ class TestConfigParsing:
         assert cfg.kind == "evolutive"
         assert cfg.n_side == 8
         assert cfg.n_steps == 8
-        assert cfg.damping == 0.5
+        assert cfg.damping == 1.0
 
     def test_beta_constraint_named(self):
         text = UNIFORM_CONFIG.format(out="x").replace("beta = 2.0", "beta = 0.5")
@@ -416,6 +416,19 @@ class TestStudyCommand:
         first, second = data["lambda_increments"]
         assert 0.0 < second < first
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_per_side_read_by_the_evolutive_kind_only(self, tmp_path, capsys, steps):
+        # a stationary study reads no time steps; its levels nest in space only
+        study = f"\n[study]\nlevels = 8 16\nsteps_per_side = {steps}\n"
+        path = write_config(tmp_path, ERGODIC_BILAPLACIAN_CONFIG + study, "erg.ini")
+        assert main(["study", "--config", str(path)]) == 0
+        assert [row["n_side"] for row in json.loads((tmp_path / "out" / "study.json").read_text())["levels"]] == [8, 16]
+        text = STUDY_CONFIG.replace("steps_per_side = 1", f"steps_per_side = {steps}")
+        path = write_config(tmp_path, text.replace("dir = {out}", "dir = {out}-evo"), "evo.ini")
+        assert main(["study", "--config", str(path)]) == 1
+        assert "[study.steps_per_side]" in capsys.readouterr().err
+        assert not (tmp_path / "out-evo").exists()
+
     def test_cost_solve_failure_exit_two(self, tmp_path, capsys, monkeypatch):
         from mfgfd.cost_ops import BilaplacianCost
 
@@ -447,6 +460,16 @@ class TestEachModelReadsItsOwnKeys:
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "changed")]) == 0
         for name in ("u.csv", "m.csv"):
             assert (tmp_path / "changed" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+
+    def test_nonfinite_unread_values_keep_meta_strict_json(self, tmp_path):
+        text = with_problem_value(with_problem_value(ERGODIC_CONFIG, "T", "nan"), "mT.kappa", "-inf")
+        assert main(["solve", "--config", str(write_config(tmp_path, text))]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text(), parse_constant=refuse)
+        assert (meta["config"]["horizon"], meta["config"]["mT_kappa"]) == ("nan", "-inf")
 
     @pytest.mark.parametrize("key, value, named", UNREAD_BY_ERGODIC)
     def test_evolutive_still_refuses(self, tmp_path, capsys, key, value, named):

@@ -730,6 +730,57 @@ class TestHeldFactor:
         assert held.lu is not None and held.factorizations == 2
 
 
+class TestWarmStart:
+    """The density solve refines from the density it replaces."""
+
+    def density_system(self):
+        # J^T x = b at a rough u, with the held LU of J at 1.05 u: from
+        # LU^-1 b that LU misses the target and the solve factors afresh
+        ham, _, _ = sines_step()
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(8, 8))
+        a = hjb_jacobian(ham, 0.6, 0.05, u)
+        b = np.abs(rng.normal(1.0, 0.3, 64)) / 0.05
+        held = HeldFactor().factor(hjb_jacobian(ham, 0.6, 0.05, 1.05 * u))
+        return a, b, held
+
+    def test_start_at_the_solution_needs_no_refinement(self):
+        a, b, held = self.density_system()
+        exact = np.linalg.solve(a.toarray().T, b)
+        x = _solve_checked(a, b, held, "T", 1e-10, exact)
+        assert held.refinements == 0 and held.factorizations == 1
+        assert np.max(np.abs(a.T @ x - b)) <= held.contract.limit(b)
+        a, b, cold = self.density_system()
+        _solve_checked(a, b, cold, "T", 1e-10)
+        assert cold.refinements == MAX_REFINEMENTS and cold.factorizations == 2
+
+    @pytest.mark.parametrize("start", ["far", "nan", "inf"])
+    def test_far_or_nonfinite_start_meets_the_contract(self, start):
+        a, b, held = self.density_system()
+        exact = np.linalg.solve(a.toarray().T, b)
+        x0 = {
+            "far": 1e6 * np.random.default_rng(6).normal(size=64),
+            "nan": np.where(np.arange(64) == 3, np.nan, exact),
+            "inf": np.where(np.arange(64) == 3, np.inf, exact),
+        }[start]
+        x = _solve_checked(a, b, held, "T", 1e-10, x0)
+        assert np.max(np.abs(a.T @ x - b)) <= held.contract.limit(b)
+        if start != "far":
+            # a non-finite start refines to the cap, misses, and the fresh
+            # LU solves from b as a cold start does
+            assert held.refinements == MAX_REFINEMENTS and held.factorizations == 2
+            assert np.array_equal(x, _solve_checked(a, b, HeldFactor(), "T", 1e-10))
+
+    def test_density_step_starts_from_the_given_slice(self):
+        ham, u_next, _ = sines_step(n=8, beta=1.5)
+        m_next = np.abs(np.random.default_rng(4).normal(1.0, 0.3, (8, 8)))
+        exact, _ = fp_step_solve(ham, 0.6, 0.05, u_next, m_next)
+        held = HeldFactor().factor(hjb_jacobian(ham, 0.6, 0.05, 1.05 * u_next))
+        got, _ = fp_step_solve(ham, 0.6, 0.05, u_next, m_next, held, exact)
+        assert held.refinements == 0 and held.factorizations == 1
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(exact)
+
+
 class TestNonFiniteSolves:
     @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
     def test_contract_needs_positive_tolerance(self, tol):

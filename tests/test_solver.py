@@ -15,6 +15,7 @@ from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
 import mfgfd.solver as solver_module
 from mfgfd.solver import (
     ANDERSON_DEPTH,
+    STAGNATION_SWEEPS,
     ErgodicProblem,
     EvolutiveProblem,
     FixedPointConfig,
@@ -220,6 +221,15 @@ class TestEvolutiveSolver:
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
 
+    def test_small_exponent_stagnation_ends_early(self):
+        # beta = 1.2 cycles: every halving is spent by sweep 24 and the last
+        # new smallest change comes at sweep 90; it used to run all 500 sweeps
+        p = smooth_problem(n=8, nt=16, cost="power", beta=1.2)
+        with pytest.raises(OuterNonConvergence, match="stagnated") as info:
+            solve_evolutive(p)
+        assert info.value.iters <= 90 + STAGNATION_SWEEPS
+        assert info.value.last_change > FixedPointConfig().outer_tol
+
     @pytest.mark.parametrize("cost", ["power", "bilaplacian"])
     def test_large_exponent_end_to_end(self, cost):
         # beta > 2: the Hamiltonian grows faster than quadratic
@@ -422,7 +432,46 @@ class TestAndersonMixing:
         assert np.array_equal(inputs[2], inputs[1] + 0.25 * (outputs[1] - inputs[1]))
 
 
+def scripted_sweep(sizes):
+    """Sweep ``m -> m + s d`` with s the next of ``sizes``: the change is
+    h^2 |s d|_1 = s/2 on 2x2 densities whatever the mixing does."""
+    d = np.array([[1.0, -1.0], [0.0, 0.0]])
+    sizes = iter(sizes)
+    return lambda m, state: (m + next(sizes) * d, state)
+
+
+class TestStagnationExit:
+    def test_stalls_once_every_halving_is_spent(self):
+        # the change is 0.5, then alternates 1, 0.75, 1, ...: six growths
+        # spend every halving by sweep 13, and no sweep beats the first change
+        sweep = scripted_sweep([1.0] + [2.0, 1.5] * 100)
+        cfg = FixedPointConfig(outer_tol=1e-12)
+        with pytest.raises(OuterNonConvergence, match="stagnated") as info:
+            _damped_fixed_point(TorusGrid(2), cfg, np.ones((2, 2)), None, sweep, gate_reporting)
+        assert info.value.iters == 1 + STAGNATION_SWEEPS
+        assert info.value.last_change == pytest.approx(0.75, rel=1e-12)
+
+    def test_no_stall_while_a_halving_is_left(self):
+        # one growth, then a flat change: five halvings are left, so only
+        # max_outer ends the iteration
+        sweep = scripted_sweep([1.0] + [2.0] * 200)
+        cfg = FixedPointConfig(outer_tol=1e-12, max_outer=2 * STAGNATION_SWEEPS)
+        with pytest.raises(OuterNonConvergence, match="did not converge") as info:
+            _damped_fixed_point(TorusGrid(2), cfg, np.ones((2, 2)), None, sweep, gate_reporting)
+        assert info.value.iters == 2 * STAGNATION_SWEEPS
+
+
 class TestErgodicSolver:
+    def test_default_settings_counts(self):
+        # full-step mixing and warm-started densities: 5 sweeps on one LU
+        # (6 sweeps and 30 refinement steps at damping 0.5 from LU^-1 b)
+        g = TorusGrid(32)
+        p = ErgodicProblem(1.0, PowerHamiltonian(2.0, hamiltonian_preset("sines", g)), LocalCost.power(2.0), g)
+        sol = solve_ergodic(p)
+        held = {k: sol.diagnostics[k] for k in TestHeldFactorCounts.HELD_KEYS}
+        assert sol.outer_iters == 5 and sol.diagnostics["halvings"] == 0
+        assert held == {"factorizations": 1, "chord_accepted": 18, "chord_rejected": 0, "refinements": 12}
+
     def test_trivial_constants(self):
         g = TorusGrid(16)
         p = ErgodicProblem(
