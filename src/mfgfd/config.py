@@ -36,7 +36,7 @@ from .linear import LinearSolveContract
 from .presets import COST_KINDS, HAMILTONIAN_PRESETS, LOCAL_COSTS, MT_PRESETS, U0_PRESETS
 from .solver import FixedPointConfig, check_newton_tol
 from .study import check_levels_nested
-from .torus_grid import TimeMesh, check_positive_finite, check_positive_int
+from .torus_grid import TimeMesh, TorusGrid, check_positive_finite, check_positive_int
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text"]
 
@@ -145,6 +145,7 @@ def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
     library enforces: the check calls the type, rule function or preset table that
     enforces it.  The ergodic model reads no u0, mT, T, N_T or study.steps_per_side."""
     evolutive = cfg.kind == "evolutive"
+    yield "problem.N_h", lambda: TorusGrid(cfg.n_side)
     fields = (HAMILTONIAN_PRESETS, U0_PRESETS, MT_PRESETS) if evolutive else (HAMILTONIAN_PRESETS,)
     for presets in fields:
         name, param, path = presets.read(cfg)
@@ -178,8 +179,6 @@ def _owner_checks(cfg: RunConfig) -> Iterator[tuple[str, Callable[[], object]]]:
 def _validate(cfg: RunConfig) -> None:
     if cfg.kind not in ("evolutive", "ergodic"):
         raise ConfigError("problem.kind", f"must be 'evolutive' or 'ergodic', got {cfg.kind!r}")
-    if cfg.n_side < 2:
-        raise ConfigError("problem.N_h", f"must be an integer >= 2, got {cfg.n_side}")
     for key, check in _owner_checks(cfg):
         try:
             check()

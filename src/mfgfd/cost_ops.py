@@ -155,7 +155,7 @@ class BilaplacianCost:
         # top of the data-relative contract
         floor = STENCIL_FLOOR * _EPS * (4.0 / h ** 2) ** 2 * float(np.max(np.abs(w)))
         limit = self.RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(m)))) + floor
-        if residual > limit:
+        if not residual <= limit:  # NaN too
             raise CostSolveError(residual, limit)
         return w
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .cost_ops import BilaplacianCost, CostOperator, DiscreteDensity, LocalCost
+from .cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
 from .dynamics import HjbStepConfig
 from .hamiltonian import PowerHamiltonian
 from .linear import LinearSolveContract
@@ -27,10 +27,6 @@ if TYPE_CHECKING:
     from .config import RunConfig
 
 __all__ = [
-    "hamiltonian_preset",
-    "u0_preset",
-    "terminal_density_preset",
-    "cost_preset",
     "build_evolutive_problem",
     "build_ergodic_problem",
     "solver_settings",
@@ -64,7 +60,7 @@ class Presets:
         """The preset name, parameter and file path that ``cfg`` gives this field."""
         return getattr(cfg, self.what), getattr(cfg, f"{self.what}_{self.param}"), getattr(cfg, f"{self.what}_file")
 
-    def build(self, grid: TorusGrid, name: str, param: float, path: str | None):
+    def build(self, grid: TorusGrid, name: str, param: float, path: str | None = None):
         builder = self.lookup(name)
         self.check_path(name, path)
         self.check(param)
@@ -95,6 +91,8 @@ def _check_kappa(kappa: float) -> None:
 
 
 def _bump(grid: TorusGrid, kappa: float, _path: None) -> DiscreteDensity:
+    """A periodic von Mises-style density centered at (0.5, 0.5), exp(kappa (cos + cos))
+    normalized by the Bessel factor I0(kappa)^2; smooth and bounded below by a positive constant."""
     norm = float(np.i0(kappa)) ** 2
 
     def density(x1, x2):
@@ -134,59 +132,29 @@ COST_KINDS = Presets("cost", {
 })
 
 
-def hamiltonian_preset(
-    name: str, grid: TorusGrid, amplitude: float = 1.0, path: str | None = None
-) -> GridField:
-    """Nodal samples of the potential: `zero`, `sines`, or `file`."""
-    return HAMILTONIAN_PRESETS.build(grid, name, amplitude, path)
-
-
-def u0_preset(
-    name: str, grid: TorusGrid, amplitude: float = 1.0, path: str | None = None
-) -> GridField:
-    """Nodal samples of the initial cost: `zero`, `cosine`, or `file`."""
-    return U0_PRESETS.build(grid, name, amplitude, path)
-
-
-def terminal_density_preset(
-    name: str, grid: TorusGrid, kappa: float = 2.0, path: str | None = None
-) -> DiscreteDensity:
-    """Cell averages of the terminal density: `uniform`, `bump`, or `file`.
-
-    The bump is a periodic von Mises-style density centered at (0.5, 0.5),
-    exp(kappa (cos + cos)) normalized by the Bessel factor I0(kappa)^2; it
-    is smooth and bounded below by a positive constant.
-    """
-    return MT_PRESETS.build(grid, name, kappa, path)
-
-
-def cost_preset(kind: str, grid: TorusGrid, local_preset: str = "linear", alpha: float = 1.0) -> CostOperator:
-    return COST_KINDS.lookup(kind)(grid, local_preset, alpha)
-
-
 # ---------------------------------------------------------------------------
 # config -> problem marshalling
 # ---------------------------------------------------------------------------
 
 def build_evolutive_problem(cfg: RunConfig, n_side: int | None = None, n_steps: int | None = None) -> EvolutiveProblem:
-    grid = TorusGrid(n_side or cfg.n_side)
+    grid = TorusGrid(cfg.n_side if n_side is None else n_side)
     return EvolutiveProblem(
         nu=cfg.nu,
         hamiltonian=PowerHamiltonian(cfg.beta, HAMILTONIAN_PRESETS.build(grid, *HAMILTONIAN_PRESETS.read(cfg))),
-        cost=cost_preset(cfg.cost_kind, grid, cfg.cost_local_preset, cfg.cost_local_alpha),
+        cost=COST_KINDS.lookup(cfg.cost_kind)(grid, cfg.cost_local_preset, cfg.cost_local_alpha),
         u0=U0_PRESETS.build(grid, *U0_PRESETS.read(cfg)),
         mT=MT_PRESETS.build(grid, *MT_PRESETS.read(cfg)),
-        mesh=TimeMesh(cfg.horizon, n_steps or cfg.n_steps),
+        mesh=TimeMesh(cfg.horizon, cfg.n_steps if n_steps is None else n_steps),
         grid=grid,
     )
 
 
 def build_ergodic_problem(cfg: RunConfig, n_side: int | None = None) -> ErgodicProblem:
-    grid = TorusGrid(n_side or cfg.n_side)
+    grid = TorusGrid(cfg.n_side if n_side is None else n_side)
     return ErgodicProblem(
         nu=cfg.nu,
         hamiltonian=PowerHamiltonian(cfg.beta, HAMILTONIAN_PRESETS.build(grid, *HAMILTONIAN_PRESETS.read(cfg))),
-        cost=cost_preset(cfg.cost_kind, grid, cfg.cost_local_preset, cfg.cost_local_alpha),
+        cost=COST_KINDS.lookup(cfg.cost_kind)(grid, cfg.cost_local_preset, cfg.cost_local_alpha),
         grid=grid,
     )
 

@@ -103,11 +103,11 @@ def convergence_study(
     ref = _trajectory(solutions[-1])
     rows: list[dict] = []
     for (n_side, n_steps), sol in zip(levels, solutions):
-        row = {"n_side": n_side, "n_steps": n_steps, "h": 1.0 / n_side}
+        row = {"n_side": n_side, "h": 1.0 / n_side}
         if ergodic:
             row.update({"dt": 0.0, "lambda": sol.lam})
         else:
-            row.update({"dt": sol.u.mesh.dt, "outer_iters": sol.outer_iters})
+            row.update({"n_steps": n_steps, "dt": sol.u.mesh.dt, "outer_iters": sol.outer_iters})
         if sol is not solutions[-1]:
             row.update(_level_errors(_trajectory(sol), ref, beta, m_exponent))
         if not ergodic and sol.monitors is not None:
@@ -159,27 +159,14 @@ def write_study(report: dict, outdir: str | Path) -> None:
     (outdir / "study.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     rows = report["levels"]
-    # error row k >= 1 carries the order between error rows k - 1 and k
-    orders = [""] + report.get("orders", {}).get("err_u_sup", [])
+    # every level but the finest is an error row; error row k >= 1 carries the
+    # order between error rows k - 1 and k
+    orders = ["", *(f"{o:.17g}" for o in report["orders"].get("err_u_sup", [])), ""]
+    keys = ("err_u_sup", "err_u_w1beta", "err_m")
 
     with (outdir / "study.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["level", "h", "dt", "err_u_sup", "err_u_w1beta", "err_m", "order"])
-        err_idx = 0
-        for lvl, row in enumerate(rows):
-            if "err_u_sup" in row:
-                order = orders[err_idx] if err_idx < len(orders) else ""
-                writer.writerow(
-                    [
-                        lvl,
-                        f"{row['h']:.17g}",
-                        f"{row['dt']:.17g}",
-                        f"{row['err_u_sup']:.17g}",
-                        f"{row['err_u_w1beta']:.17g}",
-                        f"{row['err_m']:.17g}",
-                        f"{order:.17g}" if order != "" else "",
-                    ]
-                )
-                err_idx += 1
-            else:
-                writer.writerow([lvl, f"{row['h']:.17g}", f"{row['dt']:.17g}", "", "", "", ""])
+        writer.writerow(["level", "h", "dt", *keys, "order"])
+        for lvl, (row, order) in enumerate(zip(rows, orders)):
+            errs = [f"{row[k]:.17g}" if k in row else "" for k in keys]
+            writer.writerow([lvl, f"{row['h']:.17g}", f"{row['dt']:.17g}", *errs, order])

@@ -22,7 +22,7 @@ import numpy as np
 from .cost_ops import DiscreteDensity, LocalCost
 from .dynamics import adjoint_check
 from .hamiltonian import PowerHamiltonian, inequality_suite
-from .presets import hamiltonian_preset
+from .presets import HAMILTONIAN_PRESETS
 from .solver import (
     EvolutiveProblem,
     FixedPointConfig,
@@ -85,7 +85,7 @@ def run_identity_suite(
         bases = [("uniform", _uniform_base(mesh, grid), ham_zero)]
         error: Optional[str] = None
         try:
-            ham_smooth = ham_factory(beta, hamiltonian_preset("sines", grid, amplitude=0.5))
+            ham_smooth = ham_factory(beta, HAMILTONIAN_PRESETS.build(grid, "sines", 0.5))
             problem = EvolutiveProblem(
                 nu=1.0,
                 hamiltonian=ham_smooth,

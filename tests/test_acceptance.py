@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mfgfd as m
-from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
+from mfgfd.presets import HAMILTONIAN_PRESETS, MT_PRESETS, U0_PRESETS
 from mfgfd.study import convergence_study
 from mfgfd.torus_grid import GridField, SpaceTimeField, TimeMesh, TorusGrid, laplace_array, mass
 from mfgfd.verify import run_adjoint_suite, run_identity_suite, run_lemma_suites
@@ -41,10 +41,10 @@ def smooth_problem(n, nt, cost_kind):
     cost = m.BilaplacianCost(g) if cost_kind == "bilaplacian" else m.LocalCost.power(2.0)
     return m.EvolutiveProblem(
         nu=0.6,
-        hamiltonian=m.PowerHamiltonian(2.0, hamiltonian_preset("sines", g, amplitude=1.0)),
+        hamiltonian=m.PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
         cost=cost,
-        u0=u0_preset("cosine", g, amplitude=0.25),
-        mT=terminal_density_preset("bump", g),
+        u0=U0_PRESETS.build(g, "cosine", 0.25),
+        mT=MT_PRESETS.build(g, "bump", 2.0),
         mesh=TimeMesh(1.0, nt),
         grid=g,
     )
@@ -183,7 +183,7 @@ def test_criterion_09_ergodic_effective_constant():
         gn = TorusGrid(n)
         return m.ErgodicProblem(
             nu=1.0,
-            hamiltonian=m.PowerHamiltonian(2.0, hamiltonian_preset("sines", gn)),
+            hamiltonian=m.PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(gn, "sines", 1.0)),
             cost=m.LocalCost.power(2.0),
             grid=gn,
         )

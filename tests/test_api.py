@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import mfgfd
+from mfgfd.config import ConfigError, parse_config_text
 from mfgfd.dynamics import HjbStepConfig
 from mfgfd.hamiltonian import PowerHamiltonian
-from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
+from mfgfd.presets import HAMILTONIAN_PRESETS, MT_PRESETS, U0_PRESETS
 from mfgfd.solver import FixedPointConfig
 from mfgfd.torus_grid import GridField, TimeMesh, TorusGrid
 
@@ -177,8 +178,8 @@ def test_one_stencil_owner():
         ("is not below the inner residual target", "solver.py", 1),
         # the roundoff floors read eps and STENCIL_FLOOR from hamiltonian
         ("np.finfo(", "hamiltonian.py", 1),
-        # the identity suite takes its potential from presets.hamiltonian_preset,
-        # whose "sines" line holds both factors
+        # the identity suite takes its potential from the "sines" preset of
+        # presets.HAMILTONIAN_PRESETS, whose line holds both factors
         ("np.sin(2 * np.pi", "presets.py", 2),
         # step counts, grid sizes, caps, study levels and suite sample counts
         # share torus_grid.check_positive_int
@@ -215,26 +216,47 @@ _GRID = TorusGrid(4)
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, config",
     [
-        pytest.param(lambda: HjbStepConfig(max_newton=2.5), id="max_newton=2.5"),
-        pytest.param(lambda: FixedPointConfig(max_outer=2.5), id="max_outer=2.5"),
-        pytest.param(lambda: TorusGrid(2.5), id="TorusGrid(2.5)"),
-        pytest.param(lambda: TimeMesh(1.0, 2.5), id="TimeMesh(1.0, 2.5)"),
-        pytest.param(lambda: PowerHamiltonian(math.inf, GridField.zeros(_GRID)), id="beta=inf"),
-        pytest.param(lambda: hamiltonian_preset("sines", _GRID, amplitude=math.inf), id="sines-amplitude-inf"),
-        pytest.param(lambda: u0_preset("cosine", _GRID, amplitude=math.nan), id="cosine-amplitude-nan"),
+        pytest.param(lambda: HjbStepConfig(max_newton=2.5), None, id="max_newton=2.5"),
+        pytest.param(lambda: FixedPointConfig(max_outer=2.5), None, id="max_outer=2.5"),
+        pytest.param(lambda: TorusGrid(2.5), None, id="TorusGrid(2.5)"),
+        # N_h's one rule is TorusGrid's, which the config reads
+        pytest.param(lambda: TorusGrid(0), "[problem]\nN_h = 0\n", id="TorusGrid(0)"),
+        pytest.param(lambda: TimeMesh(1.0, 2.5), None, id="TimeMesh(1.0, 2.5)"),
+        pytest.param(lambda: PowerHamiltonian(math.inf, GridField.zeros(_GRID)), None, id="beta=inf"),
+        pytest.param(lambda: HAMILTONIAN_PRESETS.build(_GRID, "sines", math.inf), None, id="sines-amplitude-inf"),
+        pytest.param(lambda: U0_PRESETS.build(_GRID, "cosine", math.nan), None, id="cosine-amplitude-nan"),
         # a field's parameter rule holds whichever preset is chosen
-        pytest.param(lambda: hamiltonian_preset("zero", _GRID, amplitude=math.nan), id="zero-amplitude-nan"),
-        pytest.param(lambda: u0_preset("zero", _GRID, amplitude=math.inf), id="u0-zero-amplitude-inf"),
-        pytest.param(lambda: terminal_density_preset("uniform", _GRID, kappa=math.nan), id="uniform-kappa-nan"),
+        pytest.param(lambda: HAMILTONIAN_PRESETS.build(_GRID, "zero", math.nan), None, id="zero-amplitude-nan"),
+        pytest.param(lambda: U0_PRESETS.build(_GRID, "zero", math.inf), None, id="u0-zero-amplitude-inf"),
+        pytest.param(lambda: MT_PRESETS.build(_GRID, "uniform", math.nan), None, id="uniform-kappa-nan"),
     ],
 )
-def test_api_refuses_what_config_refuses(build):
+def test_api_refuses_what_config_refuses(build, config):
     # each value used to pass the API and fail later: a TypeError inside
-    # range, a singular factor or a NaN field
-    with pytest.raises(ValueError):
+    # range, a singular factor or a NaN field; where given, the config
+    # refuses it under its key with the API's message
+    with pytest.raises(ValueError) as api:
         build()
+    if config is not None:
+        with pytest.raises(ConfigError) as refused:
+            parse_config_text(config)
+        assert refused.value.detail == str(api.value)
+
+
+def test_no_preset_wrappers():
+    # every problem input is built through its presets table, so no
+    # *_preset function sits beside the tables as a second way to call one
+    src = Path(mfgfd.__file__).parent
+    defined = [
+        f"{p.name}:{node.name}"
+        for p in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_preset")
+    ]
+    assert defined == []
+    assert [name for name in mfgfd.presets.__all__ if name.endswith("_preset")] == []
 
 
 def test_grids_compared_by_equality():

@@ -243,6 +243,23 @@ class TestSolveCommand:
         assert f"[solver.{key}]: {key} must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("template", [UNIFORM_CONFIG, ERGODIC_BILAPLACIAN_CONFIG], ids=["evolutive", "ergodic"])
+    @pytest.mark.parametrize("n_side", ["0", "-1"])
+    def test_side_count_below_one_names_its_key(self, tmp_path, capsys, template, n_side):
+        # TorusGrid's rule, which the API and the study levels share
+        path = write_config(tmp_path, template.replace("N_h = 8", f"N_h = {n_side}"))
+        assert main(["solve", "--config", str(path)]) == 1
+        line = one_error_line(capsys.readouterr().err)
+        assert f"[problem.N_h]: n_side must be an integer >= 1, got {n_side}" in line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("template", [UNIFORM_CONFIG, ERGODIC_BILAPLACIAN_CONFIG], ids=["evolutive", "ergodic"])
+    def test_one_cell_grid_exit_zero(self, tmp_path, template):
+        # a one-node grid solves in both models through the config, as through the API
+        path = write_config(tmp_path, template.replace("N_h = 8", "N_h = 1"))
+        assert main(["solve", "--config", str(path)]) == 0
+        assert json.loads((tmp_path / "out" / "meta.json").read_text())["grid"]["n_side"] == 1
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -745,12 +762,20 @@ class TestThreadsAndFailures:
 
     def test_console_script_installed(self):
         import shutil
-        import subprocess
+        import tomllib
+        from pathlib import Path
 
+        root = Path(__file__).resolve().parents[1]
+        scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        assert scripts["mfgfd"] == "mfgfd.cli:main"
+        # an installed script runs main; a plain checkout runs the same module
         exe = shutil.which("mfgfd")
         if exe is None:
-            pytest.skip("console script not on PATH")
-        out = subprocess.run([exe, "--help"], capture_output=True, text=True)
+            cmd = [sys.executable, "-m", "mfgfd.cli", "--help"]
+            env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        else:
+            cmd, env = [exe, "--help"], None
+        out = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert "solve" in out.stdout
 

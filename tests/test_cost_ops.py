@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
+from mfgfd.cost_ops import BilaplacianCost, CostSolveError, DiscreteDensity, LocalCost
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, mass
 
 
@@ -213,6 +213,14 @@ class TestBilaplacianCost:
         # an (8, 1) slice would broadcast against the (8, 8) symbol
         with pytest.raises(ValueError, match="shape"):
             BilaplacianCost(TorusGrid(8)).apply(np.zeros((8, 1)))
+
+    def test_nan_node_fails_the_residual_gate(self):
+        # one NaN node makes every w node NaN; NaN > limit is False, so the
+        # gate has to be written to fail on NaN
+        m = np.ones((8, 8))
+        m[3, 5] = np.nan
+        with pytest.raises(CostSolveError):
+            BilaplacianCost(TorusGrid(8)).apply(m)
 
 
 class TestMonotonePairing:

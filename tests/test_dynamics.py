@@ -37,7 +37,7 @@ from mfgfd.linear import (
     _solve_checked,
     five_point_matrix,
 )
-from mfgfd.presets import hamiltonian_preset
+from mfgfd.presets import HAMILTONIAN_PRESETS
 from mfgfd.solver import ErgodicProblem, _bordered_jacobian, _ergodic_diagnostics
 from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
 from oracles import (
@@ -541,7 +541,7 @@ def ergodic_sines(n):
     g = TorusGrid(n)
     return ErgodicProblem(
         nu=1.0,
-        hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+        hamiltonian=PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
         cost=LocalCost.power(2.0),
         grid=g,
     )
@@ -594,12 +594,12 @@ class TestFactorization:
             from mfgfd.cost_ops import LocalCost
             from mfgfd.hamiltonian import PowerHamiltonian
             from mfgfd.linear import _layout
-            from mfgfd.presets import hamiltonian_preset
+            from mfgfd.presets import HAMILTONIAN_PRESETS
             from mfgfd.solver import ErgodicProblem, solve_ergodic
             from mfgfd.torus_grid import TorusGrid
 
             g = TorusGrid(6)
-            ham = PowerHamiltonian(2.0, hamiltonian_preset("sines", g))
+            ham = PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0))
             solve_ergodic(ErgodicProblem(1.0, ham, LocalCost.power(2.0), g))
             assert _layout.cache_info().currsize == 2
             assert "factor_order" in vars(_layout(6, True))
@@ -635,7 +635,7 @@ def sines_step(n=8, beta=2.0):
     g = TorusGrid(n)
     x1, x2 = g.node_coords()
     u_cur = 0.25 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
-    return PowerHamiltonian(beta, hamiltonian_preset("sines", g)), u_cur, np.ones((n, n))
+    return PowerHamiltonian(beta, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)), u_cur, np.ones((n, n))
 
 
 def held_of_distant_jacobian(ham, n=8):

@@ -18,25 +18,23 @@ from mfgfd.presets import (
     U0_PRESETS,
     build_ergodic_problem,
     build_evolutive_problem,
-    cost_preset,
-    hamiltonian_preset,
     solver_settings,
-    terminal_density_preset,
-    u0_preset,
 )
 from mfgfd.torus_grid import GridField, TorusGrid, cell_average, mass, save_grid_field
 
 
-# config key -> (its catalogue, the API call of its preset function, a name
+# config key -> (its catalogue, the API call that builds its preset, a name
 # that catalogue does not hold)
 CATALOGUE = {
     "problem.hamiltonian": (
-        HAMILTONIAN_PRESETS, lambda name, g, path: hamiltonian_preset(name, g, path=path), "bumps"
+        HAMILTONIAN_PRESETS, lambda name, g, path: HAMILTONIAN_PRESETS.build(g, name, 1.0, path), "bumps"
     ),
-    "problem.u0": (U0_PRESETS, lambda name, g, path: u0_preset(name, g, path=path), "sines"),
-    "problem.mT": (MT_PRESETS, lambda name, g, path: terminal_density_preset(name, g, path=path), "gaussian"),
-    "cost.kind": (COST_KINDS, lambda name, g, path: cost_preset(name, g), "convolution"),
-    "cost.local.preset": (LOCAL_COSTS, lambda name, g, path: cost_preset("local", g, name), "quadratic"),
+    "problem.u0": (U0_PRESETS, lambda name, g, path: U0_PRESETS.build(g, name, 1.0, path), "sines"),
+    "problem.mT": (MT_PRESETS, lambda name, g, path: MT_PRESETS.build(g, name, 2.0, path), "gaussian"),
+    "cost.kind": (COST_KINDS, lambda name, g, path: COST_KINDS.lookup(name)(g, "linear", 1.0), "convolution"),
+    "cost.local.preset": (
+        LOCAL_COSTS, lambda name, g, path: COST_KINDS.lookup("local")(g, name, 1.0), "quadratic"
+    ),
 }
 
 
@@ -52,7 +50,7 @@ def _catalogue_cases():
 
 @pytest.mark.parametrize("key, name, path", _catalogue_cases())
 def test_preset_catalogue(tmp_path, key, name, path):
-    # the config and the preset functions read one table per input: they
+    # the config and the API read one table per input: they
     # accept the same names, and refuse an unknown name or a 'file' preset
     # without a path with the same message; the config names the key
     presets, build, _ = CATALOGUE[key]
@@ -84,56 +82,56 @@ def test_preset_catalogue(tmp_path, key, name, path):
 class TestFieldPresets:
     def test_zero_presets(self):
         g = TorusGrid(8)
-        assert np.all(hamiltonian_preset("zero", g).values == 0.0)
-        assert np.all(u0_preset("zero", g).values == 0.0)
+        assert np.all(HAMILTONIAN_PRESETS.build(g, "zero", 1.0).values == 0.0)
+        assert np.all(U0_PRESETS.build(g, "zero", 1.0).values == 0.0)
 
     def test_sines_values(self):
         g = TorusGrid(8)
-        f = hamiltonian_preset("sines", g, amplitude=2.0)
+        f = HAMILTONIAN_PRESETS.build(g, "sines", 2.0)
         x1, x2 = g.node_coords()
         assert np.allclose(f.values, 2.0 * np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2))
 
     def test_cosine_values(self):
         g = TorusGrid(8)
-        f = u0_preset("cosine", g, amplitude=0.5)
+        f = U0_PRESETS.build(g, "cosine", 0.5)
         assert f.values[0, 0] == pytest.approx(0.5)
 
 class TestTerminalDensity:
     def test_uniform(self):
-        d = terminal_density_preset("uniform", TorusGrid(8))
+        d = MT_PRESETS.build(TorusGrid(8), "uniform", 2.0)
         assert np.all(d.field.values == 1.0)
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_bump_in_simplex_and_bounded_below(self, n):
-        d = terminal_density_preset("bump", TorusGrid(n))
+        d = MT_PRESETS.build(TorusGrid(n), "bump", 2.0)
         assert abs(mass(d.field) - 1.0) <= 1e-12
         # the analytic floor is exp(-2 kappa) / I0(kappa)^2 ~ 3.2e-3 at kappa = 2
         assert float(np.min(d.field.values)) > 0.003
 
     def test_bump_peak_at_center(self):
         g = TorusGrid(16)
-        d = terminal_density_preset("bump", g)
+        d = MT_PRESETS.build(g, "bump", 2.0)
         peak = np.unravel_index(np.argmax(d.field.values), (16, 16))
         assert peak == (8, 8)
 
     def test_bump_kappa_controls_concentration(self):
         g = TorusGrid(16)
-        flat = terminal_density_preset("bump", g, kappa=0.5)
-        sharp = terminal_density_preset("bump", g, kappa=4.0)
+        flat = MT_PRESETS.build(g, "bump", 0.5)
+        sharp = MT_PRESETS.build(g, "bump", 4.0)
         assert np.max(sharp.field.values) > np.max(flat.field.values)
 
     @pytest.mark.parametrize("kappa", [177.0, -177.0, BUMP_KAPPA_MAX, -BUMP_KAPPA_MAX])
     @pytest.mark.parametrize("n", [2, 8, 128])
     def test_bump_floor_normal_up_to_kappa_max(self, n, kappa):
         # the floor exp(-2|kappa|) / I0(kappa)^2 is still a normal float here
-        values = terminal_density_preset("bump", TorusGrid(n), kappa=kappa).field.values
+        values = MT_PRESETS.build(TorusGrid(n), "bump", kappa).field.values
         assert np.all(np.isfinite(values)) and values.min() >= sys.float_info.min
 
     @pytest.mark.parametrize("kappa", [178.0, 360.0, 800.0, -800.0, 1e5])
     def test_bump_kappa_beyond_max_refused(self, kappa):
         # 360 used to overflow in I0(kappa)^2 and 800 to give NaN nodes
         with pytest.raises(ValueError, match=r"kappa must be at most 177\.099 in absolute value"):
-            terminal_density_preset("bump", TorusGrid(8), kappa=kappa)
+            MT_PRESETS.build(TorusGrid(8), "bump", kappa)
 
     def test_bump_matches_scipy_bessel_normalization(self):
         from scipy.special import i0
@@ -146,7 +144,7 @@ class TestTerminalDensity:
             return np.exp(2.0 * bump) / norm
 
         expect = DiscreteDensity.normalized(cell_average(density, g)).field.values
-        assert np.array_equal(terminal_density_preset("bump", g).field.values, expect)
+        assert np.array_equal(MT_PRESETS.build(g, "bump", 2.0).field.values, expect)
 
     def test_presets_do_not_import_scipy_special(self):
         # numpy's i0 normalizes the bump; scipy.special costs import time and memory
@@ -162,16 +160,15 @@ class TestTerminalDensity:
 class TestCostPreset:
     def test_dispatch(self):
         g = TorusGrid(8)
-        assert isinstance(cost_preset("bilaplacian", g), BilaplacianCost)
-        linear = cost_preset("local", g, "linear")
+        assert isinstance(COST_KINDS.lookup("bilaplacian")(g, "linear", 1.0), BilaplacianCost)
+        linear = COST_KINDS.lookup("local")(g, "linear", 1.0)
         assert isinstance(linear, LocalCost) and linear.name == "linear"
-        power = cost_preset("local", g, "power", alpha=2.0)
+        power = COST_KINDS.lookup("local")(g, "power", 2.0)
         assert power.gamma == pytest.approx(1.5)
 
     def test_unknown_rejected(self):
-        g = TorusGrid(8)
         with pytest.raises(ValueError, match="cost"):
-            cost_preset("convolution", g)
+            COST_KINDS.lookup("convolution")
 
 
 class TestProblemBuilders:
@@ -213,6 +210,18 @@ outer_tol = 1e-8
         p = build_evolutive_problem(cfg, n_side=16, n_steps=32)
         assert p.grid.n_side == 16
         assert p.mesh.n_steps == 32
+
+    @pytest.mark.parametrize(
+        "kind, override",
+        [("evolutive", {"n_side": 0}), ("evolutive", {"n_steps": 0}), ("ergodic", {"n_side": 0})],
+        ids=["evolutive-n_side", "evolutive-n_steps", "ergodic-n_side"],
+    )
+    def test_zero_level_override_refused(self, kind, override):
+        # a 0 override used to fall back to the config's own N_h or N_T
+        cfg = parse_config_text(self.CONFIG.format(kind=kind))
+        build = build_ergodic_problem if kind == "ergodic" else build_evolutive_problem
+        with pytest.raises(ValueError, match="must be an integer >= 1, got 0"):
+            build(cfg, **override)
 
     def test_ergodic_builder(self):
         cfg = parse_config_text(self.CONFIG.format(kind="ergodic"))

@@ -11,7 +11,7 @@ from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
 from mfgfd.dynamics import HjbStepConfig, NonConvergence, fp_step_solve
 from mfgfd.hamiltonian import PowerHamiltonian
 from mfgfd.linear import HeldFactor, LinearSolveContract, LinearSolveError
-from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
+from mfgfd.presets import HAMILTONIAN_PRESETS, MT_PRESETS, U0_PRESETS
 import mfgfd.solver as solver_module
 from mfgfd.solver import (
     ANDERSON_DEPTH,
@@ -71,10 +71,10 @@ def smooth_problem(n=8, nt=16, cost="bilaplacian", beta=2.0, nu=0.6, horizon=1.0
     cost_op = BilaplacianCost(g) if cost == "bilaplacian" else LocalCost.power(2.0)
     return EvolutiveProblem(
         nu=nu,
-        hamiltonian=PowerHamiltonian(beta, hamiltonian_preset("sines", g, amplitude=1.0)),
+        hamiltonian=PowerHamiltonian(beta, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
         cost=cost_op,
-        u0=u0_preset("cosine", g, amplitude=0.25),
-        mT=terminal_density_preset("bump", g),
+        u0=U0_PRESETS.build(g, "cosine", 0.25),
+        mT=MT_PRESETS.build(g, "bump", 2.0),
         mesh=TimeMesh(horizon, nt),
         grid=g,
     )
@@ -159,7 +159,7 @@ class TestEvolutiveSolver:
             hamiltonian=PowerHamiltonian(2.0, GridField.zeros(g)),
             cost=zero_cost(),
             u0=GridField.zeros(g),
-            mT=terminal_density_preset("bump", g),
+            mT=MT_PRESETS.build(g, "bump", 2.0),
             mesh=TimeMesh(0.5, 8),
             grid=g,
         )
@@ -466,7 +466,8 @@ class TestErgodicSolver:
         # full-step mixing and warm-started densities: 5 sweeps on one LU
         # (6 sweeps and 30 refinement steps at damping 0.5 from LU^-1 b)
         g = TorusGrid(32)
-        p = ErgodicProblem(1.0, PowerHamiltonian(2.0, hamiltonian_preset("sines", g)), LocalCost.power(2.0), g)
+        ham = PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0))
+        p = ErgodicProblem(1.0, ham, LocalCost.power(2.0), g)
         sol = solve_ergodic(p)
         held = {k: sol.diagnostics[k] for k in TestHeldFactorCounts.HELD_KEYS}
         assert sol.outer_iters == 5 and sol.diagnostics["halvings"] == 0
@@ -500,7 +501,7 @@ class TestErgodicSolver:
         g = TorusGrid(16)
         p = ErgodicProblem(
             nu=1.0,
-            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            hamiltonian=PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
             cost=LocalCost.power(2.0),
             grid=g,
         )
@@ -517,7 +518,7 @@ class TestErgodicSolver:
         g = TorusGrid(8)
         p = ErgodicProblem(
             nu=1.0,
-            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            hamiltonian=PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
             cost=LocalCost.power(2.0),
             grid=g,
         )
@@ -541,7 +542,7 @@ class TestErgodicSolver:
         g = TorusGrid(8)
         p = ErgodicProblem(
             nu=1.0,
-            hamiltonian=PowerHamiltonian(beta, hamiltonian_preset("sines", g)),
+            hamiltonian=PowerHamiltonian(beta, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
             cost=LocalCost.power(2.0),
             grid=g,
         )
@@ -566,7 +567,7 @@ class TestErgodicSolver:
         g = TorusGrid(n)
         p = ErgodicProblem(
             nu=1.0,
-            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            hamiltonian=PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
             cost=LocalCost.power(2.0),
             grid=g,
         )
@@ -588,7 +589,7 @@ class TestErgodicSolver:
         g = TorusGrid(16)
         p = ErgodicProblem(
             nu=1.0,
-            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            hamiltonian=PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
             cost=LocalCost.power(2.0),
             grid=g,
         )
@@ -605,7 +606,7 @@ class TestErgodicSolver:
         g = TorusGrid(n)
         p = ErgodicProblem(
             nu=1.0,
-            hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+            hamiltonian=PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
             cost=BilaplacianCost(g),
             grid=g,
         )
@@ -660,7 +661,7 @@ class TestHeldFactorCounts:
         else:
             def solve():
                 g = TorusGrid(16)
-                ham = PowerHamiltonian(2.0, hamiltonian_preset("sines", g))
+                ham = PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0))
                 return solve_ergodic(ErgodicProblem(1.0, ham, LocalCost.power(2.0), g))
             write = write_ergodic_archive
         first, calls = self.count_factorizations(monkeypatch, solve)
@@ -683,7 +684,7 @@ class TestIdentity:
         g = TorusGrid(n)
         p = EvolutiveProblem(
             nu=1.0,
-            hamiltonian=PowerHamiltonian(beta, hamiltonian_preset("sines", g, amplitude=0.5)),
+            hamiltonian=PowerHamiltonian(beta, HAMILTONIAN_PRESETS.build(g, "sines", 0.5)),
             cost=LocalCost.linear(),
             u0=GridField.zeros(g),
             mT=DiscreteDensity.uniform(g),
@@ -757,7 +758,7 @@ class TestMonitors:
             hamiltonian=PowerHamiltonian(2.0, GridField.zeros(g)),
             cost=zero_cost(),
             u0=GridField.zeros(g),
-            mT=terminal_density_preset("bump", g),
+            mT=MT_PRESETS.build(g, "bump", 2.0),
             mesh=TimeMesh(0.5, 8),
             grid=g,
         )

@@ -10,7 +10,7 @@ import mfgfd.study as study
 
 from mfgfd.cost_ops import BilaplacianCost, DiscreteDensity, LocalCost
 from mfgfd.hamiltonian import PowerHamiltonian
-from mfgfd.presets import hamiltonian_preset, terminal_density_preset, u0_preset
+from mfgfd.presets import HAMILTONIAN_PRESETS, MT_PRESETS, U0_PRESETS
 from mfgfd.solver import ErgodicProblem, EvolutiveProblem, FixedPointConfig
 from mfgfd.study import check_levels_nested, convergence_study, errors_decreasing, write_study
 from mfgfd.torus_grid import GridField, TimeMesh, TorusGrid, stencil_array, time_sum
@@ -33,10 +33,10 @@ def smooth_factory(n_side, n_steps):
     g = TorusGrid(n_side)
     return EvolutiveProblem(
         nu=0.6,
-        hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g, amplitude=1.0)),
+        hamiltonian=PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
         cost=BilaplacianCost(g),
-        u0=u0_preset("cosine", g, amplitude=0.25),
-        mT=terminal_density_preset("bump", g),
+        u0=U0_PRESETS.build(g, "cosine", 0.25),
+        mT=MT_PRESETS.build(g, "bump", 2.0),
         mesh=TimeMesh(1.0, n_steps),
         grid=g,
     )
@@ -46,7 +46,7 @@ def ergodic_factory(n_side, n_steps):
     g = TorusGrid(n_side)
     return ErgodicProblem(
         nu=1.0,
-        hamiltonian=PowerHamiltonian(2.0, hamiltonian_preset("sines", g)),
+        hamiltonian=PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0)),
         cost=LocalCost.power(2.0),
         grid=g,
     )
@@ -95,6 +95,14 @@ class TestErgodicStudy:
         assert incs[1] < incs[0]  # Cauchy with decreasing increments
         assert errors_decreasing(report)
 
+    def test_rows_carry_no_step_count(self):
+        # the stationary solve reads no N_T, so its rows do not report one;
+        # an evolutive row reports the step count its solve used
+        report = convergence_study(ergodic_factory, [(4, 0), (8, 0)])
+        assert all("n_steps" not in row for row in report["levels"])
+        report = convergence_study(uniform_factory, [(4, 4), (8, 8)])
+        assert [row["n_steps"] for row in report["levels"]] == [4, 8]
+
 
 class TestWriteStudy:
     def test_files_written(self, tmp_path):
@@ -105,6 +113,24 @@ class TestWriteStudy:
         csv_text = (tmp_path / "study.csv").read_text()
         assert csv_text.splitlines()[0] == "level,h,dt,err_u_sup,err_u_w1beta,err_m,order"
         assert len(csv_text.splitlines()) == 3
+
+    def test_csv_rows(self, tmp_path):
+        # every level but the finest is an error row, and error row k >= 1
+        # carries the order between error rows k - 1 and k
+        report = {
+            "levels": [
+                {"h": 0.25, "dt": 0.5, "err_u_sup": 4.0, "err_u_w1beta": 3.0, "err_m": 2.0},
+                {"h": 0.125, "dt": 0.25, "err_u_sup": 1.0, "err_u_w1beta": 1.5, "err_m": 1.0},
+                {"h": 0.0625, "dt": 0.125},
+            ],
+            "orders": {"err_u_sup": [2.0]},
+        }
+        write_study(report, tmp_path)
+        assert (tmp_path / "study.csv").read_text().splitlines()[1:] == [
+            "0,0.25,0.5,4,3,2,",
+            "1,0.125,0.25,1,1.5,1,2",
+            "2,0.0625,0.125,,,,",
+        ]
 
 
 # ---------------------------------------------------------------------------
