@@ -38,7 +38,6 @@ SOLVER_FAILURES = (
     CostSolveError,
 )
 
-
 def _config_echo(cfg: RunConfig) -> dict:
     echo = dataclasses.asdict(cfg)
     echo.pop("text", None)
@@ -64,17 +63,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 1
     outdir = _output_dir(args.out or cfg.out_dir)
     fixed, hjb, contract = solver_settings(cfg)
+    build, solve, write_archive = {
+        "evolutive": (build_evolutive_problem, solve_evolutive, write_evolutive_archive),
+        "ergodic": (build_ergodic_problem, solve_ergodic, write_ergodic_archive),
+    }[cfg.kind]
     try:
-        if cfg.kind == "ergodic":
-            problem = build_ergodic_problem(cfg)
-            sol = solve_ergodic(problem, cfg=fixed, contract=contract, hjb_cfg=hjb)
-            write_ergodic_archive(outdir, sol, _config_echo(cfg), cfg.text)
-            tail = f" lambda={sol.lam:.12g}"
-        else:
-            problem = build_evolutive_problem(cfg)
-            sol = solve_evolutive(problem, cfg=fixed, hjb_cfg=hjb, contract=contract)
-            write_evolutive_archive(outdir, sol, _config_echo(cfg), cfg.text)
-            tail = ""
+        sol = solve(build(cfg), cfg=fixed, hjb_cfg=hjb, contract=contract)
+        write_archive(outdir, sol, _config_echo(cfg), cfg.text)
+        tail = f" lambda={sol.lam:.12g}" if cfg.kind == "ergodic" else ""
         d = sol.diagnostics
         print(
             f"{cfg.kind} solve: outer_iters={sol.outer_iters} "

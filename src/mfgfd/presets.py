@@ -69,14 +69,9 @@ class Presets:
 
 def _load_matching(what: str, grid: TorusGrid, _param: float, path: str) -> GridField:
     try:
-        f = load_grid_field(path)
-    except OSError as exc:
+        return load_grid_field(path, grid)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{what} file {path} cannot be read: {exc}") from None
-    if f.grid != grid:
-        raise ValueError(
-            f"{what} file {path} has n_side {f.grid.n_side}, expected {grid.n_side}"
-        )
-    return f
 
 
 # The bump's floor exp(-2|kappa|) / I0(kappa)^2 ~ 2 pi |kappa| exp(-4|kappa|) is a

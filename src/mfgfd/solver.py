@@ -10,8 +10,9 @@ their sweep outputs.  The iteration stops once the trajectory change is
 below tolerance *and* the defect of both discrete equations at the
 candidate pair is at or below the inner target, so the returned solution
 genuinely satisfies the scheme, not just a stagnation criterion.  Both
-solvers run the same outer iteration, ``_damped_fixed_point``, and supply
-only their sweep and their termination gate.
+solvers run the same outer iteration, ``_damped_fixed_point``, supply only
+their sweep and their acceptance test, and build their solution from the
+accepted sweep and the record the driver returns.
 
 The stationary system adds the unknown effective constant: the value block
 is solved by Newton on (u, lambda) with the bordered Jacobian
@@ -24,7 +25,7 @@ Each solve call owns one ``linear.HeldFactor``, which carries the solve's
 linear contract, and passes it to every step: the LU of the last matrix
 factored in the solve serves the chord value steps and the refined
 density steps of both models until a step factors afresh.  Its counts go
-into ``diagnostics``; the LU is released before the final checks.
+into ``diagnostics``; the driver releases the LU before the final checks.
 
 This module also hosts the exact algebraic checker for the perturbed
 two-pair balance: endpoint pairings plus both weighted Bregman terms plus
@@ -127,7 +128,7 @@ class FixedPointConfig:
 
 def check_newton_tol(newton_tol: float) -> None:
     """ValueError unless ``newton_tol`` is below INNER_RESIDUAL_TARGET; the
-    evolutive gate adds it to the defect, so no other value can pass."""
+    evolutive acceptance test adds it to the defect, so no other value can pass."""
     if newton_tol >= INNER_RESIDUAL_TARGET:
         raise ValueError(
             f"newton_tol {newton_tol:.3e} is not below the inner residual target "
@@ -201,17 +202,22 @@ def _damped_fixed_point(
     m: np.ndarray,
     state,
     sweep: Callable,
-    gate: Callable,
-):
+    accept: Callable,
+    held: HeldFactor,
+) -> tuple[np.ndarray, object, dict]:
     """Anderson-mixed fixed point on a density array, shared by both solvers.
 
     ``sweep(m, state)`` returns the new densities and the solver state that
-    the gate and the next sweep need; ``state`` seeds the first sweep.  The
-    change is the largest h^2-weighted l1 distance over slices.  Once it is
-    below ``outer_tol``, ``gate(m_new, state, history, theta, halvings)``
-    returns the solution, or None to go on; the gate always sees the exact
-    sweep output.  Otherwise, with f = m_new - m and dX, dF the differences
-    of the last ANDERSON_DEPTH iterates and residuals f, the next iterate is
+    ``accept`` and the next sweep need; ``state`` seeds the first sweep.
+    The change is the largest h^2-weighted l1 distance over slices.  Once
+    it is below ``outer_tol`` and ``accept(m_new, state)`` holds for the
+    exact sweep output, the held LU is released and the driver returns
+    ``(m_new, state, record)``.  The record holds ``outer_iters``,
+    ``residual_history`` (the change of every sweep) and ``diagnostics``,
+    the part both models share: ``final_change``, ``theta_final``,
+    ``halvings`` and the counts of ``held``.  Otherwise, with f = m_new - m
+    and dX, dF the differences of the last ANDERSON_DEPTH iterates and
+    residuals f, the next iterate is
 
         m <- m + theta f - (dX + theta dF) gamma,  gamma = argmin |dF gamma - f|,
 
@@ -221,9 +227,8 @@ def _damped_fixed_point(
     mass, so the mixed iterate keeps the mass of the sweep output.  As a
     safeguard, whenever the change grows from one sweep to the next, theta
     is halved (at most MAX_HALVINGS times in total) and the stored
-    differences are dropped; both solvers report the count as
-    ``diagnostics["halvings"]``.  Once every halving is spent, a change
-    that has not reached a new minimum for STAGNATION_SWEEPS sweeps ends the
+    differences are dropped.  Once every halving is spent, a change that
+    has not reached a new minimum for STAGNATION_SWEEPS sweeps ends the
     iteration with OuterNonConvergence at once, as does ``max_outer``.
     """
     theta = cfg.damping
@@ -240,10 +245,11 @@ def _damped_fixed_point(
         f = m_new - m
         change = grid.h ** 2 * float(np.max(np.sum(np.abs(f), axis=(-2, -1))))
         history.append(change)
-        if change < cfg.outer_tol:
-            sol = gate(m_new, state, history, theta, halvings)
-            if sol is not None:
-                return sol
+        if change < cfg.outer_tol and accept(m_new, state):
+            held.lu = None  # accepted: no step needs the LU any more
+            shared = {"final_change": change, "theta_final": theta, "halvings": halvings, **held.counts()}
+            record = {"outer_iters": len(history), "residual_history": history, "diagnostics": shared}
+            return m_new, state, record
         if change > prev_change and halvings < MAX_HALVINGS:
             theta = theta / 2.0
             halvings += 1
@@ -340,9 +346,11 @@ def solve_evolutive(
     m-slice the terminal density, both exactly.  ``initial_m``, the start
     trajectory, is a (N_T + 1, N, N) array or a SpaceTimeField; by default
     every slice is the terminal density.  ``check_newton_tol`` refuses a
-    ``newton_tol`` the gate could never pass.  Every linear solve meets
-    ``contract`` (default: ``LinearSolveContract()``), which the solve's
-    held factor carries; its counts are in ``diagnostics``.
+    ``newton_tol`` the acceptance test could never pass.  Every linear
+    solve meets ``contract`` (default: ``LinearSolveContract()``), which
+    the solve's held factor carries.  ``diagnostics`` holds the driver's
+    shared record (the held factor's counts among it), the final residuals
+    and ``max_clamp``, the largest clamp magnitude of the last sweep.
     """
     cfg = cfg or FixedPointConfig()
     hjb_cfg = hjb_cfg or HjbStepConfig()
@@ -365,44 +373,29 @@ def solve_evolutive(
         m_new, clamp_max = _fp_sweep(p, u, m, held)
         return m_new, (u, cost, clamp_max)
 
-    def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):
+    def accept(m_new: np.ndarray, state: tuple) -> bool:
         # candidate return pair is (u, m_new): the density sweep is exact
         # for u, and the value sweep is exact for the *old* densities, so
         # the value defect is the cost mismatch between the trajectories.
-        u, cost, clamp_max = state
-        mismatch = float(np.max(np.abs(_cost_fields(p, m_new) - cost)))
-        if not mismatch + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET:
-            return None
-        held.lu = None  # the gate passes: no step needs the LU any more
-        hjb_res, fp_res = evolutive_residuals(p, u, m_new)
-        if not fp_res <= INNER_RESIDUAL_TARGET:  # the mismatch bounds hjb_res
-            raise LinearSolveError(
-                f"density defect {fp_res:.3e} exceeds {INNER_RESIDUAL_TARGET:.0e}"
-            )
-        monitors = (
-            _trajectory_monitors(u, m_new, p.mesh.dt, p.cost, p.hamiltonian.beta)
-            if isinstance(p.cost, LocalCost)
-            else None
-        )
-        diagnostics = {
-            "hjb_residual": hjb_res,
-            "fp_residual": fp_res,
-            "max_clamp": clamp_max,
-            "final_change": history[-1],
-            "theta_final": theta,
-            "halvings": halvings,
-            **held.counts(),
-        }
-        return EvolutiveSolution(
-            u=SpaceTimeField.from_array(p.mesh, p.grid, u),
-            m=SpaceTimeField.from_array(p.mesh, p.grid, m_new),
-            outer_iters=len(history),
-            residual_history=history,
-            monitors=monitors,
-            diagnostics=diagnostics,
-        )
+        mismatch = float(np.max(np.abs(_cost_fields(p, m_new) - state[1])))
+        return mismatch + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET
 
-    return _damped_fixed_point(p.grid, cfg, m_start, None, sweep, gate)
+    m, (u, _, clamp_max), record = _damped_fixed_point(p.grid, cfg, m_start, None, sweep, accept, held)
+    hjb_res, fp_res = evolutive_residuals(p, u, m)
+    if not fp_res <= INNER_RESIDUAL_TARGET:  # the mismatch bounds hjb_res
+        raise LinearSolveError(f"density defect {fp_res:.3e} exceeds {INNER_RESIDUAL_TARGET:.0e}")
+    monitors = (
+        _trajectory_monitors(u, m, p.mesh.dt, p.cost, p.hamiltonian.beta)
+        if isinstance(p.cost, LocalCost)
+        else None
+    )
+    record["diagnostics"].update(hjb_residual=hjb_res, fp_residual=fp_res, max_clamp=clamp_max)
+    return EvolutiveSolution(
+        u=SpaceTimeField.from_array(p.mesh, p.grid, u),
+        m=SpaceTimeField.from_array(p.mesh, p.grid, m),
+        monitors=monitors,
+        **record,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +405,11 @@ def solve_evolutive(
 def _bordered_jacobian(p: ErgodicProblem, u: np.ndarray) -> sp.csr_matrix:
     """[[A(u), 1], [h^2 1^T, 0]] with A(u) = ``linearized_hjb_matrix`` at u."""
     return bordered_matrix(linearized_hjb_matrix(p.hamiltonian, p.nu, u), p.grid.h ** 2)
+
+
+def _stationary_defect(p: ErgodicProblem, u: np.ndarray, lam: float, cost: np.ndarray) -> np.ndarray:
+    """Defect value_operator(u) + lambda - cost of the stationary value equation."""
+    return value_operator(p.hamiltonian, p.nu, u) + lam - cost
 
 
 def _ergodic_hjb_newton(
@@ -428,7 +426,7 @@ def _ergodic_hjb_newton(
 
     def residual(x: np.ndarray) -> np.ndarray:
         u = x[:-1].reshape(n, n)
-        top = value_operator(p.hamiltonian, p.nu, u) + x[-1] - cost
+        top = _stationary_defect(p, u, x[-1], cost)
         return np.concatenate([top.ravel(), [h2 * float(np.sum(u))]])
 
     def jacobian(x: np.ndarray) -> sp.spmatrix:
@@ -445,8 +443,8 @@ def _stationary_density(
     tol: float,
     held: HeldFactor,
     m: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Kernel vector of A(u)^T with unit h^2-weighted mass.
+) -> tuple[np.ndarray, float]:
+    """Kernel vector of A(u)^T with unit h^2-weighted mass, and its clamp magnitude.
 
     Solves J^T [m; c] = [0; 1] for the bordered Jacobian J of
     ``_ergodic_hjb_newton``: A(u) has zero row sums, so summing the first
@@ -471,7 +469,7 @@ def _stationary_density(
     rhs[-1] = 1.0
     x0 = None if m is None else np.append(m.ravel() / float(np.sum(m)), 0.0)
     x = _solve_checked(bordered_matrix(a, h2), rhs, held, "T", tol * h2 / 4.0, x0)
-    x, _ = _clamp_density(x[:-1] / (h2 * float(np.sum(x[:-1]))))
+    x, clamp = _clamp_density(x[:-1] / (h2 * float(np.sum(x[:-1]))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))
     floor = STENCIL_FLOOR * _EPS * spla.norm(at, np.inf) * float(np.max(x))
@@ -479,14 +477,14 @@ def _stationary_density(
         raise LinearSolveError(
             f"stationary density residual {residual:.3e} exceeds max({tol:.3e}, {floor:.3e})"
         )
-    return x.reshape(n, n)
+    return x.reshape(n, n), clamp
 
 
 def solve_ergodic(
     p: ErgodicProblem,
     cfg: Optional[FixedPointConfig] = None,
-    contract: Optional[LinearSolveContract] = None,
     hjb_cfg: Optional[HjbStepConfig] = None,
+    contract: Optional[LinearSolveContract] = None,
 ) -> ErgodicSolution:
     """Anderson-mixed fixed point on the invariant density.
 
@@ -502,8 +500,9 @@ def solve_ergodic(
     normalizations) are at or below 1e-8; the density residual may instead
     sit at the roundoff floor of ``_stationary_density``.  The Newton solve
     runs to min(``newton_tol``, a tenth of that target) within
-    ``max_newton`` iterations.  The counts of the solve's held factor are
-    in ``diagnostics``.
+    ``max_newton`` iterations.  ``diagnostics`` holds the driver's shared
+    record (the counts of the solve's held factor among it), the final
+    residuals and ``max_clamp``, the clamp magnitude of the last sweep.
     """
     cfg = cfg or FixedPointConfig()
     hjb_cfg = hjb_cfg or HjbStepConfig()
@@ -520,40 +519,26 @@ def solve_ergodic(
     held = HeldFactor(contract)
 
     def sweep(m: np.ndarray, state: tuple) -> tuple[np.ndarray, tuple]:
-        u, lam, _ = state
+        u, lam = state[:2]
         cost = p.cost.apply(m)
         u, lam = _ergodic_hjb_newton(p, cost, u, lam, newton_cfg, held)
-        m_new = _stationary_density(p, u, residual_target / 10.0, held, m)
-        return m_new, (u, lam, cost)
+        m_new, clamp = _stationary_density(p, u, residual_target / 10.0, held, m)
+        return m_new, (u, lam, cost, clamp)
 
-    def gate(m_new: np.ndarray, state: tuple, history: list[float], theta: float, halvings: int):
-        u, lam, cost = state
-        res_hjb = float(np.max(np.abs(p.cost.apply(m_new) - cost)))
-        if not res_hjb <= residual_target / 2.0:
-            return None
-        held.lu = None  # the gate passes: no step needs the LU any more
-        u_centered = u - h2 * float(np.sum(u))
-        dens = DiscreteDensity.normalized(GridField(p.grid, m_new))
-        return ErgodicSolution(
-            u=GridField(p.grid, u_centered),
-            m=dens,
-            lam=lam,
-            outer_iters=len(history),
-            residual_history=history,
-            diagnostics={
-                **_ergodic_diagnostics(p, u_centered, dens.field.values, lam),
-                "halvings": halvings,
-                **held.counts(),
-            },
-        )
+    def accept(m_new: np.ndarray, state: tuple) -> bool:
+        return float(np.max(np.abs(p.cost.apply(m_new) - state[2]))) <= residual_target / 2.0
 
-    state = (np.zeros(shape), lam_start, None)
-    return _damped_fixed_point(p.grid, cfg, m_start, state, sweep, gate)
+    state = (np.zeros(shape), lam_start)
+    m, (u, lam, _, clamp), record = _damped_fixed_point(p.grid, cfg, m_start, state, sweep, accept, held)
+    u_centered = u - h2 * float(np.sum(u))
+    dens = DiscreteDensity.normalized(GridField(p.grid, m))
+    record["diagnostics"].update(_ergodic_diagnostics(p, u_centered, dens.field.values, lam), max_clamp=clamp)
+    return ErgodicSolution(u=GridField(p.grid, u_centered), m=dens, lam=lam, **record)
 
 
 def _ergodic_diagnostics(p: ErgodicProblem, u: np.ndarray, m: np.ndarray, lam: float) -> dict:
     h2 = p.grid.h ** 2
-    res_hjb = value_operator(p.hamiltonian, p.nu, u) + lam - p.cost.apply(m)
+    res_hjb = _stationary_defect(p, u, lam, p.cost.apply(m))
     res_fp = adjoint_apply(p.hamiltonian, p.nu, u, m)
     return {
         "hjb_residual": float(np.max(np.abs(res_hjb))),

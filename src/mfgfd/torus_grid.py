@@ -22,7 +22,6 @@ array layout and results are reproducible run to run.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -285,28 +284,23 @@ def gradient_power_sum(values: np.ndarray, beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV with an `i,j,value` header plus a JSON sidecar
+# serialization: CSV with an `i,j,value` header
 # ---------------------------------------------------------------------------
 
 def save_grid_field(u: GridField, path: str | Path) -> None:
-    path = Path(path)
     n = u.grid.n_side
     lines = ["i,j,value"]
     v = u.values
     for i in range(n):
         for j in range(n):
             lines.append(f"{i},{j},{v[i, j]:.17g}")
-    path.write_text("\n".join(lines) + "\n")
-    sidecar = {"n_side": n, "h": u.grid.h}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_grid_field(path: str | Path) -> GridField:
-    """Read a ``save_grid_field`` file; ValueError naming it unless every
-    node (i, j) with 0 <= i, j < N appears exactly once with a finite value."""
+def load_grid_field(path: str | Path, grid: TorusGrid) -> GridField:
+    """Read a ``save_grid_field`` file onto ``grid``; ValueError naming it unless
+    every node (i, j) with 0 <= i, j < N appears exactly once with a finite value."""
     path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
-    grid = TorusGrid(int(meta["n_side"]))
     n = grid.n_side
     values = np.zeros((n, n))
     seen = np.zeros((n, n), dtype=bool)
@@ -331,5 +325,5 @@ def load_grid_field(path: str | Path) -> GridField:
             values[i, j] = v
             seen[i, j] = True
     if not seen.all():
-        raise ValueError(f"{path} misses {n * n - int(np.sum(seen))} of {n * n} nodes")
+        raise ValueError(f"{path} misses {n * n - int(np.sum(seen))} of {n * n} nodes (n_side {n})")
     return GridField(grid, values)

@@ -107,6 +107,13 @@ def test_one_refine_or_factor_rule():
     assert sum(hits.values()) - hits["linear.py"] == hits["dynamics.py"] == 1, hits
 
 
+def test_one_lu_release():
+    # solver._damped_fixed_point releases the held LU of an accepted solve;
+    # neither solver releases it a second time after the driver returns
+    hits = _token_hits("held.lu = None")
+    assert sum(hits.values()) == hits["solver.py"] == 1, hits
+
+
 def test_csr_built_in_linear_only():
     # the five-point and bordered matrices are put on the cached pattern of
     # their grid in one module

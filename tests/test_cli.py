@@ -672,6 +672,26 @@ class TestFilePresets:
         problem = build_evolutive_problem(cfg)
         assert np.array_equal(problem.hamiltonian.potential.values, pot.values)
 
+    @pytest.mark.parametrize("sidecar", [None, "{}", "[4]", '{"n_side": 4.5}', "not json"])
+    def test_csv_alone_loads(self, tmp_path, sidecar):
+        # the CSV is the whole file format: a .json beside it is never read
+        import numpy as np
+
+        from mfgfd.presets import build_evolutive_problem
+
+        pot_path = tmp_path / "potential.csv"
+        rows = [f"{i},{j},{i - 0.5 * j}" for i in range(8) for j in range(8)]
+        pot_path.write_text("i,j,value\n" + "\n".join(rows) + "\n")
+        if sidecar is not None:
+            pot_path.with_suffix(".json").write_text(sidecar)
+        text = UNIFORM_CONFIG.format(out=tmp_path).replace(
+            "hamiltonian = zero",
+            f"hamiltonian = file\nhamiltonian.file = {pot_path}",
+        )
+        problem = build_evolutive_problem(parse_config_text(text))
+        i, j = np.meshgrid(np.arange(8.0), np.arange(8.0), indexing="ij")
+        assert np.array_equal(problem.hamiltonian.potential.values, i - 0.5 * j)
+
     def test_file_preset_size_mismatch(self, tmp_path):
         from mfgfd.config import parse_config_text
         from mfgfd.presets import build_evolutive_problem
@@ -788,3 +808,13 @@ class TestThreadsAndFailures:
         path.write_text(text)
         assert main(["solve", "--config", str(path)]) == 1
         assert "cannot be read" in capsys.readouterr().err
+
+    def test_undecodable_preset_file_exit_one(self, tmp_path, capsys):
+        # a byte that is not UTF-8 used to exit 1 with a codec message that
+        # named neither the file nor the field
+        pot_path = tmp_path / "potential.csv"
+        pot_path.write_bytes(b"i,j,value\n0,0,\xff\n")
+        text = UNIFORM_CONFIG.replace("hamiltonian = zero", f"hamiltonian = file\nhamiltonian.file = {pot_path}")
+        assert main(["solve", "--config", str(write_config(tmp_path, text))]) == 1
+        line = one_error_line(capsys.readouterr().err)
+        assert f"hamiltonian file {pot_path} cannot be read" in line

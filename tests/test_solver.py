@@ -366,8 +366,8 @@ def recording_sweep(rule):
     return sweep, inputs, outputs
 
 
-def gate_reporting(m_new, state, history, theta, halvings):
-    return {"sweeps": len(history), "theta": theta, "halvings": halvings, "m": m_new}
+def accept_all(m_new, state):
+    return True
 
 
 def slow_affine_contraction():
@@ -388,10 +388,10 @@ class TestAndersonMixing:
 
         cfg = FixedPointConfig(damping=0.5, outer_tol=1e-12)
         sweep, _, _ = recording_sweep(rule)
-        sol = _damped_fixed_point(g, cfg, np.ones((2, 2)), None, sweep, gate_reporting)
-        assert sol["sweeps"] <= 8
-        assert sol["halvings"] == 0
-        assert sup(sol["m"] - c) <= 1e-12
+        m, _, record = _damped_fixed_point(g, cfg, np.ones((2, 2)), None, sweep, accept_all, HeldFactor())
+        assert record["outer_iters"] <= 8
+        assert record["diagnostics"]["halvings"] == 0
+        assert sup(m - c) <= 1e-12
         # the plain theta blend on the same map
         m, sweeps = np.ones((2, 2)), 1
         while g.h ** 2 * float(np.sum(np.abs(rule(m) - m))) >= cfg.outer_tol:
@@ -409,8 +409,8 @@ class TestAndersonMixing:
 
         sweep, inputs, _ = recording_sweep(rule)
         cfg = FixedPointConfig(damping=0.5, outer_tol=1e-13)
-        sol = _damped_fixed_point(g, cfg, np.ones((3, 4, 4)), None, sweep, gate_reporting)
-        assert sol["sweeps"] > ANDERSON_DEPTH + 1
+        _, _, record = _damped_fixed_point(g, cfg, np.ones((3, 4, 4)), None, sweep, accept_all, HeldFactor())
+        assert record["outer_iters"] > ANDERSON_DEPTH + 1
         for m in inputs:
             assert sup(g.h ** 2 * np.sum(m, axis=(-2, -1)) - 1.0) <= 1e-14
 
@@ -421,10 +421,10 @@ class TestAndersonMixing:
         script = iter([0.1 * d, 0.2 * e, 0.0 * d])  # changes 0.05, 0.1, then 0
         sweep, inputs, outputs = recording_sweep(lambda m: m + next(script))
         cfg = FixedPointConfig(damping=0.5, outer_tol=1e-12, max_outer=3)
-        sol = _damped_fixed_point(g, cfg, np.ones((2, 2)), None, sweep, gate_reporting)
-        assert sol["sweeps"] == 3
-        assert sol["theta"] == 0.25
-        assert sol["halvings"] == 1
+        _, _, record = _damped_fixed_point(g, cfg, np.ones((2, 2)), None, sweep, accept_all, HeldFactor())
+        assert record["outer_iters"] == 3
+        assert record["diagnostics"]["theta_final"] == 0.25
+        assert record["diagnostics"]["halvings"] == 1
         # first step is the plain blend with the full factor
         assert np.array_equal(inputs[1], inputs[0] + 0.5 * (outputs[0] - inputs[0]))
         # after the growth the stored pair is dropped: again the plain blend,
@@ -447,7 +447,7 @@ class TestStagnationExit:
         sweep = scripted_sweep([1.0] + [2.0, 1.5] * 100)
         cfg = FixedPointConfig(outer_tol=1e-12)
         with pytest.raises(OuterNonConvergence, match="stagnated") as info:
-            _damped_fixed_point(TorusGrid(2), cfg, np.ones((2, 2)), None, sweep, gate_reporting)
+            _damped_fixed_point(TorusGrid(2), cfg, np.ones((2, 2)), None, sweep, accept_all, HeldFactor())
         assert info.value.iters == 1 + STAGNATION_SWEEPS
         assert info.value.last_change == pytest.approx(0.75, rel=1e-12)
 
@@ -457,7 +457,7 @@ class TestStagnationExit:
         sweep = scripted_sweep([1.0] + [2.0] * 200)
         cfg = FixedPointConfig(outer_tol=1e-12, max_outer=2 * STAGNATION_SWEEPS)
         with pytest.raises(OuterNonConvergence, match="did not converge") as info:
-            _damped_fixed_point(TorusGrid(2), cfg, np.ones((2, 2)), None, sweep, gate_reporting)
+            _damped_fixed_point(TorusGrid(2), cfg, np.ones((2, 2)), None, sweep, accept_all, HeldFactor())
         assert info.value.iters == 2 * STAGNATION_SWEEPS
 
 
@@ -572,9 +572,9 @@ class TestErgodicSolver:
             grid=g,
         )
         u = solve_ergodic(p).u.values
-        fresh = _stationary_density(p, u, 1e-9, HeldFactor())
+        fresh, _ = _stationary_density(p, u, 1e-9, HeldFactor())
         held = HeldFactor().factor(_bordered_jacobian(p, scale * u))
-        m = _stationary_density(p, u, 1e-9, held)
+        m, _ = _stationary_density(p, u, 1e-9, held)
         if scale == 0.5:
             assert held.factorizations == 1 and held.refinements > 0
             assert sup(m - fresh) <= 1e-12
@@ -677,6 +677,21 @@ class TestHeldFactorCounts:
         for n, sol in enumerate((first, second)):
             write(tmp_path / str(n), sol, {}, "")
         assert (tmp_path / "0" / "meta.json").read_bytes() == (tmp_path / "1" / "meta.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["evolutive", "ergodic"])
+    def test_both_models_share_the_diagnostic_keys(self, kind):
+        if kind == "evolutive":
+            sol = solve_evolutive(smooth_problem(n=8, nt=8, cost="power"))
+        else:
+            g = TorusGrid(8)
+            ham = PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0))
+            sol = solve_ergodic(ErgodicProblem(1.0, ham, LocalCost.power(2.0), g))
+        d = sol.diagnostics
+        shared = ("final_change", "theta_final", "halvings", "max_clamp", "hjb_residual", "fp_residual")
+        assert set(shared + self.HELD_KEYS) <= set(d)
+        assert d["final_change"] == sol.residual_history[-1] < FixedPointConfig().outer_tol
+        assert d["theta_final"] == FixedPointConfig().damping
+        assert d["max_clamp"] >= 0.0
 
 
 class TestIdentity:

@@ -275,9 +275,9 @@ class TestSerialization:
         u = GridField(g, rng.normal(size=(4, 4)))
         path = tmp_path / "field.csv"
         save_grid_field(u, path)
-        assert path.with_suffix(".json").exists()
-        back = load_grid_field(path)
-        assert back.grid.n_side == 4
+        assert sorted(tmp_path.iterdir()) == [path]  # the CSV alone, no sidecar
+        back = load_grid_field(path, g)
+        assert back.grid == g
         assert np.array_equal(back.values, u.values)
 
     @staticmethod
@@ -290,14 +290,14 @@ class TestSerialization:
         path, rows = self.saved_rows(tmp_path)
         path.write_text("\n".join(rows[:-5]) + "\n")
         with pytest.raises(ValueError, match="misses 5 of 16 nodes") as info:
-            load_grid_field(path)
+            load_grid_field(path, TorusGrid(4))
         assert str(path) in str(info.value)
 
     def test_duplicate_node_rejected(self, tmp_path):
         path, rows = self.saved_rows(tmp_path)
         path.write_text("\n".join(rows[:-1] + ["1,2,7.0"]) + "\n")
         with pytest.raises(ValueError, match="appears twice") as info:
-            load_grid_field(path)
+            load_grid_field(path, TorusGrid(4))
         assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("row", ["3,3", "3,3,seven"])
@@ -305,7 +305,7 @@ class TestSerialization:
         path, rows = self.saved_rows(tmp_path)
         path.write_text("\n".join(rows[:-1] + [row]) + "\n")
         with pytest.raises(ValueError, match="malformed row") as info:
-            load_grid_field(path)
+            load_grid_field(path, TorusGrid(4))
         assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("row", ["-1,0,7.0", "0,4,7.0"])
@@ -314,7 +314,7 @@ class TestSerialization:
         path, rows = self.saved_rows(tmp_path)
         path.write_text("\n".join(rows[:-1] + [row]) + "\n")
         with pytest.raises(ValueError, match="outside the 4 x 4 grid") as info:
-            load_grid_field(path)
+            load_grid_field(path, TorusGrid(4))
         assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -322,7 +322,7 @@ class TestSerialization:
         path, rows = self.saved_rows(tmp_path)
         path.write_text("\n".join(rows[:-1] + [f"3,3,{value}"]) + "\n")
         with pytest.raises(ValueError, match=r"node \(3, 3\) .* non-finite value") as info:
-            load_grid_field(path)
+            load_grid_field(path, TorusGrid(4))
         assert str(path) in str(info.value)
 
 
