@@ -49,9 +49,10 @@ Every operator takes and returns plain (N, N) float64 arrays, one time
 slice each, and reads the grid step of the unit torus from the array as
 h = 1/N with N its last axis.
 
-Assembly fills the five stencil entries of every node, the node first and
-its neighbours in ``torus_grid.STENCIL`` order; ``linear`` owns their
-pattern, the factorization and the refine-or-factor rule of every solve.
+Assembly fills the five stencil entries of every node as five (N, N)
+planes, the node's own first and then its neighbours in
+``torus_grid.STENCIL`` order; ``linear`` owns their pattern, the
+factorization and the refine-or-factor rule of every solve.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import scipy.sparse as sp
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
 from .linear import HeldFactor, _solve_checked, five_point_matrix
 from .torus_grid import (
-    _stencil_laplace, check_positive_finite, check_positive_int, laplace_array, stencil_adjoint, stencil_array
+    _plane_sum, _stencil_laplace, check_positive_finite, check_positive_int, laplace_array, stencil_adjoint, stencil_array
 )
 
 __all__ = [
@@ -145,9 +146,9 @@ def _five_point_matrix(
     h = 1.0 / u.shape[-1]
     inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
     g = ham.grad_grid(hamiltonian_stencil(u))
-    diag = -(((g[..., 0] + g[..., 1]) + g[..., 2]) + g[..., 3])
-    centre = shift + (-nu * (-4.0 * inv_h2) + diag * inv_h)
-    data = np.concatenate([centre[..., None], -nu * inv_h2 + g * inv_h], axis=-1)
+    data = np.empty((5,) + u.shape)
+    data[0] = shift + (-nu * (-4.0 * inv_h2) - _plane_sum(g) * inv_h)
+    data[1:] = -nu * inv_h2 + g * inv_h
     return five_point_matrix(data)
 
 
@@ -282,7 +283,7 @@ def transport_apply(ham: PowerHamiltonian, u: np.ndarray, m: np.ndarray) -> np.n
     """
     if u.shape != m.shape:
         raise ValueError(f"u and m must have one shape, got {u.shape} and {m.shape}")
-    return -stencil_adjoint(m[..., None] * ham.grad_grid(hamiltonian_stencil(u)))
+    return -stencil_adjoint(m * ham.grad_grid(hamiltonian_stencil(u)))
 
 
 def linearized_hjb_apply(
@@ -292,7 +293,7 @@ def linearized_hjb_apply(
     if u.shape != v.shape:
         raise ValueError(f"u and v must have one shape, got {u.shape} and {v.shape}")
     g, d = ham.grad_grid(hamiltonian_stencil(u)), stencil_array(v)
-    return -nu * _stencil_laplace(d) + np.sum(g * d, axis=-1)
+    return -nu * _stencil_laplace(d) + _plane_sum(g * d)
 
 
 def adjoint_apply(ham: PowerHamiltonian, nu: float, u: np.ndarray, m: np.ndarray) -> np.ndarray:

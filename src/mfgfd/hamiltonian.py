@@ -26,6 +26,10 @@ beta in {1.5, 2, 3}), and for beta < 2 the gradient, whose slope grows like
 transport and the Jacobians at a value slice goes through this one
 function, so the duality and adjoint identities between them stay exact.
 
+Every stencil-shaped array here is component-first, (4, ...) with plane k
+at index k, as ``stencil_array`` returns it; a sum over the four components
+adds the planes as ((p0 + p1) + p2) + p3 (``torus_grid._plane_sum``).
+
 The module also provides the m-weighted Bregman-gap functional between two
 trajectories and a seeded inequality suite that stress-tests the convexity
 and smoothness bounds this structure satisfies, with explicit constants.
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .torus_grid import GridField, check_positive_int, stencil_array, time_sum
+from .torus_grid import GridField, _plane_sum, check_positive_int, stencil_array, time_sum
 
 __all__ = [
     "PowerHamiltonian",
@@ -59,7 +63,7 @@ _EPS = float(np.finfo(np.float64).eps)
 def hamiltonian_stencil(values: np.ndarray) -> np.ndarray:
     """Neighbour differences of (..., N, N) value slices with the roundoff floor.
 
-    Returns the (..., N, N, 4) ``stencil_array`` with every difference of
+    Returns the (4, ..., N, N) ``stencil_array`` with every difference of
     |d| <= STENCIL_FLOOR * eps * max|u| / h set to exactly 0, each (N, N)
     slice floored against its own max|u| (h = 1/N).  This is the stencil at
     which the value, the gradient, the transport and the Jacobians evaluate
@@ -72,25 +76,26 @@ def hamiltonian_stencil(values: np.ndarray) -> np.ndarray:
 def _floor_stencil(d: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``hamiltonian_stencil`` of ``values`` from its ``stencil_array`` d, in place."""
     h = 1.0 / values.shape[-1]
-    scale = np.max(np.abs(values), axis=(-2, -1))[..., None, None, None]
-    d[np.abs(d) <= STENCIL_FLOOR * _EPS * scale / h] = 0.0
+    scale = np.abs(values).max(axis=(-2, -1))[..., None, None]
+    limit = STENCIL_FLOOR * _EPS * scale / h
+    np.copyto(d, 0.0, where=(d <= limit) & (d >= -limit))  # |d| <= limit
     return d
 
 
 def upwind_part(d: np.ndarray) -> np.ndarray:
-    """Nonnegative 4-vector max(-d, 0) of neighbour differences; works on (..., 4) arrays."""
-    return np.maximum(-np.asarray(d, dtype=np.float64), 0.0)
+    """Nonnegative upwind part max(-d, 0) of neighbour differences; works on (4, ...) arrays."""
+    p = np.negative(np.asarray(d, dtype=np.float64))
+    return np.maximum(p, 0.0, out=p)
 
 
 def _gauge(p: np.ndarray, beta: float) -> np.ndarray:
-    """|p|^beta on (..., 4) arrays of nonnegative upwind parts."""
-    s2 = np.sum(p * p, axis=-1)
-    return s2 ** (beta / 2.0)
+    """|p|^beta on (4, ...) arrays of nonnegative upwind parts."""
+    return _plane_sum(p * p) ** (beta / 2.0)
 
 
 def _grad_coef(p: np.ndarray, beta: float) -> np.ndarray:
     """beta * |p|^(beta-2) with the continuous extension 0 at p = 0."""
-    s2 = np.sum(p * p, axis=-1)
+    s2 = _plane_sum(p * p)
     coef = np.zeros_like(s2)
     nz = s2 > 0.0
     coef[nz] = beta * s2[nz] ** ((beta - 2.0) / 2.0)
@@ -98,13 +103,13 @@ def _grad_coef(p: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _grad_from_d(d: np.ndarray, beta: float) -> np.ndarray:
-    """-beta |p|^(beta-2) p, p the upwind part of d; works on (..., 4) arrays."""
+    """-beta |p|^(beta-2) p, p the upwind part of d; works on (4, ...) arrays."""
     p = upwind_part(d)
-    return -(_grad_coef(p, beta)[..., None] * p)
+    return -(_grad_coef(p, beta) * p)
 
 
 def bregman_gap_array(d: np.ndarray, d_tilde: np.ndarray, beta: float) -> np.ndarray:
-    """value(x, d~) - value(x, d) - grad(d) . (d~ - d) on (..., 4) arrays.
+    """value(x, d~) - value(x, d) - grad(d) . (d~ - d) on (4, ...) arrays.
 
     The potential cancels, so the gap depends on the stencils only; it is
     nonnegative by convexity of the upwind composition.  The gradient is
@@ -113,7 +118,7 @@ def bregman_gap_array(d: np.ndarray, d_tilde: np.ndarray, beta: float) -> np.nda
     return (
         _gauge(upwind_part(d_tilde), beta)
         - _gauge(upwind_part(d), beta)
-        - np.sum(_grad_from_d(d, beta) * (d_tilde - d), axis=-1)
+        - _plane_sum(_grad_from_d(d, beta) * (d_tilde - d))
     )
 
 
@@ -134,25 +139,30 @@ class PowerHamiltonian:
         check_beta(self.beta)
 
     def gauge_hessian(self, p: np.ndarray) -> np.ndarray:
-        """Hessian of |p|^beta at p != 0: beta|p|^(b-2) I + beta(b-2)|p|^(b-4) p p^T."""
+        """Hessian of |p|^beta at p != 0: beta|p|^(b-2) I + beta(b-2)|p|^(b-4) p p^T.
+
+        Takes (4, ...) upwind parts and returns one (4, 4) matrix per node,
+        shape (..., 4, 4).
+        """
         p = np.asarray(p, dtype=np.float64)
-        s2 = np.sum(p * p, axis=-1)
+        s2 = _plane_sum(p * p)
         if np.any(s2 == 0.0):
             raise ValueError("gauge_hessian is undefined at p = 0")
         b = self.beta
-        eye = np.broadcast_to(np.eye(4), p.shape + (4,))
-        outer = p[..., :, None] * p[..., None, :]
+        eye = np.broadcast_to(np.eye(4), s2.shape + (4, 4))
+        q = np.moveaxis(p, 0, -1)
+        outer = q[..., :, None] * q[..., None, :]
         return (
             b * s2[..., None, None] ** ((b - 2.0) / 2.0) * eye
             + b * (b - 2.0) * s2[..., None, None] ** ((b - 4.0) / 2.0) * outer
         )
 
     def value_grid(self, stencil: np.ndarray) -> np.ndarray:
-        """Values at every node of a (..., N, N, 4) stencil array."""
+        """Values at every node of a (4, ..., N, N) stencil array."""
         return self.potential.values + _gauge(upwind_part(stencil), self.beta)
 
     def grad_grid(self, stencil: np.ndarray) -> np.ndarray:
-        """Gradients of a (..., 4) stencil array, one 4-vector per stencil."""
+        """Gradients of a (4, ...) stencil array, component-first like the stencil."""
         return _grad_from_d(stencil, self.beta)
 
 
@@ -267,12 +277,13 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     r = rng.normal(0.0, 1.0, size=(S, 4))
     for x in (d, dtil, r):  # from the paper's q to d = (q1, -q2, q3, -q4)
         x[:, 1::2] = -x[:, 1::2]
+    d, dtil, r = (np.ascontiguousarray(x.T) for x in (d, dtil, r))  # component-first
     eta = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=S))
 
     p = upwind_part(d)
     pt = upwind_part(dtil)
-    ap = np.sqrt(np.sum(p * p, axis=-1))
-    apt = np.sqrt(np.sum(pt * pt, axis=-1))
+    ap = np.sqrt(_plane_sum(p * p))
+    apt = np.sqrt(_plane_sum(pt * pt))
 
     gap = bregman_gap_array(d, dtil, beta)
     # the summands of ``gap``: at beta = 2 the two gap lower bounds hold with
@@ -280,7 +291,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     gap_terms = (
         _gauge(pt, beta)
         + _gauge(p, beta)
-        + np.abs(np.sum(_grad_from_d(d, beta) * (dtil - d), axis=-1))
+        + np.abs(_plane_sum(_grad_from_d(d, beta) * (dtil - d)))
     )
     gauge_gap = bregman_gap_array(-p, -pt, beta)
 
@@ -290,10 +301,10 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     # multiple of the identity stay nonnegative (away from the kink, where
     # the formula is valid).
     keep = ap > 1e-3
-    pk = p[keep]
+    pk = p[:, keep]
     hess = ham.gauge_hessian(pk)
     bound = beta * (1.0 if beta >= 2.0 else (beta - 1.0))
-    shifted = hess - bound * np.sum(pk * pk, axis=-1)[:, None, None] ** (
+    shifted = hess - bound * _plane_sum(pk * pk)[:, None, None] ** (
         (beta - 2.0) / 2.0
     ) * np.eye(4)
     eigs = np.linalg.eigvalsh(shifted)
@@ -312,7 +323,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     if beta >= 2.0:
         rhs29 = (
             np.maximum(_power_with_inf(ap, beta - 2.0), _power_with_inf(apt, beta - 2.0))
-            * np.sum((p - pt) ** 2, axis=-1)
+            * _plane_sum((p - pt) ** 2)
             / (beta - 1.0)
         )
         # max(0,0)^(beta-2) = 0 for beta > 2 and 1 for beta = 2; with beta = 2
@@ -321,7 +332,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
         c.record(_rel_margin(gap, rhs29, gap_terms))
         checks.append(c)
 
-        rhs30 = np.sum((p - pt) ** 2, axis=-1) ** (beta / 2.0) / (
+        rhs30 = _plane_sum((p - pt) ** 2) ** (beta / 2.0) / (
             2.0 ** (beta - 2.0) * (beta - 1.0)
         )
         c = _Check("gap_power_lower", S)
@@ -330,14 +341,14 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
 
         # gradient-difference bound with the Young-split constant
         lhs32 = np.abs(
-            np.sum((_grad_from_d(dtil, beta) - _grad_from_d(d, beta)) * r, axis=-1)
+            _plane_sum((_grad_from_d(dtil, beta) - _grad_from_d(d, beta)) * r)
         )
         mx = np.maximum(
             _power_with_inf(ap, beta - 2.0), _power_with_inf(apt, beta - 2.0)
         )
         mx = np.where(np.isinf(mx), 0.0, mx)  # both parts vanish => lhs is 0
-        dp2 = np.sum((p - pt) ** 2, axis=-1)
-        r2 = np.sum(r * r, axis=-1)
+        dp2 = _plane_sum((p - pt) ** 2)
+        r2 = _plane_sum(r * r)
         c_analytic = beta ** 2 * (beta - 1.0) ** 2 / 4.0
         rhs32 = mx * (c_analytic / eta * dp2 + eta * r2)
         c = _Check("grad_diff_split_bound", S)
@@ -355,17 +366,17 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
     else:
         # kink-weighted quadratic lower bound, valid when p + p~ != 0
         keep = ~((ap == 0.0) & (apt == 0.0))
-        pk, ptk = p[keep], pt[keep]
+        pk, ptk = p[:, keep], pt[:, keep]
         minmax = np.minimum(
-            _power_with_inf(np.max(np.abs(pk), axis=-1), beta - 2.0),
-            _power_with_inf(np.max(np.abs(ptk), axis=-1), beta - 2.0),
+            _power_with_inf(np.max(np.abs(pk), axis=0), beta - 2.0),
+            _power_with_inf(np.max(np.abs(ptk), axis=0), beta - 2.0),
         )
         rhs31 = (
             2.0 ** (beta - 3.0)
             * beta
             * (beta - 1.0)
             * minmax
-            * np.sum((pk - ptk) ** 2, axis=-1)
+            * _plane_sum((pk - ptk) ** 2)
         )
         c = _Check("gap_kink_lower", int(keep.sum()))
         c.record(_rel_margin(gap[keep], rhs31))
@@ -397,9 +408,9 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
         if beta >= 2.0:
             gapf = bregman_gap_array(df, dtilf, beta)
             big_g = np.sum(m_arr * gapf, axis=(1, 2, 3))
-            apf = np.sqrt(np.sum(pf * pf, axis=-1))
-            aptf = np.sqrt(np.sum(ptf * ptf, axis=-1))
-            dp2f = np.sum((pf - ptf) ** 2, axis=-1)
+            apf = np.sqrt(_plane_sum(pf * pf))
+            aptf = np.sqrt(_plane_sum(ptf * ptf))
+            dp2f = _plane_sum((pf - ptf) ** 2)
 
             w_quad = np.sum(
                 m_arr * np.maximum(apf ** (beta - 2.0), aptf ** (beta - 2.0)) * dp2f,
@@ -418,7 +429,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
             dd = dtilf - df
             w_sten = (
                 m_low
-                * np.sum(np.sum(dd * dd, axis=-1) ** (beta / 2.0), axis=(1, 2, 3))
+                * np.sum(_plane_sum(dd * dd) ** (beta / 2.0), axis=(1, 2, 3))
                 / (2.0 ** (2.0 * beta - 3.0) * (beta - 1.0))
             )
             field_checks["weighted_gap_stencil_lower"].record(
@@ -434,7 +445,7 @@ def inequality_suite(ham: PowerHamiltonian, sample_count: int, seed: int = 0) ->
                 * beta
                 * (beta - 1.0)
                 * m_low
-                * np.sum(np.sum(dtilf * dtilf, axis=-1) ** (beta / 2.0), axis=(1, 2, 3))
+                * np.sum(_plane_sum(dtilf * dtilf) ** (beta / 2.0), axis=(1, 2, 3))
             )
             field_checks["small_beta_chain_lower"].record(_rel_margin(big_g0, w_chain), done)
         done += chunk

@@ -162,9 +162,10 @@ class _Layout:
 def _layout(n: int, bordered: bool) -> _Layout:
     """The pattern of the N x N five-point matrices, built once per N on first use.
 
-    Unbordered, the source entries are the 5 N^2 stencil entries, node by
-    node: the node, then its neighbours in ``STENCIL`` order, so coinciding
-    neighbours (N <= 2) share a slot.  Bordered, one unknown is appended to
+    Unbordered, the source entries are the 5 N^2 stencil entries plane by
+    plane, as ``five_point_matrix`` takes them: the node, then its
+    neighbours in ``STENCIL`` order, so coinciding neighbours (N <= 2) share
+    a slot.  Bordered, one unknown is appended to
     the N^2 nodes (``_with_border``).
     """
     n2 = n * n
@@ -175,8 +176,8 @@ def _layout(n: int, bordered: bool) -> _Layout:
         return _Layout(*_read_only(indptr, indices), None)
     k = np.arange(n2).reshape(n, n)
     neighbours = [_shift(k, step, axis) for step, axis in STENCIL]
-    rows = np.repeat(k.ravel(), 5)
-    cols = np.stack([k] + neighbours, axis=-1).ravel()
+    rows = np.tile(k.ravel(), 5)
+    cols = np.stack([k] + neighbours).ravel()
     keys, slots = np.unique(rows * n2 + cols, return_inverse=True)
     indptr, indices = np.searchsorted(keys // n2, np.arange(n2 + 1)), keys % n2
     return _Layout(*_read_only(indptr, indices, slots))
@@ -188,14 +189,15 @@ def _with_border(entries: np.ndarray, column: np.ndarray, row: np.ndarray) -> np
 
 
 def five_point_matrix(entries: np.ndarray) -> sp.csr_matrix:
-    """The N^2 x N^2 CSR matrix of the (N, N, 5) stencil ``entries``.
+    """The N^2 x N^2 CSR matrix of the (5, N, N) stencil ``entries``.
 
-    Entry k of node (i, j) is the coefficient of the k-th stencil node of
-    ``_layout``; coinciding neighbours (N <= 2) are summed in stencil order.
+    Plane 0 holds the coefficient of every node on itself, plane 1 + k that
+    on its neighbour k of ``STENCIL``; coinciding neighbours (N <= 2) are
+    summed in stencil order.
     The index arrays are the read-only cached pattern of the grid, shared
     by every matrix of one N.
     """
-    n = entries.shape[0]
+    n = entries.shape[-1]
     layout = _layout(n, False)
     data = np.bincount(layout.slots, weights=entries.ravel(), minlength=layout.indices.size)
     return sp.csr_matrix((data, layout.indices, layout.indptr), shape=(n * n, n * n))

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -321,7 +321,14 @@ def evolutive_residuals(
     p: EvolutiveProblem, u: np.ndarray, m: np.ndarray
 ) -> tuple[float, float]:
     """Sup norms of the two defects of ``system_residuals`` along a trajectory pair."""
-    a, b = system_residuals(p.hamiltonian, p.nu, p.mesh.dt, p.cost, u, m)
+    return _defect_norms(p, u, m, (p.cost.apply(m[n]) for n in range(p.mesh.n_steps)))
+
+
+def _defect_norms(
+    p: EvolutiveProblem, u: np.ndarray, m: np.ndarray, costs: Iterable[np.ndarray]
+) -> tuple[float, float]:
+    """``evolutive_residuals`` with the costs of density slices 0..N_T-1 given."""
+    a, b = _system_defects(p.hamiltonian, p.nu, p.mesh.dt, costs, u, m)
     return float(np.max(np.abs(a))), float(np.max(np.abs(b)))
 
 
@@ -373,15 +380,21 @@ def solve_evolutive(
         m_new, clamp_max = _fp_sweep(p, u, m, held)
         return m_new, (u, cost, clamp_max)
 
+    accepted_cost = None  # the costs of the accepted densities, for the final check
+
     def accept(m_new: np.ndarray, state: tuple) -> bool:
         # candidate return pair is (u, m_new): the density sweep is exact
         # for u, and the value sweep is exact for the *old* densities, so
         # the value defect is the cost mismatch between the trajectories.
-        mismatch = float(np.max(np.abs(_cost_fields(p, m_new) - state[1])))
-        return mismatch + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET
+        nonlocal accepted_cost
+        cost = _cost_fields(p, m_new)
+        ok = float(np.max(np.abs(cost - state[1]))) + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET
+        if ok:
+            accepted_cost = cost
+        return ok
 
     m, (u, _, clamp_max), record = _damped_fixed_point(p.grid, cfg, m_start, None, sweep, accept, held)
-    hjb_res, fp_res = evolutive_residuals(p, u, m)
+    hjb_res, fp_res = _defect_norms(p, u, m, accepted_cost)
     if not fp_res <= INNER_RESIDUAL_TARGET:  # the mismatch bounds hjb_res
         raise LinearSolveError(f"density defect {fp_res:.3e} exceeds {INNER_RESIDUAL_TARGET:.0e}")
     monitors = (
@@ -570,10 +583,17 @@ def system_residuals(
     this is exactly the perturbation that makes them solve the perturbed
     system by construction.
     """
+    return _system_defects(ham, nu, dt, (cost.apply(m[n]) for n in range(len(u) - 1)), u, m)
+
+
+def _system_defects(
+    ham: PowerHamiltonian, nu: float, dt: float, costs: Iterable[np.ndarray], u: np.ndarray, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``system_residuals`` with the cost of step n, at density slice n, the n-th of ``costs``."""
     a = np.zeros_like(u)
     b = np.zeros_like(m)
-    for n in range(len(u) - 1):
-        a[n] = hjb_residual(ham, nu, dt, u[n + 1], u[n], cost.apply(m[n]))
+    for n, cost_n in enumerate(costs):
+        a[n] = hjb_residual(ham, nu, dt, u[n + 1], u[n], cost_n)
         b[n] = (m[n + 1] - m[n]) / dt - adjoint_apply(ham, nu, u[n + 1], m[n])
     return a, b
 

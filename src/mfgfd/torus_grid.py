@@ -11,17 +11,23 @@ time mesh at the problem and solution boundary.
 The module owns the five-point stencil: ``STENCIL`` lists the step and axis
 of its four neighbour differences d_k = (u(x + step_k e_axis_k) - u(x)) / h,
 ``stencil_array`` applies it (D) and ``stencil_adjoint`` its transpose
-(D^T).  The Laplacian, the transport and the matrices of the package all
-read it from here.  In the paper's notation q = (D1+ u, D1- u, D2+ u, D2- u)
+(D^T).  D u is component-first: four contiguous (..., N, N) planes in one
+(4, ..., N, N) array, so every kernel runs whole-plane operations; a sum
+over the components adds the planes as ((d0 + d1) + d2) + d3.  The
+Laplacian, the transport and the matrices of the package all read the
+stencil from here.  In the paper's notation q = (D1+ u, D1- u, D2+ u, D2- u)
 the stencil is d = (q1, -q2, q3, -q4): negation is exact in float64, so the
 two conventions hold the same numbers up to sign.
 
 Sums and norms use numpy reductions, so the reduction order is fixed by the
-array layout and results are reproducible run to run.
+array layout and results are reproducible run to run.  Grid fields are
+written as ``i,j,value`` CSV text through one cached %-template per grid
+size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,40 +195,90 @@ class SpaceTimeField:
 # elementary difference operators
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _shift_pairs(step: int, axis: int, ndim: int) -> tuple[tuple, tuple]:
+    """The two (target, source) index pairs of a periodic shift: entry i along
+    ``axis`` is taken from i + step (mod N), step = +-1."""
+    lead = (slice(None),) * (axis % ndim)
+    if step == 1:
+        return (
+            (lead + (slice(None, -1),), lead + (slice(1, None),)),
+            (lead + (slice(-1, None),), lead + (slice(None, 1),)),
+        )
+    return (
+        (lead + (slice(1, None),), lead + (slice(None, -1),)),
+        (lead + (slice(None, 1),), lead + (slice(-1, None),)),
+    )
+
+
 def _shift(values: np.ndarray, step: int, axis: int) -> np.ndarray:
     """``values`` with entry i along ``axis`` taken from i + step (mod N), step = +-1."""
-    lead = (slice(None),) * (axis % values.ndim)
-    head, tail = values[lead + (slice(step, None),)], values[lead + (slice(None, step),)]
-    return np.concatenate([head, tail], axis=axis)
+    out = np.empty_like(values)
+    for dst, src in _shift_pairs(step, axis, values.ndim):
+        out[dst] = values[src]
+    return out
+
+
+def _shift_sub(values: np.ndarray, step: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """``_shift(values, step, axis) - values``, written into ``out`` by two slice subtractions."""
+    for dst, src in _shift_pairs(step, axis, values.ndim):
+        np.subtract(values[src], values[dst], out[dst])
+    return out
 
 
 # The five-point stencil D as (step, axis) of each neighbour difference:
 # component k at node x is (u(x + step_k e_axis_k) - u(x)) / h, where axis -2
 # is the index i, -1 the index j, and x + step_k e_axis_k is neighbour k.
+# Each axis has its forward difference first, then its backward one.
 STENCIL = ((1, -2), (-1, -2), (1, -1), (-1, -1))
 
 
 def stencil_array(values: np.ndarray) -> np.ndarray:
-    """D values: the (..., N, N, 4) neighbour differences of (..., N, N) arrays
-    in ``STENCIL`` order, h = 1/N."""
+    """D values: the (4, ..., N, N) neighbour differences of (..., N, N) arrays,
+    component-first in ``STENCIL`` order (plane k is ``d[k]``), h = 1/N.
+
+    The planes fill one C-contiguous buffer: a forward difference by two
+    slice subtractions, the backward one of its axis as its negated shift.
+    """
     h = 1.0 / values.shape[-1]
-    dp1 = (_shift(values, 1, -2) - values) / h
-    dp2 = (_shift(values, 1, -1) - values) / h
-    return np.stack([dp1, -_shift(dp1, -1, -2), dp2, -_shift(dp2, -1, -1)], axis=-1)
+    d = np.empty((4,) + values.shape)
+    for k in (0, 2):
+        (step, axis), (back, _) = STENCIL[k], STENCIL[k + 1]
+        fwd, bwd = d[k], d[k + 1]
+        np.divide(_shift_sub(values, step, axis, fwd), h, fwd)
+        for dst, src in _shift_pairs(back, axis, values.ndim):
+            # times -1.0 negates exactly; np.negative with out= miscopies
+            # (N, 1) column slices of an (8, 8) array in numpy 2.4.6
+            np.multiply(fwd[src], -1.0, bwd[dst])
+    return d
 
 
 def stencil_adjoint(a: np.ndarray) -> np.ndarray:
-    """D^T a of (..., N, N, 4) arrays, shape (..., N, N): the node sum of
+    """D^T a of (4, ..., N, N) arrays, shape (..., N, N): the node sum of
     stencil_adjoint(a) * w equals that of a . stencil_array(w) for every w."""
-    h = 1.0 / a.shape[-2]
-    t = [_shift(a[..., k], -step, ax) - a[..., k] for k, (step, ax) in enumerate(STENCIL)]
-    return (((t[0] + t[1]) + t[2]) + t[3]) / h
+    h = 1.0 / a.shape[-1]
+    out, t = np.empty(a.shape[1:]), np.empty(a.shape[1:])
+    for k, (step, axis) in enumerate(STENCIL):
+        if k == 0:
+            _shift_sub(a[0], -step, axis, out)
+        else:
+            out += _shift_sub(a[k], -step, axis, t)
+    out /= h
+    return out
+
+
+def _plane_sum(x: np.ndarray) -> np.ndarray:
+    """((x[0] + x[1]) + x[2]) + x[3] of a (4, ...) array of stencil planes."""
+    s = x[0] + x[1]
+    s += x[2]
+    s += x[3]
+    return s
 
 
 def _stencil_laplace(d: np.ndarray) -> np.ndarray:
     """Five-point Laplacian ((d1 + d2) + (d3 + d4)) / h of a ``stencil_array`` d."""
-    h = 1.0 / d.shape[-2]
-    return ((d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3])) / h
+    h = 1.0 / d.shape[-1]
+    return ((d[0] + d[1]) + (d[2] + d[3])) / h
 
 
 def laplace_array(values: np.ndarray) -> np.ndarray:
@@ -280,21 +336,24 @@ def gradient_power_sum(values: np.ndarray, beta: float) -> float:
     """Sum of the stencil magnitudes |D values|^beta of a (K, N, N) array, in
     ``time_sum`` order; times h^2 dt it is the discrete W^{1,beta} power."""
     d = stencil_array(values)
-    return time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0))
+    return time_sum(_plane_sum(d * d) ** (beta / 2.0))
 
 
 # ---------------------------------------------------------------------------
 # serialization: CSV with an `i,j,value` header
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _csv_template(n: int) -> str:
+    """The ``i,j,%.17g`` rows of an N x N grid, lexicographic, one %-field per node."""
+    return "".join(f"{i},{j},%.17g\n" for i in range(n) for j in range(n))
+
+
 def save_grid_field(u: GridField, path: str | Path) -> None:
-    n = u.grid.n_side
-    lines = ["i,j,value"]
-    v = u.values
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"{i},{j},{v[i, j]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``u`` as an ``i,j,value`` CSV, one row per node in (i, j) order and
+    each value in ``.17g``, formatted in one pass over the whole grid."""
+    text = _csv_template(u.grid.n_side) % tuple(u.values.ravel().tolist())
+    Path(path).write_text("i,j,value\n" + text)
 
 
 def load_grid_field(path: str | Path, grid: TorusGrid) -> GridField:

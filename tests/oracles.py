@@ -8,7 +8,7 @@ import numpy as np
 
 from mfgfd.dynamics import NonConvergence
 from mfgfd.hamiltonian import STENCIL_FLOOR, PowerHamiltonian, hamiltonian_stencil
-from mfgfd.torus_grid import laplace_array
+from mfgfd.torus_grid import STENCIL, laplace_array
 
 
 def hjb_step_picard(
@@ -72,12 +72,12 @@ def paper_value(ham: PowerHamiltonian, q: list[np.ndarray]) -> np.ndarray:
 
 
 def paper_gradient(ham: PowerHamiltonian, q: list[np.ndarray]) -> np.ndarray:
-    """(..., 4) gradient in q: beta |p|^(beta-2) (-p1, p2, -p3, p4), 0 at p = 0."""
+    """(4, ...) gradient in q: beta |p|^(beta-2) (-p1, p2, -p3, p4), 0 at p = 0."""
     p = _paper_upwind(q)
     s2 = ((p[0] * p[0] + p[1] * p[1]) + p[2] * p[2]) + p[3] * p[3]
     coef = np.zeros_like(s2)
     coef[s2 > 0.0] = ham.beta * s2[s2 > 0.0] ** ((ham.beta - 2.0) / 2.0)
-    return np.stack([-(coef * p[0]), coef * p[1], -(coef * p[2]), coef * p[3]], axis=-1)
+    return np.stack([-(coef * p[0]), coef * p[1], -(coef * p[2]), coef * p[3]])
 
 
 def paper_value_operator(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> np.ndarray:
@@ -93,11 +93,91 @@ def paper_transport(ham: PowerHamiltonian, u: np.ndarray, m: np.ndarray) -> np.n
     gradient at the floored q of u, so the node sum of its product with w is
     minus that of a . q(w)."""
     h = 1.0 / u.shape[-1]
-    a = m[..., None] * paper_gradient(ham, paper_stencil(u))
+    a = m * paper_gradient(ham, paper_stencil(u))
     t = [
-        np.roll(a[..., 0], 1, axis=-2) - a[..., 0],
-        a[..., 1] - np.roll(a[..., 1], -1, axis=-2),
-        np.roll(a[..., 2], 1, axis=-1) - a[..., 2],
-        a[..., 3] - np.roll(a[..., 3], -1, axis=-1),
+        np.roll(a[0], 1, axis=-2) - a[0],
+        a[1] - np.roll(a[1], -1, axis=-2),
+        np.roll(a[2], 1, axis=-1) - a[2],
+        a[3] - np.roll(a[3], -1, axis=-1),
     ]
     return -((((t[0] + t[1]) + t[2]) + t[3]) / h)
+
+
+# ---------------------------------------------------------------------------
+# the interleaved layout: stencils as (..., N, N, 4) arrays, component last
+# ---------------------------------------------------------------------------
+
+def interleaved_stencil(values: np.ndarray) -> np.ndarray:
+    """(..., N, N, 4) neighbour differences in ``STENCIL`` order, each
+    backward difference the negated shift of its axis' forward one."""
+    h = 1.0 / values.shape[-1]
+    dp1 = (np.roll(values, -1, axis=-2) - values) / h
+    dp2 = (np.roll(values, -1, axis=-1) - values) / h
+    return np.stack([dp1, -np.roll(dp1, 1, axis=-2), dp2, -np.roll(dp2, 1, axis=-1)], axis=-1)
+
+
+def interleaved_floored(values: np.ndarray) -> np.ndarray:
+    """``interleaved_stencil`` with |d| <= STENCIL_FLOOR eps max|u| / h set to 0 per slice."""
+    h = 1.0 / values.shape[-1]
+    d = interleaved_stencil(values)
+    scale = np.max(np.abs(values), axis=(-2, -1))[..., None, None, None]
+    d[np.abs(d) <= STENCIL_FLOOR * np.finfo(np.float64).eps * scale / h] = 0.0
+    return d
+
+
+def interleaved_laplace(values: np.ndarray) -> np.ndarray:
+    """((d1 + d2) + (d3 + d4)) / h of the interleaved stencil."""
+    h = 1.0 / values.shape[-1]
+    d = interleaved_stencil(values)
+    return ((d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3])) / h
+
+
+def interleaved_value(ham: PowerHamiltonian, d: np.ndarray) -> np.ndarray:
+    """potential + |max(-d, 0)|^beta, the squares summed along the last axis."""
+    p = np.maximum(-d, 0.0)
+    return ham.potential.values + np.sum(p * p, axis=-1) ** (ham.beta / 2.0)
+
+
+def interleaved_gradient(ham: PowerHamiltonian, d: np.ndarray) -> np.ndarray:
+    """-beta |p|^(beta-2) p, p = max(-d, 0), 0 at p = 0; shape (..., 4)."""
+    p = np.maximum(-d, 0.0)
+    s2 = np.sum(p * p, axis=-1)
+    coef = np.zeros_like(s2)
+    coef[s2 > 0.0] = ham.beta * s2[s2 > 0.0] ** ((ham.beta - 2.0) / 2.0)
+    return -(coef[..., None] * p)
+
+
+def interleaved_value_operator(ham: PowerHamiltonian, nu: float, u: np.ndarray) -> np.ndarray:
+    """-nu Lap_h u + value at the floored stencil."""
+    return -nu * interleaved_laplace(u) + interleaved_value(ham, interleaved_floored(u))
+
+
+def interleaved_five_point_entries(
+    ham: PowerHamiltonian, nu: float, u: np.ndarray, shift: float
+) -> np.ndarray:
+    """(N, N, 5) entries of shift I - nu L + B(u): the node, then its
+    neighbours in ``STENCIL`` order."""
+    h = 1.0 / u.shape[-1]
+    inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
+    g = interleaved_gradient(ham, interleaved_floored(u))
+    diag = -(((g[..., 0] + g[..., 1]) + g[..., 2]) + g[..., 3])
+    centre = shift + (-nu * (-4.0 * inv_h2) + diag * inv_h)
+    return np.concatenate([centre[..., None], -nu * inv_h2 + g * inv_h], axis=-1)
+
+
+def interleaved_transport(ham: PowerHamiltonian, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """-D^T (m g) with D^T a = sum_k (a_k(x - step_k e_axis_k) - a_k(x)) / h."""
+    h = 1.0 / u.shape[-1]
+    a = m[..., None] * interleaved_gradient(ham, interleaved_floored(u))
+    t = [np.roll(a[..., k], step, axis) - a[..., k] for k, (step, axis) in enumerate(STENCIL)]
+    return -((((t[0] + t[1]) + t[2]) + t[3]) / h)
+
+
+def fstring_grid_csv(values: np.ndarray) -> str:
+    """An ``i,j,value`` CSV of an (N, N) array, one f-string per node."""
+    n = values.shape[0]
+    lines = ["i,j,value"]
+    for i in range(n):
+        for j in range(n):
+            lines.append(f"{i},{j},{values[i, j]:.17g}")
+    return "\n".join(lines) + "\n"

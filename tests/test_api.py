@@ -9,6 +9,7 @@ import math
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mfgfd
@@ -147,6 +148,19 @@ def test_stencils_without_roll():
     # periodic neighbours come from torus_grid._shift, two slice copies
     hits = _token_hits("np.roll(")
     assert sum(hits.values()) == 0, hits
+
+
+def test_stencil_is_component_first():
+    # the kernels read the stencil as four contiguous (..., N, N) planes
+    from mfgfd.hamiltonian import hamiltonian_stencil
+    from mfgfd.torus_grid import stencil_array
+
+    rng = np.random.default_rng(3)
+    for shape in [(1, 1), (8, 8), (3, 8, 8), (2, 3, 4, 4)]:
+        u = rng.normal(size=shape)
+        for d in (stencil_array(u), hamiltonian_stencil(u)):
+            assert d.shape == (4,) + u.shape
+            assert all(d[k].flags.c_contiguous for k in range(4))
 
 
 def test_one_value_operator():

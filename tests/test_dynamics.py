@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mfgfd import dynamics
 from mfgfd.cost_ops import LocalCost
 from mfgfd.dynamics import (
     CLAMP_LIMIT,
@@ -39,9 +40,17 @@ from mfgfd.linear import (
 )
 from mfgfd.presets import HAMILTONIAN_PRESETS
 from mfgfd.solver import ErgodicProblem, _bordered_jacobian, _ergodic_diagnostics
-from mfgfd.torus_grid import GridField, TorusGrid, laplace_array, stencil_array
+from mfgfd.torus_grid import STENCIL, GridField, TorusGrid, laplace_array, stencil_array
 from oracles import (
     hjb_step_picard,
+    interleaved_five_point_entries,
+    interleaved_floored,
+    interleaved_gradient,
+    interleaved_laplace,
+    interleaved_stencil,
+    interleaved_transport,
+    interleaved_value,
+    interleaved_value_operator,
     paper_gradient,
     paper_stencil,
     paper_transport,
@@ -113,7 +122,7 @@ def coo_five_point(ham, nu, u, shift):
     h = 1.0 / n
     inv_h, inv_h2 = 1.0 / h, 1.0 / h**2
     g = paper_gradient(ham, paper_stencil(u))
-    g1, g2, g3, g4 = (g[..., k] for k in range(4))
+    g1, g2, g3, g4 = (g[k] for k in range(4))
     off = -nu * inv_h2
     data = np.stack(
         [
@@ -279,7 +288,7 @@ class TestTransport:
             lhs = inner(transport_apply(ham, u, m), w)
             grads = ham.grad_grid(stencil_array(u))
             dw = stencil_array(w)
-            rhs = -float(np.sum(m[..., None] * grads * dw))
+            rhs = -float(np.sum(m * grads * dw))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-11)
 
     def test_conservation(self):
@@ -441,10 +450,10 @@ class TestPaperConvention:
         u, m = rng.normal(size=(n, n)), rng.normal(size=(n, n))
         q = paper_stencil(u)
         d = hamiltonian_stencil(u)
-        assert np.array_equal(d, np.stack([q[0], -q[1], q[2], -q[3]], axis=-1))
+        assert np.array_equal(d, np.stack([q[0], -q[1], q[2], -q[3]]))
         assert np.array_equal(ham.value_grid(d), paper_value(ham, q))
         g = ham.grad_grid(d)
-        mapped = np.stack([g[..., 0], -g[..., 1], g[..., 2], -g[..., 3]], axis=-1)
+        mapped = np.stack([g[0], -g[1], g[2], -g[3]])
         assert np.array_equal(mapped, paper_gradient(ham, q))
         assert np.array_equal(value_operator(ham, 0.7, u), paper_value_operator(ham, 0.7, u))
         assert np.array_equal(transport_apply(ham, u, m), paper_transport(ham, u, m))
@@ -460,6 +469,84 @@ class TestPaperConvention:
         assert all(np.all(qk == 0.0) for qk in q)
         assert np.array_equal(ham.value_grid(d), paper_value(ham, q))
         assert np.array_equal(ham.grad_grid(d), paper_gradient(ham, q))
+
+
+def same_bits(got, want):
+    """Equal values and equal signs of zero, in one shape."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def component_last(planes):
+    return np.moveaxis(planes, 0, -1)
+
+
+def oracle_slices(n):
+    """Value slices for the interleaved oracle: a random slice, one whose
+    first row is constant up to roundoff (the floor zeroes its differences
+    along the row), and a (3, N, N) stack whose slices differ in max|u|.
+    The stack's first slice varies by 1e-10 about 1, above its own floor
+    and below that of its last slice, of size 1e6 with a near-constant row,
+    so each slice must be floored against its own max|u|."""
+    rng = np.random.default_rng(70 + n)
+    eps = np.finfo(float).eps
+    row = rng.normal(size=(n, n))
+    row[0] = 2.5 * (1.0 + eps * rng.integers(-2, 3, size=n))
+    stack = rng.normal(size=(3, n, n)) * np.array([1e-10, 1.0, 1e6])[:, None, None]
+    stack[0] += 1.0
+    stack[2, 0] = 1e6 * (1.0 + eps * rng.integers(-2, 3, size=n))
+    return {"random": rng.normal(size=(n, n)), "constant_row": row, "stack": stack}
+
+
+class TestInterleavedOracle:
+    """The component-first kernels against the interleaved (..., N, N, 4)
+    formulas they replaced, bit for bit; at N <= 2 neighbours coincide."""
+
+    @pytest.mark.parametrize("case", ["random", "constant_row", "stack"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_kernels_match(self, beta, n, case):
+        rng = np.random.default_rng(n)
+        u = oracle_slices(n)[case]
+        m = np.abs(rng.normal(size=u.shape))
+        ham = PowerHamiltonian(beta, GridField(TorusGrid(n), rng.normal(size=(n, n))))
+        floored = interleaved_floored(u)
+        if case == "constant_row" and n > 1:
+            assert not np.array_equal(floored, interleaved_stencil(u))  # the floor fires
+        same_bits(component_last(stencil_array(u)), interleaved_stencil(u))
+        same_bits(component_last(hamiltonian_stencil(u)), floored)
+        same_bits(laplace_array(u), interleaved_laplace(u))
+        same_bits(ham.value_grid(hamiltonian_stencil(u)), interleaved_value(ham, floored))
+        same_bits(component_last(ham.grad_grid(hamiltonian_stencil(u))), interleaved_gradient(ham, floored))
+        same_bits(value_operator(ham, 0.7, u), interleaved_value_operator(ham, 0.7, u))
+        same_bits(transport_apply(ham, u, m), interleaved_transport(ham, u, m))
+
+    @pytest.mark.parametrize("case", ["random", "constant_row"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_five_point_entries_match(self, beta, n, case, monkeypatch):
+        rng = np.random.default_rng(n)
+        u = oracle_slices(n)[case]
+        ham = PowerHamiltonian(beta, GridField(TorusGrid(n), rng.normal(size=(n, n))))
+        entries = []
+
+        def capture(data):
+            entries.append(data)
+            return five_point_matrix(data)
+
+        monkeypatch.setattr(dynamics, "five_point_matrix", capture)
+        jac = hjb_jacobian(ham, 0.7, 0.05, u)
+        want = interleaved_five_point_entries(ham, 0.7, u, 1.0 / 0.05)
+        same_bits(component_last(entries[0]), want)
+        # the matrix sums coinciding neighbours (N <= 2) in stencil order
+        dense = np.zeros((n * n, n * n))
+        k = np.arange(n * n).reshape(n, n)
+        cols = [k] + [np.roll(k, -step, axis) for step, axis in STENCIL]
+        for slot, col in enumerate(cols):
+            for row in range(n * n):
+                dense[row, col.ravel()[row]] += want.reshape(n * n, 5)[row, slot]
+        assert np.array_equal(jac.toarray(), dense)
 
 
 class TestFpStep:
@@ -715,7 +802,7 @@ class TestHeldFactor:
         j = hjb_jacobian(ham, 0.6, 0.05, u)
         held = HeldFactor()
         held.factor(j)
-        singular = five_point_matrix(np.zeros((8, 8, 5)))
+        singular = five_point_matrix(np.zeros((5, 8, 8)))
         with pytest.raises(LinearSolveError, match="singular"):
             _solve_checked(singular, np.ones(64), held)
         assert held.lu is None and held.factorizations == 1
@@ -809,7 +896,7 @@ class TestNonFiniteSolves:
 
     def test_singular_factor_raises(self):
         # SuperLU reports "Factor is exactly singular" as a plain RuntimeError
-        a = five_point_matrix(np.zeros((4, 4, 5)))
+        a = five_point_matrix(np.zeros((5, 4, 4)))
         with pytest.raises(LinearSolveError, match="singular"):
             _solve_checked(a, np.ones(16), HeldFactor())
 

@@ -33,8 +33,8 @@ def zero_ham(beta, n=4):
 
 def value_at(ham, d, node=(0, 0)):
     """``value_grid`` at one node of a stencil array holding d at every node."""
-    shape = ham.potential.values.shape + (4,)
-    return ham.value_grid(np.broadcast_to(np.asarray(d, dtype=float), shape))[node]
+    shape = (4,) + ham.potential.values.shape
+    return ham.value_grid(np.broadcast_to(np.asarray(d, dtype=float)[:, None, None], shape))[node]
 
 
 class TestValue:

@@ -140,7 +140,7 @@ class TestWriteStudy:
 def oracle_norms(du, dm, h, dt, beta, m_exponent):
     h2 = h ** 2
     d = stencil_array(du)
-    grad_total = time_sum(np.sum(d * d, axis=-1) ** (beta / 2.0))
+    grad_total = time_sum(np.sum(d * d, axis=0) ** (beta / 2.0))
     m_total = time_sum(np.abs(dm) ** m_exponent)
     return {
         "err_u_w1beta": (h2 * dt * grad_total) ** (1.0 / beta),

@@ -19,6 +19,7 @@ from mfgfd.torus_grid import (
     stencil_array,
     time_sum,
 )
+from oracles import fstring_grid_csv
 
 
 def spike(grid: TorusGrid, i=0, j=0, value=1.0) -> GridField:
@@ -53,12 +54,12 @@ def stencil(u: GridField) -> np.ndarray:
 
 def d1(u: GridField) -> np.ndarray:
     """Forward difference in the first index: component 0 of the stencil."""
-    return stencil(u)[..., 0]
+    return stencil(u)[0]
 
 
 def d2(u: GridField) -> np.ndarray:
     """Forward difference in the second index: component 2 of the stencil."""
-    return stencil(u)[..., 2]
+    return stencil(u)[2]
 
 
 def laplace(u: GridField) -> np.ndarray:
@@ -125,18 +126,18 @@ class TestStencil:
         # every neighbour of a unit spike lies 1 below it: d_k = -1 / h
         g = TorusGrid(4)
         st = stencil(spike(g))
-        assert np.array_equal(st[0, 0], [-4.0, -4.0, -4.0, -4.0])
+        assert np.array_equal(st[:, 0, 0], [-4.0, -4.0, -4.0, -4.0])
 
     def test_component_ordering(self):
         # a field varying only in the second index keeps the first two slots zero
         g = TorusGrid(4)
         u = GridField.from_function(g, lambda x1, x2: x2)
         st = stencil(u)
-        assert np.all(st[..., 0] == 0.0)
-        assert np.all(st[..., 1] == 0.0)
+        assert np.all(st[0] == 0.0)
+        assert np.all(st[1] == 0.0)
         # forward neighbour 1/4 higher, backward one 1/4 lower, except at the wrap
-        assert set(np.unique(st[..., 2])) == {1.0, 1.0 - 4}
-        assert set(np.unique(st[..., 3])) == {-1.0, 4 - 1.0}
+        assert set(np.unique(st[2])) == {1.0, 1.0 - 4}
+        assert set(np.unique(st[3])) == {-1.0, 4 - 1.0}
 
     def test_entries_match_definition(self):
         g = TorusGrid(8)
@@ -150,7 +151,7 @@ class TestStencil:
                 # index -1 wraps to N - 1; the backward neighbour difference
                 # is minus the forward one of that neighbour
                 expect = [f1[i, j], -f1[i - 1, j], f2[i, j], -f2[i, j - 1]]
-                assert np.array_equal(st[i, j], expect)
+                assert np.array_equal(st[:, i, j], expect)
 
 
 class TestStencilTable:
@@ -160,7 +161,7 @@ class TestStencilTable:
         # independent periodic shift
         v = np.random.default_rng(8).normal(size=(2, n, n))
         want = np.stack(
-            [(np.roll(v, -step, axis) - v) / (1.0 / n) for step, axis in STENCIL], axis=-1
+            [(np.roll(v, -step, axis) - v) / (1.0 / n) for step, axis in STENCIL]
         )
         assert np.array_equal(stencil_array(v), want)
 
@@ -168,13 +169,13 @@ class TestStencilTable:
     def test_adjoint_pairing(self, n):
         # node sums of D^T a * w and a . D w agree for a batch of three slices
         rng = np.random.default_rng(9)
-        a = rng.normal(size=(3, n, n, 4))
+        a = np.moveaxis(rng.normal(size=(3, n, n, 4)), -1, 0)
         w = rng.normal(size=(3, n, n))
         lhs = np.sum(stencil_adjoint(a) * w, axis=(-2, -1))
-        rhs = np.sum(a * stencil_array(w), axis=(-3, -2, -1))
+        rhs = np.sum(a * stencil_array(w), axis=(0, -2, -1))
         tol = 64 * np.finfo(float).eps * n**3 * np.max(np.abs(a)) * np.max(np.abs(w))
         assert np.all(np.abs(lhs - rhs) <= tol)
-        assert np.array_equal(stencil_adjoint(a[1]), stencil_adjoint(a)[1])
+        assert np.array_equal(stencil_adjoint(a[:, 1]), stencil_adjoint(a)[1])
 
 
 class TestLaplacian:
@@ -279,6 +280,31 @@ class TestSerialization:
         back = load_grid_field(path, g)
         assert back.grid == g
         assert np.array_equal(back.values, u.values)
+
+    # signed zeros, subnormals, the extremes of the exponent range, integral
+    # values up to 2^53 and past it, and the non-finite values
+    SPECIAL = [
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e300, -1e300,
+        1e-300, -1e-300, 1.0, -3.0, 2.0**53, 2.0**53 + 2.0, 1e16, 0.1, 1.0 / 3.0,
+        np.inf, -np.inf, np.nan,
+    ]
+
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    def test_bytes_match_fstring_writer(self, n, tmp_path):
+        # the one-pass %-template writes the bytes of the per-node f-string
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n * n) * 10.0 ** rng.integers(-300, 300, size=n * n)
+        values[: len(self.SPECIAL)] = self.SPECIAL[: n * n]
+        values = values.reshape(n, n)
+        path = tmp_path / "field.csv"
+        save_grid_field(GridField(TorusGrid(n), values), path)
+        assert path.read_bytes() == fstring_grid_csv(values).encode()
+
+    @pytest.mark.parametrize("value", SPECIAL)
+    def test_single_node_bytes(self, value, tmp_path):
+        path = tmp_path / "field.csv"
+        save_grid_field(GridField(TorusGrid(1), np.full((1, 1), value)), path)
+        assert path.read_bytes() == fstring_grid_csv(np.full((1, 1), value)).encode()
 
     @staticmethod
     def saved_rows(tmp_path):
