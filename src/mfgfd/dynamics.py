@@ -40,9 +40,12 @@ exactly the adjoint relation the scheme is built on, so the step is one
 ``linear._solve_checked`` with trans="T": the held LU refined against the
 exact transpose, from the slice the step replaces, to within the linear
 contract and INNER_RESIDUAL_TARGET / 10, that Jacobian factored afresh
-only on a miss.  Column sums of its advection-diffusion block vanish, so
-the h^2-weighted mass is conserved to the linear-solve tolerance, and the
-M-matrix sign pattern preserves nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
+only on a miss.  A slice that already meets the target is kept with no
+triangular solve, and refinement that its residuals show will miss, a
+non-finite start included, stops at once and factors.  Column sums of its
+advection-diffusion block vanish, so the h^2-weighted mass is conserved
+to the linear-solve tolerance, and the M-matrix sign pattern preserves
+nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
 below -1e-12) keeps densities in the simplex without hiding real defects.
 
 Every operator takes and returns plain (N, N) float64 arrays, one time
@@ -338,12 +341,13 @@ def fp_step_solve(
     INNER_RESIDUAL_TARGET / 10 besides its contract, since b grows like
     1/dt: the held LU refined against the exact J^T from ``start``, the
     slice m_cur replaces, if given, and J factored only on a miss.  m_cur
-    is a new array; the inputs are not modified.
+    is a new array, also when ``start`` already meets the target; the
+    inputs are not modified.
     """
     check_positive_finite("nu", nu)
     a = hjb_jacobian(ham, nu, dt, u_next)
     b = m_next.ravel() / dt
-    x0 = None if start is None else start.ravel()
+    x0 = None if start is None else start.flatten()  # a met start is returned as it is
     x = _solve_checked(a, b, held or HeldFactor(), "T", INNER_RESIDUAL_TARGET / 10.0, x0)
     x, clamp = _clamp_density(x)
     return x.reshape(m_next.shape), clamp

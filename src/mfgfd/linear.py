@@ -27,7 +27,13 @@ caller's target, and only on a miss factors afresh and allows that LU
 one refinement step against the contract alone.  A density solve starts
 its refinement from the density it replaces, which is usually far closer
 to the solution than LU^-1 b of a stale LU (iterative refinement from a
-start; Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
+start; Higham, Accuracy and Stability of Numerical Algorithms, ch. 12),
+and a start that already meets the target costs no triangular solve.
+Refinement stops, and the solve factors, as soon as its own residuals
+show a miss: a non-finite residual, a step that does not cut the
+residual, or a rate that, kept for the steps left under MAX_REFINEMENTS,
+cannot reach the target (the stop test of iterative refinement, ibid.).
+The rule reads only the residuals the loop computes anyway.
 The held LU is dropped before every new factorization, so at most one LU
 of a solve is alive outside a factorization.  A step called without a held factor makes a
 fresh one and runs the same code.
@@ -273,24 +279,38 @@ class HeldFactor:
     ) -> tuple[np.ndarray | None, float]:
         """(x, r): x from the held LU, refined until r = |M x - b|_inf <= ``limit``.
 
-        M is A (trans="N") or A^T (trans="T").  The first iterate is LU^-1 b,
-        or x0 - LU^-1 (M x0 - b) from a start ``x0``.  At most ``steps``
-        refinement steps x <- x - LU^-1 (M x - b) against M follow; a
-        non-finite residual refines to the cap.  With no LU held it is
-        (None, inf).
+        M is A (trans="N") or A^T (trans="T").  A start ``x0`` whose residual
+        meets the limit, or is NaN, is returned as it is, with no triangular
+        solve.  Otherwise the first iterate is LU^-1 b, or
+        x0 - LU^-1 (M x0 - b) from x0, and at most ``steps`` refinement
+        steps x <- x - LU^-1 (M x - b) against M follow.  Refinement stops
+        short of the limit once the residual r is non-finite, once a step
+        does not cut it (r >= r_old, the residual before that step), or once
+        the step's rate r / r_old, kept for the ``left`` steps still
+        allowed, cannot reach the limit: r (r / r_old)^left > limit.  The
+        first iterate has no rate.  With no LU held it is (None, inf).
         """
         if self.lu is None:
             return None, math.inf
         m = a if trans == "N" else a.T
-        x = self.solve(b, trans) if x0 is None else x0 - self.solve(m @ x0 - b, trans)
+        if x0 is None:
+            x = self.solve(b, trans)
+        else:
+            resid = m @ x0 - b
+            r = float(np.max(np.abs(resid)))
+            if not r > limit:
+                return x0, r
+            x = x0 - self.solve(resid, trans)
         resid = m @ x - b
-        for _ in range(steps):
-            if float(np.max(np.abs(resid))) <= limit:
+        r, r_old = float(np.max(np.abs(resid))), math.inf
+        for left in range(steps, 0, -1):
+            if r <= limit or not r < r_old or r * (r / r_old) ** left > limit:
                 break
             x = x - self.solve(resid, trans)
             self.refinements += 1
             resid = m @ x - b
-        return x, float(np.max(np.abs(resid)))
+            r_old, r = r, float(np.max(np.abs(resid)))
+        return x, r
 
     def counts(self) -> dict:
         return {
@@ -309,7 +329,8 @@ def _solve_checked(
 
     The LU ``held`` holds, if any, is refined against the exact M, from the
     start ``x0`` if one is given, until |M x - b|_inf is within both
-    ``held.contract`` and ``target``.  Only a miss factors A through
+    ``held.contract`` and ``target`` or its residuals show a miss
+    (``HeldFactor.solve_refined``).  Only a miss factors A through
     ``held``, which then holds that LU, and allows it one refinement step
     from LU^-1 b against the contract alone.  A non-finite right-hand
     side, checked before any solve, a singular A and a miss of the fresh

@@ -291,10 +291,17 @@ def _bellman_sweep(
     warm: Optional[np.ndarray],
     held: HeldFactor,
 ) -> np.ndarray:
+    """Values swept forward from u0, step n -> n+1 with the cost of density slice n.
+
+    Without a previous sweep ``warm``, each value step starts from the
+    slice it steps from.  Otherwise step n starts from
+    warm[n + 1] + (u[n] - warm[n]): the previous sweep's slice n + 1 moved
+    by the correction this sweep has already made to slice n.
+    """
     u = np.empty((p.mesh.n_steps + 1,) + p.u0.values.shape)
     u[0] = p.u0.values
     for n in range(p.mesh.n_steps):
-        guess = None if warm is None else warm[n + 1]
+        guess = None if warm is None else warm[n + 1] + (u[n] - warm[n])
         u[n + 1] = hjb_step_solve(
             p.hamiltonian, p.nu, p.mesh.dt, u[n], cost[n], hjb_cfg, guess, held
         )
@@ -485,11 +492,12 @@ def _stationary_density(
     x, clamp = _clamp_density(x[:-1] / (h2 * float(np.sum(x[:-1]))))
     at = a.T
     residual = float(np.max(np.abs(at @ x)))
-    floor = STENCIL_FLOOR * _EPS * spla.norm(at, np.inf) * float(np.max(x))
-    if not residual <= max(tol, floor):
-        raise LinearSolveError(
-            f"stationary density residual {residual:.3e} exceeds max({tol:.3e}, {floor:.3e})"
-        )
+    if not residual <= tol:  # the floor only for a miss, NaN included
+        floor = STENCIL_FLOOR * _EPS * spla.norm(at, np.inf) * float(np.max(x))
+        if not residual <= max(tol, floor):
+            raise LinearSolveError(
+                f"stationary density residual {residual:.3e} exceeds max({tol:.3e}, {floor:.3e})"
+            )
     return x.reshape(n, n), clamp
 
 

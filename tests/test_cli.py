@@ -303,7 +303,9 @@ class TestSolveCommand:
     @pytest.mark.parametrize("n_side, outer_tol", [(64, "1e-11"), (32, "1e-12")])
     def test_tight_ergodic_outer_tol_exit_zero(self, tmp_path, capsys, n_side, outer_tol):
         # the density residual cannot reach these tolerances in float64; the
-        # backward-error floor of the stationary density accepts it
+        # backward-error floor of the stationary density accepts it, and the
+        # held LU stops refining once its rate shows the miss (48 refinement
+        # steps in both before that stop)
         text = ERGODIC_CONFIG.replace("N_h = 8", f"N_h = {n_side}")
         text = text.replace("hamiltonian = zero", "hamiltonian = sines")
         text = text.replace("local.preset = linear", "local.preset = power\nlocal.alpha = 2")
@@ -314,6 +316,8 @@ class TestSolveCommand:
         assert meta["config"]["outer_tol"] == float(outer_tol)
         assert meta["results"]["diagnostics"]["hjb_residual"] <= 1e-8
         assert meta["results"]["diagnostics"]["fp_residual"] <= 1e-8
+        counts = {k: meta["results"]["diagnostics"][k] for k in ("factorizations", "refinements")}
+        assert counts == {"factorizations": 7, "refinements": {64: 20, 32: 18}[n_side]}
 
     def test_linear_solve_failure_exit_two_with_partial_archive(self, tmp_path, capsys):
         # no LU solve reaches a relative residual of 1e-30

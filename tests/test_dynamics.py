@@ -752,7 +752,7 @@ class TestHeldFactor:
         m_next = np.abs(np.random.default_rng(4).normal(1.0, 0.3, (4, 4)))
         contract = held.contract
         got, clamp = fp_step_solve(ham, 0.6, 0.05, u_next, m_next, held)
-        assert held.refinements >= MAX_REFINEMENTS and held.factorizations == 2
+        assert held.refinements == 1 and held.factorizations == 2
         # contract against the exact J^T, assembled densely from the transport
         exact_t = dense_fp_from_transport(ham, 0.6, 0.05, u_next)
         b = m_next.ravel() / 0.05
@@ -764,7 +764,7 @@ class TestHeldFactor:
         # by refinement against that step's exact J^T, with no new factor
         u_near = 1.05 * u_next
         got, _ = fp_step_solve(ham, 0.6, 0.05, u_near, m_next, held)
-        assert held.refinements > MAX_REFINEMENTS and held.factorizations == 2
+        assert held.refinements == 7 and held.factorizations == 2
         exact_t = dense_fp_from_transport(ham, 0.6, 0.05, u_near)
         assert np.max(np.abs(exact_t @ got.ravel() - b)) <= contract.residual_tol * np.max(np.abs(b))
 
@@ -817,33 +817,34 @@ class TestHeldFactor:
         assert held.lu is not None and held.factorizations == 2
 
 
+def density_system(scale=1.05):
+    # J^T x = b at a rough u, with the held LU of J at scale u: at 1.05 u,
+    # from LU^-1 b, that LU misses the target and the solve factors afresh
+    ham, _, _ = sines_step()
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(8, 8))
+    a = hjb_jacobian(ham, 0.6, 0.05, u)
+    b = np.abs(rng.normal(1.0, 0.3, 64)) / 0.05
+    held = HeldFactor().factor(hjb_jacobian(ham, 0.6, 0.05, scale * u))
+    return a, b, held
+
+
 class TestWarmStart:
     """The density solve refines from the density it replaces."""
 
-    def density_system(self):
-        # J^T x = b at a rough u, with the held LU of J at 1.05 u: from
-        # LU^-1 b that LU misses the target and the solve factors afresh
-        ham, _, _ = sines_step()
-        rng = np.random.default_rng(5)
-        u = rng.normal(size=(8, 8))
-        a = hjb_jacobian(ham, 0.6, 0.05, u)
-        b = np.abs(rng.normal(1.0, 0.3, 64)) / 0.05
-        held = HeldFactor().factor(hjb_jacobian(ham, 0.6, 0.05, 1.05 * u))
-        return a, b, held
-
     def test_start_at_the_solution_needs_no_refinement(self):
-        a, b, held = self.density_system()
+        a, b, held = density_system()
         exact = np.linalg.solve(a.toarray().T, b)
         x = _solve_checked(a, b, held, "T", 1e-10, exact)
         assert held.refinements == 0 and held.factorizations == 1
         assert np.max(np.abs(a.T @ x - b)) <= held.contract.limit(b)
-        a, b, cold = self.density_system()
+        a, b, cold = density_system()
         _solve_checked(a, b, cold, "T", 1e-10)
-        assert cold.refinements == MAX_REFINEMENTS and cold.factorizations == 2
+        assert cold.refinements == 4 and cold.factorizations == 2
 
     @pytest.mark.parametrize("start", ["far", "nan", "inf"])
     def test_far_or_nonfinite_start_meets_the_contract(self, start):
-        a, b, held = self.density_system()
+        a, b, held = density_system()
         exact = np.linalg.solve(a.toarray().T, b)
         x0 = {
             "far": 1e6 * np.random.default_rng(6).normal(size=64),
@@ -853,9 +854,9 @@ class TestWarmStart:
         x = _solve_checked(a, b, held, "T", 1e-10, x0)
         assert np.max(np.abs(a.T @ x - b)) <= held.contract.limit(b)
         if start != "far":
-            # a non-finite start refines to the cap, misses, and the fresh
+            # a non-finite start misses without refining, and the fresh
             # LU solves from b as a cold start does
-            assert held.refinements == MAX_REFINEMENTS and held.factorizations == 2
+            assert held.refinements == 0 and held.factorizations == 2
             assert np.array_equal(x, _solve_checked(a, b, HeldFactor(), "T", 1e-10))
 
     def test_density_step_starts_from_the_given_slice(self):
@@ -866,6 +867,77 @@ class TestWarmStart:
         got, _ = fp_step_solve(ham, 0.6, 0.05, u_next, m_next, held, exact)
         assert held.refinements == 0 and held.factorizations == 1
         assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(exact)
+
+
+class TestRefinementStops:
+    """Refinement returns a met start at once and stops as soon as it will miss."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        # the factorization count of the HeldFactor at each triangular solve
+        calls = []
+        solve = HeldFactor.solve
+
+        def counting(self, b, trans="N"):
+            calls.append(self.factorizations)
+            return solve(self, b, trans)
+
+        monkeypatch.setattr(HeldFactor, "solve", counting)
+        return calls
+
+    def test_met_start_makes_no_triangular_solve(self, monkeypatch):
+        a, b, held = density_system()
+        exact = np.linalg.solve(a.toarray().T, b)
+        calls = self.count_solves(monkeypatch)
+        assert _solve_checked(a, b, held, "T", 1e-10, exact) is exact
+        assert calls == [] and held.refinements == 0 and held.factorizations == 1
+        # the density step returns a new array all the same
+        ham, u_next, _ = sines_step(n=8, beta=1.5)
+        m_next = np.abs(np.random.default_rng(4).normal(1.0, 0.3, (8, 8)))
+        start, _ = fp_step_solve(ham, 0.6, 0.05, u_next, m_next)
+        held = HeldFactor().factor(hjb_jacobian(ham, 0.6, 0.05, 1.05 * u_next))
+        calls.clear()
+        got, _ = fp_step_solve(ham, 0.6, 0.05, u_next, m_next, held, start)
+        assert calls == [] and np.array_equal(got, start) and not np.shares_memory(got, start)
+
+    def test_distant_lu_predicts_its_miss(self):
+        # the LU of J at 50 u cuts the residual by about 8% a step: after
+        # one step the solve factors, and returns the cold solve's result
+        a, b, held = density_system(50.0)
+        x = _solve_checked(a, b, held, "T", 1e-10)
+        assert held.refinements == 1 < MAX_REFINEMENTS and held.factorizations == 2
+        assert np.array_equal(x, _solve_checked(a, b, HeldFactor(), "T", 1e-10))
+        # the prediction holds: every step up to the cap still misses
+        lu = density_system(50.0)[2]
+        x = lu.solve(b, "T")
+        for _ in range(MAX_REFINEMENTS):
+            x = x - lu.solve(a.T @ x - b, "T")
+        assert np.max(np.abs(a.T @ x - b)) > min(lu.contract.limit(b), 1e-10)
+
+    @pytest.mark.parametrize("value, held_solves", [(np.nan, 0), (np.inf, 1)])
+    def test_nonfinite_start_misses_without_refining(self, monkeypatch, value, held_solves):
+        # a NaN residual misses at once; an infinite one after the first iterate
+        a, b, held = density_system()
+        x0 = np.where(np.arange(64) == 3, value, np.linalg.solve(a.toarray().T, b))
+        calls = self.count_solves(monkeypatch)
+        x = _solve_checked(a, b, held, "T", 1e-10, x0)
+        assert calls.count(1) == held_solves and held.refinements == 0 and held.factorizations == 2
+        assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("path", ["met start", "near start", "cold start", "predicted miss"])
+    def test_every_path_meets_the_contract(self, path):
+        # TestWarmStart covers the far and the non-finite starts
+        a, b, held = density_system(50.0 if path == "predicted miss" else 1.05)
+        exact = np.linalg.solve(a.toarray().T, b)
+        x0 = {
+            "met start": exact,
+            "near start": exact * (1.0 + 1e-3 * np.random.default_rng(6).normal(size=64)),
+        }.get(path)
+        x = _solve_checked(a, b, held, "T", 1e-10, x0)
+        resid = np.max(np.abs(a.T @ x - b))
+        assert resid <= held.contract.limit(b)
+        if held.factorizations == 1:  # the held LU served: the target is met too
+            assert path in ("met start", "near start") and resid <= 1e-10
 
 
 class TestNonFiniteSolves:
