@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hamiltonian import _EPS, STENCIL_FLOOR
+from .hamiltonian import roundoff_floor
 from .torus_grid import GridField, TorusGrid, check_positive_finite, laplace_array, mass
 
 __all__ = [
@@ -153,7 +153,7 @@ class BilaplacianCost:
         # recomputing the fourth-order stencil amplifies representation error
         # by ~ (4/h^2)^2 eps, so the gate carries that backward-error floor on
         # top of the data-relative contract
-        floor = STENCIL_FLOOR * _EPS * (4.0 / h ** 2) ** 2 * float(np.max(np.abs(w)))
+        floor = roundoff_floor((4.0 / h ** 2) ** 2) * float(np.max(np.abs(w)))
         limit = self.RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(m)))) + floor
         if not residual <= limit:  # NaN too
             raise CostSolveError(residual, limit)

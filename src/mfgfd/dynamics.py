@@ -13,10 +13,11 @@ posed.  Within one solve call, J changes between iterates, steps and
 sweeps only in B, so a step first tries the chord step with the LU the
 solve holds (``linear.HeldFactor``), the LU of some earlier J; it keeps
 that step when the residual sup norm falls to CHORD_RATE of its old value.
-Otherwise it factors the exact J at the iterate, holds that LU, and takes
-the Newton step, with Armijo backtracking on the residual sup norm for
-global progress (the iteration is semismooth at the gradient kink, where
-the gradient is extended by zero).  A step called without a held LU
+Otherwise it takes the Newton step, solved by ``linear._fresh_solve``
+(the exact J at the iterate factored and held, LU^-1 b refined against J
+to the linear contract), with Armijo backtracking on the residual sup
+norm for global progress (the iteration is semismooth at the gradient
+kink, where the gradient is extended by zero).  A step called without a held LU
 makes a fresh ``HeldFactor`` and runs the same code.
 
 Residual, Jacobian, transport and density matrix all evaluate the
@@ -40,9 +41,8 @@ exactly the adjoint relation the scheme is built on, so the step is one
 ``linear._solve_checked`` with trans="T": the held LU refined against the
 exact transpose, from the slice the step replaces, to within the linear
 contract and INNER_RESIDUAL_TARGET / 10, that Jacobian factored afresh
-only on a miss.  A slice that already meets the target is kept with no
-triangular solve, and refinement that its residuals show will miss, a
-non-finite start included, stops at once and factors.  Column sums of its
+only on a miss (``linear`` states when refinement stops; a slice that
+meets the target costs no triangular solve).  Column sums of its
 advection-diffusion block vanish, so the h^2-weighted mass is conserved
 to the linear-solve tolerance, and the M-matrix sign pattern preserves
 nonnegativity.  Nonnegative clamping of roundoff-level undershoot (never
@@ -67,7 +67,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hamiltonian import PowerHamiltonian, _floor_stencil, hamiltonian_stencil
-from .linear import HeldFactor, _solve_checked, five_point_matrix
+from .linear import HeldFactor, _fresh_solve, _solve_checked, five_point_matrix
 from .torus_grid import (
     _plane_sum, _stencil_laplace, check_positive_finite, check_positive_int, laplace_array, stencil_adjoint, stencil_array
 )
@@ -181,12 +181,12 @@ def newton_armijo(
     Returns x once the residual sup norm r is at most ``newton_tol``.  Each
     iteration first tries the chord step x - LU^-1 residual(x) with the LU
     of ``held``, if it holds one, and keeps it when r drops to at most
-    CHORD_RATE r.  Otherwise it takes the Newton step: jacobian(x) is
-    factored (and held), ``_solve_checked`` solves jacobian(x) delta =
-    -residual(x) under the contract of ``held``, and x <- x + t delta with
-    t halved from 1 until r drops to at most (1 - ARMIJO_C t) r.  Raises
-    NonConvergence when t falls below MIN_STEP or ``max_newton``
-    iterations cannot reach the tolerance.
+    CHORD_RATE r.  Otherwise it takes the Newton step: ``_fresh_solve``
+    factors jacobian(x) through ``held``, which then holds that LU, and
+    solves jacobian(x) delta = -residual(x) under the contract of ``held``;
+    x <- x + t delta with t halved from 1 until r drops to at most
+    (1 - ARMIJO_C t) r.  Raises NonConvergence when t falls below MIN_STEP
+    or ``max_newton`` iterations cannot reach the tolerance.
     """
     res = residual(x)
     r = float(np.max(np.abs(res)))
@@ -202,8 +202,7 @@ def newton_armijo(
                 x, res, r = trial, res_try, r_try
                 continue
             held.chord_rejected += 1
-        j = jacobian(x)
-        delta = _solve_checked(j, -res, held.factor(j))
+        delta = _fresh_solve(jacobian(x), -res, held)
         t = 1.0
         while t >= MIN_STEP:
             trial = x + t * delta

@@ -47,6 +47,7 @@ __all__ = [
     "PowerHamiltonian",
     "check_beta",
     "STENCIL_FLOOR",
+    "roundoff_floor",
     "hamiltonian_stencil",
     "upwind_part",
     "bregman_gap_array",
@@ -58,6 +59,11 @@ __all__ = [
 # measured on constant slices is 5 eps max|u| / h
 STENCIL_FLOOR = 16.0
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def roundoff_floor(scale: float | np.ndarray) -> float | np.ndarray:
+    """STENCIL_FLOOR eps scale, the backward-error floor of every gate, scaled further by each."""
+    return STENCIL_FLOOR * _EPS * scale
 
 
 def hamiltonian_stencil(values: np.ndarray) -> np.ndarray:
@@ -77,7 +83,7 @@ def _floor_stencil(d: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``hamiltonian_stencil`` of ``values`` from its ``stencil_array`` d, in place."""
     h = 1.0 / values.shape[-1]
     scale = np.abs(values).max(axis=(-2, -1))[..., None, None]
-    limit = STENCIL_FLOOR * _EPS * scale / h
+    limit = roundoff_floor(scale) / h
     np.copyto(d, 0.0, where=(d <= limit) & (d >= -limit))  # |d| <= limit
     return d
 

@@ -18,25 +18,23 @@ this halves the LU fill of the default column ordering.
 The matrices of one solve differ from iterate to iterate, step to step
 and sweep to sweep only in the upwind block, so the held LU is a good
 approximate inverse of the current matrix: the value step tries a chord
-step with it, and the density steps of both models (the evolutive step
-and the ergodic invariant density) refine with it against the exact
-transposed matrix.  Every linear solve of a step is ``_solve_checked``,
-the one refine-or-factor rule: it refines the held LU against the exact
-matrix to within the linear contract the held factor carries and the
-caller's target, and only on a miss factors afresh and allows that LU
-one refinement step against the contract alone.  A density solve starts
-its refinement from the density it replaces, which is usually far closer
-to the solution than LU^-1 b of a stale LU (iterative refinement from a
-start; Higham, Accuracy and Stability of Numerical Algorithms, ch. 12),
-and a start that already meets the target costs no triangular solve.
-Refinement stops, and the solve factors, as soon as its own residuals
+step with it, and the density steps of both models refine with it
+against the exact transposed matrix (``_solve_checked``, the one
+refine-or-factor rule), from the density they replace (iterative
+refinement from a start; Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 12), to within the contract the held factor carries and
+the caller's target; a start that meets both costs no triangular solve.
+Only a miss solves by ``_fresh_solve``, as every Newton step of a value
+solve does: A factored afresh and held, LU^-1 b refined against A in the
+same loop to the contract alone, a miss of which is a LinearSolveError.
+So every factorization is made here, and every solve refines in
+``HeldFactor.solve_refined``, which stops as soon as its own residuals
 show a miss: a non-finite residual, a step that does not cut the
 residual, or a rate that, kept for the steps left under MAX_REFINEMENTS,
 cannot reach the target (the stop test of iterative refinement, ibid.).
-The rule reads only the residuals the loop computes anyway.
 The held LU is dropped before every new factorization, so at most one LU
-of a solve is alive outside a factorization.  A step called without a held factor makes a
-fresh one and runs the same code.
+of a solve is alive outside a factorization.  A step called without a
+held factor makes a fresh one and runs the same code.
 """
 
 from __future__ import annotations
@@ -71,8 +69,11 @@ class LinearSolveContract:
         check_positive_finite("residual_tol", self.residual_tol)
 
     def limit(self, b: np.ndarray) -> float:
-        """The largest residual sup norm the contract allows for right-hand side b."""
-        return self.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
+        """The largest residual sup norm allowed for b; a non-finite b is a LinearSolveError."""
+        limit = self.residual_tol * max(float(np.max(np.abs(b))), 1e-300)
+        if not math.isfinite(limit):
+            raise LinearSolveError("non-finite right-hand side")
+        return limit
 
 
 class LinearSolveError(RuntimeError):
@@ -229,8 +230,8 @@ class HeldFactor:
     """The one sparse LU type: the LU of the last matrix factored in a solve call.
 
     It carries the solve's ``contract`` (default: ``LinearSolveContract()``),
-    which every ``_solve_checked`` through it meets.  ``factor(a)`` drops
-    the held LU, then factors a CSR matrix A of
+    which every solve through it meets.  ``factor(a)`` drops the held LU,
+    then factors a CSR matrix A of
     ``five_point_matrix`` or ``bordered_matrix`` (N read from its size) as
     P A P^T, formed by one gather of its data into the cached factor order,
     and holds that LU as ``lu``; after a failed factorization none is held.
@@ -274,21 +275,21 @@ class HeldFactor:
         return self.lu.solve(b[self._p], trans=trans)[self._inv]
 
     def solve_refined(
-        self, a: sp.csr_matrix, b: np.ndarray, limit: float, trans: str = "N",
-        steps: int = MAX_REFINEMENTS, x0: np.ndarray | None = None,
+        self, a: sp.csr_matrix, b: np.ndarray, limit: float, trans: str = "N", x0: np.ndarray | None = None
     ) -> tuple[np.ndarray | None, float]:
         """(x, r): x from the held LU, refined until r = |M x - b|_inf <= ``limit``.
 
         M is A (trans="N") or A^T (trans="T").  A start ``x0`` whose residual
         meets the limit, or is NaN, is returned as it is, with no triangular
         solve.  Otherwise the first iterate is LU^-1 b, or
-        x0 - LU^-1 (M x0 - b) from x0, and at most ``steps`` refinement
-        steps x <- x - LU^-1 (M x - b) against M follow.  Refinement stops
-        short of the limit once the residual r is non-finite, once a step
-        does not cut it (r >= r_old, the residual before that step), or once
-        the step's rate r / r_old, kept for the ``left`` steps still
-        allowed, cannot reach the limit: r (r / r_old)^left > limit.  The
-        first iterate has no rate.  With no LU held it is (None, inf).
+        x0 - LU^-1 (M x0 - b) from x0, and at most MAX_REFINEMENTS
+        refinement steps x <- x - LU^-1 (M x - b) against M follow.
+        Refinement stops short of the limit once the residual r is
+        non-finite, once a step does not cut it (r >= r_old, the residual
+        before that step), or once the step's rate r / r_old, kept for the
+        ``left`` steps still allowed, cannot reach the limit:
+        r (r / r_old)^left > limit.  The first iterate has no rate.  With no
+        LU held it is (None, inf).
         """
         if self.lu is None:
             return None, math.inf
@@ -303,7 +304,7 @@ class HeldFactor:
             x = x0 - self.solve(resid, trans)
         resid = m @ x - b
         r, r_old = float(np.max(np.abs(resid))), math.inf
-        for left in range(steps, 0, -1):
+        for left in range(MAX_REFINEMENTS, 0, -1):
             if r <= limit or not r < r_old or r * (r / r_old) ** left > limit:
                 break
             x = x - self.solve(resid, trans)
@@ -321,6 +322,20 @@ class HeldFactor:
         }
 
 
+def _fresh_solve(a: sp.csr_matrix, b: np.ndarray, held: HeldFactor, trans: str = "N") -> np.ndarray:
+    """x with M x = b, M = A (trans="N") or A^T (trans="T"), from a fresh LU of A.
+
+    ``held`` factors A and holds that LU; LU^-1 b is refined against M by
+    ``HeldFactor.solve_refined`` to ``held.contract``.  A non-finite b,
+    checked first, a singular A and a miss are each a LinearSolveError.
+    """
+    limit = held.contract.limit(b)
+    x, r = held.factor(a).solve_refined(a, b, limit, trans)
+    if not r <= limit:
+        raise LinearSolveError(f"linear solve residual {r:.3e} exceeds contract")
+    return x
+
+
 def _solve_checked(
     a: sp.csr_matrix, b: np.ndarray, held: HeldFactor, trans: str = "N", target: float = math.inf,
     x0: np.ndarray | None = None,
@@ -328,20 +343,12 @@ def _solve_checked(
     """x with M x = b, M = A (trans="N") or A^T (trans="T"): the refine-or-factor rule.
 
     The LU ``held`` holds, if any, is refined against the exact M, from the
-    start ``x0`` if one is given, until |M x - b|_inf is within both
-    ``held.contract`` and ``target`` or its residuals show a miss
-    (``HeldFactor.solve_refined``).  Only a miss factors A through
-    ``held``, which then holds that LU, and allows it one refinement step
-    from LU^-1 b against the contract alone.  A non-finite right-hand
-    side, checked before any solve, a singular A and a miss of the fresh
-    LU are each a LinearSolveError; a non-finite ``x0`` misses.
+    start ``x0`` if given, to within ``held.contract`` and ``target``
+    (``HeldFactor.solve_refined``); only a miss, a non-finite ``x0``
+    included, solves by ``_fresh_solve``.  A non-finite b is refused first.
     """
-    limit = held.contract.limit(b)
-    if not math.isfinite(limit):
-        raise LinearSolveError("non-finite right-hand side")
-    x, r = held.solve_refined(a, b, min(limit, target), trans, x0=x0)
-    if not r <= min(limit, target):
-        x, r = held.factor(a).solve_refined(a, b, limit, trans, steps=1)
-        if not r <= limit:
-            raise LinearSolveError(f"linear solve residual {r:.3e} exceeds contract")
+    limit = min(held.contract.limit(b), target)
+    x, r = held.solve_refined(a, b, limit, trans, x0=x0)
+    if not r <= limit:
+        x = _fresh_solve(a, b, held, trans)
     return x

@@ -58,7 +58,7 @@ from .dynamics import (
     newton_armijo,
     value_operator,
 )
-from .hamiltonian import _EPS, STENCIL_FLOOR, PowerHamiltonian, weighted_bregman_gap
+from .hamiltonian import PowerHamiltonian, roundoff_floor, weighted_bregman_gap
 from .linear import HeldFactor, LinearSolveContract, LinearSolveError, _solve_checked, bordered_matrix
 from .torus_grid import (
     GridField,
@@ -83,7 +83,6 @@ __all__ = [
     "solve_ergodic",
     "system_residuals",
     "identity_terms",
-    "evolutive_residuals",
 ]
 
 ANDERSON_DEPTH = 3
@@ -324,21 +323,6 @@ def _fp_sweep(
     return m, clamp_max
 
 
-def evolutive_residuals(
-    p: EvolutiveProblem, u: np.ndarray, m: np.ndarray
-) -> tuple[float, float]:
-    """Sup norms of the two defects of ``system_residuals`` along a trajectory pair."""
-    return _defect_norms(p, u, m, (p.cost.apply(m[n]) for n in range(p.mesh.n_steps)))
-
-
-def _defect_norms(
-    p: EvolutiveProblem, u: np.ndarray, m: np.ndarray, costs: Iterable[np.ndarray]
-) -> tuple[float, float]:
-    """``evolutive_residuals`` with the costs of density slices 0..N_T-1 given."""
-    a, b = _system_defects(p.hamiltonian, p.nu, p.mesh.dt, costs, u, m)
-    return float(np.max(np.abs(a))), float(np.max(np.abs(b)))
-
-
 def solve_evolutive(
     p: EvolutiveProblem,
     cfg: Optional[FixedPointConfig] = None,
@@ -358,7 +342,7 @@ def solve_evolutive(
     in sup norm, or else a density defect above it is a LinearSolveError; the
     returned first u-slice is the initial datum and the returned last
     m-slice the terminal density, both exactly.  ``initial_m``, the start
-    trajectory, is a (N_T + 1, N, N) array or a SpaceTimeField; by default
+    trajectory, is a finite (N_T + 1, N, N) array or SpaceTimeField; by default
     every slice is the terminal density.  ``check_newton_tol`` refuses a
     ``newton_tol`` the acceptance test could never pass.  Every linear
     solve meets ``contract`` (default: ``LinearSolveContract()``), which
@@ -377,6 +361,8 @@ def solve_evolutive(
         m_start = np.array(initial_m, dtype=np.float64)
         if m_start.shape != (nt + 1, p.grid.n_side, p.grid.n_side):
             raise ValueError("initial_m does not match the problem discretization")
+        if not np.isfinite(m_start).all():
+            raise ValueError("initial_m has a non-finite entry")
     else:
         m_start = np.stack([p.mT.field.values] * (nt + 1))
     held = HeldFactor(contract)
@@ -401,7 +387,8 @@ def solve_evolutive(
         return ok
 
     m, (u, _, clamp_max), record = _damped_fixed_point(p.grid, cfg, m_start, None, sweep, accept, held)
-    hjb_res, fp_res = _defect_norms(p, u, m, accepted_cost)
+    a, b = _system_defects(p.hamiltonian, p.nu, p.mesh.dt, accepted_cost, u, m)
+    hjb_res, fp_res = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
     if not fp_res <= INNER_RESIDUAL_TARGET:  # the mismatch bounds hjb_res
         raise LinearSolveError(f"density defect {fp_res:.3e} exceeds {INNER_RESIDUAL_TARGET:.0e}")
     monitors = (
@@ -479,7 +466,7 @@ def _stationary_density(
     J^T; only a miss factors J, under the contract alone.  The density is
     normalized, then clamped as the evolutive density step is.  Its
     residual max|A^T m| must be at most ``tol`` or the backward-error floor
-    STENCIL_FLOOR eps |A^T|_inf max|m|, whichever is larger; a miss is a
+    ``roundoff_floor(|A^T|_inf) max|m|``, whichever is larger; a miss is a
     LinearSolveError.
     """
     n = p.grid.n_side
@@ -493,7 +480,7 @@ def _stationary_density(
     at = a.T
     residual = float(np.max(np.abs(at @ x)))
     if not residual <= tol:  # the floor only for a miss, NaN included
-        floor = STENCIL_FLOOR * _EPS * spla.norm(at, np.inf) * float(np.max(x))
+        floor = roundoff_floor(spla.norm(at, np.inf)) * float(np.max(x))
         if not residual <= max(tol, floor):
             raise LinearSolveError(
                 f"stationary density residual {residual:.3e} exceeds max({tol:.3e}, {floor:.3e})"

@@ -746,6 +746,18 @@ class TestHeldFactor:
         assert np.max(np.abs(naive_hjb_residual(ham, 0.6, 0.05, got, u_cur, cost))) <= cfg.newton_tol
         assert np.max(np.abs(got - hjb_step_solve(ham, 0.6, 0.05, u_cur, cost, cfg))) <= 1e-12
 
+    def test_newton_step_miss_factors_once(self):
+        # a contract out of float64's reach: the Newton step's fresh LU
+        # misses and raises after one factorization, since a second LU of
+        # the same Jacobian would miss the same way
+        g = TorusGrid(8)
+        x1, x2 = g.node_coords()
+        u = np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
+        held = HeldFactor(LinearSolveContract(residual_tol=1e-30))
+        with pytest.raises(LinearSolveError, match="exceeds contract"):
+            hjb_step_solve(zero_ham(), 0.6, 1.0 / 16, u, np.ones((8, 8)), held=held)
+        assert held.factorizations == 1
+
     def test_density_refinement_miss_falls_back_to_fresh_factor(self):
         ham, u_next, _ = sines_step(n=4)
         held = held_of_distant_jacobian(ham, n=4)

@@ -25,7 +25,6 @@ from mfgfd.solver import (
     _ergodic_hjb_newton,
     _stationary_density,
     _trajectory_monitors,
-    evolutive_residuals,
     identity_terms,
     solve_ergodic,
     solve_evolutive,
@@ -125,7 +124,9 @@ class TestEvolutiveSolver:
     def test_inner_residuals_at_return(self):
         p = smooth_problem(n=8, nt=8)
         sol = solve_evolutive(p, cfg=FixedPointConfig(damping=1.0))
-        hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
+        hjb_res, fp_res = map(
+            sup, system_residuals(p.hamiltonian, p.nu, p.mesh.dt, p.cost, sol.u.values, sol.m.values)
+        )
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
 
@@ -134,19 +135,23 @@ class TestEvolutiveSolver:
         # relative linear contract alone admits density defects above 1e-9
         p = smooth_problem(n=16, nt=32, cost="power", horizon=1.0 / 32)
         sol = solve_evolutive(p, cfg=FixedPointConfig(damping=1.0))
-        hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
+        hjb_res, fp_res = map(
+            sup, system_residuals(p.hamiltonian, p.nu, p.mesh.dt, p.cost, sol.u.values, sol.m.values)
+        )
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
 
     def test_density_defect_above_target_is_a_linear_error(self, monkeypatch):
         # the gate names a density defect it cannot return instead of
         # returning a pair that misses the scheme
-        residuals = solver_module._defect_norms
+        defects = solver_module._system_defects
 
-        def inflated(p, u, m, costs):
-            return residuals(p, u, m, costs)[0], 2e-9
+        def inflated(ham, nu, dt, costs, u, m):
+            a, b = defects(ham, nu, dt, costs, u, m)
+            b[-1] += 2e-9  # slice N_T is zero, so the sup norm reads 2e-9
+            return a, b
 
-        monkeypatch.setattr(solver_module, "_defect_norms", inflated)
+        monkeypatch.setattr(solver_module, "_system_defects", inflated)
         with pytest.raises(LinearSolveError, match="density defect 2.000e-09"):
             solve_evolutive(smooth_problem(n=8, nt=8), cfg=FixedPointConfig(damping=1.0))
 
@@ -217,7 +222,9 @@ class TestEvolutiveSolver:
         p = smooth_problem(n=8, nt=16, cost="power", beta=1.5)
         sol = solve_evolutive(p, cfg=FixedPointConfig(max_outer=100))
         assert sol.outer_iters <= 100
-        hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
+        hjb_res, fp_res = map(
+            sup, system_residuals(p.hamiltonian, p.nu, p.mesh.dt, p.cost, sol.u.values, sol.m.values)
+        )
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
 
@@ -250,7 +257,9 @@ class TestEvolutiveSolver:
         p = smooth_problem(n=8, nt=16, cost=cost, beta=3.0)
         sol = solve_evolutive(p, cfg=FixedPointConfig(max_outer=40))
         assert sol.outer_iters <= 40
-        hjb_res, fp_res = evolutive_residuals(p, sol.u.values, sol.m.values)
+        hjb_res, fp_res = map(
+            sup, system_residuals(p.hamiltonian, p.nu, p.mesh.dt, p.cost, sol.u.values, sol.m.values)
+        )
         assert hjb_res <= 1e-9
         assert fp_res <= 1e-9
         h2 = p.grid.h ** 2
@@ -298,6 +307,18 @@ class TestEvolutiveSolver:
         p = uniform_problem(n=8, nt=8)
         with pytest.raises(ValueError, match="initial_m does not match"):
             solve_evolutive(p, initial_m=np.ones(shape))
+
+    @pytest.mark.parametrize("cost", ["power", "bilaplacian"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_start_refused(self, cost, value):
+        # refused before any sweep: one bad node would otherwise surface deep
+        # in the first sweep, as a LinearSolveError ("non-finite right-hand
+        # side") or, with the bilaplacian cost, a CostSolveError on a NaN residual
+        p = smooth_problem(n=8, nt=16, cost=cost)
+        start = np.stack([p.mT.field.values] * 17)
+        start[3, 2, 5] = value
+        with pytest.raises(ValueError, match="initial_m has a non-finite entry"):
+            solve_evolutive(p, initial_m=start)
 
 
 def test_evolutive_fields_on_another_grid_refused():
