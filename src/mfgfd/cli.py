@@ -1,8 +1,10 @@
 """Batch front end: solve, study, verify.
 
-Exit codes: 0 success, 1 config error or unusable output path, 2 solver
-failure (``solve`` still writes a partial archive), 3 failed verification,
-4 non-decreasing study errors.
+Exit codes: 0 success (``--help`` too), 1 usage error, config error or
+unusable output path, 2 solver failure (``solve`` still writes a partial
+archive), 3 failed verification, 4 non-decreasing study errors.  The
+commands raise; ``main`` maps each error type to its code and its one
+stderr line.
 """
 
 from __future__ import annotations
@@ -55,67 +57,48 @@ def _output_dir(out: str) -> Path:
     return path
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    outdir = _output_dir(args.out or cfg.out_dir)
-    fixed, hjb, contract = solver_settings(cfg)
-    build, solve, write_archive = {
+def _kind(kind: str) -> tuple:
+    """(build, solve, write_archive) of one model, looked up at call time."""
+    return {
         "evolutive": (build_evolutive_problem, solve_evolutive, write_evolutive_archive),
         "ergodic": (build_ergodic_problem, solve_ergodic, write_ergodic_archive),
-    }[cfg.kind]
+    }[kind]
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
+    outdir = _output_dir(args.out or cfg.out_dir)
+    fixed, hjb, contract = solver_settings(cfg)
+    build, solve, write_archive = _kind(cfg.kind)
     try:
         sol = solve(build(cfg), cfg=fixed, hjb_cfg=hjb, contract=contract)
-        write_archive(outdir, sol, _config_echo(cfg), cfg.text)
-        tail = f" lambda={sol.lam:.12g}" if cfg.kind == "ergodic" else ""
-        d = sol.diagnostics
-        print(
-            f"{cfg.kind} solve: outer_iters={sol.outer_iters} "
-            f"change={sol.residual_history[-1]:.3e} "
-            f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e} "
-            f"halvings={d['halvings']}{tail}"
-        )
-        return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SOLVER_FAILURES as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
         write_partial_archive(outdir, cfg.kind, _config_echo(cfg), cfg.text, str(exc))
-        return 2
+        raise
+    write_archive(outdir, sol, _config_echo(cfg), cfg.text)
+    tail = f" lambda={sol.lam:.12g}" if cfg.kind == "ergodic" else ""
+    d = sol.diagnostics
+    print(
+        f"{cfg.kind} solve: outer_iters={sol.outer_iters} "
+        f"change={sol.residual_history[-1]:.3e} "
+        f"hjb_res={d['hjb_residual']:.3e} fp_res={d['fp_residual']:.3e} "
+        f"halvings={d['halvings']}{tail}"
+    )
+    return 0
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-        if not cfg.levels:
-            raise ConfigError("study.levels", "a study config needs a levels list")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
+    if not cfg.levels:
+        raise ConfigError("study.levels", "a study config needs a levels list")
     outdir = _output_dir(args.out or cfg.out_dir)
     fixed, hjb, contract = solver_settings(cfg)
-
-    if cfg.kind == "ergodic":
-        def make_problem(n_side, n_steps):
-            return build_ergodic_problem(cfg, n_side=n_side)
-    else:
-        def make_problem(n_side, n_steps):
-            return build_evolutive_problem(cfg, n_side=n_side, n_steps=n_steps)
-
+    build = _kind(cfg.kind)[0]
+    arity = 2 if cfg.kind == "evolutive" else 1  # the stationary builder takes no step count
     levels = [(n, n * cfg.steps_per_side) for n in cfg.levels]
-    try:
-        report = convergence_study(make_problem, levels, cfg=fixed, hjb_cfg=hjb, contract=contract)
-    except SOLVER_FAILURES as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    report = convergence_study(
+        lambda *level: build(cfg, *level[:arity]), levels, cfg=fixed, hjb_cfg=hjb, contract=contract
+    )
     write_study(report, outdir)
     for row in report["levels"]:
         cells = [f"N_h={row['n_side']:>4d}"]
@@ -128,8 +111,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         print("  ".join(cells))
     if report.get("orders"):
         print(f"observed orders: {report['orders']}")
-    ok = errors_decreasing(report, floor=max(10.0 * cfg.outer_tol, 1e-8))
-    if not ok:
+    if not errors_decreasing(report, floor=max(10.0 * cfg.outer_tol, 1e-8)):
         print("error sequences are not strictly decreasing", file=sys.stderr)
         return 4
     return 0
@@ -137,8 +119,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     outdir = _output_dir(args.out or "verify_out")
     suites = {
         "lemmas": lambda: run_lemma_suites(samples=args.samples, seed=args.seed),
@@ -151,8 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             try:
                 reports[name] = run()
             except ValueError as exc:  # each suite refuses a count below 1 before any work
-                print(f"error: --samples {args.samples}: {exc}", file=sys.stderr)
-                return 1
+                raise ValueError(f"--samples {args.samples}: {exc}") from exc
             write_report(reports[name], outdir / f"{name}_report.json")
     all_pass = all(r["pass"] for r in reports.values())
     for name, rep in reports.items():
@@ -195,10 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and map its error, if any, to the exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except OSError as exc:  # an unusable output path, or a failed read or write
+    except SOLVER_FAILURES as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:  # bad config or input, unusable output path, failed I/O
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,8 @@ nonlocal cost maps m to the solution w of (Lap_h^2 + I) w = m on the
 periodic grid; since the five-point Laplacian is diagonal in the discrete
 Fourier basis, the solve is a pair of FFTs against the exact symbol, and
 the result doubles as its own oracle (the residual is checked on every
-application).
+application).  Either cost (``CostOperator``) serves both models, and its
+``apply`` is the one place F is evaluated.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class BilaplacianCost:
     The symbol of -Lap_h at mode (k, l) is
     mu = (4 - 2 cos(2 pi k / N) - 2 cos(2 pi l / N)) / h^2 >= 0, so the
     solve divides the Fourier coefficients by 1 + mu^2.  Every application
-    verifies the defining equation to RESIDUAL_LIMIT in the sup norm.
+    verifies the defining equation in the sup norm to RESIDUAL_LIMIT
+    max(1, max|m|) plus the floor ``roundoff_floor((4/h^2)^2) max|w|``.
     """
 
     RESIDUAL_LIMIT = 1e-10

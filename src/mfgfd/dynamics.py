@@ -50,7 +50,8 @@ below -1e-12) keeps densities in the simplex without hiding real defects.
 
 Every operator takes and returns plain (N, N) float64 arrays, one time
 slice each, and reads the grid step of the unit torus from the array as
-h = 1/N with N its last axis.
+h = 1/N with N its last axis.  Either step refuses a nonpositive or
+non-finite nu with a ValueError.
 
 Assembly fills the five stencil entries of every node as five (N, N)
 planes, the node's own first and then its neighbours in

@@ -12,7 +12,8 @@ is nonincreasing in every d_k.  The gradient in d is
     grad(d) = -beta |p|^(beta-2) p,
 
 extended by 0 at p = 0 (the continuous extension, valid for beta > 1).  In
-the paper's q of ``torus_grid``, p = (q1^-, q2^+, q3^-, q4^+), r^- = max(-r, 0).
+the paper's q of ``torus_grid``, p = (q1^-, q2^+, q3^-, q4^+), r^- = max(-r, 0),
+so components 2 and 4 of this gradient are the paper's with the sign flipped.
 
 The stencils that value and gradient see are those of ``hamiltonian_stencil``:
 the plain neighbour differences of a value slice u, with every difference

@@ -5,6 +5,7 @@ table, and the config validates through the same tables.  All built-in
 presets are smooth on the torus; the terminal densities are bounded below by
 a positive constant, produced by exact cell averaging of a smooth positive
 density and then renormalized so the discrete mass is 1 to machine precision.
+An ``n_side`` or ``n_steps`` override of 0 is refused, not read as "no override".
 """
 
 from __future__ import annotations

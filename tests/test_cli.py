@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mfgfd.cli import main
+from mfgfd.cli import SOLVER_FAILURES, main
 from mfgfd.config import ConfigError, load_config, parse_config_text
 
 UNIFORM_CONFIG = """\
@@ -822,3 +822,98 @@ class TestThreadsAndFailures:
         assert main(["solve", "--config", str(write_config(tmp_path, text))]) == 1
         line = one_error_line(capsys.readouterr().err)
         assert f"hamiltonian file {pot_path} cannot be read" in line
+
+
+def solver_failure(kind):
+    """An instance of ``kind``, one of ``SOLVER_FAILURES``."""
+    from mfgfd.cost_ops import CostSolveError
+    from mfgfd.dynamics import NonConvergence, PositivityError
+    from mfgfd.linear import LinearSolveError
+    from mfgfd.solver import OuterNonConvergence
+
+    return {
+        NonConvergence: NonConvergence(3, 1e-3),
+        OuterNonConvergence: OuterNonConvergence(2, 1e-4),
+        PositivityError: PositivityError("density undershoot -1.000e-03"),
+        LinearSolveError: LinearSolveError("linear solve residual 1.000e-03 exceeds contract"),
+        CostSolveError: CostSolveError(1e-3, 1e-10),
+    }[kind]
+
+
+def failing_solve(exc):
+    def solve(*args, **kwargs):
+        raise exc
+
+    return solve
+
+
+class TestOneFailurePath:
+    """Every command raises; ``main`` alone turns an error into its exit code
+    and its one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["solve"], ["verify", "bogus"], ["verify", "lemmas", "--samples", "abc"]],
+        ids=["no-command", "solve-without-config", "unknown-suite", "samples-not-int"],
+    )
+    def test_usage_error_exit_one(self, capsys, argv):
+        # argparse's own code, 2, is the one reserved for solver failures
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage: mfgfd")
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "solve" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", SOLVER_FAILURES, ids=lambda k: k.__name__)
+    def test_solve_failure_exit_two_with_partial_archive(self, tmp_path, capsys, monkeypatch, kind):
+        import mfgfd.cli as cli
+
+        exc = solver_failure(kind)
+        monkeypatch.setattr(cli, "solve_evolutive", failing_solve(exc))
+        assert main(["solve", "--config", str(write_config(tmp_path, UNIFORM_CONFIG))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"solver failed: {exc}\n"
+        assert captured.out == ""
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["partial"] is True
+        assert meta["error"] == str(exc)
+
+    @pytest.mark.parametrize("kind", SOLVER_FAILURES, ids=lambda k: k.__name__)
+    def test_study_failure_exit_two_without_study(self, tmp_path, capsys, monkeypatch, kind):
+        import mfgfd.study as study
+
+        exc = solver_failure(kind)
+        monkeypatch.setattr(study, "solve_evolutive", failing_solve(exc))
+        assert main(["study", "--config", str(write_config(tmp_path, STUDY_CONFIG))]) == 2
+        assert capsys.readouterr().err == f"solver failed: {exc}\n"
+        assert not (tmp_path / "out" / "study.json").exists()
+
+    def test_outer_nonconvergence_exit_two_with_partial_archive(self, tmp_path, capsys):
+        # sines+bump does not converge in one sweep
+        text = UNIFORM_CONFIG.replace("hamiltonian = zero", "hamiltonian = sines").replace("mT = uniform", "mT = bump")
+        path = write_config(tmp_path, text + "\n[solver]\nmax_outer = 1\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failed: outer iteration did not converge after 1 sweeps")
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["partial"] is True
+        assert meta["error"] == lines[0].removeprefix("solver failed: ")
+
+    def test_failed_partial_archive_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        import mfgfd.cli as cli
+
+        def fail(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(tmp_path / "out"))
+
+        monkeypatch.setattr(cli, "solve_evolutive", failing_solve(solver_failure(cli.LinearSolveError)))
+        monkeypatch.setattr(cli, "write_partial_archive", fail)
+        assert main(["solve", "--config", str(write_config(tmp_path, UNIFORM_CONFIG))]) == 1
+        assert "Permission denied" in one_error_line(capsys.readouterr().err)
+
+    def test_each_stderr_prefix_written_once(self):
+        from pathlib import Path
+
+        source = (Path(__file__).resolve().parents[1] / "src" / "mfgfd" / "cli.py").read_text()
+        assert source.count('print(f"error:') == 1
+        assert source.count('print(f"solver failed:') == 1
