@@ -116,9 +116,17 @@ _KEYS = {
 }
 
 
+_SECTIONS = {section for section, _ in _KEYS}
+
+
 def parse_config_text(text: str) -> RunConfig:
-    """Parse config text; a key or section not in ``_KEYS`` is a ConfigError."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse config text; a key or section not in ``_KEYS`` is a ConfigError.
+
+    ``[DEFAULT]`` is an ordinary section name, so it is refused like any
+    other unknown section, not merged into every section.
+    """
+    # no header can name a section "\n": configparser keeps no default section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
     parser.optionxform = str  # keep key case (N_h, N_T, T)
     try:
         parser.read_string(text)
@@ -127,6 +135,8 @@ def parse_config_text(text: str) -> RunConfig:
 
     cfg = RunConfig(text=text)
     for section in parser.sections():
+        if section not in _SECTIONS and not parser.options(section):
+            raise ConfigError(section, "unknown section")
         for key, raw in parser.items(section):
             if (section, key) not in _KEYS:
                 raise ConfigError(f"{section}.{key}", "unknown key")

@@ -1,4 +1,4 @@
-"""The sparse linear layer of both models: matrices, their LU, checked solves.
+"""The sparse linear layer of both models: matrices, their held inverses, checked solves.
 
 Every matrix is a five-point matrix on the lexicographic vector of one
 N x N grid, bordered by one unknown in the ergodic Newton step.  Its
@@ -7,13 +7,21 @@ and cached read-only (``_layout``), their factor order on the first
 factorization; an assembly computes only the values, and exact zeros stay
 as explicit entries.
 
-Every sparse LU is a ``HeldFactor``, the one LU type: one solve call
-holds one, the LU of the last matrix A factored in that solve.  It
-factors P A P^T, formed by one gather of the data, with P the
+Every held inverse is a ``HeldFactor``: one solve call holds one, the
+exact inverse of the last matrix A factored in that solve.  A matrix of
+constant coefficients (``_constant_inverse``: N >= 3, one value on every
+node's own entry and one on every neighbour entry; bordered, zero row
+sums, a border column of ones and a constant border row) is held as its
+DFT inverse, applied by two real 2-D FFTs with no sparse LU.  The
+Jacobian at a constant u with a zero upwind part is such a matrix, so the
+ergodic solve, whose Newton start is u = 0, holds the DFT inverse of the
+bordered Laplacian.  Every other matrix, and every one at N <= 2, is held
+as the SuperLU LU of P A P^T, formed by one gather of the data, with P the
 nested-dissection order of the torus grid (``dissection_order``) and
 border unknowns last.  SuperLU keeps that column order and pivots with its
 default partial pivoting.  On the bordered ergodic Jacobian at N = 128
-this halves the LU fill of the default column ordering.
+this halves the LU fill of the default column ordering.  "The held LU"
+below is either inverse.
 
 The matrices of one solve differ from iterate to iterate, step to step
 and sweep to sweep only in the upwind block, so the held LU is a good
@@ -48,6 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .hamiltonian import roundoff_floor
 from .torus_grid import STENCIL, _shift, check_positive_finite
 
 __all__ = [
@@ -165,6 +174,20 @@ class _Layout:
         pap_indptr = np.searchsorted(cols[gather], np.arange(size + 1))
         return _read_only(order, inv, pap_indptr, rows[gather], gather)
 
+    @functools.cached_property
+    def stencil_slots(self) -> tuple[np.ndarray, ...]:
+        """(diagonal, neighbours, border column): data slots, built on first use.
+
+        The slots of every node's entry on itself, on its four neighbours
+        (distinct at N >= 3) and in the border column (none unbordered).
+        """
+        size = self.indptr.size - 1
+        n2 = math.isqrt(size) ** 2
+        rows = np.repeat(np.arange(size), np.diff(self.indptr))
+        slots = np.flatnonzero(rows < n2)
+        rows, cols = rows[slots], self.indices[slots]
+        return _read_only(slots[rows == cols], slots[(rows != cols) & (cols < n2)], slots[cols == n2])
+
 
 @functools.cache
 def _layout(n: int, bordered: bool) -> _Layout:
@@ -227,20 +250,105 @@ def bordered_matrix(a: sp.csr_matrix, weight: float) -> sp.csr_matrix:
 MAX_REFINEMENTS = 8
 
 
+class _DftInverse:
+    """The exact inverse of a constant-coefficient five-point matrix, by the real 2-D DFT.
+
+    A = c0 I + c1 (the sum of the four neighbour shifts) is symmetric, and
+    the DFT diagonalizes it with the symbol (c0 + 4 c1) - c1 (s_k + s_l) at
+    mode (k, l), s_k = 4 sin^2(pi k / N) (Buzbee, Golub & Nielson, SIAM J.
+    Numer. Anal. 7 (1970)).  Bordered, [[A, 1], [w 1^T, 0]] with zero row
+    sums of A: the symbol vanishes at the constant mode, which A^+ drops,
+    and the border unknown is eliminated in closed form.  A symbol that
+    vanishes, to the roundoff of its computation, at any other mode is a
+    LinearSolveError.
+    """
+
+    def __init__(self, n: int, c0: float, c1: float, weight: float | None) -> None:
+        self.n, self.weight = n, weight
+        # s_k rather than the equal 2 - 2 cos(2 pi k / N), which loses digits
+        # at the low modes, the ones the bordered inverse amplifies most
+        s = 4.0 * np.sin(np.pi * np.arange(n) / n) ** 2
+        symbol = (c0 + 4.0 * c1) - c1 * (s[:, None] + s[None, : n // 2 + 1])
+        zero = np.abs(symbol) <= roundoff_floor(abs(c0) + 8.0 * abs(c1))
+        if weight is not None:
+            zero[0, 0] = False
+            symbol[0, 0] = math.inf
+        if zero.any():
+            raise LinearSolveError("DFT inverse failed: the matrix is singular")
+        self._inverse_symbol = 1.0 / symbol
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """x with M x = b, M the matrix (trans="N") or its transpose (trans="T").
+
+        A is symmetric, so trans matters only bordered.  There, with beta
+        the border entry of b and sums over the N^2 node entries, trans="N"
+        gives the border unknown lambda = sum(b) / N^2 and
+        x = A^+ (b - lambda) + beta / (w N^2); trans="T" gives the border
+        unknown sum(b) / (w N^2) and x = A^+ (b - sum(b) / N^2) + beta / N^2.
+        """
+        n = self.n
+        f = np.fft.rfft2(b[: n * n].reshape(n, n))
+        x = np.fft.irfft2(f * self._inverse_symbol, s=(n, n)).ravel()
+        if self.weight is None:
+            return x
+        mean, beta = f[0, 0].real / (n * n), b[-1]
+        if trans == "N":
+            border, offset = mean, beta / (self.weight * n * n)
+        else:
+            border, offset = mean / self.weight, beta / (n * n)
+        x += offset
+        return np.append(x, border)
+
+
+def _constant_inverse(a: sp.csr_matrix, layout: _Layout, n: int) -> _DftInverse | None:
+    """The DFT inverse of A on ``layout`` if A has constant coefficients, else None.
+
+    Constant: N >= 3, one finite value on every node's own entry and one on
+    all its neighbour entries; bordered, also a border column of ones, a
+    constant nonzero border row and zero row sums of A.  The diagonal is
+    tested first, so a variable matrix costs one gather and compare.
+    """
+    if n < 3:  # coinciding neighbours share a slot
+        return None
+    diagonal, neighbours, border_column = layout.stencil_slots
+    node = a.data[diagonal]
+    c0 = node[0]
+    if not (node == c0).all():
+        return None
+    near = a.data[neighbours]
+    c1 = near[0]
+    if not ((near == c1).all() and math.isfinite(c0) and math.isfinite(c1)):
+        return None
+    if border_column.size == 0:
+        return _DftInverse(n, c0, c1, None)
+    row = a.data[layout.indptr[-2] :]
+    weight = row[0]
+    if not (
+        (a.data[border_column] == 1.0).all()
+        and (row == weight).all()
+        and 0.0 < abs(weight) < math.inf
+        and c0 + 4.0 * c1 == 0.0
+    ):
+        return None
+    return _DftInverse(n, c0, c1, weight)
+
+
 class HeldFactor:
-    """The one sparse LU type: the LU of the last matrix factored in a solve call.
+    """The one held inverse type: that of the last matrix factored in a solve call.
 
     It carries the solve's ``contract`` (default: ``LinearSolveContract()``),
-    which every solve through it meets.  ``factor(a)`` drops the held LU,
-    then factors a CSR matrix A of
-    ``five_point_matrix`` or ``bordered_matrix`` (N read from its size) as
-    P A P^T, formed by one gather of its data into the cached factor order,
-    and holds that LU as ``lu``; after a failed factorization none is held.
-    Any other matrix, a CSC one of A^T too, is a ValueError; a singular one
-    is a LinearSolveError.  ``solve(b, trans)`` solves A x = b (trans="N")
-    or A^T x = b (trans="T") in the original order.  The counts are
-    deterministic: ``factorizations``, chord steps kept (``chord_accepted``)
-    and rejected (``chord_rejected``) by ``dynamics.newton_armijo``, and
+    which every solve through it meets.  ``factor(a)`` drops the held
+    inverse, then takes a CSR matrix A of ``five_point_matrix`` or
+    ``bordered_matrix`` (N read from its size) and holds as ``lu`` its DFT
+    inverse if ``_constant_inverse`` finds constant coefficients, else the
+    SuperLU LU of P A P^T, formed by one gather of its data into the cached
+    factor order; after a failed factorization none is held.  Any other
+    matrix, a CSC one of A^T too, is a ValueError; a singular one is a
+    LinearSolveError.  ``solve(b, trans)`` solves A x = b (trans="N") or
+    A^T x = b (trans="T") in the original order.  The counts are
+    deterministic: ``factorizations``, the SuperLU factorizations (a DFT
+    inverse is not counted), chord steps kept (``chord_accepted``) and
+    rejected (``chord_rejected``) by ``dynamics.newton_armijo``, and
     ``refinements``, the refinement steps of every solve.
     """
 
@@ -263,6 +371,10 @@ class HeldFactor:
             and np.array_equal(a.indices, layout.indices)
         ):
             raise ValueError("matrix is not in CSR form on the cached pattern of its grid")
+        self.lu = _constant_inverse(a, layout, n)
+        if self.lu is not None:
+            self._p = None
+            return self
         self._p, self._inv, pap_indptr, pap_indices, gather = layout.factor_order
         pap = sp.csc_matrix((a.data[gather], pap_indices, pap_indptr), shape=a.shape)
         try:
@@ -273,6 +385,8 @@ class HeldFactor:
         return self
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        if self._p is None:  # the DFT inverse reads the lexicographic order
+            return self.lu.solve(b, trans)
         return self.lu.solve(b[self._p], trans=trans)[self._inv]
 
     def solve_refined(

@@ -467,7 +467,9 @@ def _stationary_density(
     normalized, then clamped as the evolutive density step is.  Its
     residual max|A^T m| must be at most ``tol`` or the backward-error floor
     ``roundoff_floor(|A^T|_inf) max|m|``, whichever is larger; a miss is a
-    LinearSolveError.  At N_h = 128 (power cost) the whole ergodic solve factors once.
+    LinearSolveError.  At N_h = 128 (power cost) the whole ergodic solve
+    factors no LU: it refines the DFT inverse of the bordered Laplacian,
+    held since the Newton start u = 0.
     """
     n = p.grid.n_side
     h2 = p.grid.h ** 2

@@ -124,6 +124,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[solvr\.damping\]: unknown key"):
             parse_config_text(text)
 
+    def test_default_section_refused_not_ignored(self):
+        # configparser would read [DEFAULT] as defaults, which no section
+        # listed: this config parsed to N_h 16, evolutive
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\.N_h\]: unknown key"):
+            parse_config_text("[DEFAULT]\nN_h = 64\nkind = ergodic\n")
+
+    def test_default_section_does_not_leak_into_problem(self):
+        # this config parsed with nu = 2 in [problem]
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\.nu\]: unknown key"):
+            parse_config_text("[DEFAULT]\nnu = 2\n\n[problem]\nkind = evolutive\n")
+
+    def test_default_section_error_names_the_section_written(self):
+        # the error named [cost.nu], a key the user never wrote in [cost]
+        text = "[DEFAULT]\nnu = 2\n\n" + UNIFORM_CONFIG.format(out="x")
+        assert "[cost]" in text
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\.nu\]: unknown key"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("section", ["bogus", "DEFAULT"])
+    def test_empty_unknown_section_refused(self, section):
+        with pytest.raises(ConfigError, match=rf"\[{section}\]: unknown section"):
+            parse_config_text(UNIFORM_CONFIG.format(out="x") + f"\n[{section}]\n")
+
     def test_readme_reference_lists_exactly_the_parsed_keys(self):
         import configparser
         from pathlib import Path
@@ -317,7 +340,7 @@ class TestSolveCommand:
         assert meta["results"]["diagnostics"]["hjb_residual"] <= 1e-8
         assert meta["results"]["diagnostics"]["fp_residual"] <= 1e-8
         counts = {k: meta["results"]["diagnostics"][k] for k in ("factorizations", "refinements")}
-        assert counts == {"factorizations": 7, "refinements": {64: 20, 32: 18}[n_side]}
+        assert counts == {"factorizations": 6, "refinements": {64: 20, 32: 18}[n_side]}
 
     def test_linear_solve_failure_exit_two_with_partial_archive(self, tmp_path, capsys):
         # no LU solve reaches a relative residual of 1e-30

@@ -31,6 +31,7 @@ from mfgfd.solver import (
     system_residuals,
 )
 from mfgfd.torus_grid import GridField, SpaceTimeField, TimeMesh, TorusGrid, mass
+from mfgfd.verify import _uniform_base
 
 
 def sup(a):
@@ -498,15 +499,16 @@ class TestStagnationExit:
 
 class TestErgodicSolver:
     def test_default_settings_counts(self):
-        # full-step mixing and warm-started densities: 5 sweeps on one LU
-        # (6 sweeps and 30 refinement steps at damping 0.5 from LU^-1 b)
+        # full-step mixing and warm-started densities: 5 sweeps on the DFT
+        # inverse of the bordered Laplacian, no LU (6 sweeps and 30
+        # refinement steps at damping 0.5 from LU^-1 b)
         g = TorusGrid(32)
         ham = PowerHamiltonian(2.0, HAMILTONIAN_PRESETS.build(g, "sines", 1.0))
         p = ErgodicProblem(1.0, ham, LocalCost.power(2.0), g)
         sol = solve_ergodic(p)
         held = {k: sol.diagnostics[k] for k in TestHeldFactorCounts.HELD_KEYS}
         assert sol.outer_iters == 5 and sol.diagnostics["halvings"] == 0
-        assert held == {"factorizations": 1, "chord_accepted": 18, "chord_rejected": 0, "refinements": 12}
+        assert held == {"factorizations": 0, "chord_accepted": 18, "chord_rejected": 0, "refinements": 12}
 
     def test_trivial_constants(self):
         g = TorusGrid(16)
@@ -708,9 +710,11 @@ class TestHeldFactorCounts:
             write = write_ergodic_archive
         first, calls = self.count_factorizations(monkeypatch, solve)
         d = first.diagnostics
-        assert d["factorizations"] == calls > 0
-        if kind == "ergodic":  # every sweep's density refines the one LU
-            assert d["factorizations"] == 1
+        assert d["factorizations"] == calls
+        if kind == "ergodic":  # every sweep refines the DFT inverse: no LU
+            assert d["factorizations"] == 0
+        else:
+            assert calls > 0
         assert d["chord_accepted"] > 0
         assert all(isinstance(d[k], int) for k in self.HELD_KEYS)
         second, calls_again = self.count_factorizations(monkeypatch, solve)
@@ -719,6 +723,23 @@ class TestHeldFactorCounts:
         for n, sol in enumerate((first, second)):
             write(tmp_path / str(n), sol, {}, "")
         assert (tmp_path / "0" / "meta.json").read_bytes() == (tmp_path / "1" / "meta.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["evolutive", "ergodic"])
+    def test_uniform_exact_problem_factors_no_lu(self, kind, monkeypatch):
+        # every Jacobian of this problem has constant coefficients, so the
+        # DFT inverse solves it and the solution is the exact uniform pair
+        # bit for bit; with an LU, u was off by 1.3e-15 (evolutive) and m
+        # by 4.4e-16 (ergodic)
+        p = uniform_problem()
+        if kind == "evolutive":
+            sol, calls = self.count_factorizations(monkeypatch, lambda: solve_evolutive(p))
+            u, m = _uniform_base(p.mesh, p.grid)
+            assert np.array_equal(sol.u.values, u) and np.array_equal(sol.m.values, m)
+        else:
+            stationary = ErgodicProblem(p.nu, p.hamiltonian, p.cost, p.grid)
+            sol, calls = self.count_factorizations(monkeypatch, lambda: solve_ergodic(stationary))
+            assert np.all(sol.u.values == 0.0) and np.all(sol.m.field.values == 1.0) and sol.lam == 1.0
+        assert calls == 0 == sol.diagnostics["factorizations"]
 
     def test_evolutive_counts(self):
         # a loss in the stopping rules of the linear layer shows as a count
