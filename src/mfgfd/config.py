@@ -125,8 +125,11 @@ def parse_config_text(text: str) -> RunConfig:
     ``[DEFAULT]`` is an ordinary section name, so it is refused like any
     other unknown section, not merged into every section.
     """
-    # no header can name a section "\n": configparser keeps no default section
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
+    # no header can name a section "\n": configparser keeps no default section;
+    # no interpolation: every value is literal, "%" included
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), default_section="\n", interpolation=None
+    )
     parser.optionxform = str  # keep key case (N_h, N_T, T)
     try:
         parser.read_string(text)

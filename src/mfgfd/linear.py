@@ -179,14 +179,18 @@ class _Layout:
         """(diagonal, neighbours, border column): data slots, built on first use.
 
         The slots of every node's entry on itself, on its four neighbours
-        (distinct at N >= 3) and in the border column (none unbordered).
+        (distinct at N >= 3) and in the border column (none unbordered),
+        each in ascending order.  They come from the five-point ``slots``:
+        a bordered row r is five-point row r, then its border entry.
         """
         size = self.indptr.size - 1
         n2 = math.isqrt(size) ** 2
-        rows = np.repeat(np.arange(size), np.diff(self.indptr))
-        slots = np.flatnonzero(rows < n2)
-        rows, cols = rows[slots], self.indices[slots]
-        return _read_only(slots[rows == cols], slots[(rows != cols) & (cols < n2)], slots[cols == n2])
+        bordered = size > n2
+        diagonal = _layout(math.isqrt(n2), False).slots[:n2] + (np.arange(n2) if bordered else 0)
+        border = self.indptr[1 : n2 + 1] - 1 if bordered else np.empty(0, dtype=np.intc)
+        neighbour = np.ones(self.indptr[n2], dtype=bool)  # the entries of the node rows
+        neighbour[diagonal] = neighbour[border] = False
+        return _read_only(diagonal, np.flatnonzero(neighbour), border)
 
 
 @functools.cache
@@ -196,8 +200,10 @@ def _layout(n: int, bordered: bool) -> _Layout:
     Unbordered, the source entries are the 5 N^2 stencil entries plane by
     plane, as ``five_point_matrix`` takes them: the node, then its
     neighbours in ``STENCIL`` order, so coinciding neighbours (N <= 2) share
-    a slot.  Bordered, one unknown is appended to
-    the N^2 nodes (``_with_border``).
+    a slot.  No sort: an entry's slot is its row's offset plus its rank, the
+    number of distinct columns below its own among the row's five, counted
+    over the first entry of each column.  Bordered, one unknown is appended
+    to the N^2 nodes (``_with_border``).
     """
     n2 = n * n
     if bordered:
@@ -205,13 +211,20 @@ def _layout(n: int, bordered: bool) -> _Layout:
         indices = _with_border(five.indices, np.full(n2, n2), np.arange(n2))
         indptr = np.append(np.arange(n2 + 1) * (five.indices.size // n2 + 1), indices.size)
         return _Layout(*_read_only(indptr, indices), None)
-    k = np.arange(n2).reshape(n, n)
-    neighbours = [_shift(k, step, axis) for step, axis in STENCIL]
-    rows = np.tile(k.ravel(), 5)
-    cols = np.stack([k] + neighbours).ravel()
-    keys, slots = np.unique(rows * n2 + cols, return_inverse=True)
-    indptr, indices = np.searchsorted(keys // n2, np.arange(n2 + 1)), keys % n2
-    return _Layout(*_read_only(indptr, indices, slots))
+    k = np.arange(n2, dtype=np.intc).reshape(n, n)
+    cols = np.stack([k] + [_shift(k, step, axis) for step, axis in STENCIL]).reshape(5, n2)
+    first = np.ones(cols.shape, dtype=bool)  # no earlier entry of the row has this column
+    for p in range(1, 5):
+        first[p] = (cols[:p] != cols[p]).all(axis=0)
+    rank = np.zeros(cols.shape, dtype=np.intc)
+    for p in range(5):
+        rank += first[p] & (cols[p] < cols)
+    indptr = np.zeros(n2 + 1, dtype=np.intc)
+    np.cumsum(first.sum(axis=0), out=indptr[1:])
+    slots = indptr[:-1] + rank
+    indices = np.empty(indptr[-1], dtype=np.intc)
+    indices[slots[first]] = cols[first]
+    return _Layout(*_read_only(indptr, indices, slots.ravel()))
 
 
 def _with_border(entries: np.ndarray, column: np.ndarray, row: np.ndarray) -> np.ndarray:

@@ -27,6 +27,15 @@ factored in the solve serves the chord value steps and the refined
 density steps of both models until a step factors afresh.  Its counts go
 into ``diagnostics``; the driver releases the LU before the final checks.
 
+Memory: an evolutive solve holds at most 11 trajectory-sized arrays at
+any point, 10 during a sweep: the iterate, the driver's 6 Anderson
+difference slots, the values, the costs and the sweep's new densities,
+plus f and one product while the driver mixes.  Each sweep writes its values
+over the last sweep's (the warm start), its costs over the last costs
+(``accept`` puts the candidate's there, which the final check reads), and
+the driver reuses f and its slots; every check and monitor goes slice by
+slice.  Neither a sweep's output nor ``initial_m`` is ever written.
+
 This module also hosts the exact algebraic checker for the perturbed
 two-pair balance: endpoint pairings plus both weighted Bregman terms plus
 the cost monotonicity pairing equal the perturbation pairings.  The checker
@@ -229,6 +238,16 @@ def _damped_fixed_point(
     differences are dropped.  Once every halving is spent, a change that
     has not reached a new minimum for STAGNATION_SWEEPS sweeps ends the
     iteration with OuterNonConvergence at once, as does ``max_outer``.
+
+    Buffers: besides the sweep's arrays the driver holds the iterate and
+    the 2 ANDERSON_DEPTH difference slots; from a sweep's end to the next
+    iterate, also f and at most one product of the update.  The pair of
+    sweep k is half written as soon as iterate k exists: m_k - m_{k-1} and
+    -f_{k-1} go into the slot the pair will take, and sweep k adds f_k
+    (-f_{k-1} + f_k is f_k - f_{k-1} bit for bit).  That slot of dX takes
+    the update's partial sums once the products have read it, and the next
+    iterate is written over f.  The driver writes only f and the slots:
+    never a sweep's output, and never the first ``m``, the caller's array.
     """
     theta = cfg.damping
     halvings = 0
@@ -238,49 +257,70 @@ def _damped_fixed_point(
     dx = np.empty((ANDERSON_DEPTH,) + m.shape)
     df = np.empty_like(dx)
     pairs = 0  # difference pairs written since the last reset
-    last = None  # (m, f) of the previous sweep; None after a reset
+    half = False  # the slot pairs % ANDERSON_DEPTH holds a half-written pair
     for _ in range(cfg.max_outer):
         m_new, state = sweep(m, state)
         f = m_new - m
-        change = grid.h ** 2 * float(np.max(np.sum(np.abs(f), axis=(-2, -1))))
+        change = grid.h ** 2 * float(np.max([np.sum(np.abs(s)) for s in _slices(f)]))
         history.append(change)
         if change < cfg.outer_tol and accept(m_new, state):
             held.lu = None  # accepted: no step needs the LU any more
             shared = {"final_change": change, "theta_final": theta, "halvings": halvings, **held.counts()}
             record = {"outer_iters": len(history), "residual_history": history, "diagnostics": shared}
             return m_new, state, record
+        del m_new  # f holds what the update needs of it
         if change > prev_change and halvings < MAX_HALVINGS:
             theta = theta / 2.0
             halvings += 1
-            pairs, last = 0, None
+            pairs, half = 0, False
         prev_change = change
         if change < best:
             best, best_at = change, len(history)
         elif halvings == MAX_HALVINGS and len(history) - best_at >= STAGNATION_SWEEPS:
             raise OuterNonConvergence(len(history), change, stagnated=True)
-        if last is not None:
+        if half:
             slot = pairs % ANDERSON_DEPTH
-            np.subtract(m, last[0], out=dx[slot])
-            np.subtract(f, last[1], out=df[slot])
+            np.add(df[slot], f, out=df[slot])
             pairs += 1
-        last = (m, f)
         k = min(pairs, ANDERSON_DEPTH)
-        step = theta * f
+        slot = pairs % ANDERSON_DEPTH  # the next pair's; with k = ANDERSON_DEPTH the oldest
+        step = dx[slot]
         if k:
             gamma = np.linalg.lstsq(df[:k].reshape(k, -1).T, f.ravel())[0]
-            step -= np.tensordot(gamma, dx[:k], axes=1)
-            step -= theta * np.tensordot(gamma, df[:k], axes=1)
-        m = m + step
+            part = np.tensordot(gamma, dx[:k], axes=1)  # reads dx[slot] before the step takes it
+            np.multiply(f, theta, out=step)
+            step -= part
+            del part
+            part = np.tensordot(gamma, df[:k], axes=1)
+            part *= theta
+            step -= part
+            del part
+        else:
+            np.multiply(f, theta, out=step)
+        np.negative(f, out=df[slot])
+        np.add(step, m, out=f)  # f is the next iterate from here on
+        np.subtract(f, m, out=dx[slot])
+        m, half = f, True
     raise OuterNonConvergence(cfg.max_outer, history[-1] if history else math.inf)
+
+
+def _slices(a: np.ndarray) -> np.ndarray:
+    """The (N, N) slices of an (N, N) or (K, N, N) array, as a (K, N, N) view."""
+    return a.reshape((-1,) + a.shape[-2:])
 
 
 # ---------------------------------------------------------------------------
 # evolutive solver
 # ---------------------------------------------------------------------------
 
-def _cost_fields(p: EvolutiveProblem, m: np.ndarray) -> np.ndarray:
-    """Costs of density slices 0..N_T-1, one cost application per slice."""
-    return np.stack([p.cost.apply(m[n]) for n in range(p.mesh.n_steps)])
+def _cost_fields(p: EvolutiveProblem, m: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Costs of density slices 0..N_T-1, one cost application per slice,
+    written slice by slice into ``out`` (a new array by default)."""
+    if out is None:
+        out = np.empty((p.mesh.n_steps,) + m.shape[1:])
+    for n in range(p.mesh.n_steps):
+        out[n] = p.cost.apply(m[n])
+    return out
 
 
 def _bellman_sweep(
@@ -293,14 +333,20 @@ def _bellman_sweep(
     """Values swept forward from u0, step n -> n+1 with the cost of density slice n.
 
     Without a previous sweep ``warm``, each value step starts from the
-    slice it steps from.  Otherwise step n starts from
-    warm[n + 1] + (u[n] - warm[n]): the previous sweep's slice n + 1 moved
-    by the correction this sweep has already made to slice n.
+    slice it steps from, and the values fill a new array.  Otherwise step n
+    starts from warm[n + 1] + (u[n] - warm[n]): the previous sweep's slice
+    n + 1 moved by the correction this sweep has already made to slice n.
+    Then the values are written over ``warm``: step n reads warm[n + 1] and
+    a saved copy of warm[n] before slice n + 1 is overwritten.
     """
-    u = np.empty((p.mesh.n_steps + 1,) + p.u0.values.shape)
+    u = np.empty((p.mesh.n_steps + 1,) + p.u0.values.shape) if warm is None else warm
+    old = None if warm is None else warm[0].copy()  # warm[n] once u[n] is written
     u[0] = p.u0.values
     for n in range(p.mesh.n_steps):
-        guess = None if warm is None else warm[n + 1] + (u[n] - warm[n])
+        guess = None
+        if warm is not None:
+            guess = warm[n + 1] + (u[n] - old)
+            old = warm[n + 1].copy()
         u[n + 1] = hjb_step_solve(
             p.hamiltonian, p.nu, p.mesh.dt, u[n], cost[n], hjb_cfg, guess, held
         )
@@ -321,6 +367,21 @@ def _fp_sweep(
         )
         clamp_max = max(clamp_max, clamp)
     return m, clamp_max
+
+
+def _start_trajectory(p: EvolutiveProblem, initial_m: Optional[np.ndarray | SpaceTimeField]) -> np.ndarray:
+    """``initial_m`` as a float64 array (not copied when it is one), checked
+    against the problem; by default every slice is the terminal density."""
+    if initial_m is None:
+        return np.stack([p.mT.field.values] * (p.mesh.n_steps + 1))
+    if isinstance(initial_m, SpaceTimeField):
+        initial_m = initial_m.values
+    m = np.asarray(initial_m, dtype=np.float64)
+    if m.shape != (p.mesh.n_steps + 1, p.grid.n_side, p.grid.n_side):
+        raise ValueError("initial_m does not match the problem discretization")
+    if not np.isfinite(m).all():
+        raise ValueError("initial_m has a non-finite entry")
+    return m
 
 
 def solve_evolutive(
@@ -354,41 +415,36 @@ def solve_evolutive(
     hjb_cfg = hjb_cfg or HjbStepConfig()
     check_newton_tol(hjb_cfg.newton_tol)
     nt = p.mesh.n_steps
-
-    if initial_m is not None:
-        if isinstance(initial_m, SpaceTimeField):
-            initial_m = initial_m.values
-        m_start = np.array(initial_m, dtype=np.float64)
-        if m_start.shape != (nt + 1, p.grid.n_side, p.grid.n_side):
-            raise ValueError("initial_m does not match the problem discretization")
-        if not np.isfinite(m_start).all():
-            raise ValueError("initial_m has a non-finite entry")
-    else:
-        m_start = np.stack([p.mT.field.values] * (nt + 1))
     held = HeldFactor(contract)
 
     def sweep(m: np.ndarray, last: Optional[tuple]) -> tuple[np.ndarray, tuple]:
-        cost = _cost_fields(p, m)
+        # the last sweep's values and costs are written over
+        cost = _cost_fields(p, m, None if last is None else last[1])
         u = _bellman_sweep(p, cost, hjb_cfg, None if last is None else last[0], held)
         m_new, clamp_max = _fp_sweep(p, u, m, held)
         return m_new, (u, cost, clamp_max)
-
-    accepted_cost = None  # the costs of the accepted densities, for the final check
 
     def accept(m_new: np.ndarray, state: tuple) -> bool:
         # candidate return pair is (u, m_new): the density sweep is exact
         # for u, and the value sweep is exact for the *old* densities, so
         # the value defect is the cost mismatch between the trajectories.
-        nonlocal accepted_cost
-        cost = _cost_fields(p, m_new)
-        ok = float(np.max(np.abs(cost - state[1]))) + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET
-        if ok:
-            accepted_cost = cost
-        return ok
+        # The costs of m_new go over the state's, slice by slice: the next
+        # sweep writes its own, and on acceptance the final check needs them.
+        cost = state[1]
+        mismatch = np.empty(nt)
+        for n in range(nt):
+            new = p.cost.apply(m_new[n])
+            mismatch[n] = np.max(np.abs(new - cost[n]))
+            cost[n] = new
+        return float(np.max(mismatch)) + hjb_cfg.newton_tol <= INNER_RESIDUAL_TARGET
 
-    m, (u, _, clamp_max), record = _damped_fixed_point(p.grid, cfg, m_start, None, sweep, accept, held)
-    a, b = _system_defects(p.hamiltonian, p.nu, p.mesh.dt, accepted_cost, u, m)
-    hjb_res, fp_res = float(np.max(np.abs(a))), float(np.max(np.abs(b)))
+    # only the driver holds the start trajectory; it drops it after the first sweep
+    m, (u, cost, clamp_max), record = _damped_fixed_point(
+        p.grid, cfg, _start_trajectory(p, initial_m), None, sweep, accept, held
+    )
+    hjb_res, fp_res = (
+        float(np.max(np.abs(r))) for r in _system_defects(p.hamiltonian, p.nu, p.mesh.dt, cost, u, m)
+    )
     if not fp_res <= INNER_RESIDUAL_TARGET:  # the mismatch bounds hjb_res
         raise LinearSolveError(f"density defect {fp_res:.3e} exceeds {INNER_RESIDUAL_TARGET:.0e}")
     monitors = (
@@ -664,18 +720,22 @@ def _trajectory_monitors(
     is bounded by a level-independent constant on the smooth presets; the
     tests pin those constants.  ``solve_evolutive`` stores them as
     ``EvolutiveSolution.monitors``.  u and m are (N_T + 1, N, N) arrays on
-    the time step ``dt``; h = 1/N.
+    the time step ``dt``; h = 1/N.  Every sum is taken slice by slice, the
+    totals over time in ``time_sum`` order, so no temporary is larger than
+    a slice.
     """
     h = 1.0 / u.shape[-1]
     h2 = h ** 2
-    grad_term = gradient_power_sum(u[1:], beta) * (h2 * dt)
-    cost_term = time_sum(np.abs(cost.apply(m[:-1])) ** cost.gamma) * (h2 * dt)
+    grad_term = cost_term = 0.0
+    for n in range(len(u) - 1):
+        grad_term += gradient_power_sum(u[n + 1], beta)
+        cost_term += float(np.sum(np.abs(cost.apply(m[n])) ** cost.gamma))
     means = h2 * np.sum(u, axis=(-2, -1))
     return {
         "u_min": float(np.min(u)),
-        "grad_power_total": grad_term,
-        "cost_power_total": cost_term,
-        "u_l1_max": h2 * float(np.max(np.sum(np.abs(u), axis=(-2, -1)))),
+        "grad_power_total": grad_term * (h2 * dt),
+        "cost_power_total": cost_term * (h2 * dt),
+        "u_l1_max": h2 * float(np.max([np.sum(np.abs(s)) for s in u])),
         "u_mean_path": means.tolist(),
         "u_mean_total_variation": float(np.sum(np.abs(np.diff(means)))),
     }

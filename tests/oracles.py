@@ -181,3 +181,29 @@ def fstring_grid_csv(values: np.ndarray) -> str:
         for j in range(n):
             lines.append(f"{i},{j},{values[i, j]:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def sorted_five_point_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, slots) of the N x N five-point pattern by one global sort.
+
+    The 5 N^2 stencil entries, the node and then its neighbours in
+    ``STENCIL`` order, keyed by row * N^2 + column; ``np.unique`` sorts the
+    keys into CSR order and maps each entry to the slot of its key.
+    """
+    n2 = n * n
+    k = np.arange(n2).reshape(n, n)
+    rows = np.tile(k.ravel(), 5)
+    cols = np.stack([k] + [np.roll(k, -step, axis) for step, axis in STENCIL]).ravel()
+    keys, slots = np.unique(rows * n2 + cols, return_inverse=True)
+    return np.searchsorted(keys // n2, np.arange(n2 + 1)), keys % n2, slots
+
+
+def scanned_stencil_slots(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(diagonal, neighbours, border column) slots of a (bordered) five-point
+    CSR pattern, read off the row and column of every entry."""
+    size = indptr.size - 1
+    n2 = int(np.sqrt(size)) ** 2
+    rows = np.repeat(np.arange(size), np.diff(indptr))
+    slots = np.flatnonzero(rows < n2)
+    rows, cols = rows[slots], indices[slots]
+    return slots[rows == cols], slots[(rows != cols) & (cols < n2)], slots[cols == n2]

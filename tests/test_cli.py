@@ -147,6 +147,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"\[{section}\]: unknown section"):
             parse_config_text(UNIFORM_CONFIG.format(out="x") + f"\n[{section}]\n")
 
+    @pytest.mark.parametrize("value", ["out%1", "%(x)s", "100%%"])
+    def test_percent_is_literal(self, value):
+        # configparser's default interpolation raised InterpolationSyntaxError
+        # on "out%1" and "%(x)s", and read "100%%" as "100%"
+        assert parse_config_text(UNIFORM_CONFIG.format(out=value)).out_dir == value
+
+    @pytest.mark.parametrize("name", ["out%1", "%(x)s"])
+    def test_solve_writes_to_a_percent_path(self, tmp_path, name):
+        path = tmp_path / "run.ini"
+        path.write_text(UNIFORM_CONFIG.format(out=tmp_path / name))
+        assert main(["solve", "--config", str(path)]) == 0
+        assert (tmp_path / name / "meta.json").is_file()
+
     def test_readme_reference_lists_exactly_the_parsed_keys(self):
         import configparser
         from pathlib import Path

@@ -36,6 +36,7 @@ from mfgfd.linear import (
     LinearSolveContract,
     LinearSolveError,
     _fresh_solve,
+    _layout,
     _solve_checked,
     five_point_matrix,
 )
@@ -57,6 +58,8 @@ from oracles import (
     paper_transport,
     paper_value,
     paper_value_operator,
+    scanned_stencil_slots,
+    sorted_five_point_layout,
 )
 
 NU = 1.0
@@ -740,6 +743,19 @@ def count_splu(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting)
     return calls
+
+
+class TestLayout:
+    @pytest.mark.parametrize("n", list(range(1, 41)) + [64, 128])
+    def test_ranks_give_the_sorted_pattern(self, n):
+        # the per-row ranks build exactly what one global sort of the
+        # stencil keys builds, coinciding neighbours (N <= 2) included
+        five = _layout(n, False)
+        for got, expect in zip((five.indptr, five.indices, five.slots), sorted_five_point_layout(n)):
+            assert np.array_equal(got, expect)
+        for layout in (five, _layout(n, True)):
+            for got, expect in zip(layout.stencil_slots, scanned_stencil_slots(layout.indptr, layout.indices)):
+                assert np.array_equal(got, expect)
 
 
 class TestDftInverse:

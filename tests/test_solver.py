@@ -321,6 +321,82 @@ class TestEvolutiveSolver:
         with pytest.raises(ValueError, match="initial_m has a non-finite entry"):
             solve_evolutive(p, initial_m=start)
 
+    @pytest.mark.parametrize("as_field", [False, True], ids=["array", "field"])
+    def test_start_never_written(self, as_field):
+        # the driver reads the caller's start trajectory and never copies it,
+        # so every buffer it writes must be one of its own
+        p = smooth_problem(n=8, nt=8, cost="power")
+        rng = np.random.default_rng(5)
+        start = p.mT.field.values * rng.uniform(0.5, 1.5, size=(9, 8, 8))
+        start /= p.grid.h ** 2 * np.sum(start, axis=(1, 2), keepdims=True)
+        before = start.copy()
+        initial_m = SpaceTimeField.from_array(p.mesh, p.grid, start) if as_field else start
+        sol = solve_evolutive(p, cfg=FixedPointConfig(damping=0.5), initial_m=initial_m)
+        assert sol.outer_iters > ANDERSON_DEPTH + 1
+        assert np.array_equal(start, before)
+        if as_field:
+            assert initial_m.values is start
+
+    def test_slice_wise_gate_matches_whole_array_formulas(self, monkeypatch):
+        # the change and the acceptance test go slice by slice; each must
+        # equal its whole-array formula bit for bit, on rejecting and
+        # accepting calls alike, and accept leaves the candidate's costs in
+        # the state for the final check
+        from mfgfd.dynamics import INNER_RESIDUAL_TARGET
+
+        p = smooth_problem(n=8, nt=8, cost="power")
+        newton_tol = HjbStepConfig().newton_tol
+        driver = solver_module._damped_fixed_point
+        verdicts, changes = [], []
+
+        def spy(grid, cfg, m, state, sweep, accept, held):
+            def recording(m, state):
+                m_new, state = sweep(m, state)
+                changes.append(grid.h ** 2 * float(np.max(np.sum(np.abs(m_new - m), axis=(-2, -1)))))
+                return m_new, state
+
+            def checked(m_new, state):
+                before = state[1].copy()
+                ok = accept(m_new, state)
+                cost = np.stack([p.cost.apply(s) for s in m_new[:-1]])
+                mismatch = float(np.max(np.abs(cost - before)))
+                assert ok == (mismatch + newton_tol <= INNER_RESIDUAL_TARGET)
+                assert np.array_equal(state[1], cost)
+                verdicts.append(ok)
+                return ok
+
+            m, state, record = driver(grid, cfg, m, state, recording, checked, held)
+            assert record["residual_history"] == changes
+            return m, state, record
+
+        monkeypatch.setattr(solver_module, "_damped_fixed_point", spy)
+        solve_evolutive(p, cfg=FixedPointConfig(damping=0.5, outer_tol=1e-4))
+        assert verdicts[0] is False and verdicts[-1] is True
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("cost", ["linear", "bilaplacian"])
+    def test_traced_peak_at_most_12_trajectory_arrays(self, cost):
+        # N_h = 8 and N_T = 128: a slice is 1/129 of a trajectory array, so
+        # the temporaries of one step stay far below one array.  The first
+        # solve fills the grid's caches, which are not trajectory arrays.
+        # Before the budget these solves peaked at 18.3 and 18.1 arrays
+        import tracemalloc
+
+        p = smooth_problem(n=8, nt=128, cost=cost)
+        if cost == "linear":  # 6 sweeps at nu = 2, 9 at 0.6
+            p = dataclasses.replace(p, cost=LocalCost.linear(), nu=2.0)
+        solve_evolutive(p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sol = solve_evolutive(p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sol.outer_iters >= 4  # warm starts and mixed updates included
+        assert peak / sol.u.values.nbytes <= 12.0
+
 
 def test_evolutive_fields_on_another_grid_refused():
     p = smooth_problem(n=8, nt=4)
@@ -474,6 +550,28 @@ def scripted_sweep(sizes):
     d = np.array([[1.0, -1.0], [0.0, 0.0]])
     sizes = iter(sizes)
     return lambda m, state: (m + next(sizes) * d, state)
+
+
+class TestDriverWrites:
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 4, 4)], ids=["density", "trajectory"])
+    def test_sweep_outputs_and_start_never_written(self, shape):
+        # the driver reuses its own buffers only: every array a sweep
+        # returned, and the start, keep their values to the end
+        g = TorusGrid(shape[-1])
+        weights = 1.0 + 0.5 * np.sin(np.arange(float(np.prod(shape)))).reshape(shape)
+
+        def rule(m):
+            out = weights * np.exp(-0.8 * m)
+            return out / (g.h ** 2 * np.sum(out, axis=(-2, -1), keepdims=True))
+
+        sweep, inputs, outputs = recording_sweep(rule)
+        start = np.ones(shape)
+        cfg = FixedPointConfig(damping=0.5, outer_tol=1e-13)
+        _damped_fixed_point(g, cfg, start, None, sweep, accept_all, HeldFactor())
+        assert len(outputs) > ANDERSON_DEPTH + 1
+        assert np.array_equal(start, np.ones(shape))
+        for m, out in zip(inputs, outputs):
+            assert np.array_equal(out, rule(m))
 
 
 class TestStagnationExit:
